@@ -23,7 +23,7 @@ from . import estimator, fields, keys, matrices, mpc, params, qpoly, sharing, tr
 from . import sign_additive, sign_threshold  # noqa: E402
 from .params import ADDITIVE, THRESHOLD, parameter_set  # noqa: E402
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ADDITIVE", "THRESHOLD", "parameter_set", "estimator", "fields", "keys",

@@ -1,7 +1,8 @@
 """Command line interface: keygen, sign, verify, estimate, kat.
 
 Exit codes: 0 success/accept, 1 verification reject or KAT mismatch,
-2 usage errors and malformed inputs.
+2 usage errors and malformed inputs, including files that cannot be read
+and KAT files without records.
 """
 
 import argparse
@@ -85,11 +86,7 @@ def cmd_verify(args):
         return EXIT_USAGE
     _load_keypair_params(args, None, ps)
     message = open(args.infile, "rb").read()
-    try:
-        data = open(args.sig, "rb").read()
-    except OSError as exc:
-        print(f"cannot read signature: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    data = open(args.sig, "rb").read()
     scheme = _scheme(ps.variant)
     sp = ps.sign_params()
     try:
@@ -171,8 +168,10 @@ def _parse_kat(text):
 def cmd_kat(args):
     master = bytes.fromhex(args.seed) if args.seed else b"\x00" * 48
     if args.check:
-        text = open(args.check).read()
-        records = _parse_kat(text)
+        records = _parse_kat(open(args.check).read())
+        if not records:
+            print(f"no KAT records in {args.check}", file=sys.stderr)
+            return EXIT_USAGE
         fresh = _kat_records(args.variant, args.level, len(records), master)
         for have, want in zip(records, fresh):
             for field in ("count", "seed", "msg", "pk", "sk", "sig"):
@@ -250,7 +249,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

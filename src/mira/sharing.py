@@ -13,6 +13,9 @@ party (k, j) is the sum of the leaves on side j of dimension k.
 
 Shamir sharing evaluates an independent random degree-l polynomial per
 coordinate at the public points e_i = i, which caps N at q - 1.
+Interpolation is batched over rounds: ``shamir_expand`` takes one point
+set per round and evaluates every round's polynomials with one weight
+computation and one stacked field GEMM.
 """
 
 from dataclasses import dataclass
@@ -213,32 +216,53 @@ def shamir_share(field, secrets, ell, n_parties, rand):
     return field.matmul(vand, coeffs)
 
 
-def _lagrange_weights(field, points, at):
-    """Coefficients w_j with P(at) = sum w_j P(points_j), |points| = deg+1."""
-    pts = np.asarray(points, np.uint8)
-    if len(set(int(p) for p in pts)) != len(pts):
+def _field_prod(field, arr):
+    """Field product over the last axis."""
+    out = arr[..., 0]
+    for j in range(1, arr.shape[-1]):
+        out = field.mul(out, arr[..., j])
+    return out
+
+
+def _lagrange_weights(field, points, targets):
+    """(B, A, t) weights w with P_b(targets_a) = sum_j w_baj P_b(points_bj).
+
+    Each row of ``points`` (B, t) holds t distinct points of its own
+    degree-(t-1) polynomial P_b.
+    """
+    t = points.shape[-1]
+    srt = np.sort(points, axis=-1)
+    if np.any(srt[:, 1:] == srt[:, :-1]):
         raise ValueError("duplicate interpolation points")
-    w = np.empty(len(pts), np.uint8)
-    for j, pj in enumerate(pts):
-        num = np.uint8(1)
-        den = np.uint8(1)
-        for t, pt in enumerate(pts):
-            if t == j:
-                continue
-            num = field.mul(num, field.sub(np.uint8(at), pt))
-            den = field.mul(den, field.sub(pj, pt))
-        w[j] = field.mul(num, field.inv(den))
-    return w
+    off = ~np.eye(t, dtype=bool)
+    one = np.uint8(1)
+    # den[b, j] = prod_{k != j} (p_bj - p_bk); num[b, a, j] = prod_{k != j} (x_a - p_bk)
+    den = _field_prod(field, np.where(
+        off, field.sub(points[:, :, None], points[:, None, :]), one))
+    dist = field.sub(targets[None, :, None], points[:, None, :])
+    num = _field_prod(field, np.where(off, dist[:, :, None, :], one))
+    return field.mul(num, field.inv(den)[:, None, :])
+
+
+def shamir_expand(field, shares, points, targets):
+    """Evaluate interpolating polynomials at every target point.
+
+    shares (B, t, C) and points (B, t) hold B independent degree-(t-1)
+    sharings, e.g. one per signature round; the result is (B, A, C) for
+    targets (A,).  Without the leading B axis, shares (t, C) and points
+    (t,) give (A, C).
+    """
+    shares = np.asarray(shares, np.uint8)
+    points = np.asarray(points, np.uint8)
+    targets = np.asarray(targets, np.uint8).ravel()
+    single = points.ndim == 1
+    if single:
+        shares, points = shares[None], points[None]
+    w = _lagrange_weights(field, points, targets)
+    out = field.matmul3(w, field.matmul3_prepare(shares))
+    return out[0] if single else out
 
 
 def shamir_reconstruct(field, shares, points):
-    """Interpolate at zero: shares (t, ncoords), points (t,) -> (ncoords,)."""
-    w = _lagrange_weights(field, points, 0)
-    return field.matmul(w[None, :], np.asarray(shares, np.uint8))[0]
-
-
-def shamir_expand(field, shares, points, all_points):
-    """Evaluate the unique interpolating polynomial at every given point."""
-    shares = np.asarray(shares, np.uint8)
-    rows = [_lagrange_weights(field, points, int(p)) for p in np.asarray(all_points)]
-    return field.matmul(np.stack(rows), shares)
+    """Interpolate at zero: shares (..., t, C), points (..., t) -> (..., C)."""
+    return shamir_expand(field, shares, points, np.zeros(1, np.uint8))[..., 0, :]

@@ -10,7 +10,8 @@ and its broadcast alpha share, plus the aux corrections of leaf N.
 
 The aux block is part of the fixed signature layout even when the hidden
 leaf is N itself; in that case it is zeroed (leaf N's state must not leak)
-and the verifier ignores it.
+and the verifier rejects any nonzero aux, so no bit of a signature is
+malleable.
 """
 
 from dataclasses import dataclass
@@ -285,6 +286,8 @@ def verify_decoded(ap, pk, message, sig):
     for e in range(1, tau + 1):
         rr = sig.rounds[e - 1]
         istar = ch2[e - 1]
+        if istar == n_parties and (rr.aux_x.any() or rr.aux_beta.any() or rr.aux_c.any()):
+            return False, None
         try:
             leaves = leaves_from_path(suite, rr.path, istar, sig.salt, e, n_parties)
         except ValueError:

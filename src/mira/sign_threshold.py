@@ -21,7 +21,8 @@ from .hashing import (H1, H2, X_SIGN, FieldSampler, commit,
                       derive_challenge1, derive_challenge2_threshold)
 from .mpc import ChallengeBatch, PkOperand
 from .sharing import ShareDims, shamir_expand, shamir_share
-from .trees import H_MERKLE, merkle_auth, merkle_root, merkle_root_from_auth
+from .trees import (H_MERKLE, MerkleTree, merkle_auth, merkle_root,
+                    merkle_root_from_auth)
 
 
 class SignatureFormatError(ValueError):
@@ -116,6 +117,11 @@ def decode(tp, data):
     return ThresholdSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
 
 
+def _extra_party(s_set, subset):
+    """i* = min(S \\ I): the one party of S whose alpha share is also opened."""
+    return min(i for i in s_set if i not in subset)
+
+
 def sign(tp, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs."""
     from .matrices import columns_to_ext
@@ -148,7 +154,7 @@ def _sign_core(tp, pk, x, beta, message, entropy,
     shares_all = np.empty((tau, n_parties, dims.total), np.uint8)
     a_plains = np.empty((tau, r, me), np.uint8)
     c_plains = np.empty((tau, me), np.uint8)
-    cmts_all, roots = [], []
+    trees, roots = [], []
     for e in range(1, tau + 1):
         a_e = sampler.take(r * me).reshape(r, me)
         c_e = ext.neg(ext.dot(beta, a_e, axis=0))
@@ -158,10 +164,10 @@ def _sign_core(tp, pk, x, beta, message, entropy,
         shares_all[e - 1] = shares
         a_plains[e - 1] = a_e
         c_plains[e - 1] = c_e
-        cmts = [commit(suite, salt, e, i, base.pack(shares[i - 1]))
-                for i in range(1, n_parties + 1)]
-        cmts_all.append(cmts)
-        roots.append(merkle_root(suite, cmts))
+        tree = MerkleTree(suite, [commit(suite, salt, e, i, base.pack(shares[i - 1]))
+                                  for i in range(1, n_parties + 1)])
+        trees.append(tree)
+        roots.append(merkle_root(suite, tree))
 
     h1 = suite.hash(H1, message, pk_bytes, salt, *roots)
     ch1 = ch1_override or derive_challenge1(suite, h1, ext, mr.n, tau)
@@ -195,9 +201,9 @@ def _sign_core(tp, pk, x, beta, message, entropy,
     rounds = []
     for e in range(1, tau + 1):
         subset = ch2[e - 1]
-        istar = min(i for i in s_set if i not in subset)
+        istar = _extra_party(s_set, subset)
         rounds.append(RoundResponse(
-            auth=merkle_auth(suite, cmts_all[e - 1], subset),
+            auth=merkle_auth(suite, trees[e - 1], subset),
             opened=shares_all[e - 1, np.asarray(subset) - 1],
             alpha_star=alpha_s[e - 1, s_set.index(istar)]))
     return ThresholdSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
@@ -247,26 +253,27 @@ def verify_decoded(tp, pk, message, sig):
     alpha_i, zs = batch.broadcast_alpha(pk_op, rows_x, rows_a,
                                         np.ones(ell, bool))
 
-    alpha_sharings = np.empty((tau, ell + 1, r * me), np.uint8)
-    alpha_opens = np.empty((tau, r, me), np.uint8)
-    for e in range(tau):
-        subset = ch2[e]
-        istar = min(i for i in s_set if i not in subset)
-        pts = np.asarray(list(subset) + [istar], np.uint8)
-        vals = np.concatenate([alpha_i[e].reshape(ell, r * me),
-                               sig.rounds[e].alpha_star.reshape(1, r * me)])
-        alpha_sharings[e] = shamir_expand(base, vals, pts, s_pts)
-        alpha_opens[e] = shamir_expand(
-            base, vals, pts, np.zeros(1, np.uint8))[0].reshape(r, me)
+    # every round at once: alpha through I + {i*} at S + {0}, v through
+    # I + {0} (v(0) = 0) at S
+    subsets = np.asarray(ch2, np.uint8)                      # (tau, ell)
+    istars = np.asarray([[_extra_party(s_set, subset)] for subset in ch2], np.uint8)
+    alpha_vals = np.concatenate([
+        alpha_i.reshape(tau, ell, r * me),
+        np.stack([rr.alpha_star.reshape(1, r * me) for rr in sig.rounds])], axis=1)
+    alpha_at = shamir_expand(base, alpha_vals, np.concatenate([subsets, istars], axis=1),
+                             np.append(s_pts, 0))
+    alpha_sharings = alpha_at[:, :ell + 1]
+    alpha_opens = alpha_at[:, ell + 1].reshape(tau, r, me)
     v_i_all = batch.broadcast_v(zs, rows_beta, rows_c, alpha_opens[:, None])
+    zero = np.zeros((tau, 1), np.uint8)
+    v_sharings = shamir_expand(
+        base, np.concatenate([v_i_all, np.zeros((tau, 1, me), np.uint8)], axis=1),
+        np.concatenate([subsets, zero], axis=1), s_pts)
 
     share_blobs = []
     details = []
     for e in range(tau):
-        subset = ch2[e]
-        v_pts = np.asarray(list(subset) + [0], np.uint8)
-        v_vals = np.concatenate([v_i_all[e], np.zeros((1, me), np.uint8)])
-        v_sharing = shamir_expand(base, v_vals, v_pts, s_pts)
+        v_sharing = v_sharings[e]
         for j in range(ell + 1):
             share_blobs.append(base.pack(alpha_sharings[e, j]))
             share_blobs.append(base.pack(v_sharing[j]))

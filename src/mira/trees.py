@@ -11,6 +11,8 @@ all-zero digests up to a power of two, and parents hash left || right.
 The empty-tree and padding conventions are part of the wire format.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .hashing import H_MERKLE, X_TREE, encode_u16, encode_u32
@@ -108,39 +110,57 @@ def leaves_from_path(suite, path, hidden, salt, round_index, n_leaves):
 # ---------------------------------------------------------------------------
 # Merkle trees
 
-def _merkle_levels(suite, leaf_values):
-    n = len(leaf_values)
-    if n == 0:
-        raise ValueError("empty Merkle tree")
-    hashed = [suite.hash(H_MERKLE, v) for v in leaf_values]
-    pad = 1 << max(0, (n - 1).bit_length())
-    zero = bytes(suite.digest_bytes)
-    level = hashed + [zero] * (pad - n)
-    levels = [level]
-    while len(level) > 1:
-        level = [suite.hash(H_MERKLE, level[i] + level[i + 1])
-                 for i in range(0, len(level), 2)]
-        levels.append(level)
-    return levels
+class MerkleTree:
+    """Leaf values and, built on first use, every level of their tree.
+
+    ``merkle_root`` and ``merkle_auth`` accept a tree in place of the leaf
+    values, so a signer that needs both hashes the tree only once.
+    """
+
+    def __init__(self, suite, leaf_values):
+        if not leaf_values:
+            raise ValueError("empty Merkle tree")
+        self.suite = suite
+        self.leaf_values = leaf_values
+
+    @cached_property
+    def levels(self):
+        suite = self.suite
+        n = len(self.leaf_values)
+        hashed = [suite.hash(H_MERKLE, v) for v in self.leaf_values]
+        pad = 1 << max(0, (n - 1).bit_length())
+        level = hashed + [bytes(suite.digest_bytes)] * (pad - n)
+        levels = [level]
+        while len(level) > 1:
+            level = [suite.hash(H_MERKLE, level[i] + level[i + 1])
+                     for i in range(0, len(level), 2)]
+            levels.append(level)
+        return levels
 
 
-def merkle_root(suite, leaf_values):
-    return _merkle_levels(suite, leaf_values)[-1][0]
+def _tree(suite, leaves):
+    return leaves if isinstance(leaves, MerkleTree) else MerkleTree(suite, leaves)
 
 
-def merkle_auth(suite, leaf_values, indices):
+def merkle_root(suite, leaves):
+    """Root digest of leaf values (or of a ``MerkleTree``)."""
+    return _tree(suite, leaves).levels[-1][0]
+
+
+def merkle_auth(suite, leaves, indices):
     """Digests needed to recompute the root from leaves at ``indices``.
 
-    1-based indices; output is ordered bottom-up, left to right within each
-    level.  Size is at most |I| * log2(N/|I|) + |I| digests.
+    ``leaves`` are the leaf values or a ``MerkleTree`` of them; 1-based
+    indices; output is ordered bottom-up, left to right within each level.
+    Size is at most |I| * log2(N/|I|) + |I| digests.
     """
+    tree = _tree(suite, leaves)
     indices = sorted(set(indices))
-    if not indices or indices[0] < 1 or indices[-1] > len(leaf_values):
+    if not indices or indices[0] < 1 or indices[-1] > len(tree.leaf_values):
         raise ValueError("bad auth indices")
-    levels = _merkle_levels(suite, leaf_values)
     known = {i - 1 for i in indices}
     auth = []
-    for level in levels[:-1]:
+    for level in tree.levels[:-1]:
         parents = set()
         for pos in sorted(known):
             sib = pos ^ 1

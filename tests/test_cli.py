@@ -120,3 +120,41 @@ def test_kat_generate_check_and_mutation(tmp_path, capsys):
     assert run(["kat", "--variant", "threshold", "--level", "1",
                 "--check", str(kat)]) == 1
     assert "field pk" in capsys.readouterr().err
+
+
+def test_sign_missing_message_file_exits_2(tmp_path, keypair, capsys):
+    pk, sk = keypair
+    assert run(["sign", "--key", str(sk), "--in", str(tmp_path / "absent"),
+                "--out", str(tmp_path / "s")]) == 2
+    assert "absent" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_verify_missing_message_file_exits_2(tmp_path, keypair, capsys):
+    pk, sk = keypair
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"payload")
+    sig = tmp_path / "out.sig"
+    assert run(["sign", "--key", str(sk), "--in", str(msg), "--out", str(sig)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--key", str(pk), "--in", str(tmp_path / "absent"),
+                "--sig", str(sig)]) == 2
+    assert "absent" in capsys.readouterr().err
+
+
+def test_kat_check_missing_file_exits_2(tmp_path, capsys):
+    assert run(["kat", "--variant", "threshold", "--level", "1",
+                "--check", str(tmp_path / "absent.txt")]) == 2
+    assert "absent.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "# variant = threshold, level = 1\n\n"],
+                         ids=["empty", "no-records"])
+def test_kat_check_without_records_exits_2(tmp_path, capsys, text):
+    kat = tmp_path / "kat.txt"
+    kat.write_text(text)
+    assert run(["kat", "--variant", "threshold", "--level", "1",
+                "--check", str(kat)]) == 2
+    captured = capsys.readouterr()
+    assert "no KAT records" in captured.err
+    assert "ok" not in captured.out

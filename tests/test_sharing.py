@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mira.fields import base_field, ext_field
 from mira.hashing import HashSuite
@@ -261,3 +263,72 @@ def test_shamir_point_capacity_error():
     assert len(shamir_points(f, 6)) == 6
     with pytest.raises(ValueError):
         shamir_reconstruct(f, np.zeros((2, 1), np.uint8), np.array([3, 3], np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# batched interpolation: one point set per round, evaluated in one call
+
+@st.composite
+def shamir_rounds(draw):
+    """Per-round sharings with their coefficients, points and targets."""
+    q = draw(st.sampled_from([251, 16]))
+    n = min(20, q - 1)
+    ell = draw(st.integers(0, 4))
+    rounds = draw(st.integers(1, 5))
+    ncoords = draw(st.integers(1, 4))
+    coeffs = np.array(draw(st.lists(st.integers(0, q - 1),
+                                    min_size=rounds * (ell + 1) * ncoords,
+                                    max_size=rounds * (ell + 1) * ncoords)),
+                      np.uint8).reshape(rounds, ell + 1, ncoords)
+    # point 0 stands for the secret itself, the other points for parties
+    points = np.array([draw(st.lists(st.integers(0, n), min_size=ell + 1,
+                                     max_size=ell + 1, unique=True))
+                       for _ in range(rounds)], np.uint8)
+    targets = np.array(draw(st.lists(st.integers(0, n), min_size=1, max_size=6)),
+                       np.uint8)
+    return q, n, ell, coeffs, points, targets
+
+
+def _evaluate(q, coeffs, at):
+    """Reference P(at) by Horner's rule from ascending coefficients (ell+1, C)."""
+    f = base_field(q)
+    acc = np.zeros(coeffs.shape[1], np.uint8)
+    for c in coeffs[::-1]:
+        acc = f.add(f.mul(acc, np.uint8(at)), c)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(shamir_rounds())
+def test_batched_expand_matches_known_evaluations(case):
+    q, n, ell, coeffs, points, targets = case
+    f = base_field(q)
+    vals = []
+    for e in range(len(points)):
+        shares = shamir_share(f, coeffs[e, 0], ell, n, coeffs[e, 1:])
+        at = np.concatenate([coeffs[e, :1], shares])      # row p = P(p)
+        vals.append(at[points[e]])
+    got = shamir_expand(f, np.stack(vals), points, targets)
+    assert got.shape == (len(points), len(targets), coeffs.shape[2])
+    for e in range(len(points)):
+        for a, tgt in enumerate(targets):
+            assert np.array_equal(got[e, a], _evaluate(q, coeffs[e], tgt))
+    # the single-round call is the B = 1 batch
+    assert np.array_equal(shamir_expand(f, vals[0], points[0], targets), got[0])
+    rec = shamir_reconstruct(f, np.stack(vals), points)
+    assert np.array_equal(rec, coeffs[:, 0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(shamir_rounds(), st.data())
+def test_batched_expand_rejects_duplicate_points_in_any_row(case, data):
+    q, n, ell, coeffs, points, targets = case
+    assume(ell > 0)
+    f = base_field(q)
+    row = data.draw(st.integers(0, len(points) - 1))
+    i, j = data.draw(st.lists(st.integers(0, ell), min_size=2, max_size=2,
+                              unique=True))
+    points[row, i] = points[row, j]
+    shares = np.zeros((len(points), ell + 1, coeffs.shape[2]), np.uint8)
+    with pytest.raises(ValueError):
+        shamir_expand(f, shares, points, targets)

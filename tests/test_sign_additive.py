@@ -102,9 +102,9 @@ def test_aux_zeroed_when_hidden_leaf_is_last():
     assert any(rr.aux_x.any() or rr.aux_beta.any() for rr in sig.rounds)
 
 
-def test_aux_block_is_ignored_when_hidden_leaf_is_last():
-    # the fixed-size aux slot is redundant for i* = N by design; altering it
-    # must not affect acceptance, and it carries zeros rather than secrets
+def test_aux_block_must_be_zero_when_hidden_leaf_is_last():
+    # the fixed-size aux slot is redundant for i* = N and carries zeros; a
+    # verifier that ignored it would accept altered copies (malleability)
     ap = TOY
     pk, sk = keygen_optimized(ap.mr, b"aux")
     found = None
@@ -114,14 +114,17 @@ def test_aux_block_is_ignored_when_hidden_leaf_is_last():
         sig = sa.decode(ap, data)
         ch2 = derive_challenge2_additive(ap.suite, sig.h2, ap.n_parties, ap.tau)
         if ap.n_parties in ch2:
-            found = (data, sig, ch2.index(ap.n_parties))
+            found = (data, ch2.index(ap.n_parties))
             break
     assert found is not None
-    data, sig, ridx = found
-    assert not sig.rounds[ridx].aux_x.any()
-    sig.rounds[ridx].aux_x[0] = 9
-    sig.rounds[ridx].aux_c[-1] = 3
-    assert sa.verify(ap, pk, b"m", sa.encode(ap, sig))
+    data, ridx = found
+    assert sa.verify(ap, pk, b"m", data)
+    for name in ("aux_x", "aux_beta", "aux_c"):
+        sig = sa.decode(ap, data)
+        aux = getattr(sig.rounds[ridx], name)
+        assert not aux.any()
+        aux.reshape(-1)[-1] ^= 1
+        assert not sa.verify(ap, pk, b"m", sa.encode(ap, sig)), name
 
 
 def test_cross_dimension_alpha_equality():
