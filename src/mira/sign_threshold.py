@@ -253,32 +253,29 @@ def verify_decoded(tp, pk, message, sig):
     alpha_i, zs = batch.broadcast_alpha(pk_op, rows_x, rows_a,
                                         np.ones(ell, bool))
 
-    # every round at once: alpha through I + {i*} at S + {0}, v through
-    # I + {0} (v(0) = 0) at S
+    # all rounds at once: alpha through I + {i*} at S + {0}; v through
+    # I + {0}, where v(0) = 0, at S
     subsets = np.asarray(ch2, np.uint8)                      # (tau, ell)
-    istars = np.asarray([[_extra_party(s_set, subset)] for subset in ch2], np.uint8)
-    alpha_vals = np.concatenate([
-        alpha_i.reshape(tau, ell, r * me),
-        np.stack([rr.alpha_star.reshape(1, r * me) for rr in sig.rounds])], axis=1)
-    alpha_at = shamir_expand(base, alpha_vals, np.concatenate([subsets, istars], axis=1),
-                             np.append(s_pts, 0))
+    istars = np.asarray([_extra_party(s_set, subset) for subset in ch2], np.uint8)
+    alpha_star = np.stack([rr.alpha_star.reshape(1, r * me) for rr in sig.rounds])
+    alpha_at = shamir_expand(
+        base, np.concatenate([alpha_i.reshape(tau, ell, r * me), alpha_star], axis=1),
+        np.column_stack([subsets, istars]), np.append(s_pts, 0))
     alpha_sharings = alpha_at[:, :ell + 1]
     alpha_opens = alpha_at[:, ell + 1].reshape(tau, r, me)
     v_i_all = batch.broadcast_v(zs, rows_beta, rows_c, alpha_opens[:, None])
-    zero = np.zeros((tau, 1), np.uint8)
     v_sharings = shamir_expand(
         base, np.concatenate([v_i_all, np.zeros((tau, 1, me), np.uint8)], axis=1),
-        np.concatenate([subsets, zero], axis=1), s_pts)
+        np.column_stack([subsets, np.zeros(tau, np.uint8)]), s_pts)
 
     share_blobs = []
     details = []
     for e in range(tau):
-        v_sharing = v_sharings[e]
         for j in range(ell + 1):
             share_blobs.append(base.pack(alpha_sharings[e, j]))
-            share_blobs.append(base.pack(v_sharing[j]))
+            share_blobs.append(base.pack(v_sharings[e, j]))
         details.append({"alpha_open": alpha_opens[e],
-                        "alpha_sharing": alpha_sharings[e], "v_sharing": v_sharing})
+                        "alpha_sharing": alpha_sharings[e], "v_sharing": v_sharings[e]})
 
     h2bar = suite.hash(H2, message, pk.body_bytes(), sig.salt, h1bar, *share_blobs)
     return h1bar == sig.h1 and h2bar == sig.h2, details
