@@ -2,7 +2,7 @@
 
 Exit codes: 0 success/accept, 1 verification reject or KAT mismatch,
 2 usage errors and malformed inputs, including files that cannot be read
-and KAT files without records.
+and KAT files without complete records.
 """
 
 import argparse
@@ -118,6 +118,9 @@ def cmd_estimate(args):
 # ---------------------------------------------------------------------------
 # known-answer test files
 
+_KAT_FIELDS = ("count", "seed", "msg", "pk", "sk", "sig")
+
+
 def _kat_records(variant, level, count, master):
     ps = params.parameter_set(variant, level)
     sp = ps.sign_params()
@@ -143,7 +146,7 @@ def _kat_records(variant, level, count, master):
 def _write_kat(fh, variant, level, count, master):
     fh.write(f"# variant = {variant}, level = {level}\n\n")
     for rec in _kat_records(variant, level, count, master):
-        for key in ("count", "seed", "msg", "pk", "sk", "sig"):
+        for key in _KAT_FIELDS:
             fh.write(f"{key} = {rec[key]}\n")
         fh.write("\n")
 
@@ -169,12 +172,13 @@ def cmd_kat(args):
     master = bytes.fromhex(args.seed) if args.seed else b"\x00" * 48
     if args.check:
         records = _parse_kat(open(args.check).read())
-        if not records:
-            print(f"no KAT records in {args.check}", file=sys.stderr)
+        if not records or any(rec.keys() != set(_KAT_FIELDS) for rec in records):
+            print(f"{args.check} is not a KAT file: it needs records of the fields "
+                  f"{', '.join(_KAT_FIELDS)}", file=sys.stderr)
             return EXIT_USAGE
         fresh = _kat_records(args.variant, args.level, len(records), master)
         for have, want in zip(records, fresh):
-            for field in ("count", "seed", "msg", "pk", "sk", "sig"):
+            for field in _KAT_FIELDS:
                 if have.get(field) != want[field]:
                     print(f"KAT mismatch at count={want['count']}: field {field}",
                           file=sys.stderr)

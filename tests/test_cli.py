@@ -148,13 +148,14 @@ def test_kat_check_missing_file_exits_2(tmp_path, capsys):
     assert "absent.txt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["", "# variant = threshold, level = 1\n\n"],
-                         ids=["empty", "no-records"])
-def test_kat_check_without_records_exits_2(tmp_path, capsys, text):
+@pytest.mark.parametrize("text", ["", "# variant = threshold, level = 1\n\n",
+                                  "hello\n", "count = 0\nseed = 00\n"],
+                         ids=["empty", "no-records", "junk", "missing-fields"])
+def test_kat_check_without_complete_records_exits_2(tmp_path, capsys, text):
     kat = tmp_path / "kat.txt"
     kat.write_text(text)
     assert run(["kat", "--variant", "threshold", "--level", "1",
                 "--check", str(kat)]) == 2
     captured = capsys.readouterr()
-    assert "no KAT records" in captured.err
+    assert "not a KAT file" in captured.err
     assert "ok" not in captured.out
