@@ -27,6 +27,7 @@ back to table gathers for small operands).
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 # Largest inner dimension so that counts stay exact in the float paths.
 _F32_EXACT = 1 << 24
@@ -83,6 +84,15 @@ def _char2_modulus(d):
         if _bitpoly_irreducible(mod):
             return mod
     raise ValueError(f"no irreducible of degree {d}")
+
+
+def _split_rows(rows):
+    """Byte strings of the rows of a contiguous (R, L) uint8 array."""
+    n = rows.shape[1]
+    if n == 0:
+        return [b""] * rows.shape[0]
+    blob = rows.tobytes()
+    return [blob[i:i + n] for i in range(0, len(blob), n)]
 
 
 class PrimeField:
@@ -145,6 +155,10 @@ class PrimeField:
 
     def pack(self, arr):
         return np.ascontiguousarray(np.asarray(arr, np.uint8).ravel()).tobytes()
+
+    def pack_rows(self, arr):
+        """``pack`` of every row of an (R, L) array, as a list of R strings."""
+        return _split_rows(np.ascontiguousarray(arr, np.uint8))
 
     def unpack(self, data, count):
         arr = np.frombuffer(data, dtype=np.uint8, count=count)
@@ -291,35 +305,71 @@ class Char2Field:
             return np.bitwise_xor.reduce(self.MUL[a[:, :, None], b[None, :, :]], axis=1)
         return self._matmul_sliced(a, *self.planes(b))
 
+    # bit planes are packed four to a float64, plane 4g + j in slot j of
+    # column block g; a slot is 13 bits wide, so it counts up to 8191 ones
+    # without carrying and a packed value stays below 2^52
+    _SLOT = 13
+    # times a word with bits only at 0, 13, 26, 39, moves them to bits 52..55
+    # (the cross terms land below 52 or wrap past 63)
+    _GATHER = np.uint64(sum(1 << (52 - 12 * j) for j in range(4)))
+
     def matmul3_prepare(self, b3):
+        """Right operand of ``matmul3``: (slot-packed (T, K, G*C), C)."""
         b3 = np.asarray(b3, np.uint8)
         t, inner, cols = b3.shape
-        bp = np.empty((t, inner, self.d * cols), dtype=np.float32)
+        assert inner < (1 << self._SLOT)
+        vals = np.arange(self.q)
+        groups = (self.d + 3) // 4
+        lut = np.zeros((groups, self.q))
         for u in range(self.d):
-            bp[:, :, u * cols:(u + 1) * cols] = (b3 >> u) & 1
-        return bp, cols
+            lut[u // 4] += ((vals >> u) & 1) * float(1 << (self._SLOT * (u % 4)))
+        if groups == 1:
+            return lut[0][b3], cols
+        return np.concatenate([lut[g][b3] for g in range(groups)], axis=2), cols
+
+    @property
+    def _nibble_luts(self):
+        # [s, g, n]: y^s * sum_j n_j y^(4g+j), reduced, for bit products
+        # (s, 4g + j) of odd parity n_j
+        try:
+            return self.__nibble_luts
+        except AttributeError:
+            d = self.d
+            red = [int(sum(int(b) << k for k, b in enumerate(row))) for row in self._redbits]
+            luts = np.zeros((d, (d + 3) // 4, 16), np.uint8)
+            for s in range(d):
+                for u in range(d):
+                    g, j = divmod(u, 4)
+                    luts[s, g, (np.arange(16) >> j) & 1 == 1] ^= red[s + u]
+            self.__nibble_luts = luts
+            return luts
 
     def matmul3(self, a3, prepared):
-        """(T, R, K) @ (T, K, C) stacked products via bit-sliced parity GEMMs."""
-        bp, cols = prepared
+        """(T, R, K) @ (T, K, C) stacked products via slot-packed parity GEMMs.
+
+        Bit plane s of the left operand times the packed right operand
+        counts, in the slot of plane u, the ones of the bit products (s, u);
+        their parity is that term of the carry-less product.  A multiply
+        gathers the four low slot bits of a word into a nibble, and a table
+        per (s, plane group) maps it to its reduced share of the result.
+        """
+        slots, cols = prepared
         a3 = np.asarray(a3, np.uint8)
         t, rows, inner = a3.shape
-        assert inner < (1 << 15)
-        ap = np.empty((t, self.d * rows, inner), dtype=np.float32)
-        for s in range(self.d):
-            ap[:, s * rows:(s + 1) * rows, :] = (a3 >> s) & 1
-        prod = np.matmul(ap, bp).astype(np.int16)
-        prod &= 1
-        prod = prod.astype(np.uint8)
-        red = self._redbits
+        d = self.d
+        ap = np.empty((t, d, rows, inner), dtype=np.float64)
+        for s in range(d):
+            ap[:, s] = (a3 >> s) & 1
+        cnt = np.matmul(ap.reshape(t, d * rows, inner), slots).astype(np.uint64)
+        cnt &= np.uint64(sum(1 << (self._SLOT * j) for j in range(4)))
+        cnt *= self._GATHER
+        cnt >>= np.uint64(52)
+        nib = cnt.astype(np.uint8).reshape(t, d, rows, -1, cols)
+        luts = self._nibble_luts
         out = np.zeros((t, rows, cols), dtype=np.uint8)
-        for s in range(self.d):
-            ps = prod[:, s * rows:(s + 1) * rows, :]
-            for u in range(self.d):
-                blk = ps[:, :, u * cols:(u + 1) * cols]
-                for w in range(self.d):
-                    if red[s + u, w]:
-                        out ^= blk << w
+        for s in range(d):
+            for g in range(luts.shape[1]):
+                out ^= luts[s, g][nib[:, s, :, g]]
         return out
 
     # -- byte encoding -----------------------------------------------------
@@ -331,6 +381,15 @@ class Char2Field:
         if len(arr) & 1:
             arr = np.concatenate([arr, np.zeros(1, np.uint8)])
         return (arr[0::2] | (arr[1::2] << 4)).tobytes()
+
+    def pack_rows(self, arr):
+        """``pack`` of every row of an (R, L) array, as a list of R strings."""
+        rows = np.asarray(arr, np.uint8)
+        if self.q == 16:
+            if rows.shape[1] & 1:
+                rows = np.concatenate([rows, np.zeros((len(rows), 1), np.uint8)], axis=1)
+            rows = rows[:, 0::2] | (rows[:, 1::2] << 4)
+        return _split_rows(np.ascontiguousarray(rows))
 
     def unpack(self, data, count):
         if self.q != 16:
@@ -541,6 +600,8 @@ class ExtField:
         for _ in range(m - 2):
             rows.append(self._shift_reduce_row(rows[-1]))
         self.RED = np.stack(rows) if m > 1 else np.zeros((0, m), np.uint8)
+        # row c = coeffs of c * X^m, what a top coefficient c wraps onto
+        self._wrap = base.mul(np.arange(base.q, dtype=np.uint8)[:, None], r0[None, :])
         self._frob = {}
         self._red_planes = None
 
@@ -610,22 +671,33 @@ class ExtField:
         red = self.base.matmul(high.reshape(-1, m - 1), self.RED)
         return self.base.add(low, red.reshape(shp[:-1] + (m,)))
 
-    def mul(self, a, b):
-        a = np.asarray(a, np.uint8)
-        b = np.asarray(b, np.uint8)
-        a, b = np.broadcast_arrays(a, b)
+    def _product_poly(self, a, b, axis=None):
+        """Unreduced products (..., 2m-1) of (..., m) stacks, summed over ``axis``.
+
+        ``axis`` names an axis of the broadcast inputs other than the last.
+        """
+        a, b = np.broadcast_arrays(np.asarray(a, np.uint8), np.asarray(b, np.uint8))
         m = self.m
-        shp = a.shape[:-1]
+        lead = a.shape[:-1]
         if isinstance(self.base, Char2Field):
-            acc = np.zeros(shp + (2 * m - 1,), np.uint8)
-            for u in range(m):
-                acc[..., u:u + m] ^= self.base.MUL[a[..., u, None], b]
-        else:
-            acc = np.zeros(shp + (2 * m - 1,), np.int64)
-            for u in range(m):
-                acc[..., u:u + m] += a[..., u, None].astype(np.int64) * b
-            acc = (acc % self.q).astype(np.uint8)
-        return self.reduce_double(acc)
+            # row u of ``wide`` holds a_u * b shifted right by u, so the XOR
+            # of its rows is the product polynomial
+            idx = (a[..., :, None].astype(np.uint16) << self.base.d) | b[..., None, :]
+            wide = np.zeros(lead + (m, 2 * m), np.uint8)
+            st = wide.strides
+            as_strided(wide, lead + (m, m), st[:-2] + (st[-2] + st[-1], st[-1]))[...] = \
+                np.take(self.base.MUL.ravel(), idx)
+            rows = (wide.ndim - 2,) if axis is None else (axis % a.ndim, wide.ndim - 2)
+            return np.bitwise_xor.reduce(wide, axis=rows)[..., :2 * m - 1]
+        acc = np.zeros(lead + (2 * m - 1,), np.int64)
+        for u in range(m):
+            acc[..., u:u + m] += a[..., u, None].astype(np.int64) * b
+        if axis is not None:
+            acc = acc.sum(axis=axis % a.ndim)
+        return (acc % self.q).astype(np.uint8)
+
+    def mul(self, a, b):
+        return self.reduce_double(self._product_poly(a, b))
 
     def pow(self, a, e):
         e = int(e)
@@ -646,8 +718,8 @@ class ExtField:
 
     def dot(self, a, b, axis=-2):
         """Sum of elementwise field products along ``axis`` of (..., m) stacks."""
-        prods = self.mul(a, b)
-        return self.base.axis_sum(prods, axis=axis)
+        # reduction mod the modulus is linear, so it runs once, after the sum
+        return self.reduce_double(self._product_poly(a, b, axis))
 
     # -- Frobenius and multiplication matrices ------------------------------
 
@@ -684,14 +756,22 @@ class ExtField:
 
     def mul_matrices(self, us):
         """(B, m) elements -> (B, m, m) multiplication matrices."""
+        return self.mul_rows(us).transpose(0, 2, 1)
+
+    def mul_rows(self, us):
+        """(B, m) elements u -> (B, m, m) with row t the coefficients of u X^t.
+
+        Row t is the transposed multiplication matrix's row, so v @ rows
+        is the coefficient vector of u * v.
+        """
         us = np.asarray(us, np.uint8)
-        b = us.shape[0]
-        out = np.empty((b, self.m, self.m), np.uint8)
-        cur = us
-        for t in range(self.m):
-            out[:, :, t] = cur
-            if t + 1 < self.m:
-                cur = self.shift_reduce(cur)
+        m = self.m
+        out = np.empty((us.shape[0], m, m), np.uint8)
+        out[:, 0] = us
+        for t in range(1, m):
+            out[:, t, 0] = 0
+            out[:, t, 1:] = out[:, t - 1, :-1]
+            out[:, t] = self.base.add(out[:, t], self._wrap[out[:, t - 1, -1]])
         return out
 
     def apply_lin(self, mat, arr, planes=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import (H1, H2, X_SIGN, FieldSampler, commit,
+from .hashing import (H1, H2, X_SIGN, FieldSampler, commit, commit_many,
                       derive_challenge1, derive_challenge2_threshold)
 from .mpc import ChallengeBatch, PkOperand
 from .sharing import ShareDims, shamir_expand, shamir_share
@@ -117,6 +117,14 @@ def decode(tp, data):
     return ThresholdSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
 
 
+def _share_blobs(base, alphas, vs):
+    """Packed (alpha, v) shares of (tau, P) parties, round-major, alpha first."""
+    tau, parties = alphas.shape[:2]
+    pa = base.pack_rows(alphas.reshape(tau * parties, -1))
+    pv = base.pack_rows(vs.reshape(tau * parties, -1))
+    return [blob for pair in zip(pa, pv) for blob in pair]
+
+
 def _extra_party(s_set, subset):
     """i* = min(S \\ I): the one party of S whose alpha share is also opened."""
     return min(i for i in s_set if i not in subset)
@@ -164,8 +172,7 @@ def _sign_core(tp, pk, x, beta, message, entropy,
         shares_all[e - 1] = shares
         a_plains[e - 1] = a_e
         c_plains[e - 1] = c_e
-        tree = MerkleTree(suite, [commit(suite, salt, e, i, base.pack(shares[i - 1]))
-                                  for i in range(1, n_parties + 1)])
+        tree = MerkleTree(suite, commit_many(suite, salt, e, base.pack_rows(shares)))
         trees.append(tree)
         roots.append(merkle_root(suite, tree))
 
@@ -190,11 +197,7 @@ def _sign_core(tp, pk, x, beta, message, entropy,
     alpha_s = alphas[:, 1:]
     v_s = vs[:, 1:]
 
-    share_blobs = []
-    for e in range(tau):
-        for j in range(ell + 1):
-            share_blobs.append(base.pack(alpha_s[e, j]))
-            share_blobs.append(base.pack(v_s[e, j]))
+    share_blobs = _share_blobs(base, alpha_s, v_s)
     h2 = suite.hash(H2, message, pk_bytes, salt, h1, *share_blobs)
     ch2 = ch2_override or derive_challenge2_threshold(suite, h2, n_parties, ell, tau)
 
@@ -268,14 +271,9 @@ def verify_decoded(tp, pk, message, sig):
         base, np.concatenate([v_i_all, np.zeros((tau, 1, me), np.uint8)], axis=1),
         np.column_stack([subsets, np.zeros(tau, np.uint8)]), s_pts)
 
-    share_blobs = []
-    details = []
-    for e in range(tau):
-        for j in range(ell + 1):
-            share_blobs.append(base.pack(alpha_sharings[e, j]))
-            share_blobs.append(base.pack(v_sharings[e, j]))
-        details.append({"alpha_open": alpha_opens[e],
-                        "alpha_sharing": alpha_sharings[e], "v_sharing": v_sharings[e]})
+    share_blobs = _share_blobs(base, alpha_sharings, v_sharings)
+    details = [{"alpha_open": alpha_opens[e], "alpha_sharing": alpha_sharings[e],
+                "v_sharing": v_sharings[e]} for e in range(tau)]
 
     h2bar = suite.hash(H2, message, pk.body_bytes(), sig.salt, h1bar, *share_blobs)
     return h1bar == sig.h1 and h2bar == sig.h2, details
