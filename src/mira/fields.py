@@ -305,71 +305,93 @@ class Char2Field:
             return np.bitwise_xor.reduce(self.MUL[a[:, :, None], b[None, :, :]], axis=1)
         return self._matmul_sliced(a, *self.planes(b))
 
-    # bit planes are packed four to a float64, plane 4g + j in slot j of
-    # column block g; a slot is 13 bits wide, so it counts up to 8191 ones
-    # without carrying and a packed value stays below 2^52
-    _SLOT = 13
-    # times a word with bits only at 0, 13, 26, 39, moves them to bits 52..55
-    # (the cross terms land below 52 or wrap past 63)
-    _GATHER = np.uint64(sum(1 << (52 - 12 * j) for j in range(4)))
+    # matmul3 packs the right operand's bit planes four to a float64 (plane
+    # 4g + u in slot u of column block g) and the left operand's two to a
+    # float64 (planes 2p, 2p + 1 in slots 0, 1 of row block p).  A product
+    # then sums the bit products of planes s + u = 2p + 4g + j in slot j,
+    # j < 5.  Slots are 10 bits wide and at most two bit products share a
+    # slot, so K is cut into chunks of at most 511 to keep every slot from
+    # carrying; a packed product stays below 2^50, exact in float64.
+    _SLOT = 10
+    _CHUNK = 511
+    # times a word with bits only at 0, 10, .., 40, moves them to bits 59..63
+    # (the cross terms land below 59 or wrap past 63)
+    _GATHER = np.uint64(sum(1 << (59 - 9 * j) for j in range(5)))
+    _LOW_BITS = np.uint64(sum(1 << (10 * j) for j in range(5)))
+
+    def _slot_luts(self, planes_per_word):
+        vals = np.arange(self.q)
+        words = (self.d + planes_per_word - 1) // planes_per_word
+        lut = np.zeros((words, self.q))
+        for u in range(self.d):
+            lut[u // planes_per_word] += ((vals >> u) & 1) * float(1 << (self._SLOT * (u % planes_per_word)))
+        return lut
 
     def matmul3_prepare(self, b3):
-        """Right operand of ``matmul3``: (slot-packed (T, K, G*C), C)."""
+        """Right operand of ``matmul3``: (slot-packed (T, chunks, Kc, G*C), C)."""
         b3 = np.asarray(b3, np.uint8)
         t, inner, cols = b3.shape
-        assert inner < (1 << self._SLOT)
-        vals = np.arange(self.q)
-        groups = (self.d + 3) // 4
-        lut = np.zeros((groups, self.q))
-        for u in range(self.d):
-            lut[u // 4] += ((vals >> u) & 1) * float(1 << (self._SLOT * (u % 4)))
-        if groups == 1:
-            return lut[0][b3], cols
-        return np.concatenate([lut[g][b3] for g in range(groups)], axis=2), cols
+        chunks = max(1, -(-inner // self._CHUNK))
+        kc = -(-inner // chunks)
+        if chunks * kc != inner:
+            b3 = np.concatenate([b3, np.zeros((t, chunks * kc - inner, cols), np.uint8)], axis=1)
+        lut = self._slot_luts(4)
+        if len(lut) == 1:
+            slots = lut[0][b3]
+        else:
+            slots = np.concatenate([word[b3] for word in lut], axis=2)
+        return slots.reshape(t, chunks, kc, -1), cols
 
     @property
     def _nibble_luts(self):
-        # [s, g, n]: y^s * sum_j n_j y^(4g+j), reduced, for bit products
-        # (s, 4g + j) of odd parity n_j
+        # [p, g, n]: sum_j n_j y^(2p + 4g + j), reduced, for slot parities n
         try:
             return self.__nibble_luts
         except AttributeError:
             d = self.d
             red = [int(sum(int(b) << k for k, b in enumerate(row))) for row in self._redbits]
-            luts = np.zeros((d, (d + 3) // 4, 16), np.uint8)
-            for s in range(d):
-                for u in range(d):
-                    g, j = divmod(u, 4)
-                    luts[s, g, (np.arange(16) >> j) & 1 == 1] ^= red[s + u]
+            pairs, groups = (d + 1) // 2, (d + 3) // 4
+            luts = np.zeros((pairs, groups, 32), np.uint8)
+            for p in range(pairs):
+                for g in range(groups):
+                    for j in range(5):
+                        if 2 * p + 4 * g + j < len(red):
+                            luts[p, g, (np.arange(32) >> j) & 1 == 1] ^= red[2 * p + 4 * g + j]
             self.__nibble_luts = luts
             return luts
 
     def matmul3(self, a3, prepared):
         """(T, R, K) @ (T, K, C) stacked products via slot-packed parity GEMMs.
 
-        Bit plane s of the left operand times the packed right operand
-        counts, in the slot of plane u, the ones of the bit products (s, u);
-        their parity is that term of the carry-less product.  A multiply
-        gathers the four low slot bits of a word into a nibble, and a table
-        per (s, plane group) maps it to its reduced share of the result.
+        The low bit of a slot is the parity of its bit products, i.e. one
+        term of the carry-less product; it is the same XOR over K chunks.  A
+        multiply gathers a word's five slot parities into five bits, and a
+        table per (row block, column block) maps them to their reduced share
+        of the result.
         """
         slots, cols = prepared
+        t, chunks, kc, _ = slots.shape
         a3 = np.asarray(a3, np.uint8)
-        t, rows, inner = a3.shape
-        d = self.d
-        ap = np.empty((t, d, rows, inner), dtype=np.float64)
-        for s in range(d):
-            ap[:, s] = (a3 >> s) & 1
-        cnt = np.matmul(ap.reshape(t, d * rows, inner), slots).astype(np.uint64)
-        cnt &= np.uint64(sum(1 << (self._SLOT * j) for j in range(4)))
+        rows, inner = a3.shape[1:]
+        if chunks * kc != inner:
+            a3 = np.concatenate([a3, np.zeros((t, rows, chunks * kc - inner), np.uint8)], axis=2)
+        if chunks > 1:
+            a3 = a3.reshape(t, rows, chunks, kc).transpose(0, 2, 1, 3)
+        lut = self._slot_luts(2)
+        ap = np.empty((t, chunks, len(lut), rows, kc), dtype=np.float64)
+        for p, word in enumerate(lut):
+            ap[:, :, p] = word[a3].reshape(t, chunks, rows, kc)
+        cnt = np.matmul(ap.reshape(t, chunks, -1, kc), slots).astype(np.uint64)
+        cnt &= self._LOW_BITS
+        cnt = np.bitwise_xor.reduce(cnt, axis=1) if chunks > 1 else cnt[:, 0]
         cnt *= self._GATHER
-        cnt >>= np.uint64(52)
-        nib = cnt.astype(np.uint8).reshape(t, d, rows, -1, cols)
+        cnt >>= np.uint64(59)
         luts = self._nibble_luts
+        nib = cnt.astype(np.uint8).reshape(t, luts.shape[0], rows, luts.shape[1], cols)
         out = np.zeros((t, rows, cols), dtype=np.uint8)
-        for s in range(d):
+        for p in range(luts.shape[0]):
             for g in range(luts.shape[1]):
-                out ^= luts[s, g][nib[:, s, :, g]]
+                out ^= luts[p, g][nib[:, p, :, g]]
         return out
 
     # -- byte encoding -----------------------------------------------------
