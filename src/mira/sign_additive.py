@@ -152,11 +152,7 @@ def _exec_hashes(ap, salt, al1, v1, al2, v2):
 
 def sign(ap, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs."""
-    from .matrices import columns_to_ext
-    from .qpoly import annihilator
-
-    x, e_mat = sk.witness()
-    beta = annihilator(ap.mr.ext, columns_to_ext(e_mat), ap.mr.r).beta
+    x, beta = sk.signing_witness()
     sig = _sign_core(ap, pk, x, beta, message, entropy)
     return encode(ap, sig)
 

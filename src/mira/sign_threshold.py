@@ -132,11 +132,7 @@ def _extra_party(s_set, subset):
 
 def sign(tp, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs."""
-    from .matrices import columns_to_ext
-    from .qpoly import annihilator
-
-    x, e_mat = sk.witness()
-    beta = annihilator(tp.mr.ext, columns_to_ext(e_mat), tp.mr.r).beta
+    x, beta = sk.signing_witness()
     sig = _sign_core(tp, pk, x, beta, message, entropy)
     return encode(tp, sig)
 
