@@ -626,7 +626,6 @@ class ExtField:
         self._wrap = base.mul(np.arange(base.q, dtype=np.uint8)[:, None], r0[None, :])
         self._frob = {}
         self._red_planes = None
-        self._rows_map = None
 
     def _shift_reduce_row(self, row):
         out = np.zeros_like(row)
@@ -789,11 +788,6 @@ class ExtField:
         """
         us = np.asarray(us, np.uint8)
         m = self.m
-        if not isinstance(self.base, Char2Field) and len(us) > m:
-            # the map is GF(q)-linear: one exact float GEMM by its matrix
-            if self._rows_map is None:
-                self._rows_map = self.mul_rows(np.eye(m, dtype=np.uint8)).reshape(m, m * m)
-            return self.base.matmul(us, self._rows_map).reshape(-1, m, m)
         out = np.empty((us.shape[0], m, m), np.uint8)
         out[:, 0] = us
         for t in range(1, m):

@@ -285,7 +285,7 @@ def test_matmul3_slot_packing_matches_table_product(q):
 def test_mul_rows_and_dot(q, m):
     ext = ext_field(q, m)
     rng = np.random.default_rng(m)
-    us = rng.integers(0, q, (3 * m, m)).astype(np.uint8)   # past the GEMM cutoff
+    us = rng.integers(0, q, (3 * m, m)).astype(np.uint8)
     vs = rng.integers(0, q, (3 * m, m)).astype(np.uint8)
     rows = ext.mul_rows(us)
     for t in range(m):
