@@ -21,7 +21,9 @@ and signatures depend on it.
 Matrix products over GF(q) go through ``matmul``, which dispatches to
 float64 BLAS with an exact integer reduction for prime fields, and to a
 bit-sliced float32 BLAS parity trick for characteristic-2 fields (falling
-back to table gathers for small operands).
+back to table gathers for small operands).  The stacked ``matmul3`` packs
+several bit planes into the slots of one float64 per operand instead, so
+a characteristic-2 product costs half the GEMM of one plane per float.
 """
 
 from functools import lru_cache
@@ -307,11 +309,12 @@ class Char2Field:
 
     # matmul3 packs the right operand's bit planes four to a float64 (plane
     # 4g + u in slot u of column block g) and the left operand's two to a
-    # float64 (planes 2p, 2p + 1 in slots 0, 1 of row block p).  A product
-    # then sums the bit products of planes s + u = 2p + 4g + j in slot j,
-    # j < 5.  Slots are 10 bits wide and at most two bit products share a
-    # slot, so K is cut into chunks of at most 511 to keep every slot from
-    # carrying; a packed product stays below 2^50, exact in float64.
+    # float64 (planes 2p, 2p + 1 in slots 0, 1 of row block p).  Slot j of
+    # a product of row block p and column block g then counts the bit
+    # products of the plane pairs (s, u) with s + u = 2p + 4g + j, j < 5.
+    # Slots are 10 bits wide and at most two plane pairs share a slot, so K
+    # is cut into chunks of at most 511 to keep every slot from carrying; a
+    # packed product stays below 2^50, exact in float64.
     _SLOT = 10
     _CHUNK = 511
     # times a word with bits only at 0, 10, .., 40, moves them to bits 59..63
@@ -668,17 +671,6 @@ class ExtField:
 
     def is_zero(self, a):
         return not np.any(np.asarray(a) != 0)
-
-    def shift_reduce(self, vec):
-        """Multiply by X and reduce; vec shape (..., m)."""
-        out = np.zeros_like(np.asarray(vec, np.uint8))
-        out[..., 1:] = vec[..., :-1]
-        top = np.asarray(vec)[..., -1]
-        nz = np.any(top != 0)
-        if nz:
-            red = self.base.mul(top[..., None], self.base.neg(self.modulus[:self.m]))
-            out = self.base.add(out, red)
-        return out
 
     def reduce_double(self, acc):
         """Reduce (..., 2m-1) convolution output to (..., m)."""
