@@ -140,7 +140,7 @@ class ChallengeBatch:
         sums = base.matmul3(cols, self._contract)              # (tau, B, (r+1)m)
         sums = np.ascontiguousarray(
             sums.reshape(tau, b, r + 1, m).transpose(2, 0, 1, 3)).reshape(r + 1, tau * b, m)
-        pows = base.matmul3(sums, _frob_ops(ext, tuple(range(r + 1))))           # (r+1, tau*B, m)
+        pows = base.matmul3(sums, _frob_ops(ext, tuple(range(r + 1))))   # (r+1, tau*B, m)
         wz = pows.reshape(r + 1, tau, b, m)
         w = np.ascontiguousarray(wz[:r].transpose(1, 2, 0, 3))
         z = ext.neg(wz[r])

@@ -324,11 +324,12 @@ def verify_decoded(ap, pk, message, sig):
                                rows_c[:, :depth], al_open)
     v_hidden_side = ext.neg(v_full)
 
-    side2 = (bits == 1)[:, :, None, None]
+    # a leaf hidden on side 2 leaves side 1 fully opened, and vice versa
+    hid2 = (bits == 1)[:, :, None, None]
     exec_hashes = _exec_hashes(
         ap, sig.salt,
-        np.where(side2, al_full, al_hidden_side), np.where(side2[..., 0], v_full, v_hidden_side),
-        np.where(side2, al_hidden_side, al_full), np.where(side2[..., 0], v_hidden_side, v_full))
+        np.where(hid2, al_full, al_hidden_side), np.where(hid2[..., 0], v_full, v_hidden_side),
+        np.where(hid2, al_hidden_side, al_full), np.where(hid2[..., 0], v_hidden_side, v_full))
 
     h1bar = suite.hash(H2, sig.salt, message, *h0s)
     h2bar = suite.hash(H4, message, pk.body_bytes(), sig.salt, h1bar, *exec_hashes)
