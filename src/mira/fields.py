@@ -88,6 +88,31 @@ def _char2_modulus(d):
     raise ValueError(f"no irreducible of degree {d}")
 
 
+# GEMMs are issued in calls of fewer multiply-adds than this, which OpenBLAS
+# runs on the calling thread (measured with the bundled OpenBLAS on 2 vCPUs:
+# calls of up to about 10^6 stayed on one thread, 1.6 * 10^6 and more used
+# two).  Threaded calls leave worker threads spinning for work, and on a
+# shared host that competes with the caller: there, with a second sign/verify
+# process running, threaded GEMMs made the additive sets 2-4x slower than
+# single-threaded ones, and on an idle host they gained nothing.
+_GEMM_MACS = 1 << 19
+
+
+def _gemm(a, b):
+    """``np.matmul`` of (..., M, K) and (..., K, N) in calls under _GEMM_MACS."""
+    m, k = a.shape[-2:]
+    n = b.shape[-1]
+    if m * k * n < _GEMM_MACS:
+        return np.matmul(a, b)
+    width = (_GEMM_MACS - 1) // (m * k)
+    if width >= min(n, 8):
+        return np.concatenate([np.matmul(a, b[..., c:c + width])
+                               for c in range(0, n, width)], axis=-1)
+    height = max(1, (_GEMM_MACS - 1) // (k * n))
+    return np.concatenate([np.matmul(a[..., r:r + height, :], b)
+                           for r in range(0, m, height)], axis=-2)
+
+
 def _split_rows(rows):
     """Byte strings of the rows of a contiguous (R, L) uint8 array."""
     n = rows.shape[1]
@@ -143,7 +168,7 @@ class PrimeField:
         b = np.asarray(b)
         inner = a.shape[-1]
         assert inner * (self.q - 1) ** 2 < _F64_EXACT
-        c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        c = np.rint(_gemm(a.astype(np.float64), b.astype(np.float64))).astype(np.int64)
         return (c % self.q).astype(np.uint8)
 
     def matmul3_prepare(self, b3):
@@ -152,7 +177,7 @@ class PrimeField:
     def matmul3(self, a3, prepared):
         """(T, R, K) @ (T, K, C) stacked products."""
         assert a3.shape[-1] * (self.q - 1) ** 2 < _F64_EXACT
-        c = np.rint(np.matmul(np.asarray(a3).astype(np.float64), prepared)).astype(np.int64)
+        c = np.rint(_gemm(np.asarray(a3).astype(np.float64), prepared)).astype(np.int64)
         return (c % self.q).astype(np.uint8)
 
     def pack(self, arr):
@@ -284,7 +309,7 @@ class Char2Field:
         ap = np.empty((self.d * rows, inner), dtype=np.float32)
         for s in range(self.d):
             ap[s * rows:(s + 1) * rows] = (a >> s) & 1
-        prod = (ap @ b_planes).astype(np.int16)
+        prod = _gemm(ap, b_planes).astype(np.int16)
         prod &= 1
         prod = prod.astype(np.uint8)
         red = self._redbits
@@ -384,7 +409,7 @@ class Char2Field:
         ap = np.empty((t, chunks, len(lut), rows, kc), dtype=np.float64)
         for p, word in enumerate(lut):
             ap[:, :, p] = word[a3].reshape(t, chunks, rows, kc)
-        cnt = np.matmul(ap.reshape(t, chunks, -1, kc), slots).astype(np.uint64)
+        cnt = _gemm(ap.reshape(t, chunks, -1, kc), slots).astype(np.uint64)
         cnt &= self._LOW_BITS
         cnt = np.bitwise_xor.reduce(cnt, axis=1) if chunks > 1 else cnt[:, 0]
         cnt *= self._GATHER
