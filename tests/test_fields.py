@@ -307,3 +307,16 @@ def test_pack_rows_matches_pack(q):
     for width in (0, 1, 6, 7):
         arr = rng.integers(0, q, (5, width)).astype(np.uint8)
         assert f.pack_rows(arr) == [f.pack(row) for row in arr]
+
+
+def test_gemm_splits_match_matmul():
+    from mira.fields import _GEMM_MACS, _gemm
+    rng = np.random.default_rng(9)
+    for shape_a, shape_b in [((3, 32, 506), (3, 506, 161)),   # column blocks
+                             ((7, 1496, 23), (7, 23, 23)),    # row blocks
+                             ((1, 271), (271, 4000)),         # one row, many columns
+                             ((5, 3), (3, 4))]:               # one call
+        a = rng.integers(0, 3, shape_a).astype(np.float64)
+        b = rng.integers(0, 3, shape_b).astype(np.float64)
+        assert np.array_equal(_gemm(a, b), np.matmul(a, b))
+    assert 32 * 506 * 161 > _GEMM_MACS > 5 * 3 * 4
