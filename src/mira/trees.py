@@ -123,14 +123,14 @@ class MerkleTree:
     def levels(self):
         suite = self.suite
         n = len(self.leaf_values)
-        hashed = suite.hash_many(H_MERKLE, b"", self.leaf_values)
+        hashed = [suite.hash(H_MERKLE, v) for v in self.leaf_values]
         pad = 1 << max(0, (n - 1).bit_length())
         zero = bytes(suite.digest_bytes)
         level = hashed + [zero] * (pad - n)
         levels = [level]
         while len(level) > 1:
-            level = suite.hash_many(H_MERKLE, b"", [level[i] + level[i + 1]
-                                                    for i in range(0, len(level), 2)])
+            level = [suite.hash(H_MERKLE, level[i] + level[i + 1])
+                     for i in range(0, len(level), 2)]
             levels.append(level)
         return levels
 
