@@ -21,15 +21,12 @@ and signatures depend on it.
 Matrix products over GF(q) go through ``matmul``, which dispatches to
 float64 BLAS with an exact integer reduction for prime fields, and to a
 bit-sliced float32 BLAS parity trick for characteristic-2 fields (falling
-back to table gathers for small operands).  The stacked ``matmul3`` packs
-several bit planes into the slots of one float64 per operand instead, so
-a characteristic-2 product costs half the GEMM of one plane per float.
+back to table gathers for small operands).
 """
 
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 # Largest inner dimension so that counts stay exact in the float paths.
 _F32_EXACT = 1 << 24
@@ -88,40 +85,6 @@ def _char2_modulus(d):
     raise ValueError(f"no irreducible of degree {d}")
 
 
-# GEMMs are issued in calls of fewer multiply-adds than this, which OpenBLAS
-# runs on the calling thread (measured with the bundled OpenBLAS on 2 vCPUs:
-# calls of up to about 10^6 stayed on one thread, 1.6 * 10^6 and more used
-# two).  Threaded calls leave worker threads spinning for work, and on a
-# shared host that competes with the caller: there, with a second sign/verify
-# process running, threaded GEMMs made the additive sets 2-4x slower than
-# single-threaded ones, and on an idle host they gained nothing.
-_GEMM_MACS = 1 << 19
-
-
-def _gemm(a, b):
-    """``np.matmul`` of (..., M, K) and (..., K, N) in calls under _GEMM_MACS."""
-    m, k = a.shape[-2:]
-    n = b.shape[-1]
-    if m * k * n < _GEMM_MACS:
-        return np.matmul(a, b)
-    width = (_GEMM_MACS - 1) // (m * k)
-    if width >= min(n, 8):
-        return np.concatenate([np.matmul(a, b[..., c:c + width])
-                               for c in range(0, n, width)], axis=-1)
-    height = max(1, (_GEMM_MACS - 1) // (k * n))
-    return np.concatenate([np.matmul(a[..., r:r + height, :], b)
-                           for r in range(0, m, height)], axis=-2)
-
-
-def _split_rows(rows):
-    """Byte strings of the rows of a contiguous (R, L) uint8 array."""
-    n = rows.shape[1]
-    if n == 0:
-        return [b""] * rows.shape[0]
-    blob = rows.tobytes()
-    return [blob[i:i + n] for i in range(0, len(blob), n)]
-
-
 class PrimeField:
     """Integers modulo a prime p, elementwise over numpy arrays."""
 
@@ -168,7 +131,7 @@ class PrimeField:
         b = np.asarray(b)
         inner = a.shape[-1]
         assert inner * (self.q - 1) ** 2 < _F64_EXACT
-        c = np.rint(_gemm(a.astype(np.float64), b.astype(np.float64))).astype(np.int64)
+        c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         return (c % self.q).astype(np.uint8)
 
     def matmul3_prepare(self, b3):
@@ -177,15 +140,11 @@ class PrimeField:
     def matmul3(self, a3, prepared):
         """(T, R, K) @ (T, K, C) stacked products."""
         assert a3.shape[-1] * (self.q - 1) ** 2 < _F64_EXACT
-        c = np.rint(_gemm(np.asarray(a3).astype(np.float64), prepared)).astype(np.int64)
+        c = np.rint(np.matmul(np.asarray(a3).astype(np.float64), prepared)).astype(np.int64)
         return (c % self.q).astype(np.uint8)
 
     def pack(self, arr):
         return np.ascontiguousarray(np.asarray(arr, np.uint8).ravel()).tobytes()
-
-    def pack_rows(self, arr):
-        """``pack`` of every row of an (R, L) array, as a list of R strings."""
-        return _split_rows(np.ascontiguousarray(arr, np.uint8))
 
     def unpack(self, data, count):
         arr = np.frombuffer(data, dtype=np.uint8, count=count)
@@ -309,7 +268,7 @@ class Char2Field:
         ap = np.empty((self.d * rows, inner), dtype=np.float32)
         for s in range(self.d):
             ap[s * rows:(s + 1) * rows] = (a >> s) & 1
-        prod = _gemm(ap, b_planes).astype(np.int16)
+        prod = (ap @ b_planes).astype(np.int16)
         prod &= 1
         prod = prod.astype(np.uint8)
         red = self._redbits
@@ -332,94 +291,35 @@ class Char2Field:
             return np.bitwise_xor.reduce(self.MUL[a[:, :, None], b[None, :, :]], axis=1)
         return self._matmul_sliced(a, *self.planes(b))
 
-    # matmul3 packs the right operand's bit planes four to a float64 (plane
-    # 4g + u in slot u of column block g) and the left operand's two to a
-    # float64 (planes 2p, 2p + 1 in slots 0, 1 of row block p).  Slot j of
-    # a product of row block p and column block g then counts the bit
-    # products of the plane pairs (s, u) with s + u = 2p + 4g + j, j < 5.
-    # Slots are 10 bits wide and at most two plane pairs share a slot, so K
-    # is cut into chunks of at most 511 to keep every slot from carrying; a
-    # packed product stays below 2^50, exact in float64.
-    _SLOT = 10
-    _CHUNK = 511
-    # times a word with bits only at 0, 10, .., 40, moves them to bits 59..63
-    # (the cross terms land below 59 or wrap past 63)
-    _GATHER = np.uint64(sum(1 << (59 - 9 * j) for j in range(5)))
-    _LOW_BITS = np.uint64(sum(1 << (10 * j) for j in range(5)))
-
-    def _slot_luts(self, planes_per_word):
-        vals = np.arange(self.q)
-        words = (self.d + planes_per_word - 1) // planes_per_word
-        lut = np.zeros((words, self.q))
-        for u in range(self.d):
-            lut[u // planes_per_word] += ((vals >> u) & 1) * float(1 << (self._SLOT * (u % planes_per_word)))
-        return lut
-
     def matmul3_prepare(self, b3):
-        """Right operand of ``matmul3``: (slot-packed (T, chunks, Kc, G*C), C)."""
         b3 = np.asarray(b3, np.uint8)
         t, inner, cols = b3.shape
-        chunks = max(1, -(-inner // self._CHUNK))
-        kc = -(-inner // chunks)
-        if chunks * kc != inner:
-            b3 = np.concatenate([b3, np.zeros((t, chunks * kc - inner, cols), np.uint8)], axis=1)
-        lut = self._slot_luts(4)
-        if len(lut) == 1:
-            slots = lut[0][b3]
-        else:
-            slots = np.concatenate([word[b3] for word in lut], axis=2)
-        return slots.reshape(t, chunks, kc, -1), cols
-
-    @property
-    def _nibble_luts(self):
-        # [p, g, n]: sum_j n_j y^(2p + 4g + j), reduced, for slot parities n
-        try:
-            return self.__nibble_luts
-        except AttributeError:
-            d = self.d
-            red = [int(sum(int(b) << k for k, b in enumerate(row))) for row in self._redbits]
-            pairs, groups = (d + 1) // 2, (d + 3) // 4
-            luts = np.zeros((pairs, groups, 32), np.uint8)
-            for p in range(pairs):
-                for g in range(groups):
-                    for j in range(5):
-                        if 2 * p + 4 * g + j < len(red):
-                            luts[p, g, (np.arange(32) >> j) & 1 == 1] ^= red[2 * p + 4 * g + j]
-            self.__nibble_luts = luts
-            return luts
+        bp = np.empty((t, inner, self.d * cols), dtype=np.float32)
+        for u in range(self.d):
+            bp[:, :, u * cols:(u + 1) * cols] = (b3 >> u) & 1
+        return bp, cols
 
     def matmul3(self, a3, prepared):
-        """(T, R, K) @ (T, K, C) stacked products via slot-packed parity GEMMs.
-
-        The low bit of a slot is the parity of its bit products, i.e. one
-        term of the carry-less product; it is the same XOR over K chunks.  A
-        multiply gathers a word's five slot parities into five bits, and a
-        table per (row block, column block) maps them to their reduced share
-        of the result.
-        """
-        slots, cols = prepared
-        t, chunks, kc, _ = slots.shape
+        """(T, R, K) @ (T, K, C) stacked products via bit-sliced parity GEMMs."""
+        bp, cols = prepared
         a3 = np.asarray(a3, np.uint8)
-        rows, inner = a3.shape[1:]
-        if chunks * kc != inner:
-            a3 = np.concatenate([a3, np.zeros((t, rows, chunks * kc - inner), np.uint8)], axis=2)
-        if chunks > 1:
-            a3 = a3.reshape(t, rows, chunks, kc).transpose(0, 2, 1, 3)
-        lut = self._slot_luts(2)
-        ap = np.empty((t, chunks, len(lut), rows, kc), dtype=np.float64)
-        for p, word in enumerate(lut):
-            ap[:, :, p] = word[a3].reshape(t, chunks, rows, kc)
-        cnt = _gemm(ap.reshape(t, chunks, -1, kc), slots).astype(np.uint64)
-        cnt &= self._LOW_BITS
-        cnt = np.bitwise_xor.reduce(cnt, axis=1) if chunks > 1 else cnt[:, 0]
-        cnt *= self._GATHER
-        cnt >>= np.uint64(59)
-        luts = self._nibble_luts
-        nib = cnt.astype(np.uint8).reshape(t, luts.shape[0], rows, luts.shape[1], cols)
+        t, rows, inner = a3.shape
+        assert inner < (1 << 15)
+        ap = np.empty((t, self.d * rows, inner), dtype=np.float32)
+        for s in range(self.d):
+            ap[:, s * rows:(s + 1) * rows, :] = (a3 >> s) & 1
+        prod = np.matmul(ap, bp).astype(np.int16)
+        prod &= 1
+        prod = prod.astype(np.uint8)
+        red = self._redbits
         out = np.zeros((t, rows, cols), dtype=np.uint8)
-        for p in range(luts.shape[0]):
-            for g in range(luts.shape[1]):
-                out ^= luts[p, g][nib[:, p, :, g]]
+        for s in range(self.d):
+            ps = prod[:, s * rows:(s + 1) * rows, :]
+            for u in range(self.d):
+                blk = ps[:, :, u * cols:(u + 1) * cols]
+                for w in range(self.d):
+                    if red[s + u, w]:
+                        out ^= blk << w
         return out
 
     # -- byte encoding -----------------------------------------------------
@@ -431,15 +331,6 @@ class Char2Field:
         if len(arr) & 1:
             arr = np.concatenate([arr, np.zeros(1, np.uint8)])
         return (arr[0::2] | (arr[1::2] << 4)).tobytes()
-
-    def pack_rows(self, arr):
-        """``pack`` of every row of an (R, L) array, as a list of R strings."""
-        rows = np.asarray(arr, np.uint8)
-        if self.q == 16:
-            if rows.shape[1] & 1:
-                rows = np.concatenate([rows, np.zeros((len(rows), 1), np.uint8)], axis=1)
-            rows = rows[:, 0::2] | (rows[:, 1::2] << 4)
-        return _split_rows(np.ascontiguousarray(rows))
 
     def unpack(self, data, count):
         if self.q != 16:
@@ -650,8 +541,6 @@ class ExtField:
         for _ in range(m - 2):
             rows.append(self._shift_reduce_row(rows[-1]))
         self.RED = np.stack(rows) if m > 1 else np.zeros((0, m), np.uint8)
-        # row c = coeffs of c * X^m, what a top coefficient c wraps onto
-        self._wrap = base.mul(np.arange(base.q, dtype=np.uint8)[:, None], r0[None, :])
         self._frob = {}
         self._red_planes = None
 
@@ -697,6 +586,17 @@ class ExtField:
     def is_zero(self, a):
         return not np.any(np.asarray(a) != 0)
 
+    def shift_reduce(self, vec):
+        """Multiply by X and reduce; vec shape (..., m)."""
+        out = np.zeros_like(np.asarray(vec, np.uint8))
+        out[..., 1:] = vec[..., :-1]
+        top = np.asarray(vec)[..., -1]
+        nz = np.any(top != 0)
+        if nz:
+            red = self.base.mul(top[..., None], self.base.neg(self.modulus[:self.m]))
+            out = self.base.add(out, red)
+        return out
+
     def reduce_double(self, acc):
         """Reduce (..., 2m-1) convolution output to (..., m)."""
         m = self.m
@@ -710,33 +610,22 @@ class ExtField:
         red = self.base.matmul(high.reshape(-1, m - 1), self.RED)
         return self.base.add(low, red.reshape(shp[:-1] + (m,)))
 
-    def _product_poly(self, a, b, axis=None):
-        """Unreduced products (..., 2m-1) of (..., m) stacks, summed over ``axis``.
-
-        ``axis`` names an axis of the broadcast inputs other than the last.
-        """
-        a, b = np.broadcast_arrays(np.asarray(a, np.uint8), np.asarray(b, np.uint8))
-        m = self.m
-        lead = a.shape[:-1]
-        if isinstance(self.base, Char2Field):
-            # row u of ``wide`` holds a_u * b shifted right by u, so the XOR
-            # of its rows is the product polynomial
-            idx = (a[..., :, None].astype(np.uint16) << self.base.d) | b[..., None, :]
-            wide = np.zeros(lead + (m, 2 * m), np.uint8)
-            st = wide.strides
-            as_strided(wide, lead + (m, m), st[:-2] + (st[-2] + st[-1], st[-1]))[...] = \
-                np.take(self.base.MUL.ravel(), idx)
-            rows = (wide.ndim - 2,) if axis is None else (axis % a.ndim, wide.ndim - 2)
-            return np.bitwise_xor.reduce(wide, axis=rows)[..., :2 * m - 1]
-        acc = np.zeros(lead + (2 * m - 1,), np.int64)
-        for u in range(m):
-            acc[..., u:u + m] += a[..., u, None].astype(np.int64) * b
-        if axis is not None:
-            acc = acc.sum(axis=axis % a.ndim)
-        return (acc % self.q).astype(np.uint8)
-
     def mul(self, a, b):
-        return self.reduce_double(self._product_poly(a, b))
+        a = np.asarray(a, np.uint8)
+        b = np.asarray(b, np.uint8)
+        a, b = np.broadcast_arrays(a, b)
+        m = self.m
+        shp = a.shape[:-1]
+        if isinstance(self.base, Char2Field):
+            acc = np.zeros(shp + (2 * m - 1,), np.uint8)
+            for u in range(m):
+                acc[..., u:u + m] ^= self.base.MUL[a[..., u, None], b]
+        else:
+            acc = np.zeros(shp + (2 * m - 1,), np.int64)
+            for u in range(m):
+                acc[..., u:u + m] += a[..., u, None].astype(np.int64) * b
+            acc = (acc % self.q).astype(np.uint8)
+        return self.reduce_double(acc)
 
     def pow(self, a, e):
         e = int(e)
@@ -757,8 +646,8 @@ class ExtField:
 
     def dot(self, a, b, axis=-2):
         """Sum of elementwise field products along ``axis`` of (..., m) stacks."""
-        # reduction mod the modulus is linear, so it runs once, after the sum
-        return self.reduce_double(self._product_poly(a, b, axis))
+        prods = self.mul(a, b)
+        return self.base.axis_sum(prods, axis=axis)
 
     # -- Frobenius and multiplication matrices ------------------------------
 
@@ -795,22 +684,14 @@ class ExtField:
 
     def mul_matrices(self, us):
         """(B, m) elements -> (B, m, m) multiplication matrices."""
-        return self.mul_rows(us).transpose(0, 2, 1)
-
-    def mul_rows(self, us):
-        """(B, m) elements u -> (B, m, m) with row t the coefficients of u X^t.
-
-        Row t is the transposed multiplication matrix's row, so v @ rows
-        is the coefficient vector of u * v.
-        """
         us = np.asarray(us, np.uint8)
-        m = self.m
-        out = np.empty((us.shape[0], m, m), np.uint8)
-        out[:, 0] = us
-        for t in range(1, m):
-            out[:, t, 0] = 0
-            out[:, t, 1:] = out[:, t - 1, :-1]
-            out[:, t] = self.base.add(out[:, t], self._wrap[out[:, t - 1, -1]])
+        b = us.shape[0]
+        out = np.empty((b, self.m, self.m), np.uint8)
+        cur = us
+        for t in range(self.m):
+            out[:, :, t] = cur
+            if t + 1 < self.m:
+                cur = self.shift_reduce(cur)
         return out
 
     def apply_lin(self, mat, arr, planes=None):

@@ -18,7 +18,6 @@ little endian, tree node indices 4-byte, hypercube dimension 1 byte.
 """
 
 import hashlib
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,18 +64,6 @@ class HashSuite:
     def xof(self, role, *parts):
         return XofStream(self._xof_ctor(self._roles[role] + b"".join(parts)))
 
-    def hash_many(self, role, prefix, suffixes):
-        """``hash(role, prefix, s)`` for every s in ``suffixes``, in one call."""
-        ctor = self._hash_ctor
-        head = self._roles[role] + prefix
-        return [ctor(head + s).digest() for s in suffixes]
-
-    def xof_many(self, role, prefix, suffixes, n):
-        """``xof_digest(role, prefix + s, n)`` for every s in ``suffixes``."""
-        ctor = self._xof_ctor
-        head = self._roles[role] + prefix
-        return [ctor(head + s).digest(n) for s in suffixes]
-
 
 class XofStream:
     """Sequential reader over a SHAKE object."""
@@ -108,12 +95,6 @@ def encode_u16(v):
     return b
 
 
-@lru_cache(maxsize=None)
-def index_bytes(width, count):
-    """Little-endian ``width``-byte encodings of 0..count-1."""
-    return tuple(i.to_bytes(width, "little") for i in range(count))
-
-
 def encode_u32(v):
     b = _U32_CACHE.get(v)
     if b is None:
@@ -124,18 +105,6 @@ def encode_u32(v):
 def commit(suite, salt, e, i, state):
     """Position-bound commitment to a party state."""
     return suite.hash(H0_COMMIT, salt, encode_u16(e), encode_u16(i), state)
-
-
-def commit_many(suite, salt, e, states):
-    """``commit`` of parties 1..len(states) of round e; a None state gives None."""
-    live = [i for i, s in enumerate(states) if s is not None]
-    idx = index_bytes(2, len(states) + 1)
-    digests = suite.hash_many(H0_COMMIT, salt + encode_u16(e),
-                              [idx[i + 1] + states[i] for i in live])
-    out = [None] * len(states)
-    for i, dg in zip(live, digests):
-        out[i] = dg
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -72,30 +72,11 @@ class SecretKey:
     params: MinRankParams
     seed_sk: bytes
     seed_pk: bytes
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def witness(self):
         """Recompute (x, E) by replaying the key derivation."""
         _, _, x, e_mat = _derive(self.params, self.seed_pk, self.seed_sk)
         return x, e_mat
-
-    def signing_witness(self):
-        """(x, beta): x and the annihilator coefficients of E's column span.
-
-        Both signers need exactly these; they are derived on first use and
-        kept, read-only, for the key's later signatures.
-        """
-        if "signing" not in self._cache:
-            from .matrices import columns_to_ext
-            from .qpoly import annihilator
-
-            mr = self.params
-            x, e_mat = self.witness()
-            beta = annihilator(mr.ext, columns_to_ext(e_mat), mr.r).beta
-            x.flags.writeable = False
-            beta.flags.writeable = False
-            self._cache["signing"] = (x, beta)
-        return self._cache["signing"]
 
     def to_bytes(self, variant, level):
         return bytes([param_id(variant, level)]) + self.seed_sk + self.seed_pk

@@ -80,13 +80,14 @@ class PkOperand:
         return e_flat
 
 
-def _frob_ops(ext, powers):
-    """Stacked transposed Frobenius matrices F_i^T, i in ``powers``, GEMM-prepared."""
+def _frob_ops(ext, r):
+    """Stacked (r+1, m, m) transposed Frobenius matrices, GEMM-prepared."""
     cache = ext.__dict__.setdefault("_frob_ops_cache", {})
-    if powers not in cache:
-        f3 = np.stack([np.ascontiguousarray(ext.frob_matrix(i).T) for i in powers])
-        cache[powers] = ext.base.matmul3_prepare(f3)
-    return cache[powers]
+    if r not in cache:
+        f3 = np.stack([np.ascontiguousarray(ext.frob_matrix(i).T)
+                       for i in range(r + 1)])
+        cache[r] = ext.base.matmul3_prepare(f3)
+    return cache[r]
 
 
 class ChallengeBatch:
@@ -109,17 +110,19 @@ class ChallengeBatch:
         self.n = n
         gam = np.stack([g for g, _ in challenges])            # (tau, n, m)
         eps = np.stack([e for _, e in challenges])            # (tau, m)
-        flat_gam = gam.reshape(1, self.tau * n, m)
-        twisted = base.matmul3(np.broadcast_to(flat_gam, (r + 1,) + flat_gam.shape[1:]),
-                               _frob_ops(ext, tuple((m - i) % m for i in range(r + 1))))
-        mg = ext.mul_rows(
-            twisted.reshape(r + 1, self.tau, n, m).transpose(1, 2, 0, 3).reshape(-1, m))
+        twisted = np.empty((self.tau, r + 1, n, m), np.uint8)
+        flat_gam = gam.reshape(self.tau * n, m)
+        for i in range(r + 1):
+            tw = ext.frob(flat_gam, (m - i) % m)
+            twisted[:, i] = tw.reshape(self.tau, n, m)
+        mg = ext.mul_matrices(twisted.transpose(0, 2, 1, 3).reshape(-1, m))
         # operand[(e), (j, v), (i, t)] = coeffs(twisted_gamma * X^v)[t]
         op = (mg.reshape(self.tau, n, r + 1, m, m)
-                .transpose(0, 1, 3, 2, 4)
+                .transpose(0, 1, 4, 2, 3)
                 .reshape(self.tau, n * m, (r + 1) * m))
-        self._contract = base.matmul3_prepare(op)
-        self._meps_t = base.matmul3_prepare(ext.mul_rows(eps))     # (tau, m, m)
+        self._contract = base.matmul3_prepare(np.ascontiguousarray(op))
+        meps = ext.mul_matrices(eps)                           # (tau, m, m)
+        self._meps_t = base.matmul3_prepare(np.ascontiguousarray(meps.transpose(0, 2, 1)))
 
     def broadcast_alpha(self, pk_op, x_shares, a_shares, offsets):
         """Phase 1 for all rounds: (tau, B, k) inputs -> alpha, z shares.
@@ -140,7 +143,7 @@ class ChallengeBatch:
         sums = base.matmul3(cols, self._contract)              # (tau, B, (r+1)m)
         sums = np.ascontiguousarray(
             sums.reshape(tau, b, r + 1, m).transpose(2, 0, 1, 3)).reshape(r + 1, tau * b, m)
-        pows = base.matmul3(sums, _frob_ops(ext, tuple(range(r + 1))))   # (r+1, tau*B, m)
+        pows = base.matmul3(sums, _frob_ops(ext, r))           # (r+1, tau*B, m)
         wz = pows.reshape(r + 1, tau, b, m)
         w = np.ascontiguousarray(wz[:r].transpose(1, 2, 0, 3))
         z = ext.neg(wz[r])
@@ -158,15 +161,8 @@ class ChallengeBatch:
         base = ext.base
         tau, b, m = np.asarray(z_shares).shape
         ez = base.matmul3(np.asarray(z_shares, np.uint8), self._meps_t)
-        # <alpha, beta> = sum_k beta_k @ mul_rows(alpha_k): one stacked GEMM
-        # per distinct alpha, over the rows that share it
-        alphas = np.asarray(alphas, np.uint8)
-        alphas = alphas.reshape((1,) * (4 - alphas.ndim) + alphas.shape)
-        ba, r = alphas.shape[1], alphas.shape[2]
-        alphas = np.broadcast_to(alphas, (tau, ba, r, m))
-        op = ext.mul_rows(alphas.reshape(-1, m)).reshape(tau * ba, r * m, m)
-        rows = np.asarray(beta_shares, np.uint8).reshape(tau * ba, b // ba, r * m)
-        ip = base.matmul3(rows, base.matmul3_prepare(op)).reshape(tau, b, m)
+        ip = ext.dot(np.asarray(alphas, np.uint8),
+                     np.asarray(beta_shares, np.uint8), axis=-2)
         return ext.sub(ext.sub(ez, ip), np.asarray(c_shares, np.uint8))
 
 

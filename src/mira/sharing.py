@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import X_LEAF, FieldSampler, encode_u16, index_bytes
+from .hashing import X_LEAF, FieldSampler, encode_u16
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,15 @@ def expand_leaf_shares(suite, salt, e, seeds, dims, field):
     if q & (q - 1) == 0:
         nib = q == 16
         nbytes = (t + 1) // 2 if nib else t
-        live = [i for i, seed in enumerate(seeds[:-1]) if seed is not None]
-        idx = index_bytes(2, n)
-        blobs = suite.xof_many(X_LEAF, salt + encode_u16(e),
-                               [idx[i + 1] + seeds[i] for i in live], nbytes)
+        blobs = bytearray()
+        live = []
+        for i, seed in enumerate(seeds[:-1], start=1):
+            if seed is None:
+                continue
+            blobs += _leaf_payload(suite, salt, e, i, seed, nbytes)
+            live.append(i - 1)
         if live:
-            raw = np.frombuffer(b"".join(blobs), np.uint8).reshape(len(live), nbytes)
+            raw = np.frombuffer(bytes(blobs), np.uint8).reshape(len(live), nbytes)
             if nib:
                 vals = np.empty((len(live), 2 * nbytes), np.uint8)
                 vals[:, 0::2] = raw & 0x0F
@@ -177,11 +180,10 @@ def hypercube_aggregate(field, arr, n_leaves=None):
         raise ValueError("hypercube needs a power-of-two party count")
     d = (n - 1).bit_length()
     total = field.axis_sum(arr, axis=0)
+    idx = np.arange(n)
     out = np.empty((d, 2) + arr.shape[1:], np.uint8)
     for kdim in range(d):
-        # rows whose bit kdim is clear: index [:, 0] of a (n/2^(k+1), 2, 2^k) split
-        halves = arr.reshape((n >> (kdim + 1), 2, 1 << kdim) + arr.shape[1:])
-        side1 = field.axis_sum(halves[:, 0], axis=(0, 1))
+        side1 = field.axis_sum(arr[(idx >> kdim) & 1 == 0], axis=0)
         out[kdim, 0] = side1
         out[kdim, 1] = field.sub(total, side1)
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitio import NibbleReader, NibbleWriter
-from .hashing import (H1, H2, H3, H4, X_SIGN, commit_many,
+from .hashing import (H1, H2, H3, H4, X_SIGN, commit,
                       derive_challenge1, derive_challenge2_additive, encode_u16)
 from .mpc import ChallengeBatch, PkOperand
 from .sharing import ShareDims, additive_share, expand_leaf_shares, hypercube_aggregate
@@ -135,24 +135,13 @@ def _aggregate_rounds(field, flat_tnt):
         mains.reshape(d, 2, tau, t).transpose(2, 0, 1, 3))
 
 
-def _exec_hashes(ap, salt, al1, v1, al2, v2):
-    """H3 digests of the (tau, D) main-party executions, round-major.
-
-    Execution (e, k) hashes the alpha and v shares of both sides of
-    dimension k in round e: side 1 first.
-    """
-    tau, depth = al1.shape[:2]
-    base = ap.mr.base
-    packed = [base.pack_rows(arr.reshape(tau * depth, -1)) for arr in (al1, v1, al2, v2)]
-    heads = [encode_u16(e) + bytes([kd]) for e in range(1, tau + 1)
-             for kd in range(1, depth + 1)]
-    return ap.suite.hash_many(H3, salt, [b"".join(parts)
-                                         for parts in zip(heads, *packed)])
-
-
 def sign(ap, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs."""
-    x, beta = sk.signing_witness()
+    from .matrices import columns_to_ext
+    from .qpoly import annihilator
+
+    x, e_mat = sk.witness()
+    beta = annihilator(ap.mr.ext, columns_to_ext(e_mat), ap.mr.r).beta
     sig = _sign_core(ap, pk, x, beta, message, entropy)
     return encode(ap, sig)
 
@@ -185,10 +174,14 @@ def _sign_core(ap, pk, x, beta, message, entropy, cheat_leaf=None,
         flat_all[e - 1] = shares.flat
         a_plains[e - 1] = a_plain
         c_plains[e - 1] = c_plain
-        states = tree.leaves()
-        states[-1] = _aux_state(base, states[-1], shares.x[-1], shares.beta[-1],
-                                shares.c[-1])
-        cmts = commit_many(suite, salt, e, states)
+        cmts = []
+        for i in range(1, n_parties + 1):
+            if i < n_parties:
+                state = tree.leaf(i)
+            else:
+                state = _aux_state(base, tree.leaf(i), shares.x[-1],
+                                   shares.beta[-1], shares.c[-1])
+            cmts.append(commit(suite, salt, e, i, state))
         h0s.append(suite.hash(H1, salt, encode_u16(e), *cmts))
         trees.append(tree)
         cmts_all.append(cmts)
@@ -231,7 +224,13 @@ def _sign_core(ap, pk, x, beta, message, entropy, cheat_leaf=None,
             else:
                 v2[:, kdim - 1] = ext.add(v2[:, kdim - 1], delta)
 
-    exec_hashes = _exec_hashes(ap, salt, al1, v1, al2, v2)
+    exec_hashes = []
+    for e in range(1, tau + 1):
+        for kdim in range(1, depth + 1):
+            exec_hashes.append(suite.hash(
+                H3, salt, encode_u16(e), bytes([kdim]),
+                base.pack(al1[e - 1, kdim - 1]), base.pack(v1[e - 1, kdim - 1]),
+                base.pack(al2[e - 1, kdim - 1]), base.pack(v2[e - 1, kdim - 1])))
 
     h2 = suite.hash(H4, message, pk_bytes, salt, h1, *exec_hashes)
     ch2 = ch2_override or derive_challenge2_additive(suite, h2, n_parties, tau)
@@ -298,11 +297,15 @@ def verify_decoded(ap, pk, message, sig):
             shares.flat[-1] = np.concatenate([rr.aux_x, rr.aux_beta.ravel(),
                                               shares.a[-1].ravel(), rr.aux_c])
         flat_all[e - 1] = shares.flat
-        states = list(leaves)
-        if istar != n_parties:
-            states[-1] = _aux_state(base, leaves[-1], rr.aux_x, rr.aux_beta, rr.aux_c)
-        cmts = commit_many(suite, sig.salt, e, states)
-        cmts[istar - 1] = rr.cmt_hidden
+        cmts = []
+        for i in range(1, n_parties + 1):
+            if i == istar:
+                cmts.append(rr.cmt_hidden)
+            elif i < n_parties:
+                cmts.append(commit(suite, sig.salt, e, i, leaves[i - 1]))
+            else:
+                state = _aux_state(base, leaves[-1], rr.aux_x, rr.aux_beta, rr.aux_c)
+                cmts.append(commit(suite, sig.salt, e, i, state))
         h0s.append(suite.hash(H1, sig.salt, encode_u16(e), *cmts))
 
     batch = ChallengeBatch(ext, mr.r, ch1)
@@ -324,12 +327,19 @@ def verify_decoded(ap, pk, message, sig):
                                rows_c[:, :depth], al_open)
     v_hidden_side = ext.neg(v_full)
 
-    # a leaf hidden on side 2 leaves side 1 fully opened, and vice versa
-    hid2 = (bits == 1)[:, :, None, None]
-    exec_hashes = _exec_hashes(
-        ap, sig.salt,
-        np.where(hid2, al_full, al_hidden_side), np.where(hid2[..., 0], v_full, v_hidden_side),
-        np.where(hid2, al_hidden_side, al_full), np.where(hid2[..., 0], v_hidden_side, v_full))
+    exec_hashes = []
+    for e in range(1, tau + 1):
+        for kd in range(depth):
+            if bits[e - 1, kd]:
+                pair = (al_full[e - 1, kd], v_full[e - 1, kd],
+                        al_hidden_side[e - 1, kd], v_hidden_side[e - 1, kd])
+            else:
+                pair = (al_hidden_side[e - 1, kd], v_hidden_side[e - 1, kd],
+                        al_full[e - 1, kd], v_full[e - 1, kd])
+            exec_hashes.append(suite.hash(
+                H3, sig.salt, encode_u16(e), bytes([kd + 1]),
+                base.pack(pair[0]), base.pack(pair[1]),
+                base.pack(pair[2]), base.pack(pair[3])))
 
     h1bar = suite.hash(H2, sig.salt, message, *h0s)
     h2bar = suite.hash(H4, message, pk.body_bytes(), sig.salt, h1bar, *exec_hashes)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import (H1, H2, X_SIGN, FieldSampler, commit, commit_many,
+from .hashing import (H1, H2, X_SIGN, FieldSampler, commit,
                       derive_challenge1, derive_challenge2_threshold)
 from .mpc import ChallengeBatch, PkOperand
 from .sharing import ShareDims, shamir_expand, shamir_share
@@ -117,14 +117,6 @@ def decode(tp, data):
     return ThresholdSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
 
 
-def _share_blobs(base, alphas, vs):
-    """Packed (alpha, v) shares of (tau, P) parties, round-major, alpha first."""
-    tau, parties = alphas.shape[:2]
-    pa = base.pack_rows(alphas.reshape(tau * parties, -1))
-    pv = base.pack_rows(vs.reshape(tau * parties, -1))
-    return [blob for pair in zip(pa, pv) for blob in pair]
-
-
 def _extra_party(s_set, subset):
     """i* = min(S \\ I): the one party of S whose alpha share is also opened."""
     return min(i for i in s_set if i not in subset)
@@ -132,7 +124,11 @@ def _extra_party(s_set, subset):
 
 def sign(tp, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs."""
-    x, beta = sk.signing_witness()
+    from .matrices import columns_to_ext
+    from .qpoly import annihilator
+
+    x, e_mat = sk.witness()
+    beta = annihilator(tp.mr.ext, columns_to_ext(e_mat), tp.mr.r).beta
     sig = _sign_core(tp, pk, x, beta, message, entropy)
     return encode(tp, sig)
 
@@ -168,7 +164,8 @@ def _sign_core(tp, pk, x, beta, message, entropy,
         shares_all[e - 1] = shares
         a_plains[e - 1] = a_e
         c_plains[e - 1] = c_e
-        tree = MerkleTree(suite, commit_many(suite, salt, e, base.pack_rows(shares)))
+        tree = MerkleTree(suite, [commit(suite, salt, e, i, base.pack(shares[i - 1]))
+                                  for i in range(1, n_parties + 1)])
         trees.append(tree)
         roots.append(merkle_root(suite, tree))
 
@@ -193,7 +190,11 @@ def _sign_core(tp, pk, x, beta, message, entropy,
     alpha_s = alphas[:, 1:]
     v_s = vs[:, 1:]
 
-    share_blobs = _share_blobs(base, alpha_s, v_s)
+    share_blobs = []
+    for e in range(tau):
+        for j in range(ell + 1):
+            share_blobs.append(base.pack(alpha_s[e, j]))
+            share_blobs.append(base.pack(v_s[e, j]))
     h2 = suite.hash(H2, message, pk_bytes, salt, h1, *share_blobs)
     ch2 = ch2_override or derive_challenge2_threshold(suite, h2, n_parties, ell, tau)
 
@@ -267,9 +268,14 @@ def verify_decoded(tp, pk, message, sig):
         base, np.concatenate([v_i_all, np.zeros((tau, 1, me), np.uint8)], axis=1),
         np.column_stack([subsets, np.zeros(tau, np.uint8)]), s_pts)
 
-    share_blobs = _share_blobs(base, alpha_sharings, v_sharings)
-    details = [{"alpha_open": alpha_opens[e], "alpha_sharing": alpha_sharings[e],
-                "v_sharing": v_sharings[e]} for e in range(tau)]
+    share_blobs = []
+    details = []
+    for e in range(tau):
+        for j in range(ell + 1):
+            share_blobs.append(base.pack(alpha_sharings[e, j]))
+            share_blobs.append(base.pack(v_sharings[e, j]))
+        details.append({"alpha_open": alpha_opens[e],
+                        "alpha_sharing": alpha_sharings[e], "v_sharing": v_sharings[e]})
 
     h2bar = suite.hash(H2, message, pk.body_bytes(), sig.salt, h1bar, *share_blobs)
     return h1bar == sig.h1 and h2bar == sig.h2, details

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hashing import H_MERKLE, X_TREE, encode_u16, encode_u32, index_bytes
+from .hashing import H_MERKLE, X_TREE, encode_u16, encode_u32
 
 
 class SeedTree:
@@ -33,7 +33,13 @@ class SeedTree:
             raise ValueError("seed tree size must be a power of two >= 2")
         nodes = [None] * (2 * n_leaves)
         nodes[1] = root_seed
-        _expand_levels(suite, nodes, salt + encode_u16(round_index), n_leaves)
+        prefix = salt + encode_u16(round_index)
+        sb = suite.seed_bytes
+        xof = suite.xof_digest
+        for i in range(1, n_leaves):
+            both = xof(X_TREE, prefix + encode_u32(i) + nodes[i], 2 * sb)
+            nodes[2 * i] = both[:sb]
+            nodes[2 * i + 1] = both[sb:]
         return cls(suite, salt, round_index, n_leaves, nodes)
 
     def leaf(self, i):
@@ -63,20 +69,6 @@ class SeedTree:
         return path
 
 
-def _expand_levels(suite, nodes, prefix, n_leaves):
-    """Fill the children of every known inner node of a heap array, top down."""
-    sb = suite.seed_bytes
-    idx = index_bytes(4, n_leaves)
-    lo = 1
-    while lo < n_leaves:
-        live = [i for i in range(lo, 2 * lo) if nodes[i] is not None]
-        outs = suite.xof_many(X_TREE, prefix, [idx[i] + nodes[i] for i in live], 2 * sb)
-        for i, both in zip(live, outs):
-            nodes[2 * i] = both[:sb]
-            nodes[2 * i + 1] = both[sb:]
-        lo *= 2
-
-
 def leaves_from_path(suite, path, hidden, salt, round_index, n_leaves):
     """Rebuild all leaf seeds except ``hidden`` from its sibling path.
 
@@ -88,15 +80,29 @@ def leaves_from_path(suite, path, hidden, salt, round_index, n_leaves):
     depth = (n_leaves - 1).bit_length()
     if len(path) != depth:
         raise ValueError("sibling path length mismatch")
-    nodes = [None] * (2 * n_leaves)
+    prefix = salt + encode_u16(round_index)
+    sb = suite.seed_bytes
+    nodes = {}
     node = n_leaves + hidden - 1
+    chain = []
     while node > 1:
-        nodes[node ^ 1] = path[node.bit_length() - 2]
+        chain.append(node ^ 1)
         node >>= 1
-    # the hidden leaf's ancestors stay unknown, so only the opened
-    # subtrees expand down to the leaves
-    _expand_levels(suite, nodes, salt + encode_u16(round_index), n_leaves)
-    out = nodes[n_leaves:]
+    chain.reverse()
+    for seed, idx in zip(path, chain):
+        nodes[idx] = seed
+    # expand every known subtree down to the leaves
+    stack = list(nodes.keys())
+    while stack:
+        i = stack.pop()
+        if i >= n_leaves:
+            continue
+        both = suite.xof_digest(X_TREE, prefix + encode_u32(i) + nodes[i], 2 * sb)
+        nodes[2 * i] = both[:sb]
+        nodes[2 * i + 1] = both[sb:]
+        stack.append(2 * i)
+        stack.append(2 * i + 1)
+    out = [nodes.get(n_leaves + i) for i in range(n_leaves)]
     assert out[hidden - 1] is None
     return out
 

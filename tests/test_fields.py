@@ -260,63 +260,3 @@ def test_base_field_flags():
     assert not base_field(251).is_binary
     with pytest.raises(ValueError):
         base_field(12)
-
-
-@pytest.mark.parametrize("q", [4, 8, 16, 32, 256])
-def test_matmul3_slot_packing_matches_table_product(q):
-    # covers odd plane counts, two column blocks (q = 256), inner sizes on
-    # both sides of the 511 chunk and an all-(q-1) block, where slot counts
-    # are largest
-    f = base_field(q)
-    rng = np.random.default_rng(q)
-    for t, rows, inner, cols in [(2, 3, 5, 4), (3, 7, 300, 9), (2, 4, 511, 5),
-                                 (2, 4, 512, 5), (1, 3, 1100, 2), (1, 1, 1, 1)]:
-        a3 = rng.integers(0, q, (t, rows, inner)).astype(np.uint8)
-        b3 = rng.integers(0, q, (t, inner, cols)).astype(np.uint8)
-        a3[0, 0] = q - 1
-        b3[0, :, 0] = q - 1
-        got = f.matmul3(a3, f.matmul3_prepare(b3))
-        for i in range(t):
-            ref = np.bitwise_xor.reduce(f.MUL[a3[i][:, :, None], b3[i][None]], axis=1)
-            assert np.array_equal(got[i], ref), (t, rows, inner, cols)
-
-
-@pytest.mark.parametrize("q,m", [(16, 5), (16, 23), (251, 7), (2, 9)])
-def test_mul_rows_and_dot(q, m):
-    ext = ext_field(q, m)
-    rng = np.random.default_rng(m)
-    us = rng.integers(0, q, (3 * m, m)).astype(np.uint8)
-    vs = rng.integers(0, q, (3 * m, m)).astype(np.uint8)
-    rows = ext.mul_rows(us)
-    for t in range(m):
-        xt = np.zeros(m, np.uint8)
-        xt[t] = 1
-        assert np.array_equal(rows[:, t], ext.mul(us, xt))
-    assert np.array_equal(ext.mul_rows(us[:2]), rows[:2])
-    assert np.array_equal(ext.mul_matrices(us)[:, :, 1], rows[:, 1])
-    prods = ext.mul(us, vs).reshape(3, m, m)
-    for axis in (0, 1):
-        assert np.array_equal(ext.dot(us.reshape(3, m, m), vs.reshape(3, m, m), axis=axis),
-                              ext.base.axis_sum(prods, axis=axis))
-
-
-@pytest.mark.parametrize("q", [16, 251, 4])
-def test_pack_rows_matches_pack(q):
-    f = base_field(q)
-    rng = np.random.default_rng(3)
-    for width in (0, 1, 6, 7):
-        arr = rng.integers(0, q, (5, width)).astype(np.uint8)
-        assert f.pack_rows(arr) == [f.pack(row) for row in arr]
-
-
-def test_gemm_splits_match_matmul():
-    from mira.fields import _GEMM_MACS, _gemm
-    rng = np.random.default_rng(9)
-    for shape_a, shape_b in [((3, 32, 506), (3, 506, 161)),   # column blocks
-                             ((7, 1496, 23), (7, 23, 23)),    # row blocks
-                             ((1, 271), (271, 4000)),         # one row, many columns
-                             ((5, 3), (3, 4))]:               # one call
-        a = rng.integers(0, 3, shape_a).astype(np.float64)
-        b = rng.integers(0, 3, shape_b).astype(np.float64)
-        assert np.array_equal(_gemm(a, b), np.matmul(a, b))
-    assert 32 * 506 * 161 > _GEMM_MACS > 5 * 3 * 4

@@ -99,19 +99,3 @@ def test_challenge2_threshold_subset_uniformity():
     expect = 10000 / 28
     chi2 = ((counts - expect) ** 2 / expect).sum()
     assert chi2 < CHI2_CRIT[27], chi2
-
-
-def test_batched_hashes_match_single_calls():
-    from mira.hashing import X_LEAF, commit_many, index_bytes
-    suite = HashSuite(192)
-    parts = [b"", b"a", bytes(range(40))]
-    assert suite.hash_many(H3, b"pre", parts) == [suite.hash(H3, b"pre", p) for p in parts]
-    assert suite.xof_many(X_LEAF, b"pre", parts, 77) == \
-        [suite.xof_digest(X_LEAF, b"pre" + p, 77) for p in parts]
-    salt = b"\x05" * suite.salt_bytes
-    states = [b"s1", None, b"s3", b""]
-    got = commit_many(suite, salt, 9, states)
-    assert got[1] is None
-    assert [got[i] for i in (0, 2, 3)] == \
-        [commit(suite, salt, 9, i + 1, states[i]) for i in (0, 2, 3)]
-    assert index_bytes(2, 300)[258] == (258).to_bytes(2, "little")

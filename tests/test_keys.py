@@ -111,21 +111,3 @@ def test_witness_length_check():
     pk, _ = keygen_optimized(mr, b"len")
     with pytest.raises(ValueError):
         validate_witness(pk, np.zeros(mr.k + 1, np.uint8))
-
-
-def test_signing_witness_is_derived_once_and_read_only():
-    from mira.matrices import columns_to_ext
-    from mira.qpoly import annihilator
-    ps = params.parameter_set(params.THRESHOLD, 1)
-    pk, sk = keygen_optimized(ps.minrank(), b"sw")
-    x, beta = sk.signing_witness()
-    x_ref, e_mat = sk.witness()
-    assert np.array_equal(x, x_ref)
-    assert np.array_equal(beta, annihilator(sk.params.ext, columns_to_ext(e_mat),
-                                            sk.params.r).beta)
-    again = sk.signing_witness()
-    assert again[0] is x and again[1] is beta
-    with pytest.raises(ValueError):
-        beta[0, 0] = 1
-    # the cache is not part of the key's identity
-    assert sk == SecretKey.from_bytes(sk.to_bytes(params.THRESHOLD, 1))[0]

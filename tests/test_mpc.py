@@ -211,34 +211,3 @@ def test_false_positive_rate_values():
     assert abs(l16 - (-63.0)) < 0.01
     _, l251 = false_positive_rate(251, 12, 1)
     assert abs(l251 - (-94.66)) < 0.01
-
-
-def test_batch_matches_per_round_contexts_for_shared_and_per_row_alphas():
-    # the stacked challenge operand and the shared-alpha GEMM agree with
-    # one RoundContext per round, and a (tau, 1) alpha equals its broadcast
-    rng = np.random.default_rng(11)
-    for q, m, n, k, r in [(16, 6, 5, 8, 2), (251, 5, 6, 7, 2)]:
-        mr, pk, x, beta = setup_instance(q, m, n, k, r, tag=b"batch")
-        ext, op = mr.ext, PkOperand.of(pk)
-        tau, b = 3, 4
-        challenges = [random_challenge(mr, rng) for _ in range(tau)]
-        xs = rng.integers(0, q, (tau, b, k)).astype(np.uint8)
-        a = rng.integers(0, q, (tau, b, r, m)).astype(np.uint8)
-        betas = rng.integers(0, q, (tau, b, r, m)).astype(np.uint8)
-        c = rng.integers(0, q, (tau, b, m)).astype(np.uint8)
-        offsets = rng.integers(0, 2, (tau, b)).astype(bool)
-        batch = ChallengeBatch(ext, r, challenges)
-        al, z = batch.broadcast_alpha(op, xs, a, offsets)
-        shared = al[:, :1]
-        v_shared = batch.broadcast_v(z, betas, c, shared)
-        assert np.array_equal(v_shared, batch.broadcast_v(
-            z, betas, c, np.broadcast_to(shared, al.shape)))
-        v_rows = batch.broadcast_v(z, betas, c, al)
-        for e, (gamma, eps) in enumerate(challenges):
-            ctx = RoundContext(ext, r, gamma, eps)
-            al_e, z_e = ctx.broadcast_alpha(op, xs[e], a[e], offsets[e])
-            assert np.array_equal(al_e, al[e]) and np.array_equal(z_e, z[e])
-            assert np.array_equal(ctx.broadcast_v(z_e, betas[e], c[e], al[e]), v_rows[e])
-            ip = ext.dot(al[e], betas[e], axis=-2)
-            ez = ext.mul(z[e], eps)
-            assert np.array_equal(v_rows[e], ext.sub(ext.sub(ez, ip), c[e]))

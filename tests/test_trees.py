@@ -154,14 +154,3 @@ def test_merkle_reject_malformed_index_sets():
     hashes = [SUITE.hash(H_MERKLE, leaves[0])]
     assert merkle_root_from_auth(SUITE, hashes, [9], [], 8) is None
     assert merkle_root_from_auth(SUITE, hashes * 2, [1, 1], [], 8) is None
-
-
-def test_expand_matches_node_by_node_derivation():
-    from mira.hashing import X_TREE, encode_u16, encode_u32
-    root = b"\x09" * 16
-    tree = SeedTree.expand(SUITE, root, SALT, 3, 16)
-    nodes = {1: root}
-    for i in range(1, 16):
-        both = SUITE.xof_digest(X_TREE, SALT + encode_u16(3) + encode_u32(i) + nodes[i], 32)
-        nodes[2 * i], nodes[2 * i + 1] = both[:16], both[16:]
-    assert tree.leaves() == [nodes[16 + i] for i in range(16)]
