@@ -13,11 +13,11 @@ The ``mira`` console script wraps these; see README.
 
 import os as _os
 
-# cap in-process (BLAS) parallelism before numpy is loaded anywhere
-_threads = _os.environ.get("MIRA_THREADS")
-if _threads:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+# cap in-process (BLAS) parallelism before numpy is loaded anywhere; BLAS
+# threads gain nothing on these GEMMs and stall them when cores are busy
+_threads = _os.environ.get("MIRA_THREADS") or "1"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, _threads)
 
 from . import estimator, fields, keys, matrices, mpc, params, qpoly, sharing, trees  # noqa: E402
 from . import sign_additive, sign_threshold  # noqa: E402
