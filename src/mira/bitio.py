@@ -4,9 +4,15 @@ The additive signature mixes byte-sized components (seed paths, digests)
 with 4-bit field elements.  Components are concatenated without padding,
 so a round may legally end half way through a byte; padding happens once,
 at the very end of the stream.  Within a byte the low nibble comes first.
+
+``SignatureFormatError`` is the one error both signature decoders raise.
 """
 
 import numpy as np
+
+
+class SignatureFormatError(ValueError):
+    """A signature's bytes do not parse under its parameter set."""
 
 
 class NibbleWriter:

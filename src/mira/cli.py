@@ -20,12 +20,12 @@ EXIT_USAGE = 2
 
 
 def _entropy_from(args):
-    if args.seed is not None:
-        try:
-            return bytes.fromhex(args.seed)
-        except ValueError:
-            raise SystemExit("--seed must be a hex string")
-    return os.urandom(48)
+    if args.seed is None:
+        return os.urandom(48)
+    try:
+        return bytes.fromhex(args.seed)
+    except ValueError:
+        raise ValueError("--seed must be a hex string") from None
 
 
 def _scheme(variant):
@@ -45,7 +45,7 @@ def cmd_keygen(args):
     return EXIT_OK
 
 
-def _load_keypair_params(args, blob, expect_ps):
+def _load_keypair_params(args, expect_ps):
     if args.variant is not None or args.level is not None:
         want = (args.variant or expect_ps.variant, args.level or expect_ps.level)
         if want != (expect_ps.variant, expect_ps.level):
@@ -60,7 +60,7 @@ def cmd_sign(args):
     except (OSError, KeyFormatError) as exc:
         print(f"cannot load secret key: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _load_keypair_params(args, None, ps)
+    _load_keypair_params(args, ps)
     message = open(args.infile, "rb").read()
     sp = ps.sign_params()
     pk = keys.PublicKey(params=sk.params, seed_pk=sk.seed_pk,
@@ -84,7 +84,7 @@ def cmd_verify(args):
     except (OSError, KeyFormatError) as exc:
         print(f"cannot load public key: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _load_keypair_params(args, None, ps)
+    _load_keypair_params(args, ps)
     message = open(args.infile, "rb").read()
     data = open(args.sig, "rb").read()
     scheme = _scheme(ps.variant)

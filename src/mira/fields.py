@@ -18,18 +18,30 @@ read as a little-endian base-q integer, is minimal.  This reproduces
 y^4 + y + 1 for GF(16) and is part of the wire format: all serialized keys
 and signatures depend on it.
 
-Matrix products over GF(q) go through ``matmul``, which dispatches to
-float64 BLAS with an exact integer reduction for prime fields, and to a
-bit-sliced float32 BLAS parity trick for characteristic-2 fields (falling
-back to table gathers for small operands).
+Matrix products over GF(q) go through ``matmul`` (one (R, K) @ (K, C)
+product) or ``matmul3`` (a (T, R, K) @ (T, K, C) stack, right operand
+prepared once with ``matmul3_prepare``); both public methods share one
+private body per field.  Prime fields multiply in float64 BLAS and reduce
+the exact integer result.  Characteristic-2 fields pick a path by input:
+
+* table gather - a product of at most 2^18 multiply-adds is one gather
+  from the full multiplication table and an XOR reduction;
+* bit-sliced GEMM - larger products split both operands into float32 bit
+  planes, multiply plane pairs with one BLAS call, keep the parity and
+  fold the y^(s+t) terms back through the modulus; ``matmul`` runs the
+  ``matmul3`` body without the stack axis, as its T = 1 case;
+* ``Gf2Table`` - the public-key operand x @ L, a fixed GF(2) map applied
+  to every party's share, is a byte-indexed XOR table built once per key.
+  On the share-of-E shapes it beats the bit-sliced GEMM: 5.6 against
+  22.6 ms per additive level-5 verify and 4.4 against 13.0 ms per sign
+  (one thread of a 2-vCPU x86-64 host, OpenBLAS).
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-# Largest inner dimension so that counts stay exact in the float paths.
-_F32_EXACT = 1 << 24
+# Largest inner dimension so that counts stay exact in the float64 path.
 _F64_EXACT = 1 << 53
 
 
@@ -127,20 +139,20 @@ class PrimeField:
         return (np.asarray(a, np.int64).sum(axis=axis) % self.q).astype(np.uint8)
 
     def matmul(self, a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        inner = a.shape[-1]
-        assert inner * (self.q - 1) ** 2 < _F64_EXACT
-        c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-        return (c % self.q).astype(np.uint8)
+        """(R, K) @ (K, C)."""
+        return self._gemm(a, self.matmul3_prepare(b))
 
     def matmul3_prepare(self, b3):
         return np.asarray(b3).astype(np.float64)
 
     def matmul3(self, a3, prepared):
         """(T, R, K) @ (T, K, C) stacked products."""
-        assert a3.shape[-1] * (self.q - 1) ** 2 < _F64_EXACT
-        c = np.rint(np.matmul(np.asarray(a3).astype(np.float64), prepared)).astype(np.int64)
+        return self._gemm(a3, prepared)
+
+    def _gemm(self, a, bf):
+        a = np.asarray(a)
+        assert a.shape[-1] * (self.q - 1) ** 2 < _F64_EXACT
+        c = np.rint(np.matmul(a.astype(np.float64), bf)).astype(np.int64)
         return (c % self.q).astype(np.uint8)
 
     def pack(self, arr):
@@ -239,15 +251,6 @@ class Char2Field:
 
     # -- matrix product ----------------------------------------------------
 
-    def planes(self, mat):
-        """Cacheable right-hand-side bit planes for ``matmul``."""
-        mat = np.asarray(mat, np.uint8)
-        cols = mat.shape[1]
-        out = np.empty((mat.shape[0], self.d * cols), dtype=np.float32)
-        for t in range(self.d):
-            out[:, t * cols:(t + 1) * cols] = (mat >> t) & 1
-        return out, cols
-
     @property
     def _redbits(self):
         # y^(s+t) mod modulus, as bit rows for recombining plane products
@@ -262,61 +265,46 @@ class Char2Field:
             self.__redbits = rows
             return rows
 
-    def _matmul_sliced(self, a, b_planes, cols):
-        rows, inner = a.shape
-        assert inner < (1 << 15)
-        ap = np.empty((self.d * rows, inner), dtype=np.float32)
-        for s in range(self.d):
-            ap[s * rows:(s + 1) * rows] = (a >> s) & 1
-        prod = (ap @ b_planes).astype(np.int16)
-        prod &= 1
-        prod = prod.astype(np.uint8)
-        red = self._redbits
-        out = np.zeros((rows, cols), dtype=np.uint8)
-        for s in range(self.d):
-            ps = prod[s * rows:(s + 1) * rows]
-            for t in range(self.d):
-                blk = ps[:, t * cols:(t + 1) * cols]
-                for u in range(self.d):
-                    if red[s + t, u]:
-                        out ^= blk << u
-        return out
-
-    def matmul(self, a, b=None, b_planes=None):
+    def matmul(self, a, b):
+        """(R, K) @ (K, C): table gather when small, else the sliced GEMM."""
         a = np.asarray(a, np.uint8)
-        if b_planes is not None:
-            return self._matmul_sliced(a, *b_planes)
         b = np.asarray(b, np.uint8)
         if a.shape[0] * a.shape[1] * b.shape[1] <= (1 << 18):
             return np.bitwise_xor.reduce(self.MUL[a[:, :, None], b[None, :, :]], axis=1)
-        return self._matmul_sliced(a, *self.planes(b))
+        return self._gemm(a, self.matmul3_prepare(b))
 
     def matmul3_prepare(self, b3):
+        """Bit planes of the right operand(s) (..., K, C) and the width C."""
         b3 = np.asarray(b3, np.uint8)
-        t, inner, cols = b3.shape
-        bp = np.empty((t, inner, self.d * cols), dtype=np.float32)
+        inner, cols = b3.shape[-2:]
+        bp = np.empty(b3.shape[:-2] + (inner, self.d * cols), dtype=np.float32)
         for u in range(self.d):
-            bp[:, :, u * cols:(u + 1) * cols] = (b3 >> u) & 1
+            bp[..., u * cols:(u + 1) * cols] = (b3 >> u) & 1
         return bp, cols
 
     def matmul3(self, a3, prepared):
         """(T, R, K) @ (T, K, C) stacked products via bit-sliced parity GEMMs."""
+        return self._gemm(a3, prepared)
+
+    def _gemm(self, a, prepared):
+        # (..., R, K) @ prepared (..., K, C): one float32 GEMM over all plane
+        # pairs (s, u), parity of the counts, then y^(s+u) folded back
         bp, cols = prepared
-        a3 = np.asarray(a3, np.uint8)
-        t, rows, inner = a3.shape
+        a = np.asarray(a, np.uint8)
+        lead, (rows, inner) = a.shape[:-2], a.shape[-2:]
         assert inner < (1 << 15)
-        ap = np.empty((t, self.d * rows, inner), dtype=np.float32)
+        ap = np.empty(lead + (self.d * rows, inner), dtype=np.float32)
         for s in range(self.d):
-            ap[:, s * rows:(s + 1) * rows, :] = (a3 >> s) & 1
+            ap[..., s * rows:(s + 1) * rows, :] = (a >> s) & 1
         prod = np.matmul(ap, bp).astype(np.int16)
         prod &= 1
         prod = prod.astype(np.uint8)
         red = self._redbits
-        out = np.zeros((t, rows, cols), dtype=np.uint8)
+        out = np.zeros(lead + (rows, cols), dtype=np.uint8)
         for s in range(self.d):
-            ps = prod[:, s * rows:(s + 1) * rows, :]
+            ps = prod[..., s * rows:(s + 1) * rows, :]
             for u in range(self.d):
-                blk = ps[:, :, u * cols:(u + 1) * cols]
+                blk = ps[..., u * cols:(u + 1) * cols]
                 for w in range(self.d):
                     if red[s + u, w]:
                         out ^= blk << w
@@ -542,7 +530,6 @@ class ExtField:
             rows.append(self._shift_reduce_row(rows[-1]))
         self.RED = np.stack(rows) if m > 1 else np.zeros((0, m), np.uint8)
         self._frob = {}
-        self._red_planes = None
 
     def _shift_reduce_row(self, row):
         out = np.zeros_like(row)
@@ -567,12 +554,6 @@ class ExtField:
         if self.m > 1:
             z[1] = 1
         return z
-
-    def from_int_coeffs(self, coeffs):
-        out = self.zero()
-        for i, c in enumerate(coeffs):
-            out[i] = c % self.q
-        return out
 
     def add(self, a, b):
         return self.base.add(a, b)
@@ -678,10 +659,6 @@ class ExtField:
         shp = a.shape
         return self.base.matmul(a.reshape(-1, self.m), fi.T).reshape(shp)
 
-    def mul_matrix(self, u):
-        """Matrix M_u with M_u @ v = coeffs(u * v)."""
-        return self.mul_matrices(np.asarray(u, np.uint8)[None, :])[0]
-
     def mul_matrices(self, us):
         """(B, m) elements -> (B, m, m) multiplication matrices."""
         us = np.asarray(us, np.uint8)
@@ -693,17 +670,6 @@ class ExtField:
             if t + 1 < self.m:
                 cur = self.shift_reduce(cur)
         return out
-
-    def apply_lin(self, mat, arr, planes=None):
-        """Apply an (m, m) base-field matrix to rows of (..., m)."""
-        arr = np.asarray(arr, np.uint8)
-        shp = arr.shape
-        flat = arr.reshape(-1, self.m)
-        if planes is not None:
-            out = self.base.matmul(flat, b_planes=planes)
-        else:
-            out = self.base.matmul(flat, np.asarray(mat).T)
-        return out.reshape(shp)
 
     def pack(self, arr):
         return self.base.pack(arr)

@@ -165,13 +165,13 @@ class FieldSampler:
 # ---------------------------------------------------------------------------
 # Fiat-Shamir challenge streams
 
-def derive_challenge1(suite, h1, field_big, n, tau):
-    """Per-round (gamma_1..gamma_n, eps) over GF(q^(m*eta)) from h1."""
-    sampler = FieldSampler(field_big.base, suite.xof(X_CH1, h1))
+def derive_challenge1(suite, h1, ext, n, tau):
+    """Per-round (gamma_1..gamma_n, eps) over GF(q^m) from h1."""
+    sampler = FieldSampler(ext.base, suite.xof(X_CH1, h1))
     out = []
     for _ in range(tau):
-        gamma = sampler.ext_elements(field_big.m, n)
-        eps = sampler.ext_elements(field_big.m, 1)[0]
+        gamma = sampler.ext_elements(ext.m, n)
+        eps = sampler.ext_elements(ext.m, 1)[0]
         out.append((gamma, eps))
     return out
 

@@ -7,8 +7,6 @@ seed.  The secret key is two seeds: replaying the derivation from
 (seed_sk, seed_pk) recovers the witness x and the low-rank E, so nothing
 else needs to be stored.  Reported secret key size counts the secret seed
 alone, matching the public tables.
-
-The plain ("simple") generator keeps the full M_0 and exists for tests.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -16,8 +14,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .hashing import X_KEYPUB, X_KEYSEC, FieldSampler
-from .matrices import rank, sample_rank_bounded
+from .matrices import columns_to_ext, rank, sample_rank_bounded
 from .params import MinRankParams, param_id, from_param_id
+from .qpoly import annihilator
 
 
 class KeyFormatError(ValueError):
@@ -28,21 +27,16 @@ class KeyFormatError(ValueError):
 class PublicKey:
     params: MinRankParams
     seed_pk: bytes
-    m0_entries: np.ndarray          # tail (mn - k) when systematic, else full mn
-    systematic: bool = True
+    m0_entries: np.ndarray          # tail (mn - k); the first k entries are zero
     _cache: dict = dc_field(default_factory=dict, repr=False)
 
     def matrices(self):
         """(l_rows, m0_flat): L as (k, mn) with M_i = row i row-major reshaped."""
         if "mats" not in self._cache:
             mr = self.params
-            l_rows = _expand_l(mr, self.seed_pk, self.systematic)
             m0 = np.zeros(mr.m * mr.n, np.uint8)
-            if self.systematic:
-                m0[mr.k:] = self.m0_entries
-            else:
-                m0[:] = self.m0_entries
-            self._cache["mats"] = (l_rows, m0)
+            m0[mr.k:] = self.m0_entries
+            self._cache["mats"] = (_expand_l(mr, self.seed_pk), m0)
         return self._cache["mats"]
 
     def body_bytes(self):
@@ -50,8 +44,6 @@ class PublicKey:
         return self.seed_pk + self.params.base.pack(self.m0_entries)
 
     def to_bytes(self, variant, level):
-        if not self.systematic:
-            raise KeyFormatError("only systematic public keys are serialized")
         return bytes([param_id(variant, level)]) + self.body_bytes()
 
     @classmethod
@@ -78,6 +70,12 @@ class SecretKey:
         _, _, x, e_mat = _derive(self.params, self.seed_pk, self.seed_sk)
         return x, e_mat
 
+    def sign_inputs(self):
+        """(x, beta): the witness and the annihilator of E's column space."""
+        x, e_mat = self.witness()
+        mr = self.params
+        return x, annihilator(mr.ext, columns_to_ext(e_mat), mr.r).beta
+
     def to_bytes(self, variant, level):
         return bytes([param_id(variant, level)]) + self.seed_sk + self.seed_pk
 
@@ -101,15 +99,13 @@ def _split_id(data):
     return ps, data[1:]
 
 
-def _expand_l(mr, seed_pk, systematic):
+def _expand_l(mr, seed_pk):
+    """Systematic L = [I_k | L'] with L' sampled from the public seed."""
     mn = mr.m * mr.n
     sampler = FieldSampler(mr.base, _pk_stream(mr, seed_pk))
-    if systematic:
-        l_rows = np.zeros((mr.k, mn), np.uint8)
-        l_rows[:, :mr.k] = np.eye(mr.k, dtype=np.uint8)
-        l_rows[:, mr.k:] = sampler.matrix(mr.k, mn - mr.k)
-    else:
-        l_rows = sampler.matrix(mr.k, mn)
+    l_rows = np.zeros((mr.k, mn), np.uint8)
+    l_rows[:, :mr.k] = np.eye(mr.k, dtype=np.uint8)
+    l_rows[:, mr.k:] = sampler.matrix(mr.k, mn - mr.k)
     return l_rows
 
 
@@ -124,9 +120,9 @@ def _sk_stream(mr, seed_sk):
 
 
 def _derive(mr, seed_pk, seed_sk):
-    """Shared systematic derivation: returns (L, m0_flat, x, E)."""
+    """Systematic derivation: returns (L, m0_flat, x, E)."""
     base = mr.base
-    l_rows = _expand_l(mr, seed_pk, systematic=True)
+    l_rows = _expand_l(mr, seed_pk)
     sk_sampler = FieldSampler(base, _sk_stream(mr, seed_sk))
     e_mat = sample_rank_bounded(base, mr.m, mr.n, mr.r, sk_sampler)
     beta = sk_sampler.take(mr.k)
@@ -147,22 +143,6 @@ def keygen_optimized(mr, entropy):
     pk = PublicKey(params=mr, seed_pk=seed_pk, m0_entries=m0_flat[mr.k:].copy())
     sk = SecretKey(params=mr, seed_sk=seed_sk, seed_pk=seed_pk)
     return pk, sk
-
-
-def keygen_simple(mr, entropy):
-    """Non-systematic key pair (full M_0 in the key); test use only."""
-    from .params import hash_suite
-    base = mr.base
-    seeds = hash_suite(mr.lam).xof(X_KEYSEC, b"keygen-simple", entropy).read(2 * mr.seed_bytes)
-    seed_pk, seed_sk = seeds[:mr.seed_bytes], seeds[mr.seed_bytes:]
-    l_rows = _expand_l(mr, seed_pk, systematic=False)
-    sk_sampler = FieldSampler(base, _sk_stream(mr, seed_sk))
-    x = sk_sampler.take(mr.k)
-    e_mat = sample_rank_bounded(base, mr.m, mr.n, mr.r, sk_sampler)
-    m0_flat = base.sub(e_mat.reshape(-1), base.matmul(x[None, :], l_rows)[0])
-    pk = PublicKey(params=mr, seed_pk=seed_pk, m0_entries=m0_flat,
-                   systematic=False)
-    return pk, (x, e_mat)
 
 
 def validate_witness(pk, x):

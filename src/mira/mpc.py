@@ -19,9 +19,6 @@ products.  ``ChallengeBatch`` stacks the W matrices of all rounds so a
 whole signature's party computations run as a handful of batched GEMMs.
 """
 
-from fractions import Fraction
-import math
-
 import numpy as np
 
 from .fields import Char2Field, Gf2Table
@@ -164,44 +161,3 @@ class ChallengeBatch:
         ip = ext.dot(np.asarray(alphas, np.uint8),
                      np.asarray(beta_shares, np.uint8), axis=-2)
         return ext.sub(ext.sub(ez, ip), np.asarray(c_shares, np.uint8))
-
-
-class RoundContext:
-    """Single-round convenience wrapper over ``ChallengeBatch``."""
-
-    def __init__(self, ext, r, gamma, eps):
-        self._batch = ChallengeBatch(ext, r, [(np.asarray(gamma, np.uint8),
-                                               np.asarray(eps, np.uint8))])
-
-    def broadcast_alpha(self, pk_op, x_shares, a_shares, offsets):
-        x_shares = np.atleast_2d(np.asarray(x_shares, np.uint8))
-        a_shares = np.asarray(a_shares, np.uint8).reshape(
-            (x_shares.shape[0],) + (-1, self._batch.ext.m))
-        alpha, z = self._batch.broadcast_alpha(
-            pk_op, x_shares[None], a_shares[None], np.asarray(offsets, bool)[None])
-        return alpha[0], z[0]
-
-    def broadcast_v(self, z_shares, beta_shares, c_shares, alphas):
-        z_shares = np.atleast_2d(np.asarray(z_shares, np.uint8))
-        b = z_shares.shape[0]
-        alphas = np.broadcast_to(np.asarray(alphas, np.uint8),
-                                 (b,) + np.asarray(beta_shares).shape[-2:])
-        return self._batch.broadcast_v(
-            z_shares[None], np.asarray(beta_shares, np.uint8)[None],
-            np.atleast_2d(np.asarray(c_shares, np.uint8))[None], alphas[None])[0]
-
-
-def plain_check(ctx, pk_op, x, beta, a, c):
-    """Run the whole check on plaintext inputs; returns (alpha, v)."""
-    alpha, z = ctx.broadcast_alpha(pk_op, np.asarray(x)[None, :],
-                                   np.asarray(a)[None, :, :], np.array([True]))
-    v = ctx.broadcast_v(z, np.asarray(beta)[None, :, :],
-                        np.asarray(c)[None, :], alpha[0])
-    return alpha[0], v[0]
-
-
-def false_positive_rate(q, m, eta):
-    """(exact Fraction, log2 float) of the single-run false positive rate."""
-    big = q ** (m * eta)
-    p = Fraction(2 * big - 1, big * big)
-    return p, math.log2(p.numerator) - math.log2(p.denominator)

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from .fields import base_field, ext_field
 from .hashing import HashSuite
+from .sharing import ShareDims
 
 ADDITIVE = "additive"
 THRESHOLD = "threshold"
@@ -45,19 +46,24 @@ class MinRankParams:
         return self.lam // 8
 
 
-def _ext_big(mr, eta):
-    if eta != 1:
-        raise NotImplementedError(
-            "protocol arithmetic is implemented for eta = 1 (all shipped sets)")
-    return mr.ext
+class _SchemeParams:
+    """What both signature variants derive from the MinRank instance."""
+
+    @property
+    def suite(self):
+        return hash_suite(self.mr.lam)
+
+    @property
+    def share_dims(self):
+        mr = self.mr
+        return ShareDims(k=mr.k, r=mr.r, m=mr.m)
 
 
 @dataclass(frozen=True)
-class AdditiveParams:
+class AdditiveParams(_SchemeParams):
     mr: MinRankParams
     n_parties: int
     tau: int
-    eta: int = 1
 
     def __post_init__(self):
         n = self.n_parties
@@ -68,27 +74,13 @@ class AdditiveParams:
     def depth(self):
         return (self.n_parties - 1).bit_length()
 
-    @property
-    def ext_big(self):
-        return _ext_big(self.mr, self.eta)
-
-    @property
-    def suite(self):
-        return hash_suite(self.mr.lam)
-
-    @property
-    def share_dims(self):
-        mr = self.mr
-        return (mr.k, mr.r, mr.m, mr.m * self.eta)
-
 
 @dataclass(frozen=True)
-class ThresholdParams:
+class ThresholdParams(_SchemeParams):
     mr: MinRankParams
     n_parties: int
     ell: int
     tau: int
-    eta: int = 1
 
     def __post_init__(self):
         if self.n_parties > self.mr.q - 1:
@@ -100,19 +92,6 @@ class ThresholdParams:
     def opened_set(self):
         """Public set S of parties running the protocol: the first ell+1."""
         return tuple(range(1, self.ell + 2))
-
-    @property
-    def ext_big(self):
-        return _ext_big(self.mr, self.eta)
-
-    @property
-    def suite(self):
-        return hash_suite(self.mr.lam)
-
-    @property
-    def share_dims(self):
-        mr = self.mr
-        return (mr.k, mr.r, mr.m, mr.m * self.eta)
 
 
 @lru_cache(maxsize=None)
@@ -146,12 +125,14 @@ class ParameterSet:
                              r=self.r, lam=self.lam)
 
     def sign_params(self):
+        if self.eta != 1:
+            raise NotImplementedError(
+                "protocol arithmetic is implemented for eta = 1 (all shipped sets)")
         mr = self.minrank()
         if self.variant == ADDITIVE:
-            return AdditiveParams(mr=mr, n_parties=self.N, tau=self.tau, eta=self.eta)
+            return AdditiveParams(mr=mr, n_parties=self.N, tau=self.tau)
         n_op = min(self.N, self.q - 1)
-        return ThresholdParams(mr=mr, n_parties=n_op, ell=self.ell,
-                               tau=self.tau, eta=self.eta)
+        return ThresholdParams(mr=mr, n_parties=n_op, ell=self.ell, tau=self.tau)
 
     def with_overrides(self, **kw):
         return replace(self, **{k: v for k, v in kw.items() if v is not None})

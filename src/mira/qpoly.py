@@ -20,11 +20,6 @@ class QPolynomial:
     r: int
     beta: np.ndarray  # (r, m) coefficients beta_0..beta_{r-1}
 
-    def coeffs_with_leading(self):
-        one = np.zeros((1, self.beta.shape[1]), np.uint8)
-        one[0, 0] = 1
-        return np.concatenate([self.beta, one], axis=0)
-
 
 def fq_basis(base, elems, expected_dim=None):
     """Greedy basis of the GF(q)-span of elems (rows), in first-seen order."""

@@ -1,7 +1,7 @@
 """Additive sharing with hypercube aggregation, and Shamir sharing.
 
 A party's share of the MPC input tuple (x, beta, a, c) is one flat
-coordinate row of length T = k + r*m + r*me + me over GF(q), in that
+coordinate row of length T = k + r*m + r*m + m over GF(q), in that
 component order; a sharing is the (N, T) stack of rows.  The same layout
 is the serialized party state, so commitment payloads are just row slices.
 
@@ -30,20 +30,19 @@ class ShareDims:
     k: int
     r: int
     m: int
-    me: int
 
     @property
     def total(self):
-        return self.k + self.r * self.m + self.r * self.me + self.me
+        return self.k + 2 * self.r * self.m + self.m
 
     def split(self, flat):
         """Views of a (..., T) array as (x, beta, a, c) component blocks."""
-        k, r, m, me = self.k, self.r, self.m, self.me
+        k, rm = self.k, self.r * self.m
         lead = flat.shape[:-1]
         x = flat[..., :k]
-        beta = flat[..., k:k + r * m].reshape(lead + (r, m))
-        a = flat[..., k + r * m:k + r * m + r * me].reshape(lead + (r, me))
-        c = flat[..., k + r * m + r * me:]
+        beta = flat[..., k:k + rm].reshape(lead + (self.r, self.m))
+        a = flat[..., k + rm:k + 2 * rm].reshape(lead + (self.r, self.m))
+        c = flat[..., k + 2 * rm:]
         return x, beta, a, c
 
 
@@ -70,10 +69,6 @@ class InputShares:
     def c(self):
         return self.dims.split(self.flat)[3]
 
-    def state_bytes(self, field, i):
-        """Serialized share of party i (1-based): x || beta || a || c."""
-        return field.pack(self.flat[i - 1])
-
 
 def leaf_stream(suite, salt, e, i, seed):
     return suite.xof(X_LEAF, salt, encode_u16(e), encode_u16(i), seed)
@@ -94,7 +89,7 @@ def expand_leaf_shares(suite, salt, e, seeds, dims, field):
     n = len(seeds)
     t = dims.total
     a_lo = dims.k + dims.r * dims.m
-    a_hi = a_lo + dims.r * dims.me
+    a_hi = a_lo + dims.r * dims.m
     flat = np.zeros((n, t), np.uint8)
     q = field.q
     if q & (q - 1) == 0:
@@ -139,7 +134,7 @@ def expand_leaf_shares(suite, salt, e, seeds, dims, field):
     return InputShares(dims, flat)
 
 
-def additive_share(suite, salt, e, seeds, dims, field, ext_big, x, beta):
+def additive_share(suite, salt, e, seeds, dims, field, ext, x, beta):
     """Full additive sharing with the aux correction leaf.
 
     a is the sum of the per-leaf pseudorandom draws (all N of them) and
@@ -150,13 +145,13 @@ def additive_share(suite, salt, e, seeds, dims, field, ext_big, x, beta):
     n = len(seeds)
     flat = shares.flat
     k, rm = dims.k, dims.r * dims.m
-    a_hi = k + rm + dims.r * dims.me
+    a_hi = k + 2 * rm
     a_plain = field.axis_sum(shares.a, axis=0)
-    c_plain = ext_big.neg(ext_big.dot(a_plain, np.asarray(beta, np.uint8), axis=0))
+    c_plain = ext.neg(ext.dot(a_plain, np.asarray(beta, np.uint8), axis=0))
     head = field.axis_sum(flat[:n - 1], axis=0)
     secret_row = np.concatenate([np.asarray(x, np.uint8),
                                  np.asarray(beta, np.uint8).ravel(),
-                                 np.zeros(dims.r * dims.me, np.uint8), c_plain])
+                                 np.zeros(rm, np.uint8), c_plain])
     corr = field.sub(secret_row, head)
     flat[n - 1, :k + rm] = corr[:k + rm]
     flat[n - 1, a_hi:] = corr[a_hi:]
@@ -168,14 +163,14 @@ def leaf_side(leaf, dim):
     return ((leaf - 1) >> (dim - 1) & 1) + 1
 
 
-def hypercube_aggregate(field, arr, n_leaves=None):
+def hypercube_aggregate(field, arr):
     """Main shares per (dimension, side): (D, 2, ...) from (N, ...).
 
     Side 2 is derived as total - side 1, so a zeroed (hidden) leaf row
     simply drops out of whichever side it belongs to.
     """
     arr = np.asarray(arr, np.uint8)
-    n = n_leaves or arr.shape[0]
+    n = arr.shape[0]
     if n & (n - 1) or n < 2:
         raise ValueError("hypercube needs a power-of-two party count")
     d = (n - 1).bit_length()

@@ -18,26 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import NibbleReader, NibbleWriter
+from .bitio import NibbleReader, NibbleWriter, SignatureFormatError
 from .hashing import (H1, H2, H3, H4, X_SIGN, commit,
                       derive_challenge1, derive_challenge2_additive, encode_u16)
 from .mpc import ChallengeBatch, PkOperand
-from .sharing import ShareDims, additive_share, expand_leaf_shares, hypercube_aggregate
+from .sharing import additive_share, expand_leaf_shares, hypercube_aggregate
 from .trees import SeedTree, leaves_from_path
-
-
-class SignatureFormatError(ValueError):
-    pass
 
 
 @dataclass
 class RoundResponse:
     path: list          # D sibling seeds, root side first
     cmt_hidden: bytes
-    alpha_hidden: np.ndarray   # (r, me)
+    alpha_hidden: np.ndarray   # (r, m)
     aux_x: np.ndarray          # (k,)
     aux_beta: np.ndarray       # (r, m)
-    aux_c: np.ndarray          # (me,)
+    aux_c: np.ndarray          # (m,)
 
 
 @dataclass
@@ -48,14 +44,9 @@ class AdditiveSignature:
     rounds: list
 
 
-def share_dims(ap):
-    k, r, m, me = ap.share_dims
-    return ShareDims(k=k, r=r, m=m, me=me)
-
-
 def field_elems_per_round(ap):
-    k, r, m, me = ap.share_dims
-    return r * me + k + r * m + me
+    # alpha_hidden (r*m), aux_x (k), aux_beta (r*m), aux_c (m): one state row
+    return ap.share_dims.total
 
 
 def signature_size_bits(ap):
@@ -90,7 +81,7 @@ def decode(ap, data):
         raise SignatureFormatError("signature length mismatch")
     base = ap.mr.base
     suite = ap.suite
-    k, r, m, me = ap.share_dims
+    k, r, m = ap.mr.k, ap.mr.r, ap.mr.m
     rd = NibbleReader(data)
     try:
         salt = rd.read_bytes(suite.salt_bytes)
@@ -107,10 +98,10 @@ def decode(ap, data):
                 flat = rd.read_nibbles(nfield)
             else:
                 flat = base.unpack(rd.read_bytes(base.packed_size(nfield)), nfield)
-            alpha = flat[:r * me].reshape(r, me)
-            aux_x = flat[r * me:r * me + k]
-            aux_beta = flat[r * me + k:r * me + k + r * m].reshape(r, m)
-            aux_c = flat[r * me + k + r * m:]
+            alpha = flat[:r * m].reshape(r, m)
+            aux_x = flat[r * m:r * m + k]
+            aux_beta = flat[r * m + k:2 * r * m + k].reshape(r, m)
+            aux_c = flat[2 * r * m + k:]
             rounds.append(RoundResponse(path, cmt_hidden, alpha, aux_x, aux_beta, aux_c))
         if rd.remaining_nibbles() > 1 or (rd.remaining_nibbles() == 1 and rd.read_nibbles(1)[0]):
             raise SignatureFormatError("trailing data")
@@ -137,11 +128,7 @@ def _aggregate_rounds(field, flat_tnt):
 
 def sign(ap, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs."""
-    from .matrices import columns_to_ext
-    from .qpoly import annihilator
-
-    x, e_mat = sk.witness()
-    beta = annihilator(ap.mr.ext, columns_to_ext(e_mat), ap.mr.r).beta
+    x, beta = sk.sign_inputs()
     sig = _sign_core(ap, pk, x, beta, message, entropy)
     return encode(ap, sig)
 
@@ -149,11 +136,11 @@ def sign(ap, pk, sk, message, entropy):
 def _sign_core(ap, pk, x, beta, message, entropy, cheat_leaf=None,
                ch1_override=None, ch2_override=None):
     mr = ap.mr
-    base, ext = mr.base, ap.ext_big
+    base, ext = mr.base, mr.ext
     suite = ap.suite
     n_parties, depth, tau = ap.n_parties, ap.depth, ap.tau
-    dims = share_dims(ap)
-    k, r, m, me = ap.share_dims
+    dims = ap.share_dims
+    k, r, m = mr.k, mr.r, mr.m
     t_cols = dims.total
     pk_op = PkOperand.of(pk)
     pk_bytes = pk.body_bytes()
@@ -165,8 +152,8 @@ def _sign_core(ap, pk, x, beta, message, entropy, cheat_leaf=None,
 
     trees, cmts_all, h0s = [], [], []
     flat_all = np.empty((tau, n_parties, t_cols), np.uint8)
-    a_plains = np.empty((tau, r, me), np.uint8)
-    c_plains = np.empty((tau, me), np.uint8)
+    a_plains = np.empty((tau, r, m), np.uint8)
+    c_plains = np.empty((tau, m), np.uint8)
     for e in range(1, tau + 1):
         tree = SeedTree.expand(suite, rng.read(suite.seed_bytes), salt, e, n_parties)
         shares, a_plain, c_plain = additive_share(
@@ -195,7 +182,7 @@ def _sign_core(ap, pk, x, beta, message, entropy, cheat_leaf=None,
     side1 = mains[:, :, 0, :]
     rows = np.concatenate([
         np.broadcast_to(np.concatenate([x, beta.ravel(),
-                                        np.zeros(r * me + me, np.uint8)]),
+                                        np.zeros(r * m + m, np.uint8)]),
                         (tau, 1, t_cols)),
         side1], axis=1)
     rows_x, _, rows_a, _ = dims.split(rows)
@@ -245,7 +232,7 @@ def _sign_core(ap, pk, x, beta, message, entropy, cheat_leaf=None,
         istar = ch2[e - 1]
         if istar == n_parties:
             aux = (np.zeros(k, np.uint8), np.zeros((r, m), np.uint8),
-                   np.zeros(me, np.uint8))
+                   np.zeros(m, np.uint8))
         else:
             xn, bn, an_, cn = dims.split(flat_all[e - 1, n_parties - 1])
             aux = (xn, bn, cn)
@@ -271,10 +258,10 @@ def verify(ap, pk, message, data):
 def verify_decoded(ap, pk, message, sig):
     """Returns (accept, per-round reconstructed broadcast details)."""
     mr = ap.mr
-    base, ext = mr.base, ap.ext_big
+    base, ext = mr.base, mr.ext
     suite = ap.suite
     n_parties, depth, tau = ap.n_parties, ap.depth, ap.tau
-    dims = share_dims(ap)
+    dims = ap.share_dims
     pk_op = PkOperand.of(pk)
 
     ch1 = derive_challenge1(suite, sig.h1, ext, mr.n, tau)

@@ -17,23 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitio import SignatureFormatError
 from .hashing import (H1, H2, X_SIGN, FieldSampler, commit,
                       derive_challenge1, derive_challenge2_threshold)
 from .mpc import ChallengeBatch, PkOperand
-from .sharing import ShareDims, shamir_expand, shamir_share
+from .sharing import shamir_expand, shamir_share
 from .trees import (H_MERKLE, MerkleTree, merkle_auth, merkle_root,
                     merkle_root_from_auth)
-
-
-class SignatureFormatError(ValueError):
-    pass
 
 
 @dataclass
 class RoundResponse:
     auth: list                 # Merkle digests, bottom-up left-right
     opened: np.ndarray         # (ell, T) state rows, ascending party index
-    alpha_star: np.ndarray     # (r, me)
+    alpha_star: np.ndarray     # (r, m)
 
 
 @dataclass
@@ -42,23 +39,6 @@ class ThresholdSignature:
     h1: bytes
     h2: bytes
     rounds: list
-
-
-def share_dims(tp):
-    k, r, m, me = tp.share_dims
-    return ShareDims(k=k, r=r, m=m, me=me)
-
-
-def signature_size_bound_bits(tp, n_formula=None):
-    """Upper bound: per-round field payload at log2(q) plus the auth bound."""
-    import math
-    k, r, m, me = tp.share_dims
-    lam = tp.mr.lam
-    n = n_formula or tp.n_parties
-    elems = tp.ell * (k + r * m + (r + 1) * me) + r * me
-    per_round = (elems * math.log2(tp.mr.q)
-                 + 2 * lam * tp.ell * math.log2(n / tp.ell))
-    return 6 * lam + tp.tau * per_round
 
 
 def encode(tp, sig):
@@ -80,11 +60,11 @@ def _max_auth_nodes(tp):
 def decode(tp, data):
     suite = tp.suite
     base = tp.mr.base
-    dims = share_dims(tp)
-    k, r, m, me = tp.share_dims
+    dims = tp.share_dims
+    r, m = dims.r, dims.m
     db = suite.digest_bytes
     state_bytes = base.packed_size(dims.total)
-    alpha_bytes = base.packed_size(r * me)
+    alpha_bytes = base.packed_size(r * m)
     pos = 0
 
     def take(n):
@@ -106,7 +86,7 @@ def decode(tp, data):
                 raise SignatureFormatError("authentication path too long")
             auth = [take(db) for _ in range(count)]
             opened = base.unpack(take(tp.ell * state_bytes), tp.ell * dims.total)
-            alpha_star = base.unpack(take(alpha_bytes), r * me).reshape(r, me)
+            alpha_star = base.unpack(take(alpha_bytes), r * m).reshape(r, m)
             rounds.append(RoundResponse(auth=auth,
                                         opened=opened.reshape(tp.ell, dims.total),
                                         alpha_star=alpha_star))
@@ -124,11 +104,7 @@ def _extra_party(s_set, subset):
 
 def sign(tp, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs."""
-    from .matrices import columns_to_ext
-    from .qpoly import annihilator
-
-    x, e_mat = sk.witness()
-    beta = annihilator(tp.mr.ext, columns_to_ext(e_mat), tp.mr.r).beta
+    x, beta = sk.sign_inputs()
     sig = _sign_core(tp, pk, x, beta, message, entropy)
     return encode(tp, sig)
 
@@ -136,12 +112,12 @@ def sign(tp, pk, sk, message, entropy):
 def _sign_core(tp, pk, x, beta, message, entropy,
                ch1_override=None, ch2_override=None):
     mr = tp.mr
-    base, ext = mr.base, tp.ext_big
+    base, ext = mr.base, mr.ext
     suite = tp.suite
     n_parties, ell, tau = tp.n_parties, tp.ell, tp.tau
     s_set = tp.opened_set
-    dims = share_dims(tp)
-    k, r, m, me = tp.share_dims
+    dims = tp.share_dims
+    k, r, m = mr.k, mr.r, mr.m
     pk_op = PkOperand.of(pk)
     pk_bytes = pk.body_bytes()
     x = np.asarray(x, np.uint8)
@@ -152,11 +128,11 @@ def _sign_core(tp, pk, x, beta, message, entropy,
     sampler = FieldSampler(base, rng)
 
     shares_all = np.empty((tau, n_parties, dims.total), np.uint8)
-    a_plains = np.empty((tau, r, me), np.uint8)
-    c_plains = np.empty((tau, me), np.uint8)
+    a_plains = np.empty((tau, r, m), np.uint8)
+    c_plains = np.empty((tau, m), np.uint8)
     trees, roots = [], []
     for e in range(1, tau + 1):
-        a_e = sampler.take(r * me).reshape(r, me)
+        a_e = sampler.take(r * m).reshape(r, m)
         c_e = ext.neg(ext.dot(beta, a_e, axis=0))
         rand = sampler.take(ell * dims.total).reshape(ell, dims.total)
         secrets = np.concatenate([x, beta.ravel(), a_e.ravel(), c_e])
@@ -178,8 +154,8 @@ def _sign_core(tp, pk, x, beta, message, entropy,
     plain_row = np.empty((tau, 1, dims.total), np.uint8)
     plain_row[:, 0, :k] = x
     plain_row[:, 0, k:k + r * m] = beta.ravel()
-    plain_row[:, 0, k + r * m:k + r * m + r * me] = a_plains.reshape(tau, r * me)
-    plain_row[:, 0, k + r * m + r * me:] = c_plains
+    plain_row[:, 0, k + r * m:k + 2 * r * m] = a_plains.reshape(tau, r * m)
+    plain_row[:, 0, k + 2 * r * m:] = c_plains
     rows = np.concatenate([plain_row, shares_all[:, s_idx]], axis=1)
     rows_x, rows_beta, rows_a, rows_c = dims.split(rows)
     alphas, zs = batch.broadcast_alpha(pk_op, rows_x, rows_a,
@@ -221,13 +197,13 @@ def verify(tp, pk, message, data):
 
 def verify_decoded(tp, pk, message, sig):
     mr = tp.mr
-    base, ext = mr.base, tp.ext_big
+    base, ext = mr.base, mr.ext
     suite = tp.suite
     n_parties, ell, tau = tp.n_parties, tp.ell, tp.tau
     s_set = tp.opened_set
     s_pts = np.asarray(s_set, np.uint8)
-    dims = share_dims(tp)
-    k, r, m, me = tp.share_dims
+    dims = tp.share_dims
+    r, m = mr.r, mr.m
     pk_op = PkOperand.of(pk)
 
     ch1 = derive_challenge1(suite, sig.h1, ext, mr.n, tau)
@@ -257,15 +233,15 @@ def verify_decoded(tp, pk, message, sig):
     # I + {0}, where v(0) = 0, at S
     subsets = np.asarray(ch2, np.uint8)                      # (tau, ell)
     istars = np.asarray([_extra_party(s_set, subset) for subset in ch2], np.uint8)
-    alpha_star = np.stack([rr.alpha_star.reshape(1, r * me) for rr in sig.rounds])
+    alpha_star = np.stack([rr.alpha_star.reshape(1, r * m) for rr in sig.rounds])
     alpha_at = shamir_expand(
-        base, np.concatenate([alpha_i.reshape(tau, ell, r * me), alpha_star], axis=1),
+        base, np.concatenate([alpha_i.reshape(tau, ell, r * m), alpha_star], axis=1),
         np.column_stack([subsets, istars]), np.append(s_pts, 0))
     alpha_sharings = alpha_at[:, :ell + 1]
-    alpha_opens = alpha_at[:, ell + 1].reshape(tau, r, me)
+    alpha_opens = alpha_at[:, ell + 1].reshape(tau, r, m)
     v_i_all = batch.broadcast_v(zs, rows_beta, rows_c, alpha_opens[:, None])
     v_sharings = shamir_expand(
-        base, np.concatenate([v_i_all, np.zeros((tau, 1, me), np.uint8)], axis=1),
+        base, np.concatenate([v_i_all, np.zeros((tau, 1, m), np.uint8)], axis=1),
         np.column_stack([subsets, np.zeros(tau, np.uint8)]), s_pts)
 
     share_blobs = []

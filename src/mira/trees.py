@@ -19,12 +19,8 @@ from .hashing import H_MERKLE, X_TREE, encode_u16, encode_u32
 
 
 class SeedTree:
-    def __init__(self, suite, salt, round_index, n_leaves, nodes):
-        self.suite = suite
-        self.salt = salt
-        self.round_index = round_index
+    def __init__(self, n_leaves, nodes):
         self.n_leaves = n_leaves
-        self.depth = (n_leaves - 1).bit_length()
         self.nodes = nodes  # heap array, index 0 unused
 
     @classmethod
@@ -40,7 +36,7 @@ class SeedTree:
             both = xof(X_TREE, prefix + encode_u32(i) + nodes[i], 2 * sb)
             nodes[2 * i] = both[:sb]
             nodes[2 * i + 1] = both[sb:]
-        return cls(suite, salt, round_index, n_leaves, nodes)
+        return cls(n_leaves, nodes)
 
     def leaf(self, i):
         """Leaf seed, 1-based leaf index."""
@@ -48,13 +44,6 @@ class SeedTree:
 
     def leaves(self):
         return self.nodes[self.n_leaves:]
-
-    def leaf_pair(self, i):
-        """(seed_i, rho_i): the commitment randomness is one extra expansion."""
-        seed = self.leaf(i)
-        rho = self.suite.xof(X_TREE, self.salt, encode_u16(self.round_index),
-                             encode_u32(0xFFFFFFFF), seed).read(self.suite.seed_bytes)
-        return seed, rho
 
     def sibling_path(self, hidden):
         """Seeds revealing all leaves except ``hidden``; root side first."""

@@ -17,9 +17,9 @@ from mira import estimator as est, params, sign_additive as sa, sign_threshold a
 from mira.fields import base_field, ext_field
 from mira.hashing import (HashSuite, X_KEYSEC, FieldSampler,
                           derive_challenge2_additive)
-from mira.keys import PublicKey, keygen_optimized
+from mira.keys import keygen_optimized
 from mira.matrices import columns_to_ext, rank, sample_rank_bounded
-from mira.mpc import ChallengeBatch, PkOperand, plain_check, RoundContext
+from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import AdditiveParams, MinRankParams, ThresholdParams
 from mira.qpoly import annihilator, evaluate_many, fq_basis
 from mira.sharing import (ShareDims, additive_share, hypercube_aggregate,
@@ -83,7 +83,8 @@ def test_criterion_3_threshold_sizes():
         assert abs(formula - table[level]) / table[level] < 0.02, (level, formula)
         sp = ps.sign_params()
         pk, sk = keygen_optimized(ps.minrank(), b"acc3-%d" % level)
-        bound = st.signature_size_bound_bits(sp)
+        # the worst-case formula over the operational party count (q - 1)
+        bound = est.sig_size_bound_bits(ps.with_overrides(N=sp.n_parties))
         for i in range(10):
             sig = st.sign(sp, pk, sk, b"m%d" % i, b"acc3-%d" % i)
             assert len(sig) * 8 <= bound
@@ -106,10 +107,8 @@ def test_criterion_4_false_positive_exhaustive():
     rng = np.random.default_rng(4)
     a = rng.integers(0, q, (r, m)).astype(np.uint8)
     c = ext.neg(ext.dot(a, beta, axis=0))
-    mr = MinRankParams(q=q, m=m, n=n, k=2, r=r, lam=128)
-    pk = PublicKey(params=mr, seed_pk=b"\x00" * 16,
-                   m0_entries=e_mat.reshape(-1), systematic=False)
-    op = PkOperand.of(pk)
+    # fake public key with x = 0: M_0 = E, and L does not enter
+    op = PkOperand(base, np.zeros((2, m * n), np.uint8), e_mat.reshape(-1))
     x = np.zeros(2, np.uint8)
     challenges = []
     for bits in itertools.product(range(8), repeat=n + 1):
@@ -175,7 +174,7 @@ def test_criterion_7_oracle_equivalence():
     chunk = 100
 
     mr = MinRankParams(q=16, m=5, n=4, k=6, r=2, lam=128)
-    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m, me=mr.m)
+    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m)
     ext = mr.ext
     done = 0
     for kp in range(per_variant // chunk):
@@ -217,7 +216,7 @@ def test_criterion_7_oracle_equivalence():
     assert done == per_variant
 
     mr = MinRankParams(q=251, m=4, n=4, k=5, r=2, lam=128)
-    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m, me=mr.m)
+    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m)
     ext = mr.ext
     ell, n_parties = 2, 7
     pts = np.arange(1, n_parties + 1, dtype=np.uint8)

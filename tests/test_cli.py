@@ -159,3 +159,26 @@ def test_kat_check_without_complete_records_exits_2(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert "not a KAT file" in captured.err
     assert "ok" not in captured.out
+
+
+def test_keygen_bad_seed_exits_2(tmp_path, capsys):
+    pk, sk = tmp_path / "pk.bin", tmp_path / "sk.bin"
+    assert run(["keygen", "--variant", "additive", "--level", "1", "--seed", "zz",
+                "--pk", str(pk), "--sk", str(sk)]) == 2
+    assert "--seed must be a hex string" in capsys.readouterr().err
+    assert not pk.exists() and not sk.exists()
+
+
+def test_sign_bad_seed_exits_2(tmp_path, keypair, capsys):
+    pk, sk = keypair
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"payload")
+    assert run(["sign", "--key", str(sk), "--in", str(msg),
+                "--out", str(tmp_path / "s"), "--seed", "xyz"]) == 2
+    assert "--seed must be a hex string" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_estimate_accepts_eta_override():
+    # eta is an estimator knob only; the signing code rejects eta != 1
+    assert run(["estimate", "--variant", "additive", "--level", "1", "--eta", "2"]) == 0

@@ -172,3 +172,10 @@ def test_report_lines_machine_readable():
 def test_omega_override():
     ps = params.parameter_set("additive", 1).with_overrides(omega=2.0)
     assert est.kernel_cost(ps) < est.kernel_cost(params.parameter_set("additive", 1))
+
+
+def test_sign_params_reject_eta_other_than_one():
+    ps = params.parameter_set("additive", 1).with_overrides(eta=2)
+    assert est.sig_size_bits(ps) > est.sig_size_bits(params.parameter_set("additive", 1))
+    with pytest.raises(NotImplementedError):
+        ps.sign_params()

@@ -3,7 +3,7 @@ import pytest
 
 from mira import params
 from mira.keys import (KeyFormatError, PublicKey, SecretKey, keygen_optimized,
-                       keygen_simple, validate_witness, witness_matrix)
+                       validate_witness, witness_matrix)
 from mira.matrices import rank
 
 TABLE_PK_BODY = {("additive", 1): 84, ("additive", 3): 121, ("additive", 5): 150,
@@ -65,17 +65,6 @@ def test_zero_witness_rejected_when_m0_full_rank():
             break
     else:
         pytest.fail("no full-rank M0 found in ten key pairs")
-
-
-def test_simple_keygen_for_reference():
-    mr = params.parameter_set("additive", 1).minrank()
-    pk, (x, e_mat) = keygen_simple(mr, b"simple")
-    assert validate_witness(pk, x)
-    assert rank(mr.base, e_mat) == mr.r
-    # full M_0 kept: mn entries
-    assert len(pk.m0_entries) == mr.m * mr.n
-    with pytest.raises(KeyFormatError):
-        pk.to_bytes("additive", 1)
 
 
 def test_serialization_round_trip_and_rederivation():

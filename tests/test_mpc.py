@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 
 from mira import params
+from mira.estimator import false_positive, flog2
 from mira.fields import ext_field
 from mira.hashing import HashSuite
 from mira.keys import keygen_optimized
 from mira.matrices import columns_to_ext, rank, sample_rank_bounded
-from mira.mpc import (ChallengeBatch, PkOperand, RoundContext,
-                      false_positive_rate, plain_check)
+from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import MinRankParams
 from mira.qpoly import annihilator
 from mira.sharing import (ShareDims, additive_share, hypercube_aggregate,
@@ -33,6 +33,13 @@ def random_challenge(mr, rng):
     return gamma, eps
 
 
+def plain_run(batch, op, x, beta, a, c):
+    """The check of a one-round batch on plaintext inputs: (alpha, v)."""
+    al, z = batch.broadcast_alpha(op, x[None, None], a[None, None], [True])
+    v = batch.broadcast_v(z, beta[None, None], c[None, None], al)
+    return al[0, 0], v[0, 0]
+
+
 def test_honest_witness_always_accepts():
     rng = np.random.default_rng(0)
     for q, m, n, k, r in [(16, 6, 5, 8, 2), (251, 5, 6, 7, 2), (2, 4, 4, 5, 1)]:
@@ -43,8 +50,8 @@ def test_honest_witness_always_accepts():
             gamma, eps = random_challenge(mr, rng)
             a = rng.integers(0, q, (r, m)).astype(np.uint8)
             c = ext.neg(ext.dot(a, beta, axis=0))
-            ctx = RoundContext(ext, r, gamma, eps)
-            _, v = plain_check(ctx, op, x, beta, a, c)
+            batch = ChallengeBatch(ext, r, [(gamma, eps)])
+            _, v = plain_run(batch, op, x, beta, a, c)
             assert not v.any()
 
 
@@ -52,21 +59,20 @@ def test_additive_sum_equals_plaintext():
     rng = np.random.default_rng(1)
     mr, pk, x, beta = setup_instance(16, 6, 5, 8, 2)
     ext = mr.ext
-    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m, me=mr.m)
+    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m)
     op = PkOperand.of(pk)
     n_parties = 8
     seeds = [bytes([i]) * 16 for i in range(n_parties)]
     shares, a_plain, c_plain = additive_share(SUITE, SALT, 1, seeds, dims,
                                               mr.base, ext, x, beta)
-    gamma, eps = random_challenge(mr, rng)
-    ctx = RoundContext(ext, mr.r, gamma, eps)
-    alpha_p, v_p = plain_check(ctx, op, x, beta, a_plain, c_plain)
+    batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
+    alpha_p, v_p = plain_run(batch, op, x, beta, a_plain, c_plain)
     offs = np.zeros(n_parties, bool)
     offs[0] = True
-    al, z = ctx.broadcast_alpha(op, shares.x, shares.a, offs)
-    assert np.array_equal(mr.base.axis_sum(al, 0), alpha_p)
-    v = ctx.broadcast_v(z, shares.beta, shares.c, alpha_p)
-    assert np.array_equal(mr.base.axis_sum(v, 0), v_p)
+    al, z = batch.broadcast_alpha(op, shares.x[None], shares.a[None], offs)
+    assert np.array_equal(mr.base.axis_sum(al[0], 0), alpha_p)
+    v = batch.broadcast_v(z, shares.beta[None], shares.c[None], alpha_p[None, None])
+    assert np.array_equal(mr.base.axis_sum(v[0], 0), v_p)
     assert not v_p.any()
 
 
@@ -81,17 +87,17 @@ def test_shamir_parties_reconstruct_to_plaintext():
     coords = np.concatenate([x, beta.ravel(), a.ravel(), c])
     rand = rng.integers(0, 251, (ell, coords.size)).astype(np.uint8)
     sh = shamir_share(mr.base, coords, ell, n_parties, rand)
-    gamma, eps = random_challenge(mr, rng)
-    ctx = RoundContext(ext, mr.r, gamma, eps)
-    alpha_p, v_p = plain_check(ctx, op, x, beta, a, c)
-    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m, me=mr.m)
+    batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
+    alpha_p, v_p = plain_run(batch, op, x, beta, a, c)
+    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m)
     xs, bs, as_, cs = dims.split(sh)
     sel = np.array([1, 4, 7], np.uint8)  # any ell+1 parties
-    al, z = ctx.broadcast_alpha(op, xs[sel - 1], as_[sel - 1], np.ones(3, bool))
-    arec = shamir_reconstruct(mr.base, al.reshape(3, -1), sel)
+    al, z = batch.broadcast_alpha(op, xs[None, sel - 1], as_[None, sel - 1],
+                                  np.ones(3, bool))
+    arec = shamir_reconstruct(mr.base, al[0].reshape(3, -1), sel)
     assert np.array_equal(arec.reshape(mr.r, mr.m), alpha_p)
-    v = ctx.broadcast_v(z, bs[sel - 1], cs[sel - 1], alpha_p)
-    vrec = shamir_reconstruct(mr.base, v, sel)
+    v = batch.broadcast_v(z, bs[None, sel - 1], cs[None, sel - 1], alpha_p[None, None])
+    vrec = shamir_reconstruct(mr.base, v[0], sel)
     assert np.array_equal(vrec, v_p)
     assert not v_p.any()
 
@@ -101,30 +107,28 @@ def test_share_linearity():
     mr, pk, x, beta = setup_instance(16, 6, 5, 8, 2)
     op = PkOperand.of(pk)
     ext = mr.ext
-    gamma, eps = random_challenge(mr, rng)
-    ctx = RoundContext(ext, mr.r, gamma, eps)
+    batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
     xu = rng.integers(0, 16, (2, mr.k)).astype(np.uint8)
     au = rng.integers(0, 16, (2, mr.r, mr.m)).astype(np.uint8)
-    al, z = ctx.broadcast_alpha(op, xu, au, np.array([True, False]))
-    al_sum, z_sum = ctx.broadcast_alpha(op, mr.base.add(xu[0], xu[1])[None],
-                                        mr.base.add(au[0], au[1])[None],
-                                        np.array([True]))
-    assert np.array_equal(mr.base.axis_sum(al, 0), al_sum[0])
-    assert np.array_equal(mr.base.axis_sum(z, 0), z_sum[0])
+    al, z = batch.broadcast_alpha(op, xu[None], au[None], np.array([True, False]))
+    al_sum, z_sum = batch.broadcast_alpha(op, mr.base.add(xu[0], xu[1])[None, None],
+                                          mr.base.add(au[0], au[1])[None, None],
+                                          np.array([True]))
+    assert np.array_equal(mr.base.axis_sum(al[0], 0), al_sum[0, 0])
+    assert np.array_equal(mr.base.axis_sum(z[0], 0), z_sum[0, 0])
 
 
 def test_hypercube_consistency_and_shortcut():
     rng = np.random.default_rng(4)
     mr, pk, x, beta = setup_instance(16, 6, 5, 8, 2)
     ext = mr.ext
-    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m, me=mr.m)
+    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m)
     op = PkOperand.of(pk)
     seeds = [bytes([i]) * 16 for i in range(16)]
     shares, a_plain, c_plain = additive_share(SUITE, SALT, 1, seeds, dims,
                                               mr.base, ext, x, beta)
-    gamma, eps = random_challenge(mr, rng)
-    ctx = RoundContext(ext, mr.r, gamma, eps)
-    alpha_p, v_p = plain_check(ctx, op, x, beta, a_plain, c_plain)
+    batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
+    alpha_p, v_p = plain_run(batch, op, x, beta, a_plain, c_plain)
     mains_x = hypercube_aggregate(mr.base, shares.x)
     mains_a = hypercube_aggregate(mr.base, shares.a)
     mains_b = hypercube_aggregate(mr.base, shares.beta)
@@ -133,10 +137,10 @@ def test_hypercube_consistency_and_shortcut():
     rows_x = mains_x.reshape(2 * depth, -1)
     rows_a = mains_a.reshape(2 * depth, mr.r, mr.m)
     offs = np.array([True, False] * depth)
-    al, z = ctx.broadcast_alpha(op, rows_x, rows_a, offs)
+    al, z = batch.broadcast_alpha(op, rows_x[None], rows_a[None], offs)
     al = al.reshape(depth, 2, mr.r, mr.m)
-    v = ctx.broadcast_v(z, mains_b.reshape(2 * depth, mr.r, mr.m),
-                        mains_c.reshape(2 * depth, -1), alpha_p)
+    v = batch.broadcast_v(z, mains_b.reshape(1, 2 * depth, mr.r, mr.m),
+                          mains_c.reshape(1, 2 * depth, -1), alpha_p[None, None])
     v = v.reshape(depth, 2, mr.m)
     for kd in range(depth):
         # both main parties of every dimension open the same plaintext
@@ -163,12 +167,8 @@ def test_exhaustive_false_positive_bound_toy():
     a = rng.integers(0, q, (r, m)).astype(np.uint8)
     c = ext.neg(ext.dot(a, beta, axis=0))
 
-    # fake public key with x = 0: M_0 = E
-    mr = MinRankParams(q=q, m=m, n=n, k=2, r=r, lam=128)
-    from mira.keys import PublicKey
-    pk = PublicKey(params=mr, seed_pk=b"\x00" * 16,
-                   m0_entries=e_mat.reshape(-1), systematic=False)
-    op = PkOperand.of(pk)
+    # fake public key with x = 0: M_0 = E, and L does not enter
+    op = PkOperand(base, np.zeros((2, m * n), np.uint8), e_mat.reshape(-1))
     x = np.zeros(2, np.uint8)
 
     challenges = []
@@ -199,15 +199,17 @@ def test_zero_epsilon_always_accepts():
     a = rng.integers(0, 16, (mr.r, mr.m)).astype(np.uint8)
     c = ext.neg(ext.dot(a, beta_bad, axis=0))
     gamma = rng.integers(0, 16, (mr.n, mr.m)).astype(np.uint8)
-    ctx = RoundContext(ext, mr.r, gamma, np.zeros(mr.m, np.uint8))
-    _, v = plain_check(ctx, op, x, beta_bad, a, c)
+    batch = ChallengeBatch(ext, mr.r, [(gamma, np.zeros(mr.m, np.uint8))])
+    _, v = plain_run(batch, op, x, beta_bad, a, c)
     assert not v.any()
 
 
 def test_false_positive_rate_values():
-    p, log2p = false_positive_rate(2, 3, 1)
-    assert p == Fraction(15, 64)
-    _, l16 = false_positive_rate(16, 16, 1)
-    assert abs(l16 - (-63.0)) < 0.01
-    _, l251 = false_positive_rate(251, 12, 1)
-    assert abs(l251 - (-94.66)) < 0.01
+    ps = params.parameter_set("additive", 1)
+
+    def rate(q, m):
+        return false_positive(ps.with_overrides(q=q, m=m, eta=1))
+
+    assert rate(2, 3) == Fraction(15, 64)
+    assert abs(flog2(rate(16, 16)) - (-63.0)) < 0.01
+    assert abs(flog2(rate(251, 12)) - (-94.66)) < 0.01

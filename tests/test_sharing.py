@@ -14,7 +14,7 @@ from mira.sharing import (InputShares, ShareDims, additive_share,
 
 SUITE = HashSuite(128)
 SALT = b"\x21" * SUITE.salt_bytes
-DIMS = ShareDims(k=7, r=2, m=5, me=5)
+DIMS = ShareDims(k=7, r=2, m=5)
 
 
 def make_sharing(n, seed_tag, x=None, beta=None, q=16):
@@ -136,13 +136,7 @@ def test_bulk_and_stream_paths_agree():
         sampler = FieldSampler(field, leaf_stream(SUITE, SALT, 3, i, seeds[i - 1]))
         assert np.array_equal(shares.flat[i - 1], sampler.take(DIMS.total))
     sampler = FieldSampler(field, leaf_stream(SUITE, SALT, 3, 5, seeds[4]))
-    assert np.array_equal(shares.a[4].ravel(), sampler.take(DIMS.r * DIMS.me))
-
-
-def test_state_bytes_layout():
-    field, _, _, _, shares, _, _ = make_sharing(4, 11)
-    blob = shares.state_bytes(field, 2)
-    assert blob == field.pack(shares.flat[1])
+    assert np.array_equal(shares.a[4].ravel(), sampler.take(DIMS.r * DIMS.m))
 
 
 # ---------------------------------------------------------------------------

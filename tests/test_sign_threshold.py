@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from mira import params, sign_threshold as st
+from mira import estimator, params, sign_threshold as st
 from mira.fields import base_field
 from mira.hashing import derive_challenge1, derive_challenge2_threshold
 from mira.keys import keygen_optimized
 from mira.matrices import columns_to_ext
-from mira.mpc import PkOperand, RoundContext, plain_check
+from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import MinRankParams, ThresholdParams
 from mira.qpoly import annihilator
 from mira.sharing import shamir_reconstruct, shamir_share
@@ -24,7 +24,8 @@ def test_round_trip_and_size_bound(level):
     assert tp.n_parties == 250  # operational cap at q - 1
     pk, sk = keygen_optimized(tp.mr, b"rt%d" % level)
     msg = b"threshold round trip"
-    bound = st.signature_size_bound_bits(tp)
+    # the worst-case formula over the operational party count
+    bound = estimator.sig_size_bound_bits(ps.with_overrides(N=tp.n_parties))
     for i in range(3):
         sig = st.sign(tp, pk, sk, msg, b"e%d" % i)
         assert len(sig) * 8 <= bound
@@ -34,10 +35,11 @@ def test_round_trip_and_size_bound(level):
 
 def test_per_round_field_payload_level1():
     tp = params.parameter_set("threshold", 1).sign_params()
-    k, r, m, me = tp.share_dims
-    state = k + r * m + r * me + me
-    assert state == 187
-    assert tp.ell * state + r * me == 621
+    dims = tp.share_dims
+    k, r, m = dims.k, dims.r, dims.m
+    state = k + r * m + r * m + m
+    assert state == dims.total == 187
+    assert tp.ell * state + r * m == 621
 
 
 def test_determinism_and_variable_length():
@@ -72,16 +74,16 @@ def manual_protocol_run(tp, n_run, tag=b"run"):
     shares = shamir_share(mr.base, coords, tp.ell, n_run, rand)
     gamma = rng.integers(0, mr.q, (mr.n, mr.m)).astype(np.uint8)
     eps = rng.integers(0, mr.q, mr.m).astype(np.uint8)
-    ctx = RoundContext(ext, mr.r, gamma, eps)
+    batch = ChallengeBatch(ext, mr.r, [(gamma, eps)])
     op = PkOperand.of(pk)
-    alpha_p, v_p = plain_check(ctx, op, x, beta, a, c)
+    al_p, z_p = batch.broadcast_alpha(op, x[None, None], a[None, None], [True])
+    v_p = batch.broadcast_v(z_p, beta[None, None], c[None, None], al_p)
+    alpha_p = al_p[0, 0]
     assert not v_p.any()
-    from mira.sharing import ShareDims
-    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m, me=mr.m)
-    xs, bs, as_, cs = dims.split(shares)
-    al, z = ctx.broadcast_alpha(op, xs, as_, np.ones(n_run, bool))
-    v = ctx.broadcast_v(z, bs, cs, alpha_p)
-    return mr, alpha_p, al, v
+    xs, bs, as_, cs = tp.share_dims.split(shares[None])
+    al, z = batch.broadcast_alpha(op, xs, as_, np.ones(n_run, bool))
+    v = batch.broadcast_v(z, bs, cs, alpha_p[None, None])
+    return mr, alpha_p, al[0], v[0]
 
 
 def test_degree_preservation_of_alpha_shares():

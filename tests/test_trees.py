@@ -79,14 +79,6 @@ def test_tree_errors():
         leaves_from_path(SUITE, tree.sibling_path(1)[:1], 1, SALT, 1, 4)
 
 
-def test_leaf_pair_randomness():
-    tree = SeedTree.expand(SUITE, b"\x05" * 16, SALT, 1, 4)
-    s1, r1 = tree.leaf_pair(1)
-    s2, r2 = tree.leaf_pair(2)
-    assert s1 == tree.leaf(1) and len(r1) == SUITE.seed_bytes
-    assert r1 != r2
-
-
 def test_merkle_single_leaf():
     v = b"\xabcd leaf"
     assert merkle_root(SUITE, [v]) == SUITE.hash(H_MERKLE, v)
