@@ -3,7 +3,7 @@
 Library entry points:
 
     params.parameter_set(variant, level)   registry lookup
-    keys.keygen_optimized(mr, entropy)     key pair generation
+    keys.keygen_optimized(ps, entropy)     key pair generation
     sign_additive.sign / .verify           additive variant
     sign_threshold.sign / .verify          threshold variant
     estimator.report(ps)                   sizes and attack costs

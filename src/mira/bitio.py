@@ -15,6 +15,25 @@ class SignatureFormatError(ValueError):
     """A signature's bytes do not parse under its parameter set."""
 
 
+def unpack_nibbles(data):
+    """Bytes or a uint8 array -> 4-bit values along the last axis, low nibble first."""
+    raw = data if isinstance(data, np.ndarray) else np.frombuffer(data, np.uint8)
+    out = np.empty(raw.shape[:-1] + (2 * raw.shape[-1],), np.uint8)
+    out[..., 0::2] = raw & 0x0F
+    out[..., 1::2] = raw >> 4
+    return out
+
+
+def pack_nibbles(nib):
+    """Flat uint8 array of 4-bit values -> bytes, low nibble first.
+
+    The inverse of ``unpack_nibbles``; an odd count is padded with a 0 nibble.
+    """
+    if len(nib) & 1:
+        nib = np.concatenate([nib, np.zeros(1, np.uint8)])
+    return (nib[0::2] | (nib[1::2] << 4)).tobytes()
+
+
 class NibbleWriter:
     def __init__(self):
         self._chunks = []
@@ -25,27 +44,16 @@ class NibbleWriter:
         self._chunks.append(arr.ravel())
 
     def write_bytes(self, data):
-        arr = np.frombuffer(bytes(data), dtype=np.uint8)
-        pair = np.empty(2 * len(arr), dtype=np.uint8)
-        pair[0::2] = arr & 0x0F
-        pair[1::2] = arr >> 4
-        self._chunks.append(pair)
+        self._chunks.append(unpack_nibbles(data))
 
     def getvalue(self):
         nib = np.concatenate(self._chunks) if self._chunks else np.zeros(0, np.uint8)
-        if len(nib) & 1:
-            nib = np.concatenate([nib, np.zeros(1, np.uint8)])
-        packed = nib[0::2] | (nib[1::2] << 4)
-        return packed.tobytes()
+        return pack_nibbles(nib)
 
 
 class NibbleReader:
     def __init__(self, data):
-        arr = np.frombuffer(bytes(data), dtype=np.uint8)
-        nib = np.empty(2 * len(arr), dtype=np.uint8)
-        nib[0::2] = arr & 0x0F
-        nib[1::2] = arr >> 4
-        self._nib = nib
+        self._nib = unpack_nibbles(data)
         self._pos = 0
 
     def read_nibbles(self, count):
@@ -56,8 +64,7 @@ class NibbleReader:
         return out
 
     def read_bytes(self, count):
-        nib = self.read_nibbles(2 * count)
-        return (nib[0::2] | (nib[1::2] << 4)).tobytes()
+        return pack_nibbles(self.read_nibbles(2 * count))
 
     def remaining_nibbles(self):
         return len(self._nib) - self._pos

@@ -34,11 +34,11 @@ def _scheme(variant):
 
 def cmd_keygen(args):
     ps = params.parameter_set(args.variant, args.level)
-    pk, sk = keys.keygen_optimized(ps.minrank(), _entropy_from(args))
+    pk, sk = keys.keygen_optimized(ps, _entropy_from(args))
     with open(args.pk, "wb") as f:
-        f.write(pk.to_bytes(args.variant, args.level))
+        f.write(pk.to_bytes())
     with open(args.sk, "wb") as f:
-        f.write(sk.to_bytes(args.variant, args.level))
+        f.write(sk.to_bytes())
     print(f"wrote {args.pk}: public key body {len(pk.body_bytes())} bytes")
     print(f"wrote {args.sk}: secret seed {len(sk.seed_sk)} bytes"
           f" (file stores both seeds, {2 * len(sk.seed_sk)} bytes)")
@@ -56,45 +56,37 @@ def _load_keypair_params(args, expect_ps):
 
 def cmd_sign(args):
     try:
-        sk, ps = keys.SecretKey.from_bytes(open(args.key, "rb").read())
+        sk = keys.SecretKey.from_bytes(open(args.key, "rb").read())
     except (OSError, KeyFormatError) as exc:
         print(f"cannot load secret key: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    ps = sk.params
     _load_keypair_params(args, ps)
     message = open(args.infile, "rb").read()
-    sp = ps.sign_params()
-    pk = keys.PublicKey(params=sk.params, seed_pk=sk.seed_pk,
-                        m0_entries=_rederive_tail(sk))
-    sig = _scheme(ps.variant).sign(sp, pk, sk, message, _entropy_from(args))
+    sig = _scheme(ps.variant).sign(ps, sk.public_key(), sk, message, _entropy_from(args))
     with open(args.out, "wb") as f:
         f.write(sig)
     print(f"wrote {args.out}: {len(sig)} bytes")
     return EXIT_OK
 
 
-def _rederive_tail(sk):
-    from .keys import _derive
-    _, m0_flat, _, _ = _derive(sk.params, sk.seed_pk, sk.seed_sk)
-    return m0_flat[sk.params.k:].copy()
-
-
 def cmd_verify(args):
     try:
-        pk, ps = keys.PublicKey.from_bytes(open(args.key, "rb").read())
+        pk = keys.PublicKey.from_bytes(open(args.key, "rb").read())
     except (OSError, KeyFormatError) as exc:
         print(f"cannot load public key: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    ps = pk.params
     _load_keypair_params(args, ps)
     message = open(args.infile, "rb").read()
     data = open(args.sig, "rb").read()
     scheme = _scheme(ps.variant)
-    sp = ps.sign_params()
     try:
-        sig = scheme.decode(sp, data)
+        sig = scheme.decode(ps, data)
     except scheme.SignatureFormatError as exc:
         print(f"malformed signature: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    ok, _ = scheme.verify_decoded(sp, pk, message, sig)
+    ok, _ = scheme.verify_decoded(ps, pk, message, sig)
     print("accept" if ok else "reject")
     return EXIT_OK if ok else EXIT_REJECT
 
@@ -123,22 +115,21 @@ _KAT_FIELDS = ("count", "seed", "msg", "pk", "sk", "sig")
 
 def _kat_records(variant, level, count, master):
     ps = params.parameter_set(variant, level)
-    sp = ps.sign_params()
     scheme = _scheme(variant)
-    suite = sp.suite
+    suite = ps.suite
     for i in range(count):
         seed = suite.xof(X_KAT, master, encode_u32(i)).read(48)
         keygen_entropy = suite.xof(X_KAT, b"keys", seed).read(48)
         sign_entropy = suite.xof(X_KAT, b"sign", seed).read(48)
         msg = suite.xof(X_KAT, b"msg", seed).read(33 * (i + 1))
-        pk, sk = keys.keygen_optimized(ps.minrank(), keygen_entropy)
-        sig = scheme.sign(sp, pk, sk, msg, sign_entropy)
+        pk, sk = keys.keygen_optimized(ps, keygen_entropy)
+        sig = scheme.sign(ps, pk, sk, msg, sign_entropy)
         yield {
             "count": str(i),
             "seed": seed.hex(),
             "msg": msg.hex(),
-            "pk": pk.to_bytes(variant, level).hex(),
-            "sk": sk.to_bytes(variant, level).hex(),
+            "pk": pk.to_bytes().hex(),
+            "sk": sk.to_bytes().hex(),
             "sig": sig.hex(),
         }
 
@@ -184,11 +175,10 @@ def cmd_kat(args):
                           file=sys.stderr)
                     return EXIT_REJECT
             # independently re-verify the recorded signature
-            pk, ps = keys.PublicKey.from_bytes(bytes.fromhex(have["pk"]))
-            scheme = _scheme(ps.variant)
-            if not scheme.verify(ps.sign_params(), pk,
-                                 bytes.fromhex(have["msg"]),
-                                 bytes.fromhex(have["sig"])):
+            pk = keys.PublicKey.from_bytes(bytes.fromhex(have["pk"]))
+            if not _scheme(pk.params.variant).verify(pk.params, pk,
+                                                     bytes.fromhex(have["msg"]),
+                                                     bytes.fromhex(have["sig"])):
                 print(f"KAT signature rejects at count={have['count']}",
                       file=sys.stderr)
                 return EXIT_REJECT

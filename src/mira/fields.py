@@ -41,6 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bitio import pack_nibbles, unpack_nibbles
+
 # Largest inner dimension so that counts stay exact in the float64 path.
 _F64_EXACT = 1 << 53
 
@@ -107,8 +109,6 @@ class PrimeField:
             raise ValueError("prime fields larger than a byte are not supported")
         self.q = p
         self.char = p
-        self.is_binary = p == 2
-        self.bits_per_elem = 8
         inv = np.zeros(p, dtype=np.uint8)
         for a in range(1, p):
             inv[a] = pow(a, p - 2, p)
@@ -180,8 +180,6 @@ class Char2Field:
         self.q = 1 << d
         self.d = d
         self.char = 2
-        self.is_binary = True
-        self.bits_per_elem = 4 if self.q == 16 else 8
         self.modulus_bits = _char2_modulus(d)
         self._build_tables()
 
@@ -316,9 +314,7 @@ class Char2Field:
         arr = np.asarray(arr, np.uint8).ravel()
         if self.q != 16:
             return arr.tobytes()
-        if len(arr) & 1:
-            arr = np.concatenate([arr, np.zeros(1, np.uint8)])
-        return (arr[0::2] | (arr[1::2] << 4)).tobytes()
+        return pack_nibbles(arr)
 
     def unpack(self, data, count):
         if self.q != 16:
@@ -327,10 +323,7 @@ class Char2Field:
                 raise ValueError("field element out of range")
             return arr.copy()
         raw = np.frombuffer(data, dtype=np.uint8, count=(count + 1) // 2)
-        out = np.empty(2 * len(raw), dtype=np.uint8)
-        out[0::2] = raw & 0x0F
-        out[1::2] = raw >> 4
-        return out[:count]
+        return unpack_nibbles(raw)[:count]
 
     def packed_size(self, count):
         return (count + 1) // 2 if self.q == 16 else count
@@ -520,7 +513,6 @@ class ExtField:
         self.base = base
         self.m = m
         self.q = base.q
-        self.order_bits = m * np.log2(base.q)
         self.modulus = canonical_modulus(base, m) if modulus is None else np.asarray(modulus, np.uint8)
         assert len(self.modulus) == m + 1 and self.modulus[m] == 1
         # rows t = coeffs of X^(m+t) mod modulus, t in [0, m-1)

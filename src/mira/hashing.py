@@ -21,6 +21,8 @@ import hashlib
 
 import numpy as np
 
+from .bitio import unpack_nibbles
+
 H0_COMMIT = 0x00
 H1 = 0x01
 H2 = 0x02
@@ -147,11 +149,7 @@ class FieldSampler:
         pend = self._nibbles if self._nibbles is not None else np.zeros(0, np.uint8)
         if len(pend) < count:
             nbytes = (count - len(pend) + 1) // 2
-            raw = np.frombuffer(self.stream.read(nbytes), np.uint8)
-            nib = np.empty(2 * len(raw), np.uint8)
-            nib[0::2] = raw & 0x0F
-            nib[1::2] = raw >> 4
-            pend = np.concatenate([pend, nib])
+            pend = np.concatenate([pend, unpack_nibbles(self.stream.read(nbytes))])
         out, self._nibbles = pend[:count], pend[count:]
         return out
 

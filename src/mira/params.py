@@ -1,10 +1,19 @@
-"""Parameter sets: MinRank instance shapes, scheme parameters, registry.
+"""Parameter sets: one registry row per MIRA set, read by every layer.
 
-The registry rows mirror the published parameter tables.  For the threshold
-variant the tabulated party count N equals q; Shamir sharing over GF(q)
-only admits q - 1 distinct nonzero evaluation points, so the operational
-party count is capped at q - 1 (250) while size/cost formulas keep the
-tabulated N.
+A ``ParameterSet`` is the published table row (q, m, n, k, r, N, tau, and
+ell for the threshold variant) plus the knobs the cost estimator exposes
+(eta, omega).  Keys, both signature schemes and the estimator all read the
+same object; nothing checks a row when it is built, so the estimator can
+price any override.  Validation happens where a row is used:
+``minrank()`` checks the instance shape (1 <= r <= min(m, n),
+1 <= k < mn) and ``sign_params()`` additionally checks what the signing
+protocols need (eta = 1, additive N a power of two, threshold
+ell + 1 <= n_parties).  Both return the set itself.
+
+``n_parties`` is the operational party count.  For the threshold variant
+the tabulated N equals q; Shamir sharing over GF(q) only admits q - 1
+distinct nonzero evaluation points, so ``n_parties`` is min(N, q - 1)
+(250), while size/cost formulas keep the tabulated N.
 """
 
 from dataclasses import dataclass, replace
@@ -16,82 +25,6 @@ from .sharing import ShareDims
 
 ADDITIVE = "additive"
 THRESHOLD = "threshold"
-
-
-@dataclass(frozen=True)
-class MinRankParams:
-    q: int
-    m: int
-    n: int
-    k: int
-    r: int
-    lam: int
-
-    def __post_init__(self):
-        if not 1 <= self.r <= min(self.m, self.n):
-            raise ValueError("rank bound out of range")
-        if not 1 <= self.k < self.m * self.n:
-            raise ValueError("k must be in [1, m*n)")
-
-    @property
-    def base(self):
-        return base_field(self.q)
-
-    @property
-    def ext(self):
-        return ext_field(self.q, self.m)
-
-    @property
-    def seed_bytes(self):
-        return self.lam // 8
-
-
-class _SchemeParams:
-    """What both signature variants derive from the MinRank instance."""
-
-    @property
-    def suite(self):
-        return hash_suite(self.mr.lam)
-
-    @property
-    def share_dims(self):
-        mr = self.mr
-        return ShareDims(k=mr.k, r=mr.r, m=mr.m)
-
-
-@dataclass(frozen=True)
-class AdditiveParams(_SchemeParams):
-    mr: MinRankParams
-    n_parties: int
-    tau: int
-
-    def __post_init__(self):
-        n = self.n_parties
-        if n < 2 or n & (n - 1):
-            raise ValueError("additive variant needs N a power of two")
-
-    @property
-    def depth(self):
-        return (self.n_parties - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class ThresholdParams(_SchemeParams):
-    mr: MinRankParams
-    n_parties: int
-    ell: int
-    tau: int
-
-    def __post_init__(self):
-        if self.n_parties > self.mr.q - 1:
-            raise ValueError("threshold variant needs N <= q - 1")
-        if self.ell + 1 > self.n_parties:
-            raise ValueError("threshold needs ell + 1 <= N")
-
-    @property
-    def opened_set(self):
-        """Public set S of parties running the protocol: the first ell+1."""
-        return tuple(range(1, self.ell + 2))
 
 
 @lru_cache(maxsize=None)
@@ -117,22 +50,61 @@ class ParameterSet:
     omega: float = 2.81
 
     @property
+    def base(self):
+        return base_field(self.q)
+
+    @property
+    def ext(self):
+        return ext_field(self.q, self.m)
+
+    @property
+    def seed_bytes(self):
+        return self.lam // 8
+
+    @property
+    def suite(self):
+        return hash_suite(self.lam)
+
+    @property
+    def share_dims(self):
+        return ShareDims(k=self.k, r=self.r, m=self.m)
+
+    @property
+    def n_parties(self):
+        if self.variant == THRESHOLD:
+            return min(self.N, self.q - 1)
+        return self.N
+
+    @property
     def depth(self):
         return (self.N - 1).bit_length()
 
+    @property
+    def opened_set(self):
+        """Public set S of parties running the protocol: the first ell+1."""
+        return tuple(range(1, self.ell + 2))
+
     def minrank(self):
-        return MinRankParams(q=self.q, m=self.m, n=self.n, k=self.k,
-                             r=self.r, lam=self.lam)
+        """This set, after checking that it describes a MinRank instance."""
+        if not 1 <= self.r <= min(self.m, self.n):
+            raise ValueError("rank bound out of range")
+        if not 1 <= self.k < self.m * self.n:
+            raise ValueError("k must be in [1, m*n)")
+        return self
 
     def sign_params(self):
+        """This set, after checking that the signing protocols can run it."""
         if self.eta != 1:
             raise NotImplementedError(
                 "protocol arithmetic is implemented for eta = 1 (all shipped sets)")
-        mr = self.minrank()
+        self.minrank()
         if self.variant == ADDITIVE:
-            return AdditiveParams(mr=mr, n_parties=self.N, tau=self.tau)
-        n_op = min(self.N, self.q - 1)
-        return ThresholdParams(mr=mr, n_parties=n_op, ell=self.ell, tau=self.tau)
+            n = self.N
+            if n < 2 or n & (n - 1):
+                raise ValueError("additive variant needs N a power of two")
+        elif self.ell + 1 > self.n_parties:
+            raise ValueError("threshold needs ell + 1 <= N")
+        return self
 
     def with_overrides(self, **kw):
         return replace(self, **{k: v for k, v in kw.items() if v is not None})

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitio import unpack_nibbles
 from .hashing import X_LEAF, FieldSampler, encode_u16
 
 
@@ -105,10 +106,7 @@ def expand_leaf_shares(suite, salt, e, seeds, dims, field):
         if live:
             raw = np.frombuffer(bytes(blobs), np.uint8).reshape(len(live), nbytes)
             if nib:
-                vals = np.empty((len(live), 2 * nbytes), np.uint8)
-                vals[:, 0::2] = raw & 0x0F
-                vals[:, 1::2] = raw >> 4
-                flat[live] = vals[:, :t]
+                flat[live] = unpack_nibbles(raw)[:, :t]
             else:
                 flat[live] = raw & np.uint8(q - 1)
         if seeds[-1] is not None:
@@ -116,10 +114,7 @@ def expand_leaf_shares(suite, salt, e, seeds, dims, field):
             nb = (cnt + 1) // 2 if nib else cnt
             raw = np.frombuffer(_leaf_payload(suite, salt, e, n, seeds[-1], nb), np.uint8)
             if nib:
-                vals = np.empty(2 * nb, np.uint8)
-                vals[0::2] = raw & 0x0F
-                vals[1::2] = raw >> 4
-                flat[n - 1, a_lo:a_hi] = vals[:cnt]
+                flat[n - 1, a_lo:a_hi] = unpack_nibbles(raw)[:cnt]
             else:
                 flat[n - 1, a_lo:a_hi] = raw & np.uint8(q - 1)
     else:

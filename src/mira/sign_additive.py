@@ -44,24 +44,24 @@ class AdditiveSignature:
     rounds: list
 
 
-def field_elems_per_round(ap):
+def field_elems_per_round(ps):
     # alpha_hidden (r*m), aux_x (k), aux_beta (r*m), aux_c (m): one state row
-    return ap.share_dims.total
+    return ps.share_dims.total
 
 
-def signature_size_bits(ap):
-    bits = 4 if ap.mr.q == 16 else 8
-    per_round = ap.depth * ap.mr.lam + 2 * ap.mr.lam + field_elems_per_round(ap) * bits
-    return 6 * ap.mr.lam + ap.tau * per_round
+def signature_size_bits(ps):
+    bits = 4 if ps.q == 16 else 8
+    per_round = ps.depth * ps.lam + 2 * ps.lam + field_elems_per_round(ps) * bits
+    return 6 * ps.lam + ps.tau * per_round
 
 
-def signature_size_bytes(ap):
-    return (signature_size_bits(ap) + 7) // 8
+def signature_size_bytes(ps):
+    return (signature_size_bits(ps) + 7) // 8
 
 
-def encode(ap, sig):
+def encode(ps, sig):
     w = NibbleWriter()
-    base = ap.mr.base
+    base = ps.base
     w.write_bytes(sig.salt + sig.h1 + sig.h2)
     for rr in sig.rounds:
         w.write_bytes(b"".join(rr.path) + rr.cmt_hidden)
@@ -72,27 +72,27 @@ def encode(ap, sig):
         else:
             w.write_bytes(base.pack(flat))
     out = w.getvalue()
-    assert len(out) == signature_size_bytes(ap)
+    assert len(out) == signature_size_bytes(ps)
     return out
 
 
-def decode(ap, data):
-    if len(data) != signature_size_bytes(ap):
+def decode(ps, data):
+    if len(data) != signature_size_bytes(ps):
         raise SignatureFormatError("signature length mismatch")
-    base = ap.mr.base
-    suite = ap.suite
-    k, r, m = ap.mr.k, ap.mr.r, ap.mr.m
+    base = ps.base
+    suite = ps.suite
+    k, r, m = ps.k, ps.r, ps.m
     rd = NibbleReader(data)
     try:
         salt = rd.read_bytes(suite.salt_bytes)
         h1 = rd.read_bytes(suite.digest_bytes)
         h2 = rd.read_bytes(suite.digest_bytes)
         rounds = []
-        nfield = field_elems_per_round(ap)
-        for _ in range(ap.tau):
-            raw = rd.read_bytes(ap.depth * suite.seed_bytes)
+        nfield = field_elems_per_round(ps)
+        for _ in range(ps.tau):
+            raw = rd.read_bytes(ps.depth * suite.seed_bytes)
             path = [raw[j * suite.seed_bytes:(j + 1) * suite.seed_bytes]
-                    for j in range(ap.depth)]
+                    for j in range(ps.depth)]
             cmt_hidden = rd.read_bytes(suite.digest_bytes)
             if base.q == 16:
                 flat = rd.read_nibbles(nfield)
@@ -126,21 +126,20 @@ def _aggregate_rounds(field, flat_tnt):
         mains.reshape(d, 2, tau, t).transpose(2, 0, 1, 3))
 
 
-def sign(ap, pk, sk, message, entropy):
+def sign(ps, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs."""
     x, beta = sk.sign_inputs()
-    sig = _sign_core(ap, pk, x, beta, message, entropy)
-    return encode(ap, sig)
+    sig = _sign_core(ps, pk, x, beta, message, entropy)
+    return encode(ps, sig)
 
 
-def _sign_core(ap, pk, x, beta, message, entropy, cheat_leaf=None,
+def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
                ch1_override=None, ch2_override=None):
-    mr = ap.mr
-    base, ext = mr.base, mr.ext
-    suite = ap.suite
-    n_parties, depth, tau = ap.n_parties, ap.depth, ap.tau
-    dims = ap.share_dims
-    k, r, m = mr.k, mr.r, mr.m
+    base, ext = ps.base, ps.ext
+    suite = ps.suite
+    n_parties, depth, tau = ps.n_parties, ps.depth, ps.tau
+    dims = ps.share_dims
+    k, r, m = ps.k, ps.r, ps.m
     t_cols = dims.total
     pk_op = PkOperand.of(pk)
     pk_bytes = pk.body_bytes()
@@ -174,7 +173,7 @@ def _sign_core(ap, pk, x, beta, message, entropy, cheat_leaf=None,
         cmts_all.append(cmts)
 
     h1 = suite.hash(H2, salt, message, *h0s)
-    ch1 = ch1_override or derive_challenge1(suite, h1, ext, mr.n, tau)
+    ch1 = ch1_override or derive_challenge1(suite, h1, ext, ps.n, tau)
     batch = ChallengeBatch(ext, r, ch1)
 
     # one batched run: row 0 = plaintext, rows 1..D = side-1 main parties
@@ -245,26 +244,25 @@ def _sign_core(ap, pk, x, beta, message, entropy, cheat_leaf=None,
     return AdditiveSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
 
 
-def verify(ap, pk, message, data):
+def verify(ps, pk, message, data):
     """Accept/reject; malformed input rejects (CLI separates that case)."""
     try:
-        sig = decode(ap, data)
+        sig = decode(ps, data)
     except SignatureFormatError:
         return False
-    ok, _ = verify_decoded(ap, pk, message, sig)
+    ok, _ = verify_decoded(ps, pk, message, sig)
     return ok
 
 
-def verify_decoded(ap, pk, message, sig):
+def verify_decoded(ps, pk, message, sig):
     """Returns (accept, per-round reconstructed broadcast details)."""
-    mr = ap.mr
-    base, ext = mr.base, mr.ext
-    suite = ap.suite
-    n_parties, depth, tau = ap.n_parties, ap.depth, ap.tau
-    dims = ap.share_dims
+    base, ext = ps.base, ps.ext
+    suite = ps.suite
+    n_parties, depth, tau = ps.n_parties, ps.depth, ps.tau
+    dims = ps.share_dims
     pk_op = PkOperand.of(pk)
 
-    ch1 = derive_challenge1(suite, sig.h1, ext, mr.n, tau)
+    ch1 = derive_challenge1(suite, sig.h1, ext, ps.n, tau)
     ch2 = derive_challenge2_additive(suite, sig.h2, n_parties, tau)
     istars = np.asarray(ch2)
 
@@ -295,7 +293,7 @@ def verify_decoded(ap, pk, message, sig):
                 cmts.append(commit(suite, sig.salt, e, i, state))
         h0s.append(suite.hash(H1, sig.salt, encode_u16(e), *cmts))
 
-    batch = ChallengeBatch(ext, mr.r, ch1)
+    batch = ChallengeBatch(ext, ps.r, ch1)
     mains = _aggregate_rounds(base, flat_all)               # (tau, D, 2, T)
     bits = (istars[:, None] - 1 >> np.arange(depth)[None, :]) & 1   # (tau, D)
     e_idx = np.repeat(np.arange(tau)[:, None], depth, axis=1)

@@ -41,8 +41,8 @@ class ThresholdSignature:
     rounds: list
 
 
-def encode(tp, sig):
-    base = tp.mr.base
+def encode(ps, sig):
+    base = ps.base
     out = bytearray(sig.salt + sig.h1 + sig.h2)
     for rr in sig.rounds:
         out += len(rr.auth).to_bytes(2, "little")
@@ -52,15 +52,15 @@ def encode(tp, sig):
     return bytes(out)
 
 
-def _max_auth_nodes(tp):
-    pad_depth = max(1, (tp.n_parties - 1).bit_length())
-    return tp.ell * (pad_depth + 1)
+def _max_auth_nodes(ps):
+    pad_depth = max(1, (ps.n_parties - 1).bit_length())
+    return ps.ell * (pad_depth + 1)
 
 
-def decode(tp, data):
-    suite = tp.suite
-    base = tp.mr.base
-    dims = tp.share_dims
+def decode(ps, data):
+    suite = ps.suite
+    base = ps.base
+    dims = ps.share_dims
     r, m = dims.r, dims.m
     db = suite.digest_bytes
     state_bytes = base.packed_size(dims.total)
@@ -80,15 +80,15 @@ def decode(tp, data):
         h1 = take(db)
         h2 = take(db)
         rounds = []
-        for _ in range(tp.tau):
+        for _ in range(ps.tau):
             count = int.from_bytes(take(2), "little")
-            if count > _max_auth_nodes(tp):
+            if count > _max_auth_nodes(ps):
                 raise SignatureFormatError("authentication path too long")
             auth = [take(db) for _ in range(count)]
-            opened = base.unpack(take(tp.ell * state_bytes), tp.ell * dims.total)
+            opened = base.unpack(take(ps.ell * state_bytes), ps.ell * dims.total)
             alpha_star = base.unpack(take(alpha_bytes), r * m).reshape(r, m)
             rounds.append(RoundResponse(auth=auth,
-                                        opened=opened.reshape(tp.ell, dims.total),
+                                        opened=opened.reshape(ps.ell, dims.total),
                                         alpha_star=alpha_star))
     except ValueError as exc:
         raise SignatureFormatError(str(exc)) from None
@@ -102,22 +102,21 @@ def _extra_party(s_set, subset):
     return min(i for i in s_set if i not in subset)
 
 
-def sign(tp, pk, sk, message, entropy):
+def sign(ps, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs."""
     x, beta = sk.sign_inputs()
-    sig = _sign_core(tp, pk, x, beta, message, entropy)
-    return encode(tp, sig)
+    sig = _sign_core(ps, pk, x, beta, message, entropy)
+    return encode(ps, sig)
 
 
-def _sign_core(tp, pk, x, beta, message, entropy,
+def _sign_core(ps, pk, x, beta, message, entropy,
                ch1_override=None, ch2_override=None):
-    mr = tp.mr
-    base, ext = mr.base, mr.ext
-    suite = tp.suite
-    n_parties, ell, tau = tp.n_parties, tp.ell, tp.tau
-    s_set = tp.opened_set
-    dims = tp.share_dims
-    k, r, m = mr.k, mr.r, mr.m
+    base, ext = ps.base, ps.ext
+    suite = ps.suite
+    n_parties, ell, tau = ps.n_parties, ps.ell, ps.tau
+    s_set = ps.opened_set
+    dims = ps.share_dims
+    k, r, m = ps.k, ps.r, ps.m
     pk_op = PkOperand.of(pk)
     pk_bytes = pk.body_bytes()
     x = np.asarray(x, np.uint8)
@@ -146,7 +145,7 @@ def _sign_core(tp, pk, x, beta, message, entropy,
         roots.append(merkle_root(suite, tree))
 
     h1 = suite.hash(H1, message, pk_bytes, salt, *roots)
-    ch1 = ch1_override or derive_challenge1(suite, h1, ext, mr.n, tau)
+    ch1 = ch1_override or derive_challenge1(suite, h1, ext, ps.n, tau)
     batch = ChallengeBatch(ext, r, ch1)
 
     # batch: row 0 = plaintext, rows 1..l+1 = the public parties of S
@@ -185,28 +184,27 @@ def _sign_core(tp, pk, x, beta, message, entropy,
     return ThresholdSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
 
 
-def verify(tp, pk, message, data):
+def verify(ps, pk, message, data):
     """Accept/reject; malformed input rejects (CLI separates that case)."""
     try:
-        sig = decode(tp, data)
+        sig = decode(ps, data)
     except SignatureFormatError:
         return False
-    ok, _ = verify_decoded(tp, pk, message, sig)
+    ok, _ = verify_decoded(ps, pk, message, sig)
     return ok
 
 
-def verify_decoded(tp, pk, message, sig):
-    mr = tp.mr
-    base, ext = mr.base, mr.ext
-    suite = tp.suite
-    n_parties, ell, tau = tp.n_parties, tp.ell, tp.tau
-    s_set = tp.opened_set
+def verify_decoded(ps, pk, message, sig):
+    base, ext = ps.base, ps.ext
+    suite = ps.suite
+    n_parties, ell, tau = ps.n_parties, ps.ell, ps.tau
+    s_set = ps.opened_set
     s_pts = np.asarray(s_set, np.uint8)
-    dims = tp.share_dims
-    r, m = mr.r, mr.m
+    dims = ps.share_dims
+    r, m = ps.r, ps.m
     pk_op = PkOperand.of(pk)
 
-    ch1 = derive_challenge1(suite, sig.h1, ext, mr.n, tau)
+    ch1 = derive_challenge1(suite, sig.h1, ext, ps.n, tau)
     ch2 = derive_challenge2_threshold(suite, sig.h2, n_parties, ell, tau)
 
     roots = []

@@ -20,7 +20,7 @@ from mira.hashing import (HashSuite, X_KEYSEC, FieldSampler,
 from mira.keys import keygen_optimized
 from mira.matrices import columns_to_ext, rank, sample_rank_bounded
 from mira.mpc import ChallengeBatch, PkOperand
-from mira.params import AdditiveParams, MinRankParams, ThresholdParams
+from mira.params import ParameterSet
 from mira.qpoly import annihilator, evaluate_many, fq_basis
 from mira.sharing import (ShareDims, additive_share, hypercube_aggregate,
                           shamir_reconstruct, shamir_share)
@@ -131,17 +131,17 @@ def test_criterion_4_false_positive_exhaustive():
 def test_criterion_5_soundness_monte_carlo():
     # single-leaf cheat at N=4, tau=1 with p < 0.01: acceptance frequency
     # within 3 sigma of 1/4 over 10^4 trials (deterministic entropy)
-    ap = AdditiveParams(mr=MinRankParams(q=2, m=12, n=3, k=6, r=2, lam=128),
-                        n_parties=4, tau=1)
+    ap = ParameterSet("additive", 0, q=2, m=12, n=3, k=6, r=2, N=4, tau=1, eta=1,
+                      lam=128).sign_params()
     p = 2 / 2 ** 12 - 1 / 2 ** 24
     assert p < 0.01
-    pk, sk = keygen_optimized(ap.mr, b"acc5")
+    pk, sk = keygen_optimized(ap, b"acc5")
     rng = np.random.default_rng(5)
     trials = 10 ** 4
     accepts = 0
     for t in range(trials):
-        xbad = rng.integers(0, 2, ap.mr.k).astype(np.uint8)
-        beta_bad = rng.integers(0, 2, (ap.mr.r, ap.mr.m)).astype(np.uint8)
+        xbad = rng.integers(0, 2, ap.k).astype(np.uint8)
+        beta_bad = rng.integers(0, 2, (ap.r, ap.m)).astype(np.uint8)
         leaf = int(rng.integers(1, 5))
         sig = sa._sign_core(ap, pk, xbad, beta_bad, b"forge", b"acc5-%d" % t,
                             cheat_leaf=leaf)
@@ -173,7 +173,8 @@ def test_criterion_7_oracle_equivalence():
     per_variant = 1000
     chunk = 100
 
-    mr = MinRankParams(q=16, m=5, n=4, k=6, r=2, lam=128)
+    mr = ParameterSet("additive", 0, q=16, m=5, n=4, k=6, r=2, N=8, tau=1, eta=1,
+                      lam=128).minrank()
     dims = ShareDims(k=mr.k, r=mr.r, m=mr.m)
     ext = mr.ext
     done = 0
@@ -215,7 +216,8 @@ def test_criterion_7_oracle_equivalence():
         done += chunk
     assert done == per_variant
 
-    mr = MinRankParams(q=251, m=4, n=4, k=5, r=2, lam=128)
+    mr = ParameterSet("threshold", 0, q=251, m=4, n=4, k=5, r=2, N=7, tau=1, eta=1,
+                      lam=128, ell=2).minrank()
     dims = ShareDims(k=mr.k, r=mr.r, m=mr.m)
     ext = mr.ext
     ell, n_parties = 2, 7
@@ -380,9 +382,9 @@ def test_criterion_10_fuzz_rejection():
     # toy-scale parameters keep the runtime sane and exercise the same code
     rng = np.random.default_rng(10)
 
-    ap = AdditiveParams(mr=MinRankParams(q=16, m=4, n=4, k=5, r=2, lam=128),
-                        n_parties=8, tau=3)
-    pk, sk = keygen_optimized(ap.mr, b"acc10a")
+    ap = ParameterSet("additive", 0, q=16, m=4, n=4, k=5, r=2, N=8, tau=3, eta=1,
+                      lam=128).sign_params()
+    pk, sk = keygen_optimized(ap, b"acc10a")
     ent = 0
     while True:
         data = sa.sign(ap, pk, sk, b"fuzz", b"acc10-%d" % ent)
@@ -399,9 +401,9 @@ def test_criterion_10_fuzz_rejection():
         accepts += sa.verify(ap, pk, b"fuzz", bytes(mutated))
     assert accepts == 0
 
-    tp = ThresholdParams(mr=MinRankParams(q=251, m=3, n=3, k=3, r=1, lam=128),
-                         n_parties=10, ell=2, tau=3)
-    pk, sk = keygen_optimized(tp.mr, b"acc10t")
+    tp = ParameterSet("threshold", 0, q=251, m=3, n=3, k=3, r=1, N=10, tau=3, eta=1,
+                      lam=128, ell=2).sign_params()
+    pk, sk = keygen_optimized(tp, b"acc10t")
     data = st.sign(tp, pk, sk, b"fuzz", b"acc10")
     for _ in range(1000):
         pos = int(rng.integers(0, len(data) * 8))

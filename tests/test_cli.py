@@ -1,6 +1,6 @@
 import pytest
 
-from mira import cli
+from mira import cli, params
 
 
 def run(argv):
@@ -182,3 +182,11 @@ def test_sign_bad_seed_exits_2(tmp_path, keypair, capsys):
 def test_estimate_accepts_eta_override():
     # eta is an estimator knob only; the signing code rejects eta != 1
     assert run(["estimate", "--variant", "additive", "--level", "1", "--eta", "2"]) == 0
+
+
+def test_estimate_accepts_overrides_signing_rejects():
+    # building a set never validates it: the estimator prices any override,
+    # and only sign_params() insists on an additive N that is a power of two
+    assert run(["estimate", "--variant", "additive", "--level", "1", "--N", "100"]) == 0
+    with pytest.raises(ValueError):
+        params.parameter_set("additive", 1).with_overrides(N=100).sign_params()

@@ -254,8 +254,6 @@ def test_gf2_table_matches_bit_matmul():
 
 
 def test_base_field_flags():
-    assert base_field(16).is_binary and base_field(16).q == 16
-    assert base_field(2).is_binary
-    assert not base_field(251).is_binary
+    assert base_field(16).q == 16
     with pytest.raises(ValueError):
         base_field(12)

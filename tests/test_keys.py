@@ -68,12 +68,13 @@ def test_zero_witness_rejected_when_m0_full_rank():
 
 
 def test_serialization_round_trip_and_rederivation():
-    for variant, level in [("additive", 1), ("threshold", 3)]:
-        mr = params.parameter_set(variant, level).minrank()
-        pk, sk = keygen_optimized(mr, b"ser")
-        pk2, ps2 = PublicKey.from_bytes(pk.to_bytes(variant, level))
-        sk2, _ = SecretKey.from_bytes(sk.to_bytes(variant, level))
-        assert (ps2.variant, ps2.level) == (variant, level)
+    for variant, level in TABLE_PK_BODY:
+        ps = params.parameter_set(variant, level)
+        pk, sk = keygen_optimized(ps, b"ser")
+        pk2 = PublicKey.from_bytes(pk.to_bytes())
+        sk2 = SecretKey.from_bytes(sk.to_bytes())
+        assert pk2.params is ps and sk2.params is ps
+        assert sk2.public_key().body_bytes() == pk.body_bytes()
         x2, e2 = sk2.witness()
         assert validate_witness(pk2, x2)
         assert np.array_equal(pk2.m0_entries, pk.m0_entries)
@@ -88,11 +89,11 @@ def test_key_format_errors():
         PublicKey.from_bytes(b"\xff" + b"\x00" * 32)
     mr = params.parameter_set("additive", 1).minrank()
     pk, sk = keygen_optimized(mr, b"fmt")
-    blob = pk.to_bytes("additive", 1)
+    blob = pk.to_bytes()
     with pytest.raises(KeyFormatError):
         PublicKey.from_bytes(blob[:-1])
     with pytest.raises(KeyFormatError):
-        SecretKey.from_bytes(sk.to_bytes("additive", 1) + b"\x00")
+        SecretKey.from_bytes(sk.to_bytes() + b"\x00")
 
 
 def test_witness_length_check():

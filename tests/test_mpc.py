@@ -10,7 +10,7 @@ from mira.hashing import HashSuite
 from mira.keys import keygen_optimized
 from mira.matrices import columns_to_ext, rank, sample_rank_bounded
 from mira.mpc import ChallengeBatch, PkOperand
-from mira.params import MinRankParams
+from mira.params import ParameterSet
 from mira.qpoly import annihilator
 from mira.sharing import (ShareDims, additive_share, hypercube_aggregate,
                           shamir_reconstruct, shamir_share)
@@ -20,7 +20,9 @@ SALT = b"\x31" * SUITE.salt_bytes
 
 
 def setup_instance(q, m, n, k, r, tag=b"i"):
-    mr = MinRankParams(q=q, m=m, n=n, k=k, r=r, lam=128)
+    # a MinRank instance only: N and tau are placeholders
+    mr = ParameterSet("additive", 0, q=q, m=m, n=n, k=k, r=r, N=2, tau=1, eta=1,
+                      lam=128).minrank()
     pk, sk = keygen_optimized(mr, tag)
     x, e_mat = sk.witness()
     beta = annihilator(mr.ext, columns_to_ext(e_mat), r).beta

@@ -5,22 +5,22 @@ from mira import params, sign_additive as sa
 from mira.hashing import derive_challenge2_additive
 from mira.keys import keygen_optimized
 from mira.matrices import columns_to_ext
-from mira.params import AdditiveParams, MinRankParams
+from mira.params import ParameterSet
 from mira.qpoly import annihilator
 from mira.trees import leaves_from_path
 
 TABLE_SIZES = {1: 5640, 3: 11779, 5: 20762}
 
-TOY = AdditiveParams(mr=MinRankParams(q=16, m=4, n=4, k=5, r=2, lam=128),
-                     n_parties=8, tau=3)
-TOY2 = AdditiveParams(mr=MinRankParams(q=2, m=8, n=6, k=7, r=2, lam=128),
-                      n_parties=4, tau=2)
+TOY = ParameterSet("additive", 0, q=16, m=4, n=4, k=5, r=2, N=8, tau=3, eta=1,
+                   lam=128).sign_params()
+TOY2 = ParameterSet("additive", 0, q=2, m=8, n=6, k=7, r=2, N=4, tau=2, eta=1,
+                    lam=128).sign_params()
 
 
 def toy_keys(ap, tag=b"toy"):
-    pk, sk = keygen_optimized(ap.mr, tag)
+    pk, sk = keygen_optimized(ap, tag)
     x, e_mat = sk.witness()
-    beta = annihilator(ap.mr.ext, columns_to_ext(e_mat), ap.mr.r).beta
+    beta = annihilator(ap.ext, columns_to_ext(e_mat), ap.r).beta
     return pk, sk, x, beta
 
 
@@ -28,7 +28,7 @@ def toy_keys(ap, tag=b"toy"):
 def test_round_trip_and_exact_size(level):
     ps = params.parameter_set("additive", level)
     ap = ps.sign_params()
-    pk, sk = keygen_optimized(ap.mr, b"rt%d" % level)
+    pk, sk = keygen_optimized(ap, b"rt%d" % level)
     msg = b"round trip"
     sig = sa.sign(ap, pk, sk, msg, b"entropy")
     assert len(sig) == TABLE_SIZES[level] == sa.signature_size_bytes(ap)
@@ -39,13 +39,13 @@ def test_round_trip_and_exact_size(level):
 def test_per_round_response_size_level1():
     ap = params.parameter_set("additive", 1).sign_params()
     total = sa.signature_size_bytes(ap)
-    fixed = 6 * ap.mr.lam // 8
+    fixed = 6 * ap.lam // 8
     per_round = (total - fixed) // ap.tau
     assert per_round == 308
     # 148 field bytes + 160 tree/commitment bytes
     field_bytes = sa.field_elems_per_round(ap) // 2
     assert field_bytes == 148
-    assert per_round - field_bytes == (ap.depth + 2) * ap.mr.lam // 8 == 160
+    assert per_round - field_bytes == (ap.depth + 2) * ap.lam // 8 == 160
 
 
 def test_determinism():
@@ -58,7 +58,7 @@ def test_determinism():
 
 def test_toy_round_trips_both_fields():
     for ap, tag in ((TOY, b"t16"), (TOY2, b"t2")):
-        pk, sk = keygen_optimized(ap.mr, tag)
+        pk, sk = keygen_optimized(ap, tag)
         for i in range(10):
             msg = b"msg%d" % i
             sig = sa.sign(ap, pk, sk, msg, b"e%d" % i)
@@ -106,7 +106,7 @@ def test_aux_block_must_be_zero_when_hidden_leaf_is_last():
     # the fixed-size aux slot is redundant for i* = N and carries zeros; a
     # verifier that ignored it would accept altered copies (malleability)
     ap = TOY
-    pk, sk = keygen_optimized(ap.mr, b"aux")
+    pk, sk = keygen_optimized(ap, b"aux")
     found = None
     for t in range(200):
         ent = b"aux%d" % t
@@ -129,7 +129,7 @@ def test_aux_block_must_be_zero_when_hidden_leaf_is_last():
 
 def test_cross_dimension_alpha_equality():
     ap = TOY
-    pk, sk = keygen_optimized(ap.mr, b"alpha")
+    pk, sk = keygen_optimized(ap, b"alpha")
     data = sa.sign(ap, pk, sk, b"m", b"e")
     ok, details = sa.verify_decoded(ap, pk, b"m", sa.decode(ap, data))
     assert ok
@@ -143,8 +143,8 @@ def test_challenge_injection_seams():
     ap = TOY
     pk, sk, x, beta = toy_keys(ap)
     rng = np.random.default_rng(0)
-    gamma = [(rng.integers(0, 16, (ap.mr.n, ap.mr.m)).astype(np.uint8),
-              rng.integers(0, 16, ap.mr.m).astype(np.uint8))
+    gamma = [(rng.integers(0, 16, (ap.n, ap.m)).astype(np.uint8),
+              rng.integers(0, 16, ap.m).astype(np.uint8))
              for _ in range(ap.tau)]
     ch2 = [3] * ap.tau
     sig = sa._sign_core(ap, pk, x, beta, b"m", b"e",
@@ -160,14 +160,14 @@ def test_single_leaf_cheat_accepts_iff_challenge_hits():
     # a forger with a bad witness corrects the v broadcast at one leaf; the
     # signature verifies exactly when the derived leaf challenge equals that
     # leaf (false positives are negligible at these field sizes)
-    ap = AdditiveParams(mr=MinRankParams(q=16, m=8, n=6, k=7, r=2, lam=128),
-                        n_parties=4, tau=1)
-    pk, sk = keygen_optimized(ap.mr, b"cheat")
+    ap = ParameterSet("additive", 0, q=16, m=8, n=6, k=7, r=2, N=4, tau=1, eta=1,
+                      lam=128).sign_params()
+    pk, sk = keygen_optimized(ap, b"cheat")
     rng = np.random.default_rng(1)
     hits = 0
     for t in range(40):
-        xbad = rng.integers(0, 16, ap.mr.k).astype(np.uint8)
-        beta_bad = rng.integers(0, 16, (ap.mr.r, ap.mr.m)).astype(np.uint8)
+        xbad = rng.integers(0, 16, ap.k).astype(np.uint8)
+        beta_bad = rng.integers(0, 16, (ap.r, ap.m)).astype(np.uint8)
         leaf = int(rng.integers(1, 5))
         sig = sa._sign_core(ap, pk, xbad, beta_bad, b"m", b"c%d" % t,
                             cheat_leaf=leaf)
@@ -181,7 +181,7 @@ def test_single_leaf_cheat_accepts_iff_challenge_hits():
 
 def test_fuzz_bit_flips_toy():
     ap = TOY
-    pk, sk = keygen_optimized(ap.mr, b"fuzz")
+    pk, sk = keygen_optimized(ap, b"fuzz")
     data = sa.sign(ap, pk, sk, b"m", b"e")
     sig = sa.decode(ap, data)
     ch2 = derive_challenge2_additive(ap.suite, sig.h2, ap.n_parties, ap.tau)
@@ -196,7 +196,7 @@ def test_fuzz_bit_flips_toy():
 
 def test_decode_errors():
     ap = TOY
-    pk, sk = keygen_optimized(ap.mr, b"dec")
+    pk, sk = keygen_optimized(ap, b"dec")
     data = sa.sign(ap, pk, sk, b"m", b"e")
     with pytest.raises(sa.SignatureFormatError):
         sa.decode(ap, data[:-1])

@@ -7,14 +7,14 @@ from mira.hashing import derive_challenge1, derive_challenge2_threshold
 from mira.keys import keygen_optimized
 from mira.matrices import columns_to_ext
 from mira.mpc import ChallengeBatch, PkOperand
-from mira.params import MinRankParams, ThresholdParams
+from mira.params import ParameterSet
 from mira.qpoly import annihilator
 from mira.sharing import shamir_reconstruct, shamir_share
 
-TOY = ThresholdParams(mr=MinRankParams(q=251, m=3, n=3, k=3, r=1, lam=128),
-                      n_parties=10, ell=2, tau=3)
-TOY7 = ThresholdParams(mr=MinRankParams(q=7, m=2, n=2, k=3, r=1, lam=128),
-                       n_parties=6, ell=1, tau=1)
+TOY = ParameterSet("threshold", 0, q=251, m=3, n=3, k=3, r=1, N=10, tau=3, eta=1,
+                   lam=128, ell=2).sign_params()
+TOY7 = ParameterSet("threshold", 0, q=7, m=2, n=2, k=3, r=1, N=6, tau=1, eta=1,
+                    lam=128, ell=1).sign_params()
 
 
 @pytest.mark.parametrize("level", [1, 3, 5])
@@ -22,7 +22,7 @@ def test_round_trip_and_size_bound(level):
     ps = params.parameter_set("threshold", level)
     tp = ps.sign_params()
     assert tp.n_parties == 250  # operational cap at q - 1
-    pk, sk = keygen_optimized(tp.mr, b"rt%d" % level)
+    pk, sk = keygen_optimized(tp, b"rt%d" % level)
     msg = b"threshold round trip"
     # the worst-case formula over the operational party count
     bound = estimator.sig_size_bound_bits(ps.with_overrides(N=tp.n_parties))
@@ -43,7 +43,7 @@ def test_per_round_field_payload_level1():
 
 
 def test_determinism_and_variable_length():
-    pk, sk = keygen_optimized(TOY.mr, b"det")
+    pk, sk = keygen_optimized(TOY, b"det")
     s1 = st.sign(TOY, pk, sk, b"m", b"fixed")
     s2 = st.sign(TOY, pk, sk, b"m", b"fixed")
     assert s1 == s2
@@ -53,7 +53,7 @@ def test_determinism_and_variable_length():
 
 def test_toy_round_trips():
     for tp, tag in ((TOY, b"t251"), (TOY7, b"t7")):
-        pk, sk = keygen_optimized(tp.mr, tag)
+        pk, sk = keygen_optimized(tp, tag)
         for i in range(10):
             sig = st.sign(tp, pk, sk, b"msg%d" % i, b"e%d" % i)
             assert st.verify(tp, pk, b"msg%d" % i, sig)
@@ -62,7 +62,7 @@ def test_toy_round_trips():
 def manual_protocol_run(tp, n_run, tag=b"run"):
     """Shares and broadcasts for n_run parties of a fresh honest instance."""
     rng = np.random.default_rng(int.from_bytes(tag, "little"))
-    mr = tp.mr
+    mr = tp
     ext = mr.ext
     pk, sk = keygen_optimized(mr, tag)
     x, e_mat = sk.witness()
@@ -111,7 +111,7 @@ def test_v_reconstructs_to_zero_from_any_subset():
 
 def test_alpha_star_replacement_rejects():
     tp = TOY7
-    pk, sk = keygen_optimized(tp.mr, b"rm")
+    pk, sk = keygen_optimized(tp, b"rm")
     rng = np.random.default_rng(5)
     rejects = 0
     trials = 60
@@ -169,7 +169,7 @@ def test_opened_share_marginals_independent_of_witness():
 
 def test_fuzz_bit_flips_toy():
     tp = TOY
-    pk, sk = keygen_optimized(tp.mr, b"fz")
+    pk, sk = keygen_optimized(tp, b"fz")
     data = st.sign(tp, pk, sk, b"m", b"e")
     rng = np.random.default_rng(7)
     for _ in range(150):
@@ -181,7 +181,7 @@ def test_fuzz_bit_flips_toy():
 
 def test_decode_errors():
     tp = TOY
-    pk, sk = keygen_optimized(tp.mr, b"de")
+    pk, sk = keygen_optimized(tp, b"de")
     data = st.sign(tp, pk, sk, b"m", b"e")
     with pytest.raises(st.SignatureFormatError):
         st.decode(tp, data[:-1])
@@ -205,6 +205,9 @@ def test_decode_errors():
 
 
 def test_operational_party_cap():
+    # N >= q runs on the q - 1 nonzero Shamir points; ell + 1 must fit in them
+    row = ParameterSet("threshold", 0, q=7, m=2, n=2, k=3, r=1, N=7, tau=1, eta=1,
+                       lam=128, ell=1)
+    assert row.sign_params().n_parties == 6
     with pytest.raises(ValueError):
-        ThresholdParams(mr=MinRankParams(q=251, m=3, n=3, k=3, r=1, lam=128),
-                        n_parties=251, ell=2, tau=1)
+        row.with_overrides(ell=6).sign_params()
