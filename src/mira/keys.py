@@ -5,8 +5,9 @@ L = [I_k | L'] row by row from the public seed, forces the first k row-order
 entries of M_0 to zero and stores only the (mn - k)-entry tail next to the
 seed.  The secret key is two seeds: replaying the derivation from
 (seed_sk, seed_pk) recovers the witness x and the low-rank E, so nothing
-else needs to be stored.  Reported secret key size counts the secret seed
-alone, matching the public tables.
+else needs to be stored; a ``SecretKey`` replays it once and keeps the
+result for its public key and every signature.  Reported secret key size
+counts the secret seed alone, matching the public tables.
 
 Both keys carry their ``ParameterSet``: ``to_bytes`` writes its one-byte id
 in front of the body and ``from_bytes`` reads the set back from that byte.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .hashing import X_KEYPUB, X_KEYSEC, FieldSampler
-from .matrices import columns_to_ext, rank, sample_rank_bounded
+from .matrices import columns_to_ext, sample_rank_bounded
 from .params import ParameterSet, param_id, from_param_id
 from .qpoly import annihilator
 
@@ -66,18 +67,27 @@ class SecretKey:
     params: ParameterSet
     seed_sk: bytes
     seed_pk: bytes
+    _derived: tuple = dc_field(default=None, repr=False, compare=False)
+
+    def _derivation(self):
+        # (m0_flat, x, E) from one replay of the key derivation, kept read-only
+        if self._derived is None:
+            derived = _derive(self.params, self.seed_pk, self.seed_sk)[1:]
+            for arr in derived:
+                arr.flags.writeable = False
+            self._derived = derived
+        return self._derived
 
     def public_key(self):
-        """The matching public key, by replaying the key derivation."""
+        """The matching public key, from the replayed key derivation."""
         ps = self.params
-        _, m0_flat, _, _ = _derive(ps, self.seed_pk, self.seed_sk)
+        m0_flat = self._derivation()[0]
         return PublicKey(params=ps, seed_pk=self.seed_pk,
                          m0_entries=m0_flat[ps.k:].copy())
 
     def witness(self):
-        """Recompute (x, E) by replaying the key derivation."""
-        _, _, x, e_mat = _derive(self.params, self.seed_pk, self.seed_sk)
-        return x, e_mat
+        """(x, E) from the replayed key derivation."""
+        return self._derivation()[1:]
 
     def sign_inputs(self):
         """(x, beta): the witness and the annihilator of E's column space."""
@@ -142,20 +152,3 @@ def keygen_optimized(ps, entropy):
     sk = SecretKey(params=ps, seed_sk=seeds[ps.seed_bytes:],
                    seed_pk=seeds[:ps.seed_bytes])
     return sk.public_key(), sk
-
-
-def validate_witness(pk, x):
-    """Accept iff rank(M_0 + sum x_i M_i) <= r."""
-    ps = pk.params
-    x = np.asarray(x, np.uint8)
-    if x.shape != (ps.k,):
-        raise ValueError("witness length mismatch")
-    return rank(ps.base, witness_matrix(pk, x)) <= ps.r
-
-
-def witness_matrix(pk, x):
-    """E = M_0 + sum x_i M_i as an (m, n) matrix."""
-    ps = pk.params
-    l_rows, m0_flat = pk.matrices()
-    e_flat = ps.base.add(m0_flat, ps.base.matmul(np.asarray(x, np.uint8)[None, :], l_rows)[0])
-    return e_flat.reshape(ps.m, ps.n)

@@ -10,13 +10,14 @@ broadcast values:
     alpha = eps * w + a                (opened)
     v     = eps * z - <alpha, beta> - c
 
-Everything from E to (w, z) is GF(q)-linear in the share, so the chain
-collapses into one matrix W per challenge: stacking Mul(gamma_j) @ Frob^i
-blocks gives W with W @ vec(columns) = (w_0..w_{r-1}, -z).  Parties then
+Everything from E to (w, z) is GF(q)-linear in the share and splits into
+two GF(q) products: P = E @ G with the challenge's coefficient matrix G
+(a per-signature left-hand factor), then P against one fixed map of the
+field that applies X^u * (X^v)^(q^i) for every coefficient pair.  Parties
 differ only in their input rows, and share batches of any origin (additive
-leaves, hypercube main parties, Shamir parties) take the same two matrix
-products.  ``ChallengeBatch`` stacks the W matrices of all rounds so a
-whole signature's party computations run as a handful of batched GEMMs.
+leaves, hypercube main parties, Shamir parties) take the same products.
+``ChallengeBatch`` stacks all rounds so a whole signature's party
+computations run as a handful of batched GEMMs.
 """
 
 import numpy as np
@@ -77,24 +78,32 @@ class PkOperand:
         return e_flat
 
 
-def _frob_ops(ext, r):
-    """Stacked (r+1, m, m) transposed Frobenius matrices, GEMM-prepared."""
-    cache = ext.__dict__.setdefault("_frob_ops_cache", {})
+def _rank_map(ext, r):
+    """The fixed (m^2, (r+1)m) map P -> (w_0..w_r), GEMM-prepared, cached per r.
+
+    Row (v, u), column (i, t) holds coefficient t of X^u * (X^v)^(q^i).
+    """
+    # threads racing here may each build the map; setdefault keeps one
+    cache = ext.__dict__.setdefault("_rank_maps", {})
     if r not in cache:
-        f3 = np.stack([np.ascontiguousarray(ext.frob_matrix(i).T)
-                       for i in range(r + 1)])
-        cache[r] = ext.base.matmul3_prepare(f3)
+        m = ext.m
+        eye = np.eye(m, dtype=np.uint8)
+        frobs = np.concatenate([ext.frob(eye, i) for i in range(r + 1)])
+        mm = ext.mul_matrices(frobs).reshape(r + 1, m, m, m)    # [i, v, t, u]
+        cmap = np.ascontiguousarray(mm.transpose(1, 3, 0, 2)).reshape(m * m, (r + 1) * m)
+        cache.setdefault(r, ext.base.matmul3_prepare(cmap))
     return cache[r]
 
 
 class ChallengeBatch:
-    """All-round challenge operands, applied as a few stacked GEMMs.
+    """All-round challenges, applied as a few stacked GEMMs.
 
-    gamma_j * e_j^(q^i) equals (gamma_j^(q^(m-i)) * e_j)^(q^i), so the
-    Frobenius powers move onto the challenge coefficients: parties contract
-    their raw E columns with the multiplication matrices of the twisted
-    gammas (one GEMM over all rounds and parties) and apply the r+1 fixed
-    Frobenius maps to the short results afterwards.
+    With gamma_j = sum_u G[j, u] X^u and e_j = sum_v E[v, j] X^v, Frobenius
+    fixes GF(q), so w_i = sum_{v,u} P[v, u] X^u (X^v)^(q^i) with P = E @ G
+    over GF(q).  Per signature only G (n, m per round) and the eps
+    multiplication matrices are prepared; every party's P takes one stacked
+    GEMM, and one product with the fixed map of ``_rank_map`` gives all of
+    (w_0..w_{r-1}, -z).
     """
 
     def __init__(self, ext, r, challenges):
@@ -102,24 +111,12 @@ class ChallengeBatch:
         self.r = r
         self.tau = len(challenges)
         base = ext.base
-        m = ext.m
-        n = challenges[0][0].shape[0]
-        self.n = n
         gam = np.stack([g for g, _ in challenges])            # (tau, n, m)
         eps = np.stack([e for _, e in challenges])            # (tau, m)
-        twisted = np.empty((self.tau, r + 1, n, m), np.uint8)
-        flat_gam = gam.reshape(self.tau * n, m)
-        for i in range(r + 1):
-            tw = ext.frob(flat_gam, (m - i) % m)
-            twisted[:, i] = tw.reshape(self.tau, n, m)
-        mg = ext.mul_matrices(twisted.transpose(0, 2, 1, 3).reshape(-1, m))
-        # operand[(e), (j, v), (i, t)] = coeffs(twisted_gamma * X^v)[t]
-        op = (mg.reshape(self.tau, n, r + 1, m, m)
-                .transpose(0, 1, 4, 2, 3)
-                .reshape(self.tau, n * m, (r + 1) * m))
-        self._contract = base.matmul3_prepare(np.ascontiguousarray(op))
+        self._gamma = base.matmul3_prepare(gam)
         meps = ext.mul_matrices(eps)                           # (tau, m, m)
         self._meps_t = base.matmul3_prepare(np.ascontiguousarray(meps.transpose(0, 2, 1)))
+        self._map = _rank_map(ext, r)
 
     def broadcast_alpha(self, pk_op, x_shares, a_shares, offsets):
         """Phase 1 for all rounds: (tau, B, k) inputs -> alpha, z shares.
@@ -134,18 +131,12 @@ class ChallengeBatch:
         b = x_shares.shape[1]
         offsets = np.broadcast_to(np.asarray(offsets, bool), (tau, b))
         e_flat = pk_op.e_shares(x_shares.reshape(tau * b, -1), offsets.reshape(-1))
-        n = e_flat.shape[1] // m
-        cols = np.ascontiguousarray(
-            e_flat.reshape(tau, b, m, n).transpose(0, 1, 3, 2)).reshape(tau, b, n * m)
-        sums = base.matmul3(cols, self._contract)              # (tau, B, (r+1)m)
-        sums = np.ascontiguousarray(
-            sums.reshape(tau, b, r + 1, m).transpose(2, 0, 1, 3)).reshape(r + 1, tau * b, m)
-        pows = base.matmul3(sums, _frob_ops(ext, r))           # (r+1, tau*B, m)
-        wz = pows.reshape(r + 1, tau, b, m)
-        w = np.ascontiguousarray(wz[:r].transpose(1, 2, 0, 3))
-        z = ext.neg(wz[r])
-        ew = base.matmul3(w.reshape(tau, b * r, m), self._meps_t).reshape(tau, b, r, m)
-        alpha = ext.add(ew, np.asarray(a_shares, np.uint8).reshape(tau, b, r, m))
+        p = base.matmul3(e_flat.reshape(tau, b * m, -1), self._gamma)
+        wz = base.matmul3(p.reshape(tau * b, m * m), self._map).reshape(tau, b, r + 1, m)
+        z = ext.neg(wz[:, :, r])
+        ew = base.matmul3(wz[:, :, :r].reshape(tau, b * r, m), self._meps_t)
+        alpha = ext.add(ew.reshape(tau, b, r, m),
+                        np.asarray(a_shares, np.uint8).reshape(tau, b, r, m))
         return alpha, z
 
     def broadcast_v(self, z_shares, beta_shares, c_shares, alphas):

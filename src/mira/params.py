@@ -139,10 +139,6 @@ def parameter_set(variant, level):
         raise ValueError(f"no parameter set for variant={variant!r} level={level}") from None
 
 
-def all_parameter_sets():
-    return list(_REGISTRY.values())
-
-
 def param_id(variant, level):
     return PARAM_IDS[(variant, level)]
 

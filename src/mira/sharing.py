@@ -153,11 +153,6 @@ def additive_share(suite, salt, e, seeds, dims, field, ext, x, beta):
     return shares, a_plain, c_plain
 
 
-def leaf_side(leaf, dim):
-    """Side (1 or 2) of 1-based ``leaf`` along 1-based ``dim``."""
-    return ((leaf - 1) >> (dim - 1) & 1) + 1
-
-
 def hypercube_aggregate(field, arr):
     """Main shares per (dimension, side): (D, 2, ...) from (N, ...).
 
@@ -251,8 +246,3 @@ def shamir_expand(field, shares, points, targets):
     w = _lagrange_weights(field, points, targets)
     out = field.matmul3(w, field.matmul3_prepare(shares))
     return out[0] if single else out
-
-
-def shamir_reconstruct(field, shares, points):
-    """Interpolate at zero: shares (..., t, C), points (..., t) -> (..., C)."""
-    return shamir_expand(field, shares, points, np.zeros(1, np.uint8))[..., 0, :]

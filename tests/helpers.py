@@ -1,0 +1,38 @@
+"""Reference helpers the tests share; the library itself never needs them."""
+
+import numpy as np
+
+from mira.matrices import rank
+from mira.params import PARAM_IDS, parameter_set
+from mira.sharing import shamir_expand
+
+
+def all_parameter_sets():
+    return [parameter_set(variant, level) for variant, level in PARAM_IDS]
+
+
+def validate_witness(pk, x):
+    """Accept iff rank(M_0 + sum x_i M_i) <= r."""
+    ps = pk.params
+    x = np.asarray(x, np.uint8)
+    if x.shape != (ps.k,):
+        raise ValueError("witness length mismatch")
+    return rank(ps.base, witness_matrix(pk, x)) <= ps.r
+
+
+def witness_matrix(pk, x):
+    """E = M_0 + sum x_i M_i as an (m, n) matrix."""
+    ps = pk.params
+    l_rows, m0_flat = pk.matrices()
+    e_flat = ps.base.add(m0_flat, ps.base.matmul(np.asarray(x, np.uint8)[None, :], l_rows)[0])
+    return e_flat.reshape(ps.m, ps.n)
+
+
+def leaf_side(leaf, dim):
+    """Side (1 or 2) of 1-based ``leaf`` along 1-based ``dim``."""
+    return ((leaf - 1) >> (dim - 1) & 1) + 1
+
+
+def shamir_reconstruct(field, shares, points):
+    """Interpolate at zero: shares (..., t, C), points (..., t) -> (..., C)."""
+    return shamir_expand(field, shares, points, np.zeros(1, np.uint8))[..., 0, :]

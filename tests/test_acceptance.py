@@ -22,10 +22,11 @@ from mira.matrices import columns_to_ext, rank, sample_rank_bounded
 from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator, evaluate_many, fq_basis
-from mira.sharing import (ShareDims, additive_share, hypercube_aggregate,
-                          shamir_reconstruct, shamir_share)
+from mira.sharing import ShareDims, additive_share, hypercube_aggregate, shamir_share
 from mira.trees import SeedTree, leaves_from_path, merkle_auth, merkle_root
 from mira.trees import merkle_root_from_auth, H_MERKLE
+
+from helpers import shamir_reconstruct
 
 SUITE = HashSuite(128)
 

@@ -9,6 +9,8 @@ import pytest
 from mira import estimator as est, params
 from mira.params import ParameterSet
 
+from helpers import all_parameter_sets
+
 ADD_TABLE = {1: 5640, 3: 11779, 5: 20762}
 THR_TABLE = {1: 8318, 3: 17797, 5: 30381}
 PK_TABLE = {("additive", 1): 84, ("additive", 3): 121, ("additive", 5): 150,
@@ -51,7 +53,7 @@ def test_kz_cost_examples():
 
 
 def test_kz_cost_floor_all_sets():
-    for ps in params.all_parameter_sets():
+    for ps in all_parameter_sets():
         log2c, _ = est.kz_cost(ps)
         assert log2c >= ps.lam - 0.5  # design floor of 2^lambda (rounding slack)
 
@@ -90,7 +92,7 @@ def test_support_minors_shipped_values():
     cost, detail = est.support_minors_cost(ps)
     assert cost >= 143  # above the claimed security margin
     assert math.isfinite(cost) and "a" in detail
-    for ps in params.all_parameter_sets():
+    for ps in all_parameter_sets():
         cost, _ = est.support_minors_cost(ps)
         assert math.isfinite(cost)
 
@@ -155,7 +157,7 @@ def test_false_positive_values():
 
 def test_report_runtime_under_a_second():
     t0 = time.perf_counter()
-    for ps in params.all_parameter_sets():
+    for ps in all_parameter_sets():
         est.report(ps)
     assert time.perf_counter() - t0 < 1.0
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from mira import params
-from mira.keys import (KeyFormatError, PublicKey, SecretKey, keygen_optimized,
-                       validate_witness, witness_matrix)
+from mira.keys import KeyFormatError, PublicKey, SecretKey, keygen_optimized
 from mira.matrices import rank
+
+from helpers import validate_witness, witness_matrix
 
 TABLE_PK_BODY = {("additive", 1): 84, ("additive", 3): 121, ("additive", 5): 150,
                  ("threshold", 1): 117, ("threshold", 3): 155, ("threshold", 5): 195}

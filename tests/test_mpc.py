@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mira import params
 from mira.estimator import false_positive, flog2
@@ -12,8 +14,9 @@ from mira.matrices import columns_to_ext, rank, sample_rank_bounded
 from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
-from mira.sharing import (ShareDims, additive_share, hypercube_aggregate,
-                          shamir_reconstruct, shamir_share)
+from mira.sharing import ShareDims, additive_share, hypercube_aggregate, shamir_share
+
+from helpers import shamir_reconstruct
 
 SUITE = HashSuite(128)
 SALT = b"\x31" * SUITE.salt_bytes
@@ -215,3 +218,65 @@ def test_false_positive_rate_values():
     assert rate(2, 3) == Fraction(15, 64)
     assert abs(flog2(rate(16, 16)) - (-63.0)) < 0.01
     assert abs(flog2(rate(251, 12)) - (-94.66)) < 0.01
+
+
+def reference_run(ext, r, challenges, l_rows, m0_flat, x, a, beta, c, offsets):
+    """(alpha, z, v) party by party, straight from w_i = sum_j gamma_j e_j^(q^i)."""
+    base, m = ext.base, ext.m
+    tau, b, k = x.shape
+    alpha = np.empty((tau, b, r, m), np.uint8)
+    z = np.empty((tau, b, m), np.uint8)
+    v = np.empty((tau, b, m), np.uint8)
+    for e, (gamma, eps) in enumerate(challenges):
+        for p in range(b):
+            e_flat = m0_flat.copy() if offsets[e, p] else np.zeros_like(m0_flat)
+            for i in range(k):
+                e_flat = base.add(e_flat, base.mul(x[e, p, i], l_rows[i]))
+            cols = e_flat.reshape(m, -1).T                     # e_j, (n, m)
+            w = [base.axis_sum(ext.mul(gamma, ext.frob(cols, i)), axis=0)
+                 for i in range(r + 1)]
+            z[e, p] = ext.neg(w[r])
+            for i in range(r):
+                alpha[e, p, i] = ext.add(ext.mul(eps, w[i]), a[e, p, i])
+    for e, (_, eps) in enumerate(challenges):
+        for p in range(b):
+            ip = base.axis_sum(ext.mul(alpha[e, p], beta[e, p]), axis=0)
+            v[e, p] = ext.sub(ext.sub(ext.mul(eps, z[e, p]), ip), c[e, p])
+    return alpha, z, v
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=hs.sampled_from([2, 16, 251]), m=hs.integers(1, 5), n=hs.integers(1, 5),
+       tau=hs.integers(2, 3), b=hs.integers(1, 4), k=hs.integers(1, 4),
+       data=hs.data())
+def test_batched_contraction_matches_per_party_reference(q, m, n, tau, b, k, data):
+    r = data.draw(hs.integers(1, min(m, n)), label="r")
+    rng = np.random.default_rng(data.draw(hs.integers(0, 2 ** 32 - 1), label="seed"))
+    ext = ext_field(q, m)
+
+    def rand(*shape):
+        return rng.integers(0, q, shape).astype(np.uint8)
+
+    l_rows, m0_flat = rand(k, m * n), rand(m * n)
+    challenges = [(rand(n, m), rand(m)) for _ in range(tau)]
+    x, a, beta, c = rand(tau, b, k), rand(tau, b, r, m), rand(tau, b, r, m), rand(tau, b, m)
+    offsets = rng.random((tau, b)) < 0.5
+    batch = ChallengeBatch(ext, r, challenges)
+    alpha, z = batch.broadcast_alpha(PkOperand(ext.base, l_rows, m0_flat), x, a, offsets)
+    v = batch.broadcast_v(z, beta, c, alpha)
+    ref = reference_run(ext, r, challenges, l_rows, m0_flat, x, a, beta, c, offsets)
+    assert np.array_equal(alpha, ref[0])
+    assert np.array_equal(z, ref[1])
+    assert np.array_equal(v, ref[2])
+
+
+def test_challenge_batches_share_the_cached_rank_map():
+    rng = np.random.default_rng(7)
+    ext = ext_field(16, 5)
+
+    def challenge():
+        return rng.integers(0, 16, (4, 5)).astype(np.uint8), rng.integers(0, 16, 5).astype(np.uint8)
+
+    first = ChallengeBatch(ext, 2, [challenge()])
+    assert ChallengeBatch(ext, 2, [challenge(), challenge()])._map is first._map
+    assert ChallengeBatch(ext, 3, [challenge()])._map is not first._map

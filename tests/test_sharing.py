@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from mira.fields import base_field, ext_field
 from mira.hashing import HashSuite
 from mira.sharing import (InputShares, ShareDims, additive_share,
-                          expand_leaf_shares, hypercube_aggregate, leaf_side,
-                          shamir_expand, shamir_points, shamir_reconstruct,
-                          shamir_share)
+                          expand_leaf_shares, hypercube_aggregate,
+                          shamir_expand, shamir_points, shamir_share)
+
+from helpers import leaf_side, shamir_reconstruct
 
 SUITE = HashSuite(128)
 SALT = b"\x21" * SUITE.salt_bytes

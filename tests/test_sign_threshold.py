@@ -9,7 +9,9 @@ from mira.matrices import columns_to_ext
 from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
-from mira.sharing import shamir_reconstruct, shamir_share
+from mira.sharing import shamir_share
+
+from helpers import shamir_reconstruct
 
 TOY = ParameterSet("threshold", 0, q=251, m=3, n=3, k=3, r=1, N=10, tau=3, eta=1,
                    lam=128, ell=2).sign_params()
