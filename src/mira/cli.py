@@ -28,6 +28,11 @@ def _entropy_from(args):
         raise ValueError("--seed must be a hex string") from None
 
 
+def _read(path, mode="rb"):
+    with open(path, mode) as f:
+        return f.read()
+
+
 def _scheme(variant):
     return sign_threshold if variant == params.THRESHOLD else sign_additive
 
@@ -56,13 +61,13 @@ def _load_keypair_params(args, expect_ps):
 
 def cmd_sign(args):
     try:
-        sk = keys.SecretKey.from_bytes(open(args.key, "rb").read())
+        sk = keys.SecretKey.from_bytes(_read(args.key))
     except (OSError, KeyFormatError) as exc:
         print(f"cannot load secret key: {exc}", file=sys.stderr)
         return EXIT_USAGE
     ps = sk.params
     _load_keypair_params(args, ps)
-    message = open(args.infile, "rb").read()
+    message = _read(args.infile)
     sig = _scheme(ps.variant).sign(ps, sk.public_key(), sk, message, _entropy_from(args))
     with open(args.out, "wb") as f:
         f.write(sig)
@@ -72,14 +77,14 @@ def cmd_sign(args):
 
 def cmd_verify(args):
     try:
-        pk = keys.PublicKey.from_bytes(open(args.key, "rb").read())
+        pk = keys.PublicKey.from_bytes(_read(args.key))
     except (OSError, KeyFormatError) as exc:
         print(f"cannot load public key: {exc}", file=sys.stderr)
         return EXIT_USAGE
     ps = pk.params
     _load_keypair_params(args, ps)
-    message = open(args.infile, "rb").read()
-    data = open(args.sig, "rb").read()
+    message = _read(args.infile)
+    data = _read(args.sig)
     scheme = _scheme(ps.variant)
     try:
         sig = scheme.decode(ps, data)
@@ -162,7 +167,7 @@ def _parse_kat(text):
 def cmd_kat(args):
     master = bytes.fromhex(args.seed) if args.seed else b"\x00" * 48
     if args.check:
-        records = _parse_kat(open(args.check).read())
+        records = _parse_kat(_read(args.check, "r"))
         if not records or any(rec.keys() != set(_KAT_FIELDS) for rec in records):
             print(f"{args.check} is not a KAT file: it needs records of the fields "
                   f"{', '.join(_KAT_FIELDS)}", file=sys.stderr)

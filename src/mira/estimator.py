@@ -30,17 +30,6 @@ def flog2(x):
     return math.log2(x)
 
 
-def gaussian_binomial(m, r, q):
-    """Number of r-dimensional subspaces of an m-dimensional space over GF(q)."""
-    if not 0 <= r <= m:
-        raise ValueError("need 0 <= r <= m")
-    out = Fraction(1)
-    for i in range(r):
-        out *= Fraction(q ** m - q ** i, q ** r - q ** i)
-    assert out.denominator == 1
-    return out.numerator
-
-
 def false_positive(ps):
     big = ps.q ** (ps.m * ps.eta)
     return Fraction(2 * big - 1, big * big)

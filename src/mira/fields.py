@@ -99,6 +99,12 @@ def _char2_modulus(d):
     raise ValueError(f"no irreducible of degree {d}")
 
 
+def _split_rows(data, rows):
+    """Cut ``data`` into ``rows`` equal consecutive pieces."""
+    width = len(data) // rows if rows else 0
+    return [data[i * width:(i + 1) * width] for i in range(rows)]
+
+
 class PrimeField:
     """Integers modulo a prime p, elementwise over numpy arrays."""
 
@@ -157,6 +163,10 @@ class PrimeField:
 
     def pack(self, arr):
         return np.ascontiguousarray(np.asarray(arr, np.uint8).ravel()).tobytes()
+
+    def pack_rows(self, arr):
+        """``[self.pack(row) for row in arr]`` from one pack of the 2-D block."""
+        return _split_rows(self.pack(arr), len(arr))
 
     def unpack(self, data, count):
         arr = np.frombuffer(data, dtype=np.uint8, count=count)
@@ -315,6 +325,13 @@ class Char2Field:
         if self.q != 16:
             return arr.tobytes()
         return pack_nibbles(arr)
+
+    def pack_rows(self, arr):
+        """``[self.pack(row) for row in arr]`` from one pack of the 2-D block."""
+        arr = np.asarray(arr, np.uint8)
+        if self.q == 16 and arr.shape[1] & 1:
+            arr = np.pad(arr, ((0, 0), (0, 1)))   # each row pads its own nibble
+        return _split_rows(self.pack(arr), len(arr))
 
     def unpack(self, data, count):
         if self.q != 16:

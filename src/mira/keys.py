@@ -6,8 +6,11 @@ entries of M_0 to zero and stores only the (mn - k)-entry tail next to the
 seed.  The secret key is two seeds: replaying the derivation from
 (seed_sk, seed_pk) recovers the witness x and the low-rank E, so nothing
 else needs to be stored; a ``SecretKey`` replays it once and keeps the
-result for its public key and every signature.  Reported secret key size
-counts the secret seed alone, matching the public tables.
+result for its public key and every signature.  The signer's other witness
+part, the annihilator beta of E's column space, also depends on the key
+alone: the first signature builds it and the key keeps it for the rest.
+Neither key generation nor ``public_key()`` builds beta.  Reported secret
+key size counts the secret seed alone, matching the public tables.
 
 Both keys carry their ``ParameterSet``: ``to_bytes`` writes its one-byte id
 in front of the body and ``from_bytes`` reads the set back from that byte.
@@ -68,6 +71,7 @@ class SecretKey:
     seed_sk: bytes
     seed_pk: bytes
     _derived: tuple = dc_field(default=None, repr=False, compare=False)
+    _beta: np.ndarray = dc_field(default=None, repr=False, compare=False)
 
     def _derivation(self):
         # (m0_flat, x, E) from one replay of the key derivation, kept read-only
@@ -90,10 +94,18 @@ class SecretKey:
         return self._derivation()[1:]
 
     def sign_inputs(self):
-        """(x, beta): the witness and the annihilator of E's column space."""
+        """(x, beta): the witness and the annihilator of E's column space.
+
+        beta is built on the first call and kept read-only; threads that race
+        here may each build it, and one of them keeps it.
+        """
         x, e_mat = self.witness()
-        ps = self.params
-        return x, annihilator(ps.ext, columns_to_ext(e_mat), ps.r).beta
+        if self._beta is None:
+            ps = self.params
+            beta = annihilator(ps.ext, columns_to_ext(e_mat), ps.r).beta
+            beta.flags.writeable = False
+            self._beta = beta
+        return x, self._beta
 
     def to_bytes(self):
         return _id_byte(self.params) + self.seed_sk + self.seed_pk

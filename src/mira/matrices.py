@@ -56,8 +56,3 @@ def sample_rank_bounded(field, m, n, r, sampler):
 def columns_to_ext(mat):
     """(m, n) matrix -> (n, m) array of extension element coefficients."""
     return np.ascontiguousarray(np.asarray(mat, np.uint8).T)
-
-
-def ext_to_columns(vec):
-    """Inverse of ``columns_to_ext``."""
-    return np.ascontiguousarray(np.asarray(vec, np.uint8).T)

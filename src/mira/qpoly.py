@@ -79,17 +79,3 @@ def evaluate_coeffs(ext, coeffs, x):
             xp = ext.frob(xp, 1)
         acc = ext.add(acc, ext.mul(c, xp))
     return acc
-
-
-def evaluate(ext, qp, x):
-    """L(x) for a single element x of shape (m,)."""
-    return evaluate_many(ext, qp, np.asarray(x, np.uint8)[None, :])[0]
-
-
-def evaluate_many(ext, qp, xs):
-    """L applied to a batch (B, m) of elements."""
-    xs = np.asarray(xs, np.uint8)
-    acc = ext.frob(xs, qp.r)  # leading monic term
-    for t in range(qp.r):
-        acc = ext.add(acc, ext.mul(qp.beta[t], ext.frob(xs, t)))
-    return acc

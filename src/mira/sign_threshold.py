@@ -63,7 +63,8 @@ def decode(ps, data):
     dims = ps.share_dims
     r, m = dims.r, dims.m
     db = suite.digest_bytes
-    state_bytes = base.packed_size(dims.total)
+    opened_count = ps.ell * dims.total
+    opened_bytes = base.packed_size(opened_count)    # encode packs the block
     alpha_bytes = base.packed_size(r * m)
     pos = 0
 
@@ -85,7 +86,7 @@ def decode(ps, data):
             if count > _max_auth_nodes(ps):
                 raise SignatureFormatError("authentication path too long")
             auth = [take(db) for _ in range(count)]
-            opened = base.unpack(take(ps.ell * state_bytes), ps.ell * dims.total)
+            opened = base.unpack(take(opened_bytes), opened_count)
             alpha_star = base.unpack(take(alpha_bytes), r * m).reshape(r, m)
             rounds.append(RoundResponse(auth=auth,
                                         opened=opened.reshape(ps.ell, dims.total),
@@ -139,8 +140,9 @@ def _sign_core(ps, pk, x, beta, message, entropy,
         shares_all[e - 1] = shares
         a_plains[e - 1] = a_e
         c_plains[e - 1] = c_e
-        tree = MerkleTree(suite, [commit(suite, salt, e, i, base.pack(shares[i - 1]))
-                                  for i in range(1, n_parties + 1)])
+        states = base.pack_rows(shares)
+        tree = MerkleTree(suite, [commit(suite, salt, e, i, state)
+                                  for i, state in enumerate(states, 1)])
         trees.append(tree)
         roots.append(merkle_root(suite, tree))
 

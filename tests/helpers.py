@@ -1,5 +1,7 @@
 """Reference helpers the tests share; the library itself never needs them."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from mira.matrices import rank
@@ -36,3 +38,33 @@ def leaf_side(leaf, dim):
 def shamir_reconstruct(field, shares, points):
     """Interpolate at zero: shares (..., t, C), points (..., t) -> (..., C)."""
     return shamir_expand(field, shares, points, np.zeros(1, np.uint8))[..., 0, :]
+
+
+def evaluate(ext, qp, x):
+    """L(x) for a single element x of shape (m,)."""
+    return evaluate_many(ext, qp, np.asarray(x, np.uint8)[None, :])[0]
+
+
+def evaluate_many(ext, qp, xs):
+    """L applied to a batch (B, m) of elements."""
+    xs = np.asarray(xs, np.uint8)
+    acc = ext.frob(xs, qp.r)  # leading monic term
+    for t in range(qp.r):
+        acc = ext.add(acc, ext.mul(qp.beta[t], ext.frob(xs, t)))
+    return acc
+
+
+def ext_to_columns(vec):
+    """Inverse of ``mira.matrices.columns_to_ext``."""
+    return np.ascontiguousarray(np.asarray(vec, np.uint8).T)
+
+
+def gaussian_binomial(m, r, q):
+    """Number of r-dimensional subspaces of an m-dimensional space over GF(q)."""
+    if not 0 <= r <= m:
+        raise ValueError("need 0 <= r <= m")
+    out = Fraction(1)
+    for i in range(r):
+        out *= Fraction(q ** m - q ** i, q ** r - q ** i)
+    assert out.denominator == 1
+    return out.numerator

@@ -21,12 +21,12 @@ from mira.keys import keygen_optimized
 from mira.matrices import columns_to_ext, rank, sample_rank_bounded
 from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
-from mira.qpoly import annihilator, evaluate_many, fq_basis
+from mira.qpoly import annihilator, fq_basis
 from mira.sharing import ShareDims, additive_share, hypercube_aggregate, shamir_share
 from mira.trees import SeedTree, leaves_from_path, merkle_auth, merkle_root
 from mira.trees import merkle_root_from_auth, H_MERKLE
 
-from helpers import shamir_reconstruct
+from helpers import evaluate, evaluate_many, shamir_reconstruct
 
 SUITE = HashSuite(128)
 
@@ -271,7 +271,6 @@ def test_criterion_8_annihilator_correctness():
         assert not evaluate_many(mr.ext, qp, cols).any()
     # iterative construction equals the literal product over the subspace
     rng = np.random.default_rng(8)
-    from mira.qpoly import evaluate
     for m, r in [(3, 1), (4, 2), (4, 3)]:
         ext = ext_field(2, m)
         while True:

@@ -1,3 +1,7 @@
+import gc
+import sys
+import warnings
+
 import pytest
 
 from mira import cli, params
@@ -69,6 +73,31 @@ def test_verify_exit_codes(tmp_path, keypair):
     sig.write_bytes(bytes(blob[:50]))
     assert run(["verify", "--key", str(pk), "--in", str(msg),
                 "--sig", str(sig)]) == 2
+
+
+def test_cli_closes_every_file_it_reads(tmp_path, keypair, monkeypatch):
+    pk, sk = keypair
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"payload")
+    sig = tmp_path / "out.sig"
+    kat = tmp_path / "kat.txt"
+    assert run(["kat", "--variant", "threshold", "--level", "1",
+                "--count", "1", "--out", str(kat)]) == 0
+    # an unclosed file warns when it is freed, where an error is unraisable
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error", ResourceWarning)
+        codes = [run(["sign", "--key", str(sk), "--in", str(msg), "--out", str(sig),
+                      "--seed", "04"]),
+                 run(["verify", "--key", str(pk), "--in", str(msg), "--sig", str(sig)]),
+                 run(["verify", "--key", str(pk), "--in", str(sig), "--sig", str(sig)]),
+                 run(["kat", "--variant", "threshold", "--level", "1",
+                      "--check", str(kat)])]
+        gc.collect()
+    assert codes == [0, 0, 1, 0]
+    assert [str(w.message) for w in caught] == []
+    assert [repr(u.exc_value) for u in unraisable] == []
 
 
 def test_variant_mismatch_is_usage_error(tmp_path, keypair):

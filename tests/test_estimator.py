@@ -9,7 +9,7 @@ import pytest
 from mira import estimator as est, params
 from mira.params import ParameterSet
 
-from helpers import all_parameter_sets
+from helpers import all_parameter_sets, gaussian_binomial
 
 ADD_TABLE = {1: 5640, 3: 11779, 5: 20762}
 THR_TABLE = {1: 8318, 3: 17797, 5: 30381}
@@ -120,15 +120,15 @@ def test_soundness_examples():
 
 
 def test_gaussian_binomial():
-    assert est.gaussian_binomial(5, 0, 16) == 1
-    assert est.gaussian_binomial(7, 7, 251) == 1
-    assert est.gaussian_binomial(2, 1, 2) == 3
+    assert gaussian_binomial(5, 0, 16) == 1
+    assert gaussian_binomial(7, 7, 251) == 1
+    assert gaussian_binomial(2, 1, 2) == 3
     # enumeration oracle: distinct one-dimensional subspaces of GF(2)^2
     vecs = [(0, 1), (1, 0), (1, 1)]
     spans = {frozenset([(0, 0), v]) for v in vecs}
     assert len(spans) == 3
     # magnitude check against q^(r(m-r))
-    val = est.gaussian_binomial(16, 5, 16)
+    val = gaussian_binomial(16, 5, 16)
     assert abs(math.log2(val) - 5 * 11 * 4) < 8
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mira.fields import (Char2Field, Gf2Table, PrimeField, base_field,
                          canonical_modulus, ext_field, _KNOWN_TAILS)
@@ -205,6 +207,19 @@ def test_packing_conventions():
     assert np.array_equal(f251.unpack(bytes([0, 250, 17]), 3), arr)
     with pytest.raises(ValueError):
         f251.unpack(bytes([251]), 1)
+
+
+@pytest.mark.parametrize("q", [2, 7, 16, 251])
+@pytest.mark.parametrize("odd", [0, 1], ids=["even-T", "odd-T"])
+@settings(max_examples=40, deadline=None)
+@given(rows=hs.integers(0, 7), half=hs.integers(0, 12), flip=hs.booleans(),
+       seed=hs.integers(0, 2 ** 32 - 1))
+def test_pack_rows_equals_per_row_pack(q, odd, rows, half, flip, seed):
+    field = base_field(q)
+    arr = np.random.default_rng(seed).integers(0, q, (rows, 2 * half + odd)).astype(np.uint8)
+    if flip:
+        arr = arr[:, ::-1]      # a strided view packs like its copy
+    assert field.pack_rows(arr) == [field.pack(row) for row in arr]
 
 
 def test_ext_element_serialization_order():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mira import params
+from mira import keys, params, sign_additive, sign_threshold
 from mira.keys import KeyFormatError, PublicKey, SecretKey, keygen_optimized
-from mira.matrices import rank
+from mira.matrices import columns_to_ext, rank
+from mira.qpoly import annihilator
 
 from helpers import validate_witness, witness_matrix
 
@@ -102,3 +103,44 @@ def test_witness_length_check():
     pk, _ = keygen_optimized(mr, b"len")
     with pytest.raises(ValueError):
         validate_witness(pk, np.zeros(mr.k + 1, np.uint8))
+
+
+@pytest.fixture
+def annihilator_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return annihilator(*args)
+
+    monkeypatch.setattr(keys, "annihilator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant,scheme", [("additive", sign_additive),
+                                            ("threshold", sign_threshold)])
+def test_beta_is_built_once_per_key(variant, scheme, annihilator_calls):
+    ps = params.parameter_set(variant, 1)
+    pk, sk = keygen_optimized(ps, b"beta " + variant.encode())
+    sk.public_key()
+    assert annihilator_calls == []
+    sigs = [scheme.sign(ps, pk, sk, b"m%d" % i, b"e%d" % i) for i in range(2)]
+    assert len(annihilator_calls) == 1
+    assert all(scheme.verify(ps, pk, b"m%d" % i, sig) for i, sig in enumerate(sigs))
+
+
+def test_kept_beta_is_read_only_and_fresh(annihilator_calls):
+    ps = params.parameter_set("threshold", 1)
+    _, sk = keygen_optimized(ps, b"kept beta")
+    x, beta = sk.sign_inputs()
+    x2, beta2 = sk.sign_inputs()
+    assert beta2 is beta and x2 is x
+    assert len(annihilator_calls) == 1
+    assert not beta.flags.writeable
+    with pytest.raises(ValueError):
+        beta[0, 0] ^= 1
+    _, e_mat = sk.witness()
+    assert np.array_equal(beta, annihilator(ps.ext, columns_to_ext(e_mat), ps.r).beta)
+    # equality and repr ignore the kept beta, as they ignore the derivation
+    fresh = SecretKey.from_bytes(sk.to_bytes())
+    assert fresh == sk and repr(fresh) == repr(sk)

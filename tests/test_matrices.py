@@ -3,7 +3,9 @@ import pytest
 
 from mira.fields import base_field
 from mira.hashing import HashSuite, FieldSampler, X_KEYSEC
-from mira.matrices import columns_to_ext, ext_to_columns, rank, sample_rank_bounded
+from mira.matrices import columns_to_ext, rank, sample_rank_bounded
+
+from helpers import ext_to_columns
 
 
 def span_size_oracle(rows):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mira.fields import base_field, ext_field
-from mira.qpoly import (QPolynomial, SupportDimensionError, annihilator,
-                        evaluate, evaluate_many, fq_basis)
+from mira.qpoly import QPolynomial, SupportDimensionError, annihilator, fq_basis
+
+from helpers import evaluate, evaluate_many
 
 
 def all_elements(ext):

@@ -17,6 +17,10 @@ TOY = ParameterSet("threshold", 0, q=251, m=3, n=3, k=3, r=1, N=10, tau=3, eta=1
                    lam=128, ell=2).sign_params()
 TOY7 = ParameterSet("threshold", 0, q=7, m=2, n=2, k=3, r=1, N=6, tau=1, eta=1,
                     lam=128, ell=1).sign_params()
+# GF(16) packs two elements per byte; T = k + 2rm + m = 13 is odd, so each
+# committed party state ends in a padding nibble and the opened block does not
+TOY16 = ParameterSet("threshold", 0, q=16, m=3, n=3, k=4, r=1, N=15, tau=2, eta=1,
+                     lam=128, ell=2).sign_params()
 
 
 @pytest.mark.parametrize("level", [1, 3, 5])
@@ -59,6 +63,18 @@ def test_toy_round_trips():
         for i in range(10):
             sig = st.sign(tp, pk, sk, b"msg%d" % i, b"e%d" % i)
             assert st.verify(tp, pk, b"msg%d" % i, sig)
+
+
+def test_gf16_odd_state_width_round_trips():
+    tp = TOY16
+    assert tp.share_dims.total % 2 == 1
+    pk, sk = keygen_optimized(tp, b"t16")
+    for i in range(4):
+        msg = b"msg%d" % i
+        sig = st.sign(tp, pk, sk, msg, b"e%d" % i)
+        assert st.encode(tp, st.decode(tp, sig)) == sig
+        assert st.verify(tp, pk, msg, sig)
+        assert not st.verify(tp, pk, msg + b"!", sig)
 
 
 def manual_protocol_run(tp, n_run, tag=b"run"):
