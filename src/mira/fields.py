@@ -26,15 +26,18 @@ the exact integer result.  Characteristic-2 fields pick a path by input:
 
 * table gather - a product of at most 2^18 multiply-adds is one gather
   from the full multiplication table and an XOR reduction;
-* bit-sliced GEMM - larger products split both operands into float32 bit
-  planes, multiply plane pairs with one BLAS call, keep the parity and
-  fold the y^(s+t) terms back through the modulus; ``matmul`` runs the
-  ``matmul3`` body without the stack axis, as its T = 1 case;
+* bit-sliced GEMM - larger products lay the left operand's d bit planes
+  side by side along K and multiply them, in one float32 BLAS call, by a
+  (d*K, d*C) right operand whose row block s holds the bit planes of
+  y^s * b, already reduced by the modulus; the parity of each count is an
+  output bit, and the d output planes shift into place; ``matmul`` runs
+  the ``matmul3`` body without the stack axis, as its T = 1 case;
 * ``Gf2Table`` - the public-key operand x @ L, a fixed GF(2) map applied
   to every party's share, is a byte-indexed XOR table built once per key.
-  On the share-of-E shapes it beats the bit-sliced GEMM: 5.6 against
-  22.6 ms per additive level-5 verify and 4.4 against 13.0 ms per sign
-  (one thread of a 2-vCPU x86-64 host, OpenBLAS).
+  On the share-of-E shapes it beats the bit-sliced GEMM: 3.1-3.4 against
+  8.5-8.7 ms on the 306 rows of an additive level-5 verify and 3.7-4.5
+  against 9.7-9.9 ms on the 340 rows of a sign (one thread of a 2-vCPU
+  x86-64 host, OpenBLAS, medians of 21 in two runs).
 """
 
 from functools import lru_cache
@@ -259,20 +262,6 @@ class Char2Field:
 
     # -- matrix product ----------------------------------------------------
 
-    @property
-    def _redbits(self):
-        # y^(s+t) mod modulus, as bit rows for recombining plane products
-        try:
-            return self.__redbits
-        except AttributeError:
-            rows = np.zeros((2 * self.d - 1, self.d), dtype=np.uint8)
-            for e in range(2 * self.d - 1):
-                v = _bitpoly_mod(1 << e, self.modulus_bits)
-                for u in range(self.d):
-                    rows[e, u] = (v >> u) & 1
-            self.__redbits = rows
-            return rows
-
     def matmul(self, a, b):
         """(R, K) @ (K, C): table gather when small, else the sliced GEMM."""
         a = np.asarray(a, np.uint8)
@@ -282,12 +271,19 @@ class Char2Field:
         return self._gemm(a, self.matmul3_prepare(b))
 
     def matmul3_prepare(self, b3):
-        """Bit planes of the right operand(s) (..., K, C) and the width C."""
+        """Right operand(s) (..., K, C) as (..., d*K, d*C) bit planes, and C.
+
+        Row block s, column block u holds bit u of y^s * b: the reduction
+        modulo the field polynomial is built into the operand.
+        """
         b3 = np.asarray(b3, np.uint8)
         inner, cols = b3.shape[-2:]
-        bp = np.empty(b3.shape[:-2] + (inner, self.d * cols), dtype=np.float32)
-        for u in range(self.d):
-            bp[..., u * cols:(u + 1) * cols] = (b3 >> u) & 1
+        d = self.d
+        bp = np.empty(b3.shape[:-2] + (d * inner, d * cols), dtype=np.float32)
+        for s in range(d):
+            ysb = self.MUL[1 << s][b3]
+            for u in range(d):
+                bp[..., s * inner:(s + 1) * inner, u * cols:(u + 1) * cols] = (ysb >> u) & 1
         return bp, cols
 
     def matmul3(self, a3, prepared):
@@ -295,27 +291,22 @@ class Char2Field:
         return self._gemm(a3, prepared)
 
     def _gemm(self, a, prepared):
-        # (..., R, K) @ prepared (..., K, C): one float32 GEMM over all plane
-        # pairs (s, u), parity of the counts, then y^(s+u) folded back
+        # (..., R, K) @ prepared: the d bit planes of a side by side along K,
+        # one float32 GEMM, parity of the counts, output planes shifted in
         bp, cols = prepared
         a = np.asarray(a, np.uint8)
         lead, (rows, inner) = a.shape[:-2], a.shape[-2:]
-        assert inner < (1 << 15)
-        ap = np.empty(lead + (self.d * rows, inner), dtype=np.float32)
-        for s in range(self.d):
-            ap[..., s * rows:(s + 1) * rows, :] = (a >> s) & 1
+        d = self.d
+        assert d * inner < (1 << 15)
+        ap = np.empty(lead + (rows, d * inner), dtype=np.float32)
+        for s in range(d):
+            ap[..., s * inner:(s + 1) * inner] = (a >> s) & 1
         prod = np.matmul(ap, bp).astype(np.int16)
         prod &= 1
         prod = prod.astype(np.uint8)
-        red = self._redbits
-        out = np.zeros(lead + (rows, cols), dtype=np.uint8)
-        for s in range(self.d):
-            ps = prod[..., s * rows:(s + 1) * rows, :]
-            for u in range(self.d):
-                blk = ps[..., u * cols:(u + 1) * cols]
-                for w in range(self.d):
-                    if red[s + u, w]:
-                        out ^= blk << w
+        out = prod[..., :cols].copy()
+        for u in range(1, d):
+            out |= prod[..., u * cols:(u + 1) * cols] << u
         return out
 
     # -- byte encoding -----------------------------------------------------
@@ -340,6 +331,8 @@ class Char2Field:
                 raise ValueError("field element out of range")
             return arr.copy()
         raw = np.frombuffer(data, dtype=np.uint8, count=(count + 1) // 2)
+        if count & 1 and raw[-1] >> 4:
+            raise ValueError("nonzero padding nibble")
         return unpack_nibbles(raw)[:count]
 
     def packed_size(self, count):

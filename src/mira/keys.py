@@ -61,7 +61,10 @@ class PublicKey:
         if len(body) != need:
             raise KeyFormatError("public key length mismatch")
         seed = body[:ps.seed_bytes]
-        tail = ps.base.unpack(body[ps.seed_bytes:], tail_count)
+        try:
+            tail = ps.base.unpack(body[ps.seed_bytes:], tail_count)
+        except ValueError as exc:
+            raise KeyFormatError(str(exc)) from None
         return cls(params=ps, seed_pk=seed, m0_entries=tail)
 
 

@@ -6,7 +6,9 @@ D + 1 rank-check executions only: the plaintext run plus one main party
 per dimension; the opposite main shares follow by subtracting from the
 plaintext broadcast.  The second challenge hides one leaf; the response
 opens all other seeds via the sibling path, the hidden leaf's commitment
-and its broadcast alpha share, plus the aux corrections of leaf N.
+and its broadcast alpha share, plus the aux corrections of leaf N.  The
+verifier also runs D + 1 executions per round: per dimension the main
+party without the hidden leaf, and the sum of all opened leaves.
 
 The aux block is part of the fixed signature layout even when the hidden
 leaf is N itself; in that case it is zeroed (leaf N's state must not leak)
@@ -299,15 +301,17 @@ def verify_decoded(ps, pk, message, sig):
     e_idx = np.repeat(np.arange(tau)[:, None], depth, axis=1)
     d_idx = np.broadcast_to(np.arange(depth)[None, :], (tau, depth))
     full_rows = mains[e_idx, d_idx, 1 - bits]               # (tau, D, T)
-    part_rows = mains[e_idx, d_idx, bits]
-    rows = np.concatenate([full_rows, part_rows], axis=1)   # (tau, 2D, T)
-    offsets = np.concatenate([bits == 1, (bits == 0) & (istars[:, None] != 1)], axis=1)
+    # alpha is affine in the share: the opened alpha is alpha(sum of the
+    # opened leaves, whose hidden row is zero) plus the hidden leaf's share
+    sum_rows = base.axis_sum(flat_all, axis=1)[:, None]     # (tau, 1, T)
+    rows = np.concatenate([full_rows, sum_rows], axis=1)    # (tau, D + 1, T)
+    offsets = np.concatenate([bits == 1, istars[:, None] != 1], axis=1)
     rows_x, rows_beta, rows_a, rows_c = dims.split(rows)
     alphas, zs = batch.broadcast_alpha(pk_op, rows_x, rows_a, offsets)
-    al_full, al_part = alphas[:, :depth], alphas[:, depth:]
+    al_full = alphas[:, :depth]
     alpha_hid = np.stack([rr.alpha_hidden for rr in sig.rounds])
-    al_hidden_side = ext.add(al_part, alpha_hid[:, None])
-    al_open = ext.add(al_full, al_hidden_side)              # (tau, D, r, m)
+    al_open = ext.add(alphas[:, depth:], alpha_hid[:, None])   # (tau, 1, r, m)
+    al_hidden_side = ext.sub(al_open, al_full)
     v_full = batch.broadcast_v(zs[:, :depth], rows_beta[:, :depth],
                                rows_c[:, :depth], al_open)
     v_hidden_side = ext.neg(v_full)
@@ -328,5 +332,5 @@ def verify_decoded(ps, pk, message, sig):
 
     h1bar = suite.hash(H2, sig.salt, message, *h0s)
     h2bar = suite.hash(H4, message, pk.body_bytes(), sig.salt, h1bar, *exec_hashes)
-    details = {"alpha_open": al_open, "istars": ch2}
+    details = {"alpha_open": np.broadcast_to(al_open, al_full.shape), "istars": ch2}
     return h1bar == sig.h1 and h2bar == sig.h2, details

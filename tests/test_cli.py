@@ -171,6 +171,22 @@ def test_verify_missing_message_file_exits_2(tmp_path, keypair, capsys):
     assert "absent" in capsys.readouterr().err
 
 
+def test_verify_noncanonical_public_key_exits_2(tmp_path, capsys):
+    pk, sk = tmp_path / "pk.bin", tmp_path / "sk.bin"
+    msg, sig = tmp_path / "msg.bin", tmp_path / "out.sig"
+    msg.write_bytes(b"payload")
+    assert run(["keygen", "--variant", "additive", "--level", "3",
+                "--seed", "0a", "--pk", str(pk), "--sk", str(sk)]) == 0
+    assert run(["sign", "--key", str(sk), "--in", str(msg), "--out", str(sig)]) == 0
+    verify = ["verify", "--key", str(pk), "--in", str(msg), "--sig", str(sig)]
+    assert run(verify) == 0
+    blob = pk.read_bytes()
+    pk.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0x10]))   # padding nibble
+    capsys.readouterr()
+    assert run(verify) == 2
+    assert "padding" in capsys.readouterr().err
+
+
 def test_kat_check_missing_file_exits_2(tmp_path, capsys):
     assert run(["kat", "--variant", "threshold", "--level", "1",
                 "--check", str(tmp_path / "absent.txt")]) == 2

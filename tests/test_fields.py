@@ -257,6 +257,56 @@ def test_matmul_paths_agree():
         assert np.array_equal(got[t], f251.matmul(a3[t], b3[t]))
 
 
+def _mul_table_product(field, a, b):
+    """(..., R, K) @ (..., K, C) one MUL-table lookup per element product."""
+    return np.bitwise_xor.reduce(field.MUL[a[..., :, :, None], b[..., None, :, :]],
+                                 axis=-2)
+
+
+# (R, K, C) ranges below and above the 2^18-MAC switch of ``Char2Field.matmul``
+_GATHER_SHAPES = ((1, 12), (1, 24), (1, 12))
+_GEMM_SHAPES = ((8, 12), (150, 250), (220, 260))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("stack", [1, 3])
+@pytest.mark.parametrize("shapes", [_GATHER_SHAPES, _GEMM_SHAPES], ids=["gather", "gemm"])
+@settings(max_examples=8, deadline=None)
+@given(data=hs.data(), seed=hs.integers(0, 2 ** 32 - 1))
+def test_char2_products_match_mul_table(d, stack, shapes, data, seed):
+    field = Char2Field(d)
+    rows, inner, cols = (data.draw(hs.integers(*bounds)) for bounds in shapes)
+    rng = np.random.default_rng(seed)
+    a3 = rng.integers(0, field.q, (stack, rows, inner)).astype(np.uint8)
+    b3 = rng.integers(0, field.q, (stack, inner, cols)).astype(np.uint8)
+    ref = _mul_table_product(field, a3, b3)
+    assert np.array_equal(field.matmul3(a3, field.matmul3_prepare(b3)), ref)
+    assert np.array_equal(field.matmul(a3[0], b3[0]), ref[0])
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_char2_gemm_exact_at_the_inner_bound(d):
+    # d * K bit-plane products are summed per output bit; int16 holds them
+    # while d * K < 2^15.  All-ones left planes make the counts large.
+    field = Char2Field(d)
+    inner = ((1 << 15) - 1) // d
+    rng = np.random.default_rng(d)
+    a = np.full((2, inner), field.q - 1, np.uint8)
+    b = rng.integers(0, field.q, (inner, 48)).astype(np.uint8)
+    ref = _mul_table_product(field, a, b)
+    assert np.array_equal(field.matmul(a, b), ref)          # above the gather switch
+    assert np.array_equal(field.matmul3(a[None], field.matmul3_prepare(b[None]))[0], ref)
+
+
+def test_gf16_padding_nibble_must_be_zero():
+    f16 = base_field(16)
+    assert np.array_equal(f16.unpack(bytes([0x3A, 0x0F]), 3), [0xA, 0x3, 0xF])
+    with pytest.raises(ValueError):
+        f16.unpack(bytes([0x3A, 0x1F]), 3)
+    # with an even count the high nibble is an element, not padding
+    assert np.array_equal(f16.unpack(bytes([0x3A, 0x1F]), 4), [0xA, 0x3, 0xF, 0x1])
+
+
 def test_gf2_table_matches_bit_matmul():
     rng = np.random.default_rng(8)
     mbits = rng.integers(0, 2, (45, 70)).astype(np.uint8)

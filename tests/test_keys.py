@@ -98,6 +98,16 @@ def test_key_format_errors():
         SecretKey.from_bytes(sk.to_bytes() + b"\x00")
 
 
+def test_nonzero_gf16_padding_nibble_is_a_key_format_error():
+    ps = params.parameter_set("additive", 3)
+    assert (ps.m * ps.n - ps.k) % 2 == 1     # the packed tail ends in a padding nibble
+    pk, _ = keygen_optimized(ps, b"pad")
+    blob = pk.to_bytes()
+    assert PublicKey.from_bytes(blob).to_bytes() == blob
+    with pytest.raises(KeyFormatError):
+        PublicKey.from_bytes(blob[:-1] + bytes([blob[-1] ^ 0x10]))
+
+
 def test_witness_length_check():
     mr = params.parameter_set("additive", 1).minrank()
     pk, _ = keygen_optimized(mr, b"len")

@@ -4,6 +4,7 @@ import pytest
 from mira import params, sign_additive as sa
 from mira.hashing import derive_challenge2_additive
 from mira.keys import keygen_optimized
+from mira.mpc import ChallengeBatch
 from mira.matrices import columns_to_ext
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
@@ -204,3 +205,52 @@ def test_decode_errors():
         sa.decode(ap, data + b"\x00")
     assert not sa.verify(ap, pk, b"m", b"")
     assert not sa.verify(ap, pk, b"m", data[:-1])
+
+
+def _spy_broadcast_alpha(monkeypatch):
+    calls = []
+    orig = ChallengeBatch.broadcast_alpha
+
+    def spy(self, pk_op, x_shares, a_shares, offsets):
+        out = orig(self, pk_op, x_shares, a_shares, offsets)
+        calls.append((self, pk_op, np.asarray(x_shares).shape, out))
+        return out
+
+    monkeypatch.setattr(ChallengeBatch, "broadcast_alpha", spy)
+    return calls
+
+
+@pytest.mark.parametrize("ap", [TOY, TOY2], ids=["gf16", "q2"])
+def test_verify_runs_d_plus_one_rows_per_round(ap, monkeypatch):
+    pk, sk = keygen_optimized(ap, b"rows")
+    sig = sa.decode(ap, sa.sign(ap, pk, sk, b"m", b"e"))
+    calls = _spy_broadcast_alpha(monkeypatch)
+    ok, _ = sa.verify_decoded(ap, pk, b"m", sig)
+    assert ok
+    assert sum(shape[0] * shape[1] for _, _, shape, _ in calls) == ap.tau * (ap.depth + 1)
+
+
+@pytest.mark.parametrize("ap, istars", [(TOY, [1, 8, 5]), (TOY2, [1, 4]), (TOY2, [3, 2])],
+                         ids=["gf16-1-N-mid", "q2-1-N", "q2-mid"])
+def test_sum_row_gives_the_part_row_alphas(ap, istars, monkeypatch):
+    # alpha(sum of opened leaves) - alpha(full row) is the part row's alpha,
+    # which the verifier used to compute directly on D more rows per round
+    monkeypatch.setattr(sa, "derive_challenge2_additive", lambda *args: list(istars))
+    pk, sk = keygen_optimized(ap, b"part")
+    sig = sa.decode(ap, sa.sign(ap, pk, sk, b"m", b"e"))
+    flats = []
+    orig_aggregate = sa._aggregate_rounds
+    monkeypatch.setattr(sa, "_aggregate_rounds",
+                        lambda field, flat: flats.append(flat) or orig_aggregate(field, flat))
+    calls = _spy_broadcast_alpha(monkeypatch)
+    ok, _ = sa.verify_decoded(ap, pk, b"m", sig)
+    assert ok
+    [(batch, pk_op, _, (alphas, _))] = calls
+    depth, dims, ext = ap.depth, ap.share_dims, ap.ext
+    mains = orig_aggregate(ap.base, flats[0])                 # (tau, D, 2, T)
+    ist = np.asarray(istars)
+    bits = (ist[:, None] - 1 >> np.arange(depth)[None, :]) & 1
+    part_rows = np.take_along_axis(mains, bits[:, :, None, None], axis=2)[:, :, 0]
+    px, _, pa, _ = dims.split(part_rows)
+    al_part, _ = batch.broadcast_alpha(pk_op, px, pa, (bits == 0) & (ist[:, None] != 1))
+    assert np.array_equal(ext.sub(alphas[:, depth:], alphas[:, :depth]), al_part)

@@ -77,6 +77,18 @@ def test_gf16_odd_state_width_round_trips():
         assert not st.verify(tp, pk, msg + b"!", sig)
 
 
+def test_gf16_nonzero_padding_nibble_is_a_format_error():
+    tp = TOY16
+    assert tp.r * tp.m % 2 == 1          # each round ends in alpha_star's padding nibble
+    pk, sk = keygen_optimized(tp, b"pad")
+    data = st.sign(tp, pk, sk, b"m", b"e")
+    assert st.verify(tp, pk, b"m", data)
+    padded = data[:-1] + bytes([data[-1] ^ 0x10])
+    with pytest.raises(st.SignatureFormatError):
+        st.decode(tp, padded)
+    assert not st.verify(tp, pk, b"m", padded)
+
+
 def manual_protocol_run(tp, n_run, tag=b"run"):
     """Shares and broadcasts for n_run parties of a fresh honest instance."""
     rng = np.random.default_rng(int.from_bytes(tag, "little"))
