@@ -532,6 +532,12 @@ class ExtField:
             rows.append(self._shift_reduce_row(rows[-1]))
         self.RED = np.stack(rows) if m > 1 else np.zeros((0, m), np.uint8)
         self._frob = {}
+        # (m, m*m) map u -> (v, t): coefficient v of X^(u+t) mod modulus, so
+        # a @ map holds the coefficients of a * X^t; prepared once per field
+        powers = np.concatenate([np.eye(m, dtype=np.uint8), self.RED])
+        xut = powers[np.arange(m)[:, None] + np.arange(m)[None, :]]   # [u, t, v]
+        self._mul_map = base.matmul3_prepare(
+            np.ascontiguousarray(xut.transpose(0, 2, 1)).reshape(m, m * m))
 
     def _shift_reduce_row(self, row):
         out = np.zeros_like(row)
@@ -568,17 +574,6 @@ class ExtField:
 
     def is_zero(self, a):
         return not np.any(np.asarray(a) != 0)
-
-    def shift_reduce(self, vec):
-        """Multiply by X and reduce; vec shape (..., m)."""
-        out = np.zeros_like(np.asarray(vec, np.uint8))
-        out[..., 1:] = vec[..., :-1]
-        top = np.asarray(vec)[..., -1]
-        nz = np.any(top != 0)
-        if nz:
-            red = self.base.mul(top[..., None], self.base.neg(self.modulus[:self.m]))
-            out = self.base.add(out, red)
-        return out
 
     def reduce_double(self, acc):
         """Reduce (..., 2m-1) convolution output to (..., m)."""
@@ -662,16 +657,10 @@ class ExtField:
         return self.base.matmul(a.reshape(-1, self.m), fi.T).reshape(shp)
 
     def mul_matrices(self, us):
-        """(B, m) elements -> (B, m, m) multiplication matrices."""
+        """(B, m) elements -> (B, m, m) multiplication matrices, one GEMM."""
         us = np.asarray(us, np.uint8)
-        b = us.shape[0]
-        out = np.empty((b, self.m, self.m), np.uint8)
-        cur = us
-        for t in range(self.m):
-            out[:, :, t] = cur
-            if t + 1 < self.m:
-                cur = self.shift_reduce(cur)
-        return out
+        m = self.m
+        return self.base.matmul3(us, self._mul_map).reshape(us.shape[0], m, m)
 
     def pack(self, arr):
         return self.base.pack(arr)

@@ -15,6 +15,11 @@ Each invocation is domain-separated by a single role byte:
 
 Integer framing in hash inputs: round index e and party index i are 2-byte
 little endian, tree node indices 4-byte, hypercube dimension 1 byte.
+
+Callers build a round's ``salt || e`` prefix once (``commit`` takes a whole
+round's states), but every digest stays one ``HashSuite.hash``,
+``xof_digest`` or ``xof`` call over the same bytes, so counting those methods
+counts the hash work.
 """
 
 import hashlib
@@ -86,27 +91,27 @@ class XofStream:
         return out
 
 
-_U16_CACHE = {}
-_U32_CACHE = {}
+class _LittleEndian(dict):
+    """Memo of fixed-width little-endian encodings, looked up at C speed."""
+
+    def __init__(self, width):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, v):
+        b = self[v] = int(v).to_bytes(self.width, "little")
+        return b
 
 
-def encode_u16(v):
-    b = _U16_CACHE.get(v)
-    if b is None:
-        b = _U16_CACHE[v] = int(v).to_bytes(2, "little")
-    return b
+encode_u16 = _LittleEndian(2).__getitem__
+encode_u32 = _LittleEndian(4).__getitem__
 
 
-def encode_u32(v):
-    b = _U32_CACHE.get(v)
-    if b is None:
-        b = _U32_CACHE[v] = int(v).to_bytes(4, "little")
-    return b
-
-
-def commit(suite, salt, e, i, state):
-    """Position-bound commitment to a party state."""
-    return suite.hash(H0_COMMIT, salt, encode_u16(e), encode_u16(i), state)
+def commit(suite, salt, e, indices, states):
+    """Position-bound commitments to round ``e``'s party ``states``, one each."""
+    prefix = salt + encode_u16(e)
+    h = suite.hash
+    return [h(H0_COMMIT, prefix, encode_u16(i), s) for i, s in zip(indices, states)]
 
 
 # ---------------------------------------------------------------------------

@@ -142,13 +142,21 @@ class ChallengeBatch:
     def broadcast_v(self, z_shares, beta_shares, c_shares, alphas):
         """Phase 2 for all rounds given opened alphas.
 
-        alphas is (tau, B, r, m) or broadcastable to it (e.g. (tau, 1, r, m)
-        when every party of a round uses the same opened value).
+        alphas is (tau, B, r, m) or (tau, 1, r, m) when every party of a
+        round uses the same opened value.  <alpha, beta> is one stacked GEMM
+        of alpha's multiplication matrices against the beta rows, which are
+        the smaller operand to prepare.
         """
         ext = self.ext
         base = ext.base
         tau, b, m = np.asarray(z_shares).shape
         ez = base.matmul3(np.asarray(z_shares, np.uint8), self._meps_t)
-        ip = ext.dot(np.asarray(alphas, np.uint8),
-                     np.asarray(beta_shares, np.uint8), axis=-2)
+        alphas = np.asarray(alphas, np.uint8)
+        ba, r = alphas.shape[1:3]
+        # row v, column (i, t): coefficient v of alpha_i * X^t
+        amat = ext.mul_matrices(alphas.reshape(-1, m)).reshape(tau * ba, r, m, m)
+        left = np.ascontiguousarray(amat.transpose(0, 2, 1, 3)).reshape(tau * ba, m, r * m)
+        beta_cols = np.asarray(beta_shares, np.uint8).reshape(tau * ba, -1, r * m)
+        ip = base.matmul3(left, base.matmul3_prepare(beta_cols.transpose(0, 2, 1)))
+        ip = ip.transpose(0, 2, 1).reshape(tau, b, m)
         return ext.sub(ext.sub(ez, ip), np.asarray(c_shares, np.uint8))

@@ -75,11 +75,6 @@ def leaf_stream(suite, salt, e, i, seed):
     return suite.xof(X_LEAF, salt, encode_u16(e), encode_u16(i), seed)
 
 
-def _leaf_payload(suite, salt, e, i, seed, nbytes):
-    pay = salt + encode_u16(e) + encode_u16(i) + seed
-    return suite.xof_digest(X_LEAF, pay, nbytes)
-
-
 def expand_leaf_shares(suite, salt, e, seeds, dims, field):
     """Expand per-leaf pseudorandom rows; the last leaf samples only ``a``.
 
@@ -96,15 +91,13 @@ def expand_leaf_shares(suite, salt, e, seeds, dims, field):
     if q & (q - 1) == 0:
         nib = q == 16
         nbytes = (t + 1) // 2 if nib else t
-        blobs = bytearray()
-        live = []
-        for i, seed in enumerate(seeds[:-1], start=1):
-            if seed is None:
-                continue
-            blobs += _leaf_payload(suite, salt, e, i, seed, nbytes)
-            live.append(i - 1)
+        prefix = salt + encode_u16(e)
+        xof = suite.xof_digest
+        live = [i for i in range(n - 1) if seeds[i] is not None]
+        blobs = b"".join([xof(X_LEAF, prefix + encode_u16(i + 1) + seeds[i], nbytes)
+                          for i in live])
         if live:
-            raw = np.frombuffer(bytes(blobs), np.uint8).reshape(len(live), nbytes)
+            raw = np.frombuffer(blobs, np.uint8).reshape(len(live), nbytes)
             if nib:
                 flat[live] = unpack_nibbles(raw)[:, :t]
             else:
@@ -112,7 +105,8 @@ def expand_leaf_shares(suite, salt, e, seeds, dims, field):
         if seeds[-1] is not None:
             cnt = a_hi - a_lo
             nb = (cnt + 1) // 2 if nib else cnt
-            raw = np.frombuffer(_leaf_payload(suite, salt, e, n, seeds[-1], nb), np.uint8)
+            raw = np.frombuffer(xof(X_LEAF, prefix + encode_u16(n) + seeds[-1], nb),
+                                np.uint8)
             if nib:
                 flat[n - 1, a_lo:a_hi] = unpack_nibbles(raw)[:cnt]
             else:
@@ -156,21 +150,22 @@ def additive_share(suite, salt, e, seeds, dims, field, ext, x, beta):
 def hypercube_aggregate(field, arr):
     """Main shares per (dimension, side): (D, 2, ...) from (N, ...).
 
-    Side 2 is derived as total - side 1, so a zeroed (hidden) leaf row
-    simply drops out of whichever side it belongs to.
+    Side 1 of the top remaining dimension is the lower half of the leaves;
+    folding the upper half onto it removes that dimension, so all D sides
+    cost about 2N row additions.  Side 2 is derived as total - side 1, so a
+    zeroed (hidden) leaf row simply drops out of whichever side it belongs to.
     """
     arr = np.asarray(arr, np.uint8)
     n = arr.shape[0]
     if n & (n - 1) or n < 2:
         raise ValueError("hypercube needs a power-of-two party count")
     d = (n - 1).bit_length()
-    total = field.axis_sum(arr, axis=0)
-    idx = np.arange(n)
     out = np.empty((d, 2) + arr.shape[1:], np.uint8)
-    for kdim in range(d):
-        side1 = field.axis_sum(arr[(idx >> kdim) & 1 == 0], axis=0)
-        out[kdim, 0] = side1
-        out[kdim, 1] = field.sub(total, side1)
+    for kdim in reversed(range(d)):
+        low, high = arr[:1 << kdim], arr[1 << kdim:]
+        out[kdim, 0] = field.axis_sum(low, axis=0)
+        arr = field.add(low, high)
+    out[:, 1] = field.sub(arr[0], out[:, 0])
     return out
 
 

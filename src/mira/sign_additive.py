@@ -119,13 +119,18 @@ def _aux_state(base, seed, x_n, beta_n, c_n):
 
 
 def _aggregate_rounds(field, flat_tnt):
-    """(tau, N, T) leaf rows -> (tau, D, 2, T) main-party rows."""
-    tau, n, t = flat_tnt.shape
-    arr = np.ascontiguousarray(flat_tnt.transpose(1, 0, 2)).reshape(n, tau * t)
-    mains = hypercube_aggregate(field, arr)
-    d = mains.shape[0]
-    return np.ascontiguousarray(
-        mains.reshape(d, 2, tau, t).transpose(2, 0, 1, 3))
+    """(tau, N, T) leaf rows -> (tau, D, 2, T) main-party rows, through views."""
+    return hypercube_aggregate(field, flat_tnt.transpose(1, 0, 2)).transpose(2, 0, 1, 3)
+
+
+def _exec_hashes(suite, base, salt, al1, v1, al2, v2):
+    """H3 digest of every (round, dimension), rounds outer; operands (tau, D, ...)."""
+    tau, depth = al1.shape[:2]
+    packed = [base.pack_rows(op.reshape(tau * depth, -1)) for op in (al1, v1, al2, v2)]
+    keys = [(encode_u16(e), bytes([kd])) for e in range(1, tau + 1)
+            for kd in range(1, depth + 1)]
+    return [suite.hash(H3, salt, eb, kb, *parts)
+            for (eb, kb), parts in zip(keys, zip(*packed))]
 
 
 def sign(ps, pk, sk, message, entropy):
@@ -162,14 +167,10 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
         flat_all[e - 1] = shares.flat
         a_plains[e - 1] = a_plain
         c_plains[e - 1] = c_plain
-        cmts = []
-        for i in range(1, n_parties + 1):
-            if i < n_parties:
-                state = tree.leaf(i)
-            else:
-                state = _aux_state(base, tree.leaf(i), shares.x[-1],
-                                   shares.beta[-1], shares.c[-1])
-            cmts.append(commit(suite, salt, e, i, state))
+        states = tree.leaves()
+        states[-1] = _aux_state(base, states[-1], shares.x[-1], shares.beta[-1],
+                                shares.c[-1])
+        cmts = commit(suite, salt, e, range(1, n_parties + 1), states)
         h0s.append(suite.hash(H1, salt, encode_u16(e), *cmts))
         trees.append(tree)
         cmts_all.append(cmts)
@@ -212,14 +213,7 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
             else:
                 v2[:, kdim - 1] = ext.add(v2[:, kdim - 1], delta)
 
-    exec_hashes = []
-    for e in range(1, tau + 1):
-        for kdim in range(1, depth + 1):
-            exec_hashes.append(suite.hash(
-                H3, salt, encode_u16(e), bytes([kdim]),
-                base.pack(al1[e - 1, kdim - 1]), base.pack(v1[e - 1, kdim - 1]),
-                base.pack(al2[e - 1, kdim - 1]), base.pack(v2[e - 1, kdim - 1])))
-
+    exec_hashes = _exec_hashes(suite, base, salt, al1, v1, al2, v2)
     h2 = suite.hash(H4, message, pk_bytes, salt, h1, *exec_hashes)
     ch2 = ch2_override or derive_challenge2_additive(suite, h2, n_parties, tau)
 
@@ -283,16 +277,12 @@ def verify_decoded(ps, pk, message, sig):
         if istar != n_parties:
             shares.flat[-1] = np.concatenate([rr.aux_x, rr.aux_beta.ravel(),
                                               shares.a[-1].ravel(), rr.aux_c])
+            # leaf N's committed state is its seed and its aux corrections
+            leaves[-1] = _aux_state(base, leaves[-1], rr.aux_x, rr.aux_beta, rr.aux_c)
         flat_all[e - 1] = shares.flat
-        cmts = []
-        for i in range(1, n_parties + 1):
-            if i == istar:
-                cmts.append(rr.cmt_hidden)
-            elif i < n_parties:
-                cmts.append(commit(suite, sig.salt, e, i, leaves[i - 1]))
-            else:
-                state = _aux_state(base, leaves[-1], rr.aux_x, rr.aux_beta, rr.aux_c)
-                cmts.append(commit(suite, sig.salt, e, i, state))
+        opened = [i for i in range(1, n_parties + 1) if i != istar]
+        cmts = commit(suite, sig.salt, e, opened, [leaves[i - 1] for i in opened])
+        cmts.insert(istar - 1, rr.cmt_hidden)
         h0s.append(suite.hash(H1, sig.salt, encode_u16(e), *cmts))
 
     batch = ChallengeBatch(ext, ps.r, ch1)
@@ -303,7 +293,7 @@ def verify_decoded(ps, pk, message, sig):
     full_rows = mains[e_idx, d_idx, 1 - bits]               # (tau, D, T)
     # alpha is affine in the share: the opened alpha is alpha(sum of the
     # opened leaves, whose hidden row is zero) plus the hidden leaf's share
-    sum_rows = base.axis_sum(flat_all, axis=1)[:, None]     # (tau, 1, T)
+    sum_rows = base.add(mains[:, 0, 0], mains[:, 0, 1])[:, None]   # (tau, 1, T)
     rows = np.concatenate([full_rows, sum_rows], axis=1)    # (tau, D + 1, T)
     offsets = np.concatenate([bits == 1, istars[:, None] != 1], axis=1)
     rows_x, rows_beta, rows_a, rows_c = dims.split(rows)
@@ -315,20 +305,14 @@ def verify_decoded(ps, pk, message, sig):
     v_full = batch.broadcast_v(zs[:, :depth], rows_beta[:, :depth],
                                rows_c[:, :depth], al_open)
     v_hidden_side = ext.neg(v_full)
-
-    exec_hashes = []
-    for e in range(1, tau + 1):
-        for kd in range(depth):
-            if bits[e - 1, kd]:
-                pair = (al_full[e - 1, kd], v_full[e - 1, kd],
-                        al_hidden_side[e - 1, kd], v_hidden_side[e - 1, kd])
-            else:
-                pair = (al_hidden_side[e - 1, kd], v_hidden_side[e - 1, kd],
-                        al_full[e - 1, kd], v_full[e - 1, kd])
-            exec_hashes.append(suite.hash(
-                H3, sig.salt, encode_u16(e), bytes([kd + 1]),
-                base.pack(pair[0]), base.pack(pair[1]),
-                base.pack(pair[2]), base.pack(pair[3])))
+    # the hidden leaf sits on side 2 of dimension k when its bit k is set
+    side1_full = bits.astype(bool)
+    exec_hashes = _exec_hashes(
+        suite, base, sig.salt,
+        np.where(side1_full[..., None, None], al_full, al_hidden_side),
+        np.where(side1_full[..., None], v_full, v_hidden_side),
+        np.where(side1_full[..., None, None], al_hidden_side, al_full),
+        np.where(side1_full[..., None], v_hidden_side, v_full))
 
     h1bar = suite.hash(H2, sig.salt, message, *h0s)
     h2bar = suite.hash(H4, message, pk.body_bytes(), sig.salt, h1bar, *exec_hashes)

@@ -140,9 +140,8 @@ def _sign_core(ps, pk, x, beta, message, entropy,
         shares_all[e - 1] = shares
         a_plains[e - 1] = a_e
         c_plains[e - 1] = c_e
-        states = base.pack_rows(shares)
-        tree = MerkleTree(suite, [commit(suite, salt, e, i, state)
-                                  for i, state in enumerate(states, 1)])
+        tree = MerkleTree(suite, commit(suite, salt, e, range(1, n_parties + 1),
+                                        base.pack_rows(shares)))
         trees.append(tree)
         roots.append(merkle_root(suite, tree))
 
@@ -213,9 +212,8 @@ def verify_decoded(ps, pk, message, sig):
     for e in range(1, tau + 1):
         rr = sig.rounds[e - 1]
         subset = ch2[e - 1]
-        cmt_hashes = [suite.hash(H_MERKLE,
-                                 commit(suite, sig.salt, e, i, base.pack(rr.opened[j])))
-                      for j, i in enumerate(subset)]
+        cmt_hashes = [suite.hash(H_MERKLE, cmt) for cmt in
+                      commit(suite, sig.salt, e, subset, base.pack_rows(rr.opened))]
         root = merkle_root_from_auth(suite, cmt_hashes, list(subset), rr.auth,
                                      n_parties)
         if root is None:

@@ -29,13 +29,7 @@ class SeedTree:
             raise ValueError("seed tree size must be a power of two >= 2")
         nodes = [None] * (2 * n_leaves)
         nodes[1] = root_seed
-        prefix = salt + encode_u16(round_index)
-        sb = suite.seed_bytes
-        xof = suite.xof_digest
-        for i in range(1, n_leaves):
-            both = xof(X_TREE, prefix + encode_u32(i) + nodes[i], 2 * sb)
-            nodes[2 * i] = both[:sb]
-            nodes[2 * i + 1] = both[sb:]
+        _expand_levels(suite, nodes, salt, round_index, n_leaves)
         return cls(n_leaves, nodes)
 
     def leaf(self, i):
@@ -58,6 +52,22 @@ class SeedTree:
         return path
 
 
+def _expand_levels(suite, nodes, salt, round_index, n_leaves):
+    """Derive the children of every known inner node of the heap list
+    ``nodes`` (None where unknown), one comprehension per tree level."""
+    prefix = salt + encode_u16(round_index)
+    sb = suite.seed_bytes
+    xof = suite.xof_digest
+    lo = 1
+    while lo < n_leaves:
+        known = [i for i in range(lo, 2 * lo) if nodes[i] is not None]
+        both = [xof(X_TREE, prefix + encode_u32(i) + nodes[i], 2 * sb) for i in known]
+        for i, pair in zip(known, both):
+            nodes[2 * i] = pair[:sb]
+            nodes[2 * i + 1] = pair[sb:]
+        lo *= 2
+
+
 def leaves_from_path(suite, path, hidden, salt, round_index, n_leaves):
     """Rebuild all leaf seeds except ``hidden`` from its sibling path.
 
@@ -66,34 +76,17 @@ def leaves_from_path(suite, path, hidden, salt, round_index, n_leaves):
     """
     if n_leaves < 2 or n_leaves & (n_leaves - 1):
         raise ValueError("seed tree size must be a power of two >= 2")
-    depth = (n_leaves - 1).bit_length()
-    if len(path) != depth:
+    if not 1 <= hidden <= n_leaves:
+        raise ValueError("leaf index out of range")
+    if len(path) != (n_leaves - 1).bit_length():
         raise ValueError("sibling path length mismatch")
-    prefix = salt + encode_u16(round_index)
-    sb = suite.seed_bytes
-    nodes = {}
+    nodes = [None] * (2 * n_leaves)
     node = n_leaves + hidden - 1
-    chain = []
-    while node > 1:
-        chain.append(node ^ 1)
+    for seed in reversed(path):          # leaf side first
+        nodes[node ^ 1] = seed
         node >>= 1
-    chain.reverse()
-    for seed, idx in zip(path, chain):
-        nodes[idx] = seed
-    # expand every known subtree down to the leaves
-    stack = list(nodes.keys())
-    while stack:
-        i = stack.pop()
-        if i >= n_leaves:
-            continue
-        both = suite.xof_digest(X_TREE, prefix + encode_u32(i) + nodes[i], 2 * sb)
-        nodes[2 * i] = both[:sb]
-        nodes[2 * i + 1] = both[sb:]
-        stack.append(2 * i)
-        stack.append(2 * i + 1)
-    out = [nodes.get(n_leaves + i) for i in range(n_leaves)]
-    assert out[hidden - 1] is None
-    return out
+    _expand_levels(suite, nodes, salt, round_index, n_leaves)
+    return nodes[n_leaves:]
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,19 @@ def evaluate_many(ext, qp, xs):
     return acc
 
 
+def mul_matrices_by_shifts(ext, us):
+    """(B, m) -> (B, m, m): column t holds us * X^t, built by shift and reduce."""
+    base, m = ext.base, ext.m
+    cur = np.asarray(us, np.uint8)
+    out = np.empty(cur.shape + (m,), np.uint8)
+    for t in range(m):
+        out[:, :, t] = cur
+        top = cur[:, -1:]
+        cur = np.concatenate([np.zeros_like(top), cur[:, :-1]], axis=1)
+        cur = base.sub(cur, base.mul(top, ext.modulus[:m]))
+    return out
+
+
 def ext_to_columns(vec):
     """Inverse of ``mira.matrices.columns_to_ext``."""
     return np.ascontiguousarray(np.asarray(vec, np.uint8).T)

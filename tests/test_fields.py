@@ -6,6 +6,8 @@ from hypothesis import strategies as hs
 from mira.fields import (Char2Field, Gf2Table, PrimeField, base_field,
                          canonical_modulus, ext_field, _KNOWN_TAILS)
 
+from helpers import mul_matrices_by_shifts
+
 
 def ext_euclid_inverse(ext, a):
     """Oracle: extended Euclid on the polynomial representation."""
@@ -178,6 +180,23 @@ def test_mul_commutative_and_assoc():
         a, b, c = (rng.integers(0, q, (64, m)).astype(np.uint8) for _ in range(3))
         assert np.array_equal(ext.mul(a, b), ext.mul(b, a))
         assert np.array_equal(ext.mul(ext.mul(a, b), c), ext.mul(a, ext.mul(b, c)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=hs.sampled_from([2, 16, 251]), m=hs.sampled_from([1, 2, 5, 16]),
+       b=hs.integers(1, 40),
+       seed=hs.integers(0, 2 ** 32 - 1))
+def test_mul_matrices_match_shift_reduce(q, m, b, seed):
+    # the one-GEMM build against the fixed X^(u+t) map equals the
+    # column-by-column shift and reduce, and multiplies like ext.mul
+    ext = ext_field(q, m)
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, q, (b, m)).astype(np.uint8)
+    mats = ext.mul_matrices(us)
+    assert np.array_equal(mats, mul_matrices_by_shifts(ext, us))
+    ys = rng.integers(0, q, (b, m)).astype(np.uint8)
+    prods = np.stack([ext.base.matmul(mats[i], ys[i][:, None])[:, 0] for i in range(b)])
+    assert np.array_equal(prods, ext.mul(us, ys))
 
 
 def test_gf16_wire_format_modulus():

@@ -1,10 +1,12 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mira.fields import base_field, ext_field
 from mira.hashing import (H0_COMMIT, H1, H2, H3, H4, H_MERKLE, FieldSampler,
                           HashSuite, commit, derive_challenge1,
                           derive_challenge2_additive,
-                          derive_challenge2_threshold)
+                          derive_challenge2_threshold, encode_u16)
 
 SUITE = HashSuite(128)
 
@@ -14,12 +16,24 @@ CHI2_CRIT = {15: 30.578, 27: 46.963, 250: 304.940}
 
 def test_commit_determinism_and_sensitivity():
     salt = b"\x42" * SUITE.salt_bytes
-    c1 = commit(SUITE, salt, 3, 7, b"state")
-    assert c1 == commit(SUITE, salt, 3, 7, b"state")
-    assert c1 != commit(SUITE, salt, 3, 8, b"state")
-    assert c1 != commit(SUITE, salt, 4, 7, b"state")
-    assert c1 != commit(SUITE, b"\x43" + salt[1:], 3, 7, b"state")
+    [c1] = commit(SUITE, salt, 3, [7], [b"state"])
+    assert [c1] == commit(SUITE, salt, 3, [7], [b"state"])
+    assert [c1] != commit(SUITE, salt, 3, [8], [b"state"])
+    assert [c1] != commit(SUITE, salt, 4, [7], [b"state"])
+    assert [c1] != commit(SUITE, b"\x43" + salt[1:], 3, [7], [b"state"])
     assert len(c1) == SUITE.digest_bytes
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=hs.integers(0, 2 ** 16 - 1),
+       parties=hs.lists(hs.tuples(hs.integers(0, 2 ** 16 - 1), hs.binary(max_size=40)),
+                        max_size=8),
+       salt=hs.binary(min_size=32, max_size=32))
+def test_round_commit_equals_one_hash_per_party(e, parties, salt):
+    indices = [i for i, _ in parties]
+    states = [s for _, s in parties]
+    assert commit(SUITE, salt, e, indices, states) == [
+        SUITE.hash(H0_COMMIT, salt, encode_u16(e), encode_u16(i), s) for i, s in parties]
 
 
 def test_hash_role_domain_separation():

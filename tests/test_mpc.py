@@ -270,6 +270,27 @@ def test_batched_contraction_matches_per_party_reference(q, m, n, tau, b, k, dat
     assert np.array_equal(v, ref[2])
 
 
+@settings(max_examples=30, deadline=None)
+@given(q=hs.sampled_from([2, 16, 251]), m=hs.integers(1, 5), tau=hs.integers(1, 3),
+       b=hs.integers(1, 4), r=hs.integers(1, 3), seed=hs.integers(0, 2 ** 32 - 1))
+def test_broadcast_v_with_one_opened_alpha_per_round(q, m, tau, b, r, seed):
+    # the (tau, 1, r, m) form every scheme passes: <alpha, beta> as one GEMM
+    # against each round's alpha, checked party by party
+    rng = np.random.default_rng(seed)
+    ext = ext_field(q, m)
+
+    def rand(*shape):
+        return rng.integers(0, q, shape).astype(np.uint8)
+
+    challenges = [(rand(2, m), rand(m)) for _ in range(tau)]
+    z, beta, c, alpha = rand(tau, b, m), rand(tau, b, r, m), rand(tau, b, m), rand(tau, 1, r, m)
+    v = ChallengeBatch(ext, r, challenges).broadcast_v(z, beta, c, alpha)
+    for e, (_, eps) in enumerate(challenges):
+        for p in range(b):
+            ip = ext.base.axis_sum(ext.mul(alpha[e, 0], beta[e, p]), axis=0)
+            assert np.array_equal(v[e, p], ext.sub(ext.sub(ext.mul(eps, z[e, p]), ip), c[e, p]))
+
+
 def test_challenge_batches_share_the_cached_rank_map():
     rng = np.random.default_rng(7)
     ext = ext_field(16, 5)

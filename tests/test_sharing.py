@@ -108,6 +108,21 @@ def test_hypercube_homomorphism():
     assert np.array_equal(lhs, rhs)
 
 
+@pytest.mark.parametrize("q", [2, 16, 7])
+def test_hypercube_aggregates_a_strided_stack(q):
+    # the signer's (N, tau, T) view of its (tau, N, T) block aggregates per
+    # round, as a contiguous (N, T) block does
+    field = base_field(q)
+    rng = np.random.default_rng(q)
+    arr = rng.integers(0, q, (3, 16, 5)).astype(np.uint8)
+    mains = hypercube_aggregate(field, arr.transpose(1, 0, 2))  # (D, 2, tau, T)
+    sides = np.arange(16)[:, None] >> np.arange(4) & 1
+    for e in range(3):
+        assert np.array_equal(mains[:, :, e], hypercube_aggregate(field, arr[e]))
+        for kd in range(4):
+            assert np.array_equal(mains[kd, 0, e], field.axis_sum(arr[e, sides[:, kd] == 0], 0))
+
+
 def test_hypercube_requires_power_of_two():
     with pytest.raises(ValueError):
         hypercube_aggregate(base_field(16), np.zeros((6, 3), np.uint8))

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from mira import params, sign_additive as sa
-from mira.hashing import derive_challenge2_additive
+from mira.hashing import X_SIGN, derive_challenge1, derive_challenge2_additive
 from mira.keys import keygen_optimized
-from mira.mpc import ChallengeBatch
+from mira.mpc import ChallengeBatch, PkOperand
 from mira.matrices import columns_to_ext
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
-from mira.trees import leaves_from_path
+from mira.sharing import additive_share
+from mira.trees import SeedTree, leaves_from_path
 
 TABLE_SIZES = {1: 5640, 3: 11779, 5: 20762}
 
@@ -73,8 +74,6 @@ def test_hidden_leaf_stays_hidden():
     sig = sa.decode(ap, data)
     ch2 = derive_challenge2_additive(ap.suite, sig.h2, ap.n_parties, ap.tau)
     # rebuild the signing-side trees to learn the hidden seeds
-    from mira.hashing import X_SIGN
-    from mira.trees import SeedTree
     rng = ap.suite.xof(X_SIGN, b"ent")
     assert rng.read(ap.suite.salt_bytes) == sig.salt
     for e in range(1, ap.tau + 1):
@@ -128,16 +127,33 @@ def test_aux_block_must_be_zero_when_hidden_leaf_is_last():
         assert not sa.verify(ap, pk, b"m", sa.encode(ap, sig)), name
 
 
-def test_cross_dimension_alpha_equality():
-    ap = TOY
-    pk, sk = keygen_optimized(ap, b"alpha")
-    data = sa.sign(ap, pk, sk, b"m", b"e")
-    ok, details = sa.verify_decoded(ap, pk, b"m", sa.decode(ap, data))
+@pytest.mark.parametrize("ap, istars", [(TOY, [1, 8, 5]), (TOY2, [1, 4])],
+                         ids=["gf16-1-N-mid", "q2-1-N"])
+def test_opened_alpha_is_alpha_of_the_full_leaf_sum(ap, istars, monkeypatch):
+    # verify rebuilds each round's opened alpha from the opened leaves and the
+    # hidden leaf's share; it must be alpha of all N leaf rows summed, hidden
+    # leaf included, with the M_0 offset.  The rows come from the signing
+    # entropy, whichever leaf (1, N or a middle one) carries the offset.
+    monkeypatch.setattr(sa, "derive_challenge2_additive", lambda *args: list(istars))
+    pk, sk = keygen_optimized(ap, b"open")
+    x, beta = sk.sign_inputs()
+    sig = sa.decode(ap, sa.sign(ap, pk, sk, b"m", b"e"))
+    ok, details = sa.verify_decoded(ap, pk, b"m", sig)
     assert ok
-    al = details["alpha_open"]
-    for e in range(ap.tau):
-        for kd in range(1, ap.depth):
-            assert np.array_equal(al[e, kd], al[e, 0])
+    rng = ap.suite.xof(X_SIGN, b"e")
+    assert rng.read(ap.suite.salt_bytes) == sig.salt
+    sums = []
+    for e in range(1, ap.tau + 1):
+        tree = SeedTree.expand(ap.suite, rng.read(ap.suite.seed_bytes), sig.salt, e,
+                               ap.n_parties)
+        shares, _, _ = additive_share(ap.suite, sig.salt, e, tree.leaves(), ap.share_dims,
+                                      ap.base, ap.ext, x, beta)
+        sums.append(ap.base.axis_sum(shares.flat, axis=0))
+    sum_x, _, sum_a, _ = ap.share_dims.split(np.stack(sums)[:, None])
+    batch = ChallengeBatch(ap.ext, ap.r, derive_challenge1(ap.suite, sig.h1, ap.ext, ap.n, ap.tau))
+    alpha, _ = batch.broadcast_alpha(PkOperand.of(pk), sum_x, sum_a, [True])
+    opened = details["alpha_open"]                            # (tau, D, r, m)
+    assert np.array_equal(opened, np.broadcast_to(alpha, opened.shape))
 
 
 def test_challenge_injection_seams():

@@ -75,8 +75,13 @@ def test_tree_errors():
         tree.sibling_path(0)
     with pytest.raises(ValueError):
         tree.sibling_path(5)
-    with pytest.raises(ValueError):
-        leaves_from_path(SUITE, tree.sibling_path(1)[:1], 1, SALT, 1, 4)
+    path = tree.sibling_path(1)
+    for bad in (path[:1], path + path[:1]):
+        with pytest.raises(ValueError, match="length"):
+            leaves_from_path(SUITE, bad, 1, SALT, 1, 4)
+    for hidden in (0, 5, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            leaves_from_path(SUITE, path, hidden, SALT, 1, 4)
 
 
 def test_merkle_single_leaf():
