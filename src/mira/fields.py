@@ -21,8 +21,16 @@ and signatures depend on it.
 Matrix products over GF(q) go through ``matmul`` (one (R, K) @ (K, C)
 product) or ``matmul3`` (a (T, R, K) @ (T, K, C) stack, right operand
 prepared once with ``matmul3_prepare``); both public methods share one
-private body per field.  Prime fields multiply in float64 BLAS and reduce
-the exact integer result.  Characteristic-2 fields pick a path by input:
+private body per field.
+
+Prime fields multiply in float32 BLAS, exact while K * (q-1)^2 < 2^24
+(K <= 268 at q = 251; the largest shipped K is m^2 = 256, in the rank map),
+and reduce with a rint and an int16 sign fix-up (see ``PrimeField``).  On a
+(250, 4) @ (4, 317) share product that is 0.15 ms against 0.53 ms for the
+float64 product with rint / int64 ``%`` passes (one thread of a 2-vCPU
+x86-64 host, OpenBLAS).
+
+Characteristic-2 fields pick a path by input:
 
 * table gather - a product of at most 2^18 multiply-adds is one gather
   from the full multiplication table and an XOR reduction;
@@ -46,8 +54,8 @@ import numpy as np
 
 from .bitio import pack_nibbles, unpack_nibbles
 
-# Largest inner dimension so that counts stay exact in the float64 path.
-_F64_EXACT = 1 << 53
+# float32 holds every integer below this exactly
+_F32_EXACT = 1 << 24
 
 
 def _is_prime(n):
@@ -109,7 +117,14 @@ def _split_rows(data, rows):
 
 
 class PrimeField:
-    """Integers modulo a prime p, elementwise over numpy arrays."""
+    """Integers modulo a prime p, elementwise over numpy arrays.
+
+    Products run in float32: prepared right operands are float32 arrays,
+    and ``_gemm`` multiplies chunks of at most (2^24 - 1) // (p-1)^2 inner
+    terms, each exact, so one chunk covers every shipped shape.  ``_reduce``
+    maps the float32 counts to uint8 residues by ``c - p * rint(c / p)``
+    (a residue in (-p, p)), an int16 cast and ``+ p`` on negatives.
+    """
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -152,17 +167,31 @@ class PrimeField:
         return self._gemm(a, self.matmul3_prepare(b))
 
     def matmul3_prepare(self, b3):
-        return np.asarray(b3).astype(np.float64)
+        return np.asarray(b3).astype(np.float32)
 
     def matmul3(self, a3, prepared):
         """(T, R, K) @ (T, K, C) stacked products."""
         return self._gemm(a3, prepared)
 
     def _gemm(self, a, bf):
-        a = np.asarray(a)
-        assert a.shape[-1] * (self.q - 1) ** 2 < _F64_EXACT
-        c = np.rint(np.matmul(a.astype(np.float64), bf)).astype(np.int64)
-        return (c % self.q).astype(np.uint8)
+        af = np.asarray(a).astype(np.float32)
+        step = (_F32_EXACT - 1) // (self.q - 1) ** 2     # largest exact K
+        c = np.matmul(af[..., :step], bf[..., :step, :])
+        for lo in range(step, af.shape[-1], step):       # longer K: exact chunks
+            c = self._fold(c) + self._fold(
+                np.matmul(af[..., lo:lo + step], bf[..., lo:lo + step, :]))
+        return self._reduce(c)
+
+    def _fold(self, c):
+        """Integer-valued float32 c, |c| < 2^24, to a residue in (-q, q), in place."""
+        c -= self.q * np.rint(c * (1.0 / self.q))
+        return c
+
+    def _reduce(self, c):
+        """c mod q as uint8 for integer-valued float32 c, |c| < 2^24."""
+        r = self._fold(c).astype(np.int16)
+        r += (r >> 15) & self.q
+        return r.astype(np.uint8)
 
     def pack(self, arr):
         return np.ascontiguousarray(np.asarray(arr, np.uint8).ravel()).tobytes()

@@ -24,7 +24,8 @@ from .bitio import NibbleReader, NibbleWriter, SignatureFormatError
 from .hashing import (H1, H2, H3, H4, X_SIGN, commit,
                       derive_challenge1, derive_challenge2_additive, encode_u16)
 from .mpc import ChallengeBatch, PkOperand
-from .sharing import additive_share, expand_leaf_shares, hypercube_aggregate
+from .sharing import (additive_share, beta_map, expand_leaf_shares,
+                      hypercube_aggregate)
 from .trees import SeedTree, leaves_from_path
 
 
@@ -160,10 +161,11 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
     flat_all = np.empty((tau, n_parties, t_cols), np.uint8)
     a_plains = np.empty((tau, r, m), np.uint8)
     c_plains = np.empty((tau, m), np.uint8)
+    w_beta = beta_map(ext, beta)
     for e in range(1, tau + 1):
         tree = SeedTree.expand(suite, rng.read(suite.seed_bytes), salt, e, n_parties)
         shares, a_plain, c_plain = additive_share(
-            suite, salt, e, tree.leaves(), dims, base, ext, x, beta)
+            suite, salt, e, tree.leaves(), dims, base, ext, x, beta, w_beta)
         flat_all[e - 1] = shares.flat
         a_plains[e - 1] = a_plain
         c_plains[e - 1] = c_plain

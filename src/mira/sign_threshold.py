@@ -21,7 +21,7 @@ from .bitio import SignatureFormatError
 from .hashing import (H1, H2, X_SIGN, FieldSampler, commit,
                       derive_challenge1, derive_challenge2_threshold)
 from .mpc import ChallengeBatch, PkOperand
-from .sharing import shamir_expand, shamir_share
+from .sharing import beta_map, neg_inner, shamir_expand, shamir_share
 from .trees import (H_MERKLE, MerkleTree, merkle_auth, merkle_root,
                     merkle_root_from_auth)
 
@@ -127,21 +127,22 @@ def _sign_core(ps, pk, x, beta, message, entropy,
     salt = rng.read(suite.salt_bytes)
     sampler = FieldSampler(base, rng)
 
-    shares_all = np.empty((tau, n_parties, dims.total), np.uint8)
+    # draws in round order (a, then the Shamir coefficients); c and the
+    # shares of all rounds follow in one batch each
     a_plains = np.empty((tau, r, m), np.uint8)
-    c_plains = np.empty((tau, m), np.uint8)
+    rands = np.empty((tau, ell, dims.total), np.uint8)
+    for e in range(tau):
+        a_plains[e] = sampler.take(r * m).reshape(r, m)
+        rands[e] = sampler.take(ell * dims.total).reshape(ell, dims.total)
+    c_plains = neg_inner(ext, a_plains, beta_map(ext, beta))
+    secrets = np.concatenate([np.broadcast_to(np.concatenate([x, beta.ravel()]),
+                                              (tau, k + r * m)),
+                              a_plains.reshape(tau, r * m), c_plains], axis=1)
+    shares_all = shamir_share(base, secrets, ell, n_parties, rands)
     trees, roots = [], []
     for e in range(1, tau + 1):
-        a_e = sampler.take(r * m).reshape(r, m)
-        c_e = ext.neg(ext.dot(beta, a_e, axis=0))
-        rand = sampler.take(ell * dims.total).reshape(ell, dims.total)
-        secrets = np.concatenate([x, beta.ravel(), a_e.ravel(), c_e])
-        shares = shamir_share(base, secrets, ell, n_parties, rand)
-        shares_all[e - 1] = shares
-        a_plains[e - 1] = a_e
-        c_plains[e - 1] = c_e
         tree = MerkleTree(suite, commit(suite, salt, e, range(1, n_parties + 1),
-                                        base.pack_rows(shares)))
+                                        base.pack_rows(shares_all[e - 1])))
         trees.append(tree)
         roots.append(merkle_root(suite, tree))
 
@@ -151,12 +152,7 @@ def _sign_core(ps, pk, x, beta, message, entropy,
 
     # batch: row 0 = plaintext, rows 1..l+1 = the public parties of S
     s_idx = np.asarray(s_set) - 1
-    plain_row = np.empty((tau, 1, dims.total), np.uint8)
-    plain_row[:, 0, :k] = x
-    plain_row[:, 0, k:k + r * m] = beta.ravel()
-    plain_row[:, 0, k + r * m:k + 2 * r * m] = a_plains.reshape(tau, r * m)
-    plain_row[:, 0, k + 2 * r * m:] = c_plains
-    rows = np.concatenate([plain_row, shares_all[:, s_idx]], axis=1)
+    rows = np.concatenate([secrets[:, None], shares_all[:, s_idx]], axis=1)
     rows_x, rows_beta, rows_a, rows_c = dims.split(rows)
     alphas, zs = batch.broadcast_alpha(pk_op, rows_x, rows_a,
                                        np.ones(ell + 2, bool))

@@ -22,7 +22,8 @@ from mira.matrices import columns_to_ext, rank, sample_rank_bounded
 from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator, fq_basis
-from mira.sharing import ShareDims, additive_share, hypercube_aggregate, shamir_share
+from mira.sharing import (ShareDims, additive_share, beta_map, hypercube_aggregate,
+                          shamir_share)
 from mira.trees import SeedTree, leaves_from_path, merkle_auth, merkle_root
 from mira.trees import merkle_root_from_auth, H_MERKLE
 
@@ -195,7 +196,8 @@ def test_criterion_7_oracle_equivalence():
         for e in range(chunk):
             seeds = [bytes([kp, e, i]) * 8 for i in range(n_parties)]
             shares, a_p, c_p = additive_share(SUITE, b"\x00" * 32, e + 1, seeds,
-                                              dims, mr.base, ext, x, beta)
+                                              dims, mr.base, ext, x, beta,
+                                              beta_map(ext, beta))
             leaf_rows[e] = shares.flat
             a_plains[e] = a_p
             c_plains[e] = c_p

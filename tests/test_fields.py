@@ -276,6 +276,56 @@ def test_matmul_paths_agree():
         assert np.array_equal(got[t], f251.matmul(a3[t], b3[t]))
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 251])
+def test_prime_reduce_is_exact_on_every_float32_integer(q):
+    # every count a float32 GEMM can hold exactly, in slices of 2^20
+    field = PrimeField(q)
+    step = 1 << 20
+    for lo in range(0, 1 << 24, step):
+        ints = np.arange(lo, lo + step, dtype=np.int64)
+        got = field._reduce(ints.astype(np.float32))
+        assert np.array_equal(got, (ints % q).astype(np.uint8)), lo
+
+
+def _int64_product(q, a, b):
+    return (a.astype(np.int64) @ b.astype(np.int64) % q).astype(np.uint8)
+
+
+# inner sizes just under the exact float32 bound at q = 251 (K <= 268) and
+# above it, where the product runs in reduced chunks along K
+@pytest.mark.parametrize("inner_range", [(250, 268), (269, 700)], ids=["exact", "chunked"])
+@settings(max_examples=10, deadline=None)
+@given(data=hs.data(), seed=hs.integers(0, 2 ** 32 - 1))
+def test_prime_products_match_int64_reference(inner_range, data, seed):
+    q = 251
+    field = PrimeField(q)
+    inner = data.draw(hs.integers(*inner_range))
+    rows, cols, stack = (data.draw(hs.integers(1, 9)) for _ in range(3))
+    rng = np.random.default_rng(seed)
+
+    def near_top(shape):
+        # half the entries q - 1, so the counts come near 2^24
+        low = rng.integers(0, 2, shape) * rng.integers(0, q, shape)
+        return (q - 1 - low).astype(np.uint8)
+
+    a3 = near_top((stack, rows, inner))
+    b3 = near_top((stack, inner, cols))
+    ref = _int64_product(q, a3, b3)
+    assert np.array_equal(field.matmul3(a3, field.matmul3_prepare(b3)), ref)
+    assert np.array_equal(field.matmul(a3[0], b3[0]), ref[0])
+
+
+@pytest.mark.parametrize("q", [7, 251])
+def test_prime_gemm_at_and_past_the_exact_bound(q):
+    field = PrimeField(q)
+    step = ((1 << 24) - 1) // (q - 1) ** 2
+    for inner in (step, step + 1, 2 * step + 3):
+        a = np.full((2, inner), q - 1, np.uint8)
+        b = np.full((inner, 3), q - 1, np.uint8)
+        b[::5, 1] = 1
+        assert np.array_equal(field.matmul(a, b), _int64_product(q, a, b)), inner
+
+
 def _mul_table_product(field, a, b):
     """(..., R, K) @ (..., K, C) one MUL-table lookup per element product."""
     return np.bitwise_xor.reduce(field.MUL[a[..., :, :, None], b[..., None, :, :]],

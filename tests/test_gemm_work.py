@@ -25,11 +25,11 @@ SCHEMES = {"additive": sign_additive, "threshold": sign_threshold}
 # method -> (calls, multiply-accumulates)
 PINNED = {
     ("additive", 1): {
-        "sign": {"matmul": (18, 21600), "matmul3": (10, 6082560)},
+        "sign": {"matmul": (18, 23040), "matmul3": (11, 6103040)},
         "verify": {"matmul3": (7, 5515776)},
     },
     ("threshold", 1): {
-        "sign": {"matmul": (15, 1613920), "matmul3": (7, 556416)},
+        "sign": {"matmul": (9, 1614340), "matmul3": (8, 565056)},
         "verify": {"matmul": (1, 180180), "matmul3": (9, 372624)},
     },
 }

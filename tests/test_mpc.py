@@ -14,7 +14,8 @@ from mira.matrices import columns_to_ext, rank, sample_rank_bounded
 from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
-from mira.sharing import ShareDims, additive_share, hypercube_aggregate, shamir_share
+from mira.sharing import (ShareDims, additive_share, beta_map, hypercube_aggregate,
+                          shamir_share)
 
 from helpers import shamir_reconstruct
 
@@ -69,7 +70,8 @@ def test_additive_sum_equals_plaintext():
     n_parties = 8
     seeds = [bytes([i]) * 16 for i in range(n_parties)]
     shares, a_plain, c_plain = additive_share(SUITE, SALT, 1, seeds, dims,
-                                              mr.base, ext, x, beta)
+                                              mr.base, ext, x, beta,
+                                              beta_map(ext, beta))
     batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
     alpha_p, v_p = plain_run(batch, op, x, beta, a_plain, c_plain)
     offs = np.zeros(n_parties, bool)
@@ -131,7 +133,8 @@ def test_hypercube_consistency_and_shortcut():
     op = PkOperand.of(pk)
     seeds = [bytes([i]) * 16 for i in range(16)]
     shares, a_plain, c_plain = additive_share(SUITE, SALT, 1, seeds, dims,
-                                              mr.base, ext, x, beta)
+                                              mr.base, ext, x, beta,
+                                              beta_map(ext, beta))
     batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
     alpha_p, v_p = plain_run(batch, op, x, beta, a_plain, c_plain)
     mains_x = hypercube_aggregate(mr.base, shares.x)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mira.fields import base_field, ext_field
 from mira.hashing import HashSuite
-from mira.sharing import (InputShares, ShareDims, additive_share,
-                          expand_leaf_shares, hypercube_aggregate,
+from mira.sharing import (InputShares, ShareDims, additive_share, beta_map,
+                          expand_leaf_shares, hypercube_aggregate, neg_inner,
                           shamir_expand, shamir_points, shamir_share)
 
 from helpers import leaf_side, shamir_reconstruct
@@ -26,7 +26,8 @@ def make_sharing(n, seed_tag, x=None, beta=None, q=16):
     beta = rng.integers(0, q, (DIMS.r, DIMS.m)).astype(np.uint8) if beta is None else beta
     seeds = [bytes([seed_tag % 256, i]) * (SUITE.seed_bytes // 2) for i in range(n)]
     shares, a_plain, c_plain = additive_share(SUITE, SALT, 1, seeds, DIMS,
-                                              field, ext, x, beta)
+                                              field, ext, x, beta,
+                                              beta_map(ext, beta))
     return field, ext, x, beta, shares, a_plain, c_plain
 
 
@@ -342,3 +343,36 @@ def test_batched_expand_rejects_duplicate_points_in_any_row(case, data):
     shares = np.zeros((len(points), ell + 1, coeffs.shape[2]), np.uint8)
     with pytest.raises(ValueError):
         shamir_expand(f, shares, points, targets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shamir_rounds())
+def test_round_batched_share_equals_per_round_calls(case):
+    q, n, ell, coeffs, _, _ = case
+    f = base_field(q)
+    got = shamir_share(f, coeffs[:, 0], ell, n, coeffs[:, 1:])
+    assert got.shape == (len(coeffs), n, coeffs.shape[2])
+    for e in range(len(coeffs)):
+        assert np.array_equal(got[e], shamir_share(f, coeffs[e, 0], ell, n, coeffs[e, 1:]))
+        assert np.array_equal(got[e, 0], _evaluate(q, coeffs[e], 1))
+
+
+# ---------------------------------------------------------------------------
+# c = -<a, beta> through beta's multiplication map
+
+@pytest.mark.parametrize("q", [251, 16, 7])
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 6), r=st.integers(1, 4), rounds=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_neg_inner_equals_per_round_dot(q, m, r, rounds, seed):
+    ext = ext_field(q, m)
+    rng = np.random.default_rng(seed)
+    beta = rng.integers(0, q, (r, m)).astype(np.uint8)
+    a = rng.integers(0, q, (rounds, r, m)).astype(np.uint8)
+    w_beta = beta_map(ext, beta)
+    got = neg_inner(ext, a, w_beta)
+    assert got.shape == (rounds, m)
+    for e in range(rounds):
+        ref = ext.neg(ext.dot(a[e], beta, axis=0))
+        assert np.array_equal(got[e], ref)
+        assert np.array_equal(neg_inner(ext, a[e], w_beta), ref)    # one round: (m,)

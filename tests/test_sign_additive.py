@@ -8,7 +8,7 @@ from mira.mpc import ChallengeBatch, PkOperand
 from mira.matrices import columns_to_ext
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
-from mira.sharing import additive_share
+from mira.sharing import additive_share, beta_map
 from mira.trees import SeedTree, leaves_from_path
 
 TABLE_SIZES = {1: 5640, 3: 11779, 5: 20762}
@@ -147,7 +147,8 @@ def test_opened_alpha_is_alpha_of_the_full_leaf_sum(ap, istars, monkeypatch):
         tree = SeedTree.expand(ap.suite, rng.read(ap.suite.seed_bytes), sig.salt, e,
                                ap.n_parties)
         shares, _, _ = additive_share(ap.suite, sig.salt, e, tree.leaves(), ap.share_dims,
-                                      ap.base, ap.ext, x, beta)
+                                      ap.base, ap.ext, x, beta,
+                                      beta_map(ap.ext, beta))
         sums.append(ap.base.axis_sum(shares.flat, axis=0))
     sum_x, _, sum_a, _ = ap.share_dims.split(np.stack(sums)[:, None])
     batch = ChallengeBatch(ap.ext, ap.r, derive_challenge1(ap.suite, sig.h1, ap.ext, ap.n, ap.tau))

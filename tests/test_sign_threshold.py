@@ -77,6 +77,23 @@ def test_gf16_odd_state_width_round_trips():
         assert not st.verify(tp, pk, msg + b"!", sig)
 
 
+def test_gf16_round_batched_share_equals_per_round_calls():
+    tp = TOY16
+    t_cols = tp.share_dims.total
+    assert t_cols % 2 == 1
+    rng = np.random.default_rng(16)
+    secrets = rng.integers(0, 16, (tp.tau + 1, t_cols)).astype(np.uint8)
+    rand = rng.integers(0, 16, (tp.tau + 1, tp.ell, t_cols)).astype(np.uint8)
+    got = shamir_share(tp.base, secrets, tp.ell, tp.n_parties, rand)
+    for e in range(tp.tau + 1):
+        assert np.array_equal(got[e], shamir_share(tp.base, secrets[e], tp.ell,
+                                                   tp.n_parties, rand[e]))
+    # every party row is a degree-ell sharing of its round's secrets
+    rec = shamir_reconstruct(tp.base, got[:, :tp.ell + 1],
+                             np.tile(np.arange(1, tp.ell + 2, dtype=np.uint8), (tp.tau + 1, 1)))
+    assert np.array_equal(rec, secrets)
+
+
 def test_gf16_nonzero_padding_nibble_is_a_format_error():
     tp = TOY16
     assert tp.r * tp.m % 2 == 1          # each round ends in alpha_star's padding nibble
