@@ -12,6 +12,15 @@ Two base field flavours are provided:
 * ``Char2Field(d)``  - GF(2^d) with elements encoded as d-bit polynomial
   values over GF(2) and multiplication via log/antilog tables.
 
+``ExtField`` derives all of its arithmetic from one table built with the
+field, X^k mod f for k < 2m - 1.  It gives the fixed (m, m*m) map whose one
+GEMM turns a batch of b into multiplication matrices (column t = b * X^t);
+``mul(a, b)`` is those matrices times a, summed over t, and ``pow``,
+``inv``, ``dot`` and q-polynomials build on it.  The Frobenius matrices F_i
+(v -> v^(q^i)), i < m, are one read-only stack built with the field: F_1
+holds the powers (X^q)^t, and F_i = F_1 F_(i-1).  The modulus test runs
+Rabin's test in GF(q)[X]/(f) through the same class.
+
 Extension moduli are fixed deterministically (see ``canonical_modulus``):
 the monic irreducible of degree m whose non-leading coefficient vector,
 read as a little-endian base-q integer, is minimal.  This reproduces
@@ -156,9 +165,6 @@ class PrimeField:
             raise ZeroDivisionError("inversion of zero")
         return self._inv[a]
 
-    def pow(self, a, e):
-        return np.uint8(pow(int(a), int(e), self.q))
-
     def axis_sum(self, a, axis=0):
         return (np.asarray(a, np.int64).sum(axis=axis) % self.q).astype(np.uint8)
 
@@ -279,12 +285,6 @@ class Char2Field:
         if np.any(a == 0):
             raise ZeroDivisionError("inversion of zero")
         return self.INV[a]
-
-    def pow(self, a, e):
-        a = int(a)
-        if a == 0:
-            return np.uint8(0 if e else 1)
-        return np.uint8(self.EXP[(int(self.LOG[a]) * int(e)) % (self.q - 1)])
 
     def axis_sum(self, a, axis=0):
         return np.bitwise_xor.reduce(np.asarray(a, np.uint8), axis=axis)
@@ -424,54 +424,16 @@ def base_field(q):
 # ---------------------------------------------------------------------------
 # polynomial helpers over an arbitrary base field (setup-time only)
 
-def _poly_trim(base, c):
+def _poly_trim(c):
     i = len(c)
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return c[:i]
 
 
-def _poly_mulmod(base, a, b, mod):
-    la, lb = len(a), len(b)
-    acc = np.zeros(la + lb - 1, dtype=np.int64) if base.char != 2 else np.zeros(la + lb - 1, np.uint8)
-    for u in range(la):
-        if a[u]:
-            term = base.mul(a[u], b)
-            if base.char == 2:
-                acc[u:u + lb] ^= term
-            else:
-                acc[u:u + lb] = (acc[u:u + lb] + term) % base.q
-    acc = acc.astype(np.uint8)
-    # reduce by monic mod
-    m = len(mod) - 1
-    for t in range(len(acc) - 1, m - 1, -1):
-        top = acc[t]
-        if top:
-            acc[t - m:t + 1] = base.sub(acc[t - m:t + 1], base.mul(top, mod))
-    return acc[:m]
-
-
-def _poly_powmod_q(base, a, mod, times):
-    """a^(q^times) mod ``mod`` via repeated q-th powers."""
-    out = a.copy()
-    for _ in range(times):
-        acc = np.zeros(len(mod) - 1, np.uint8)
-        acc[0] = 1
-        e = base.q
-        sq = out
-        while e:
-            if e & 1:
-                acc = _poly_mulmod(base, acc, sq, mod)
-            e >>= 1
-            if e:
-                sq = _poly_mulmod(base, sq, sq, mod)
-        out = acc
-    return out
-
-
 def _poly_gcd_deg(base, a, b):
-    a = _poly_trim(base, a.copy())
-    b = _poly_trim(base, b.copy())
+    """Degree of gcd(a, b) for ascending coefficient vectors."""
+    a, b = _poly_trim(a.copy()), _poly_trim(b.copy())
     while len(b):
         if len(a) < len(b):
             a, b = b, a
@@ -479,35 +441,29 @@ def _poly_gcd_deg(base, a, b):
         lead = base.mul(a[-1], base.inv(b[-1]))
         shift = len(a) - len(b)
         a[shift:] = base.sub(a[shift:], base.mul(lead, b))
-        a = _poly_trim(base, a)
-        if len(a) < len(b):
-            a, b = b, a
+        a = _poly_trim(a)
     return len(a) - 1
 
 
 def _ext_irreducible(base, coeffs):
-    """Monic coeffs (len m+1) irreducible over ``base``?"""
+    """Rabin's test: is the monic ``coeffs`` (len m+1) irreducible over ``base``?
+
+    f of degree m is irreducible iff X^(q^m) = X mod f and
+    gcd(X^(q^(m/t)) - X, f) = 1 for every prime t | m.  The powers come from
+    the Frobenius stack of the ring GF(q)[X]/(f), whose F_i is the q^i-power
+    map for every i < m whether or not f is irreducible.
+    """
     m = len(coeffs) - 1
-    x = np.zeros(m, np.uint8)
     if m == 1:
         return True
-    x[1] = 1
-    xqm = _poly_powmod_q(base, x, coeffs, m)
-    diff = xqm.copy()
-    diff[1] = base.sub(diff[1], np.uint8(1))
-    if _poly_trim(base, diff).size:
+    ring = ExtField(base, m, coeffs)
+    x = ring.gen()
+    # X^(q^m) as F_1 F_(m-1) X: frob_matrix(m) wraps to the identity
+    if not np.array_equal(ring.frob(ring.frob(x, m - 1), 1), x):
         return False
-    m_primes = {p for p in range(2, m + 1) if m % p == 0 and _is_prime(p)}
-    for t in m_primes:
-        xq = _poly_powmod_q(base, x, coeffs, m // t)
-        diff = xq.copy()
-        diff[1] = base.sub(diff[1], np.uint8(1))
-        diff = _poly_trim(base, diff)
-        if diff.size == 0:
-            return False
-        g = np.zeros(m + 1, np.uint8)
-        g[:len(coeffs)] = coeffs
-        if _poly_gcd_deg(base, g, diff) != 0:
+    for t in (p for p in range(2, m + 1) if m % p == 0 and _is_prime(p)):
+        diff = ring.sub(ring.frob(x, m // t), x)       # X^(q^(m/t)) - X
+        if not diff.any() or _poly_gcd_deg(base, coeffs, diff) != 0:
             return False
     return True
 
@@ -529,20 +485,11 @@ def canonical_modulus(base, m, _skip_table=False):
     """Monic irreducible of degree m with minimal little-endian tail value."""
     q = base.q
     known = None if _skip_table else _KNOWN_TAILS.get((q, m))
-    val = 1 if known is None else known
-    while True:
-        coeffs = np.zeros(m + 1, np.uint8)
-        coeffs[m] = 1
-        v, i = val, 0
-        while v:
-            coeffs[i] = v % q
-            v //= q
-            i += 1
-        if i <= m and _ext_irreducible(base, coeffs):
+    for val in range(1 if known is None else known, q ** m):
+        coeffs = np.array([val // q ** i % q for i in range(m)] + [1], np.uint8)
+        if _ext_irreducible(base, coeffs):
             return coeffs
-        val += 1
-        if val >= q ** m:  # pragma: no cover
-            raise ValueError("no irreducible found")
+    raise ValueError("no irreducible found")  # pragma: no cover
 
 
 class ExtField:
@@ -554,27 +501,31 @@ class ExtField:
         self.q = base.q
         self.modulus = canonical_modulus(base, m) if modulus is None else np.asarray(modulus, np.uint8)
         assert len(self.modulus) == m + 1 and self.modulus[m] == 1
-        # rows t = coeffs of X^(m+t) mod modulus, t in [0, m-1)
-        r0 = base.neg(self.modulus[:m])
-        rows = [r0]
-        for _ in range(m - 2):
-            rows.append(self._shift_reduce_row(rows[-1]))
-        self.RED = np.stack(rows) if m > 1 else np.zeros((0, m), np.uint8)
-        self._frob = {}
+        # powers[k] = coeffs of X^k mod modulus; X^(k+1) = X^k @ (rows X^1..X^m)
+        powers = np.zeros((2 * m - 1, m), np.uint8)
+        powers[:m] = np.eye(m, dtype=np.uint8)
+        if m > 1:
+            powers[m] = base.neg(self.modulus[:m])
+        for k in range(m, 2 * m - 2):
+            powers[k + 1] = base.matmul(powers[k:k + 1], powers[1:m + 1])[0]
         # (m, m*m) map u -> (v, t): coefficient v of X^(u+t) mod modulus, so
         # a @ map holds the coefficients of a * X^t; prepared once per field
-        powers = np.concatenate([np.eye(m, dtype=np.uint8), self.RED])
         xut = powers[np.arange(m)[:, None] + np.arange(m)[None, :]]   # [u, t, v]
         self._mul_map = base.matmul3_prepare(
             np.ascontiguousarray(xut.transpose(0, 2, 1)).reshape(m, m * m))
-
-    def _shift_reduce_row(self, row):
-        out = np.zeros_like(row)
-        out[1:] = row[:-1]
-        top = row[-1]
-        if top:
-            out = self.base.add(out, self.base.mul(top, self.base.neg(self.modulus[:self.m])))
-        return out
+        # F_0 = I; F_1 has columns (X^q)^t; F_i = F_1 F_(i-1)
+        stack = np.empty((m, m, m), np.uint8)
+        stack[0] = np.eye(m, dtype=np.uint8)
+        if m > 1:
+            cols = [self.one()]
+            xq = self.pow(self.gen(), self.q)
+            for _ in range(m - 1):
+                cols.append(self.mul(cols[-1], xq))
+            stack[1] = np.stack(cols, axis=1)
+            for i in range(2, m):
+                stack[i] = base.matmul(stack[1], stack[i - 1])
+        stack.flags.writeable = False
+        self._frob_stack = stack
 
     # -- element helpers ----------------------------------------------------
 
@@ -604,35 +555,12 @@ class ExtField:
     def is_zero(self, a):
         return not np.any(np.asarray(a) != 0)
 
-    def reduce_double(self, acc):
-        """Reduce (..., 2m-1) convolution output to (..., m)."""
-        m = self.m
-        low = acc[..., :m]
-        if m == 1:
-            return low.astype(np.uint8)
-        high = acc[..., m:]
-        if not np.any(high):
-            return low.astype(np.uint8)
-        shp = high.shape
-        red = self.base.matmul(high.reshape(-1, m - 1), self.RED)
-        return self.base.add(low, red.reshape(shp[:-1] + (m,)))
-
     def mul(self, a, b):
+        """a * b for broadcastable (..., m) stacks: b's multiplication matrices times a."""
         a = np.asarray(a, np.uint8)
         b = np.asarray(b, np.uint8)
-        a, b = np.broadcast_arrays(a, b)
-        m = self.m
-        shp = a.shape[:-1]
-        if isinstance(self.base, Char2Field):
-            acc = np.zeros(shp + (2 * m - 1,), np.uint8)
-            for u in range(m):
-                acc[..., u:u + m] ^= self.base.MUL[a[..., u, None], b]
-        else:
-            acc = np.zeros(shp + (2 * m - 1,), np.int64)
-            for u in range(m):
-                acc[..., u:u + m] += a[..., u, None].astype(np.int64) * b
-            acc = (acc % self.q).astype(np.uint8)
-        return self.reduce_double(acc)
+        mats = self.mul_matrices(b.reshape(-1, self.m)).reshape(b.shape + (self.m,))
+        return self.base.axis_sum(self.base.mul(mats, a[..., None, :]), -1)
 
     def pow(self, a, e):
         e = int(e)
@@ -659,24 +587,12 @@ class ExtField:
     # -- Frobenius and multiplication matrices ------------------------------
 
     def frob_matrix(self, i):
-        """Matrix F_i with F_i @ v = coeffs(v^(q^i)); cached."""
-        i = int(i) % self.m if self.m > 0 else 0
-        if i in self._frob:
-            return self._frob[i]
-        if i == 0:
-            out = np.eye(self.m, dtype=np.uint8)
-        elif 1 in self._frob:
-            out = self.base.matmul(self._frob[1], self.frob_matrix(i - 1))
-        else:
-            xq = self.pow(self.gen(), self.q) if self.m > 1 else self.one()
-            cols = [self.one()]
-            for _ in range(self.m - 1):
-                cols.append(self.mul(cols[-1], xq))
-            f1 = np.stack(cols, axis=1)
-            self._frob[1] = f1
-            return self.frob_matrix(i)
-        self._frob[i] = out
-        return out
+        """Read-only F_i with F_i @ v = coeffs(v^(q^i)).
+
+        i is taken mod m, which holds because v^(q^m) = v when the modulus is
+        irreducible; in a ring with a reducible modulus only i < m is valid.
+        """
+        return self._frob_stack[int(i) % self.m]
 
     def frob(self, a, i=1):
         """a^(q^i) for a of shape (..., m)."""

@@ -51,7 +51,7 @@ class PkOperand:
             k, mn = self.l_rows.shape
             mbits = np.empty((d * k, d * mn), np.uint8)
             for s in range(d):
-                scaled = base.mul(np.uint8(base.pow(2, s) if s else 1), self.l_rows)
+                scaled = base.mul(np.uint8(1 << s), self.l_rows)
                 for t in range(d):
                     mbits[s * k:(s + 1) * k, t * mn:(t + 1) * mn] = (scaled >> t) & 1
             self._gf2 = Gf2Table(mbits)
@@ -87,8 +87,7 @@ def _rank_map(ext, r):
     cache = ext.__dict__.setdefault("_rank_maps", {})
     if r not in cache:
         m = ext.m
-        eye = np.eye(m, dtype=np.uint8)
-        frobs = np.concatenate([ext.frob(eye, i) for i in range(r + 1)])
+        frobs = np.concatenate([ext.frob_matrix(i).T for i in range(r + 1)])
         mm = ext.mul_matrices(frobs).reshape(r + 1, m, m, m)    # [i, v, t, u]
         cmap = np.ascontiguousarray(mm.transpose(1, 3, 0, 2)).reshape(m * m, (r + 1) * m)
         cache.setdefault(r, ext.base.matmul3_prepare(cmap))

@@ -52,30 +52,25 @@ def annihilator(ext, support, r):
     Built iteratively over a basis (b_1..b_r): starting from L_0(X) = X,
     L_{i+1}(X) = L_i(X)^q - L_i(b_{i+1})^(q-1) * L_i(X).  Each step doubles
     the root space by b_{i+1}, giving the same polynomial as the product
-    over all q^r span elements without enumerating them.
+    over all q^r span elements without enumerating them.  The coefficients
+    stay one (i+1, m) stack, so a step is one ``frob`` and one ``mul``.
     """
     basis = fq_basis(ext.base, support, expected_dim=r)
-    coeffs = [ext.one()]  # L_0(X) = X
+    coeffs = ext.one(1)  # L_0(X) = X
     for b in basis:
         lb = evaluate_coeffs(ext, coeffs, b)
         if ext.is_zero(lb):  # pragma: no cover - basis rows are independent
             raise SupportDimensionError("basis element already a root")
-        scale = ext.pow(lb, ext.q - 1)
-        nxt = [ext.zero() for _ in range(len(coeffs) + 1)]
-        for t, c in enumerate(coeffs):
-            nxt[t + 1] = ext.add(nxt[t + 1], ext.frob(c, 1))
-            nxt[t] = ext.sub(nxt[t], ext.mul(scale, c))
+        nxt = ext.zero(len(coeffs) + 1)
+        nxt[1:] = ext.frob(coeffs, 1)
+        nxt[:-1] = ext.sub(nxt[:-1], ext.mul(ext.pow(lb, ext.q - 1), coeffs))
         coeffs = nxt
     assert np.array_equal(coeffs[-1], ext.one())
-    return QPolynomial(r=r, beta=np.stack(coeffs[:-1]) if r else np.zeros((0, ext.m), np.uint8))
+    return QPolynomial(r=r, beta=coeffs[:-1])
 
 
 def evaluate_coeffs(ext, coeffs, x):
-    """Evaluate sum_t coeffs[t] * x^(q^t) (coeffs is a full list, ascending)."""
-    acc = ext.zero()
-    xp = np.asarray(x, np.uint8)
-    for t, c in enumerate(coeffs):
-        if t:
-            xp = ext.frob(xp, 1)
-        acc = ext.add(acc, ext.mul(c, xp))
-    return acc
+    """Evaluate sum_t coeffs[t] * x^(q^t) for a (k, m) coefficient stack."""
+    x = np.asarray(x, np.uint8)
+    powers = np.stack([ext.frob(x, t) for t in range(len(coeffs))])
+    return ext.dot(coeffs, powers, axis=0)

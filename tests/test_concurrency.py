@@ -57,7 +57,6 @@ def test_concurrent_verify_matches_single_threaded(variant):
 
     fresh = PublicKey.from_bytes(pk.to_bytes())
     ext = ps.ext
-    ext._frob.clear()
     ext.__dict__.pop("_rank_maps", None)
     barrier = threading.Barrier(THREADS)
     verdicts = [None] * THREADS

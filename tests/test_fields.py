@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mira.fields import (Char2Field, Gf2Table, PrimeField, base_field,
-                         canonical_modulus, ext_field, _KNOWN_TAILS)
+                         canonical_modulus, ext_field, _KNOWN_TAILS, _ext_irreducible)
 
 from helpers import mul_matrices_by_shifts
 
@@ -130,11 +132,48 @@ def test_frobenius_linearity_property():
 
 
 def test_frobenius_order_m():
+    # frob(x, m) is the identity by construction, so check the order of F_1
+    # itself: applied m times, and as a matrix power
     for q, m in [(16, 16), (251, 12), (2, 4)]:
         ext = ext_field(q, m)
         rng = np.random.default_rng(4)
         x = rng.integers(0, q, (50, m)).astype(np.uint8)
-        assert np.array_equal(ext.frob(x, m), x)
+        y = x
+        for _ in range(m):
+            y = ext.frob(y, 1)
+        assert np.array_equal(y, x)
+        f1 = ext.frob_matrix(1)
+        power = np.eye(m, dtype=np.uint8)
+        for _ in range(m):
+            power = ext.base.matmul(f1, power)
+        assert np.array_equal(power, np.eye(m, dtype=np.uint8))
+        for i in range(m):
+            assert np.array_equal(ext.frob_matrix(i + m), ext.frob_matrix(i))
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("q, max_m", [(2, 8), (3, 5), (4, 4), (5, 3)])
+def test_irreducible_count_matches_gauss_formula(q, max_m):
+    # every monic of degree m through Rabin's test, against the number of
+    # monic irreducibles (1/m) sum_{d | m} mu(d) q^(m/d)
+    base = base_field(q)
+    for m in range(1, max_m + 1):
+        count = 0
+        for tail in itertools.product(range(q), repeat=m):
+            count += _ext_irreducible(base, np.array(tail + (1,), np.uint8))
+        expected = sum(_mobius(d) * q ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+        assert count == expected, (q, m)
 
 
 def _schoolbook_mul_oracle(ext, a, b):
@@ -184,19 +223,22 @@ def test_mul_commutative_and_assoc():
 
 @settings(max_examples=30, deadline=None)
 @given(q=hs.sampled_from([2, 16, 251]), m=hs.sampled_from([1, 2, 5, 16]),
-       b=hs.integers(1, 40),
+       b=hs.integers(0, 40),
        seed=hs.integers(0, 2 ** 32 - 1))
 def test_mul_matrices_match_shift_reduce(q, m, b, seed):
     # the one-GEMM build against the fixed X^(u+t) map equals the
-    # column-by-column shift and reduce, and multiplies like ext.mul
+    # column-by-column shift and reduce; ext.mul, built on these matrices,
+    # matches the schoolbook oracle, also broadcast and on empty batches
     ext = ext_field(q, m)
     rng = np.random.default_rng(seed)
     us = rng.integers(0, q, (b, m)).astype(np.uint8)
-    mats = ext.mul_matrices(us)
-    assert np.array_equal(mats, mul_matrices_by_shifts(ext, us))
+    assert np.array_equal(ext.mul_matrices(us), mul_matrices_by_shifts(ext, us))
     ys = rng.integers(0, q, (b, m)).astype(np.uint8)
-    prods = np.stack([ext.base.matmul(mats[i], ys[i][:, None])[:, 0] for i in range(b)])
-    assert np.array_equal(prods, ext.mul(us, ys))
+    assert np.array_equal(ext.mul(us, ys), _schoolbook_mul_oracle(ext, us, ys))
+    el = rng.integers(0, q, m).astype(np.uint8)
+    ref = _schoolbook_mul_oracle(ext, us, np.tile(el, (b, 1)))
+    assert np.array_equal(ext.mul(us, el), ref)
+    assert np.array_equal(ext.mul(el, us), ref)
 
 
 def test_gf16_wire_format_modulus():
