@@ -21,7 +21,7 @@ GEMM turns a batch of b into multiplication matrices (column t = b * X^t);
 holds the powers (X^q)^t, and F_i = F_1 F_(i-1).  The modulus test runs
 Rabin's test in GF(q)[X]/(f) through the same class.
 
-Extension moduli are fixed deterministically (see ``canonical_modulus``):
+Extension moduli are fixed deterministically (see ``ext_field``):
 the monic irreducible of degree m whose non-leading coefficient vector,
 read as a little-endian base-q integer, is minimal.  This reproduces
 y^4 + y + 1 for GF(16) and is part of the wire format: all serialized keys
@@ -446,7 +446,8 @@ def _poly_gcd_deg(base, a, b):
 
 
 def _ext_irreducible(base, coeffs):
-    """Rabin's test: is the monic ``coeffs`` (len m+1) irreducible over ``base``?
+    """Rabin's test: the field GF(q)[X]/(f) if the monic ``coeffs`` (len m+1)
+    is irreducible over ``base``, else None.
 
     f of degree m is irreducible iff X^(q^m) = X mod f and
     gcd(X^(q^(m/t)) - X, f) = 1 for every prime t | m.  The powers come from
@@ -454,23 +455,21 @@ def _ext_irreducible(base, coeffs):
     map for every i < m whether or not f is irreducible.
     """
     m = len(coeffs) - 1
-    if m == 1:
-        return True
     ring = ExtField(base, m, coeffs)
     x = ring.gen()
     # X^(q^m) as F_1 F_(m-1) X: frob_matrix(m) wraps to the identity
     if not np.array_equal(ring.frob(ring.frob(x, m - 1), 1), x):
-        return False
+        return None
     for t in (p for p in range(2, m + 1) if m % p == 0 and _is_prime(p)):
         diff = ring.sub(ring.frob(x, m // t), x)       # X^(q^(m/t)) - X
         if not diff.any() or _poly_gcd_deg(base, coeffs, diff) != 0:
-            return False
-    return True
+            return None
+    return ring
 
 
 # Precomputed canonical tail values (c_0..c_{m-1} read little-endian base q)
-# for the shipped fields.  The search rule below regenerates these; the table
-# only skips the scan.  A test asserts table == search.
+# for the shipped fields.  The search in ``ext_field`` starts at these, which
+# only skips the scan; a test checks that no smaller tail is irreducible.
 _KNOWN_TAILS = {
     (16, 16): 4227,   # X^16 + 1*X^3 + 8*X + 3
     (16, 19): 265,    # X^19 + X^2 + 9
@@ -481,25 +480,14 @@ _KNOWN_TAILS = {
 }
 
 
-def canonical_modulus(base, m, _skip_table=False):
-    """Monic irreducible of degree m with minimal little-endian tail value."""
-    q = base.q
-    known = None if _skip_table else _KNOWN_TAILS.get((q, m))
-    for val in range(1 if known is None else known, q ** m):
-        coeffs = np.array([val // q ** i % q for i in range(m)] + [1], np.uint8)
-        if _ext_irreducible(base, coeffs):
-            return coeffs
-    raise ValueError("no irreducible found")  # pragma: no cover
-
-
 class ExtField:
     """GF(q^m) as coefficient vectors over a base field, batched over numpy."""
 
-    def __init__(self, base, m, modulus=None):
+    def __init__(self, base, m, modulus):
         self.base = base
         self.m = m
         self.q = base.q
-        self.modulus = canonical_modulus(base, m) if modulus is None else np.asarray(modulus, np.uint8)
+        self.modulus = np.asarray(modulus, np.uint8)
         assert len(self.modulus) == m + 1 and self.modulus[m] == 1
         # powers[k] = coeffs of X^k mod modulus; X^(k+1) = X^k @ (rows X^1..X^m)
         powers = np.zeros((2 * m - 1, m), np.uint8)
@@ -620,4 +608,12 @@ class ExtField:
 
 @lru_cache(maxsize=None)
 def ext_field(q, m):
-    return ExtField(base_field(q), m)
+    """GF(q^m) under the canonical modulus: the monic irreducible of degree m
+    with minimal little-endian tail value, as the ring that passed Rabin's test."""
+    base = base_field(q)
+    for val in range(_KNOWN_TAILS.get((q, m), 1), q ** m):
+        field = _ext_irreducible(base, np.array([val // q ** i % q for i in range(m)] + [1],
+                                                np.uint8))
+        if field is not None:
+            return field
+    raise ValueError("no irreducible found")  # pragma: no cover

@@ -1,8 +1,8 @@
 """The batched rank-check computation run by every simulated party.
 
-Each party holds shares of (x, beta, a, c) and, given the public matrices
-and a challenge (gamma_1..gamma_n, eps), computes its share of the
-broadcast values:
+Each party holds shares of (x, beta, a, c), as one state row in the layout
+of ``sharing.ShareDims``, and, given the public matrices and a challenge
+(gamma_1..gamma_n, eps), computes its share of the broadcast values:
 
     E   = M_0 + sum_i x_i M_i          (M_0 added by offset parties only)
     e_j = extension element of column j of E
@@ -14,15 +14,16 @@ Everything from E to (w, z) is GF(q)-linear in the share and splits into
 two GF(q) products: P = E @ G with the challenge's coefficient matrix G
 (a per-signature left-hand factor), then P against one fixed map of the
 field that applies X^u * (X^v)^(q^i) for every coefficient pair.  Parties
-differ only in their input rows, and share batches of any origin (additive
-leaves, hypercube main parties, Shamir parties) take the same products.
-``ChallengeBatch`` stacks all rounds so a whole signature's party
-computations run as a handful of batched GEMMs.
+differ only in their state rows, and rows of any origin (plaintext runs,
+additive leaves, hypercube main parties, Shamir parties) take the same
+products.  ``ChallengeBatch`` stacks all rounds so a whole signature's
+party computations run as a handful of batched GEMMs.
 """
 
 import numpy as np
 
 from .fields import Char2Field, Gf2Table
+from .sharing import ShareDims
 
 
 class PkOperand:
@@ -62,7 +63,7 @@ class PkOperand:
         x_shares = np.atleast_2d(np.asarray(x_shares, np.uint8))
         if isinstance(self.base, Char2Field):
             d = self.base.d
-            k, mn = self.l_rows.shape
+            mn = self.l_rows.shape[1]
             op = self._gf2_table()
             xbits = np.concatenate([(x_shares >> s) & 1 for s in range(d)], axis=1)
             xbytes = np.packbits(xbits, axis=1)
@@ -117,8 +118,13 @@ class ChallengeBatch:
         self._meps_t = base.matmul3_prepare(np.ascontiguousarray(meps.transpose(0, 2, 1)))
         self._map = _rank_map(ext, r)
 
-    def broadcast_alpha(self, pk_op, x_shares, a_shares, offsets):
-        """Phase 1 for all rounds: (tau, B, k) inputs -> alpha, z shares.
+    def _split(self, rows):
+        """(x, beta, a, c) views of (tau, B, T) state rows, k from the width."""
+        m = self.ext.m
+        return ShareDims(rows.shape[-1] - (2 * self.r + 1) * m, self.r, m).split(rows)
+
+    def broadcast_alpha(self, pk_op, rows, offsets):
+        """Phase 1 for all rounds: (tau, B, T) state rows -> alpha, z shares.
 
         offsets is (tau, B) or (B,) broadcast over rounds.  Returns
         (alpha (tau, B, r, m), z (tau, B, m)).
@@ -126,36 +132,37 @@ class ChallengeBatch:
         ext = self.ext
         base = ext.base
         m, r, tau = ext.m, self.r, self.tau
-        x_shares = np.asarray(x_shares, np.uint8)
-        b = x_shares.shape[1]
+        rows = np.asarray(rows, np.uint8)
+        b = rows.shape[1]
+        x_shares, _, a_shares, _ = self._split(rows)
         offsets = np.broadcast_to(np.asarray(offsets, bool), (tau, b))
         e_flat = pk_op.e_shares(x_shares.reshape(tau * b, -1), offsets.reshape(-1))
         p = base.matmul3(e_flat.reshape(tau, b * m, -1), self._gamma)
         wz = base.matmul3(p.reshape(tau * b, m * m), self._map).reshape(tau, b, r + 1, m)
         z = ext.neg(wz[:, :, r])
         ew = base.matmul3(wz[:, :, :r].reshape(tau, b * r, m), self._meps_t)
-        alpha = ext.add(ew.reshape(tau, b, r, m),
-                        np.asarray(a_shares, np.uint8).reshape(tau, b, r, m))
+        alpha = ext.add(ew.reshape(tau, b, r, m), a_shares)
         return alpha, z
 
-    def broadcast_v(self, z_shares, beta_shares, c_shares, alphas):
-        """Phase 2 for all rounds given opened alphas.
+    def broadcast_v(self, z_shares, rows, alphas):
+        """Phase 2 for all rounds: z shares, (tau, B, T) state rows and opened alphas.
 
         alphas is (tau, B, r, m) or (tau, 1, r, m) when every party of a
         round uses the same opened value.  <alpha, beta> is one stacked GEMM
-        of alpha's multiplication matrices against the beta rows, which are
-        the smaller operand to prepare.
+        of alpha's multiplication matrices against the beta blocks, which
+        are the smaller operand to prepare.
         """
         ext = self.ext
         base = ext.base
         tau, b, m = np.asarray(z_shares).shape
+        _, beta_shares, _, c_shares = self._split(np.asarray(rows, np.uint8))
         ez = base.matmul3(np.asarray(z_shares, np.uint8), self._meps_t)
         alphas = np.asarray(alphas, np.uint8)
         ba, r = alphas.shape[1:3]
         # row v, column (i, t): coefficient v of alpha_i * X^t
         amat = ext.mul_matrices(alphas.reshape(-1, m)).reshape(tau * ba, r, m, m)
         left = np.ascontiguousarray(amat.transpose(0, 2, 1, 3)).reshape(tau * ba, m, r * m)
-        beta_cols = np.asarray(beta_shares, np.uint8).reshape(tau * ba, -1, r * m)
+        beta_cols = beta_shares.reshape(tau * ba, -1, r * m)
         ip = base.matmul3(left, base.matmul3_prepare(beta_cols.transpose(0, 2, 1)))
         ip = ip.transpose(0, 2, 1).reshape(tau, b, m)
-        return ext.sub(ext.sub(ez, ip), np.asarray(c_shares, np.uint8))
+        return ext.sub(ext.sub(ez, ip), c_shares)

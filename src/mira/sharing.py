@@ -2,8 +2,10 @@
 
 A party's share of the MPC input tuple (x, beta, a, c) is one flat
 coordinate row of length T = k + r*m + r*m + m over GF(q), in that
-component order; a sharing is the (N, T) stack of rows.  The same layout
-is the serialized party state, so commitment payloads are just row slices.
+component order; a sharing is the (N, T) stack of rows, and
+``plain_rows`` lays out the plaintext tuple the same way.  The same layout
+is the serialized party state, so commitment payloads are just row slices,
+and the rank check (``mpc.ChallengeBatch``) takes the rows as they are.
 
 Additive sharings derive leaves 1..N-1 from their tree seeds and leaf N
 carries explicit corrections making every component column sum to its
@@ -52,28 +54,16 @@ class ShareDims:
         return x, beta, a, c
 
 
-class InputShares:
-    """(N, T) stack of per-party coordinate rows."""
+def plain_rows(x, beta, a, c):
+    """(..., T) state rows of x (..., k), beta and a (..., r, m) and c (..., m).
 
-    def __init__(self, dims, flat):
-        self.dims = dims
-        self.flat = flat
-
-    @property
-    def x(self):
-        return self.dims.split(self.flat)[0]
-
-    @property
-    def beta(self):
-        return self.dims.split(self.flat)[1]
-
-    @property
-    def a(self):
-        return self.dims.split(self.flat)[2]
-
-    @property
-    def c(self):
-        return self.dims.split(self.flat)[3]
+    Leading axes broadcast, so one key's (x, beta) against a stack of
+    per-round (a, c) gives every round's plaintext row.
+    """
+    x, beta, a, c = (np.asarray(v, np.uint8) for v in (x, beta, a, c))
+    parts = [x, beta.reshape(beta.shape[:-2] + (-1,)), a.reshape(a.shape[:-2] + (-1,)), c]
+    lead = np.broadcast_shapes(*(v.shape[:-1] for v in parts))
+    return np.concatenate([np.broadcast_to(v, lead + v.shape[-1:]) for v in parts], axis=-1)
 
 
 def leaf_stream(suite, salt, e, i, seed):
@@ -83,9 +73,10 @@ def leaf_stream(suite, salt, e, i, seed):
 def expand_leaf_shares(suite, salt, e, seeds, dims, field):
     """Expand per-leaf pseudorandom rows; the last leaf samples only ``a``.
 
-    ``seeds`` lists all N leaf seeds; a None entry (hidden leaf) leaves its
-    row zero.  Components are drawn in flat row order from each leaf's
-    stream; leaf N's stream starts directly at the ``a`` block.
+    Returns the (N, T) rows.  ``seeds`` lists all N leaf seeds; a None
+    entry (hidden leaf) leaves its row zero.  Components are drawn in flat
+    row order from each leaf's stream; leaf N's stream starts directly at
+    the ``a`` block.
     """
     n = len(seeds)
     t = dims.total
@@ -125,7 +116,7 @@ def expand_leaf_shares(suite, salt, e, seeds, dims, field):
                 flat[i - 1] = sampler.take(t)
             else:
                 flat[i - 1, a_lo:a_hi] = sampler.take(a_hi - a_lo)
-    return InputShares(dims, flat)
+    return flat
 
 
 def beta_map(ext, beta):
@@ -150,23 +141,16 @@ def additive_share(suite, salt, e, seeds, dims, field, ext, x, beta, w_beta):
 
     a is the sum of the per-leaf pseudorandom draws (all N of them) and
     c = -<a, beta> is computed against that reconstructed a, through
-    beta's ``beta_map`` ``w_beta``.  Returns (shares, a_plain, c_plain).
+    beta's ``beta_map`` ``w_beta``.  Returns ((N, T) rows, a_plain, c_plain).
     """
-    shares = expand_leaf_shares(suite, salt, e, seeds, dims, field)
-    n = len(seeds)
-    flat = shares.flat
-    k, rm = dims.k, dims.r * dims.m
-    a_hi = k + 2 * rm
-    a_plain = field.axis_sum(shares.a, axis=0)
+    rows = expand_leaf_shares(suite, salt, e, seeds, dims, field)
+    a_plain = field.axis_sum(dims.split(rows)[2], axis=0)
     c_plain = neg_inner(ext, a_plain, w_beta)
-    head = field.axis_sum(flat[:n - 1], axis=0)
-    secret_row = np.concatenate([np.asarray(x, np.uint8),
-                                 np.asarray(beta, np.uint8).ravel(),
-                                 np.zeros(rm, np.uint8), c_plain])
-    corr = field.sub(secret_row, head)
-    flat[n - 1, :k + rm] = corr[:k + rm]
-    flat[n - 1, a_hi:] = corr[a_hi:]
-    return shares, a_plain, c_plain
+    # leaf N's x, beta and c correct the column sums to the secret; its a
+    # entries come back unchanged, as a_plain minus the other leaves' a
+    head = field.axis_sum(rows[:-1], axis=0)
+    rows[-1] = field.sub(plain_rows(x, beta, a_plain, c_plain), head)
+    return rows, a_plain, c_plain
 
 
 def hypercube_aggregate(field, arr):

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import NibbleReader, NibbleWriter, SignatureFormatError
+from .bitio import SignatureFormatError, unpack_nibbles
 from .hashing import (H1, H2, H3, H4, X_SIGN, commit,
                       derive_challenge1, derive_challenge2_additive, encode_u16)
 from .mpc import ChallengeBatch, PkOperand
 from .sharing import (additive_share, beta_map, expand_leaf_shares,
-                      hypercube_aggregate)
+                      hypercube_aggregate, plain_rows)
 from .trees import SeedTree, leaves_from_path
 
 
@@ -62,19 +62,27 @@ def signature_size_bytes(ps):
     return (signature_size_bits(ps) + 7) // 8
 
 
+def _byte_units(base, data):
+    """Bytes as codec units: two nibbles each when q = 16, else one byte."""
+    return unpack_nibbles(data) if base.q == 16 else np.frombuffer(data, np.uint8)
+
+
 def encode(ps, sig):
-    w = NibbleWriter()
+    """One unit stream, packed once: nibbles when q = 16, else bytes.
+
+    The header bytes come first, then per round its path and hidden
+    commitment bytes and its field block (alpha_hidden, aux_x, aux_beta,
+    aux_c).  With an odd unit count per round every other round starts
+    mid-byte; only the stream's last byte is padded.
+    """
     base = ps.base
-    w.write_bytes(sig.salt + sig.h1 + sig.h2)
-    for rr in sig.rounds:
-        w.write_bytes(b"".join(rr.path) + rr.cmt_hidden)
-        flat = np.concatenate([rr.alpha_hidden.ravel(), rr.aux_x,
-                               rr.aux_beta.ravel(), rr.aux_c])
-        if base.q == 16:
-            w.write_nibbles(flat)
-        else:
-            w.write_bytes(base.pack(flat))
-    out = w.getvalue()
+    rounds = sig.rounds
+    paths = _byte_units(base, b"".join(b"".join(rr.path) + rr.cmt_hidden for rr in rounds))
+    fields = np.stack([np.concatenate([rr.alpha_hidden.ravel(), rr.aux_x,
+                                       rr.aux_beta.ravel(), rr.aux_c]) for rr in rounds])
+    body = np.concatenate([paths.reshape(len(rounds), -1), fields], axis=1)
+    out = base.pack(np.concatenate([_byte_units(base, sig.salt + sig.h1 + sig.h2),
+                                    body.ravel()]))
     assert len(out) == signature_size_bytes(ps)
     return out
 
@@ -82,35 +90,31 @@ def encode(ps, sig):
 def decode(ps, data):
     if len(data) != signature_size_bytes(ps):
         raise SignatureFormatError("signature length mismatch")
-    base = ps.base
-    suite = ps.suite
-    k, r, m = ps.k, ps.r, ps.m
-    rd = NibbleReader(data)
-    try:
-        salt = rd.read_bytes(suite.salt_bytes)
-        h1 = rd.read_bytes(suite.digest_bytes)
-        h2 = rd.read_bytes(suite.digest_bytes)
-        rounds = []
-        nfield = field_elems_per_round(ps)
-        for _ in range(ps.tau):
-            raw = rd.read_bytes(ps.depth * suite.seed_bytes)
-            path = [raw[j * suite.seed_bytes:(j + 1) * suite.seed_bytes]
-                    for j in range(ps.depth)]
-            cmt_hidden = rd.read_bytes(suite.digest_bytes)
-            if base.q == 16:
-                flat = rd.read_nibbles(nfield)
-            else:
-                flat = base.unpack(rd.read_bytes(base.packed_size(nfield)), nfield)
-            alpha = flat[:r * m].reshape(r, m)
-            aux_x = flat[r * m:r * m + k]
-            aux_beta = flat[r * m + k:2 * r * m + k].reshape(r, m)
-            aux_c = flat[2 * r * m + k:]
-            rounds.append(RoundResponse(path, cmt_hidden, alpha, aux_x, aux_beta, aux_c))
-        if rd.remaining_nibbles() > 1 or (rd.remaining_nibbles() == 1 and rd.read_nibbles(1)[0]):
-            raise SignatureFormatError("trailing data")
-    except ValueError as exc:
-        raise SignatureFormatError(str(exc)) from None
-    return AdditiveSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
+    base, suite = ps.base, ps.suite
+    k, r, m, depth = ps.k, ps.r, ps.m, ps.depth
+    sb, db, seed = suite.salt_bytes, suite.digest_bytes, suite.seed_bytes
+    head = sb + 2 * db
+    step = depth * seed + db                        # path and commitment bytes per round
+    upb = 2 if base.q == 16 else 1                  # units per byte
+    units = _byte_units(base, data)
+    end = upb * head + ps.tau * (upb * step + field_elems_per_round(ps))
+    if units[end:].any():
+        raise SignatureFormatError("trailing data")
+    body = units[upb * head:end].reshape(ps.tau, -1)
+    fields = body[:, upb * step:].copy()
+    if np.any(fields >= base.q):
+        raise SignatureFormatError("field element out of range")
+    paths = base.pack(body[:, :upb * step])
+    rounds = []
+    for e, f in enumerate(fields):
+        raw = paths[e * step:(e + 1) * step]
+        rounds.append(RoundResponse(
+            path=[raw[j * seed:(j + 1) * seed] for j in range(depth)],
+            cmt_hidden=raw[depth * seed:], alpha_hidden=f[:r * m].reshape(r, m),
+            aux_x=f[r * m:r * m + k], aux_beta=f[r * m + k:2 * r * m + k].reshape(r, m),
+            aux_c=f[2 * r * m + k:]))
+    return AdditiveSignature(salt=data[:sb], h1=data[sb:sb + db], h2=data[sb + db:head],
+                             rounds=rounds)
 
 
 def _aux_state(base, seed, x_n, beta_n, c_n):
@@ -147,31 +151,25 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
     suite = ps.suite
     n_parties, depth, tau = ps.n_parties, ps.depth, ps.tau
     dims = ps.share_dims
-    k, r, m = ps.k, ps.r, ps.m
-    t_cols = dims.total
+    r, m = ps.r, ps.m
     pk_op = PkOperand.of(pk)
     pk_bytes = pk.body_bytes()
-    x = np.asarray(x, np.uint8)
-    beta = np.asarray(beta, np.uint8)
 
     rng = suite.xof(X_SIGN, entropy)
     salt = rng.read(suite.salt_bytes)
 
     trees, cmts_all, h0s = [], [], []
-    flat_all = np.empty((tau, n_parties, t_cols), np.uint8)
+    flat_all = np.empty((tau, n_parties, dims.total), np.uint8)
     a_plains = np.empty((tau, r, m), np.uint8)
     c_plains = np.empty((tau, m), np.uint8)
     w_beta = beta_map(ext, beta)
     for e in range(1, tau + 1):
         tree = SeedTree.expand(suite, rng.read(suite.seed_bytes), salt, e, n_parties)
-        shares, a_plain, c_plain = additive_share(
+        flat_all[e - 1], a_plains[e - 1], c_plains[e - 1] = additive_share(
             suite, salt, e, tree.leaves(), dims, base, ext, x, beta, w_beta)
-        flat_all[e - 1] = shares.flat
-        a_plains[e - 1] = a_plain
-        c_plains[e - 1] = c_plain
         states = tree.leaves()
-        states[-1] = _aux_state(base, states[-1], shares.x[-1], shares.beta[-1],
-                                shares.c[-1])
+        xn, bn, _, cn = dims.split(flat_all[e - 1, -1])
+        states[-1] = _aux_state(base, states[-1], xn, bn, cn)
         cmts = commit(suite, salt, e, range(1, n_parties + 1), states)
         h0s.append(suite.hash(H1, salt, encode_u16(e), *cmts))
         trees.append(tree)
@@ -183,24 +181,12 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
 
     # one batched run: row 0 = plaintext, rows 1..D = side-1 main parties
     mains = _aggregate_rounds(base, flat_all)               # (tau, D, 2, T)
-    side1 = mains[:, :, 0, :]
-    rows = np.concatenate([
-        np.broadcast_to(np.concatenate([x, beta.ravel(),
-                                        np.zeros(r * m + m, np.uint8)]),
-                        (tau, 1, t_cols)),
-        side1], axis=1)
-    rows_x, _, rows_a, _ = dims.split(rows)
-    rows_a = rows_a.copy()
-    rows_a[:, 0] = a_plains
-    alphas, zs = batch.broadcast_alpha(pk_op, rows_x, rows_a, np.ones(depth + 1, bool))
+    rows = np.concatenate([plain_rows(x, beta, a_plains, c_plains)[:, None],
+                           mains[:, :, 0]], axis=1)
+    alphas, zs = batch.broadcast_alpha(pk_op, rows, np.ones(depth + 1, bool))
     alpha_plain = alphas[:, 0]
     al1 = alphas[:, 1:]
-    _, beta_rows, _, c_rows = dims.split(rows)
-    beta_rows = beta_rows.copy()
-    beta_rows[:, 0] = np.broadcast_to(beta, (tau, r, m))
-    c_rows = c_rows.copy()
-    c_rows[:, 0] = c_plains
-    vs = batch.broadcast_v(zs, beta_rows, c_rows, alpha_plain[:, None])
+    vs = batch.broadcast_v(zs, rows, alphas[:, :1])
     v_plain = vs[:, 0]
     v1 = vs[:, 1:]
     if cheat_leaf is None:
@@ -219,25 +205,21 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
     h2 = suite.hash(H4, message, pk_bytes, salt, h1, *exec_hashes)
     ch2 = ch2_override or derive_challenge2_additive(suite, h2, n_parties, tau)
 
-    hidden_rows = flat_all[np.arange(tau), np.asarray(ch2) - 1][:, None, :]
-    hx, _, ha, _ = dims.split(hidden_rows)
+    istars = np.asarray(ch2)
     al_hidden, _ = batch.broadcast_alpha(
-        pk_op, hx, ha, (np.asarray(ch2) == 1)[:, None])
+        pk_op, flat_all[np.arange(tau), istars - 1][:, None], (istars == 1)[:, None])
+    # leaf N's aux corrections; zeros where leaf N is the hidden one
+    aux_x, aux_beta, _, aux_c = dims.split(
+        np.where((istars == n_parties)[:, None], 0, flat_all[:, -1]))
 
     rounds = []
     for e in range(1, tau + 1):
         istar = ch2[e - 1]
-        if istar == n_parties:
-            aux = (np.zeros(k, np.uint8), np.zeros((r, m), np.uint8),
-                   np.zeros(m, np.uint8))
-        else:
-            xn, bn, an_, cn = dims.split(flat_all[e - 1, n_parties - 1])
-            aux = (xn, bn, cn)
         rounds.append(RoundResponse(
             path=trees[e - 1].sibling_path(istar),
             cmt_hidden=cmts_all[e - 1][istar - 1],
-            alpha_hidden=al_hidden[e - 1, 0], aux_x=aux[0],
-            aux_beta=aux[1], aux_c=aux[2]))
+            alpha_hidden=al_hidden[e - 1, 0], aux_x=aux_x[e - 1],
+            aux_beta=aux_beta[e - 1], aux_c=aux_c[e - 1]))
 
     return AdditiveSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
 
@@ -275,13 +257,12 @@ def verify_decoded(ps, pk, message, sig):
             leaves = leaves_from_path(suite, rr.path, istar, sig.salt, e, n_parties)
         except ValueError:
             return False, None
-        shares = expand_leaf_shares(suite, sig.salt, e, leaves, dims, base)
+        flat = expand_leaf_shares(suite, sig.salt, e, leaves, dims, base)
         if istar != n_parties:
-            shares.flat[-1] = np.concatenate([rr.aux_x, rr.aux_beta.ravel(),
-                                              shares.a[-1].ravel(), rr.aux_c])
+            flat[-1] = plain_rows(rr.aux_x, rr.aux_beta, dims.split(flat[-1])[2], rr.aux_c)
             # leaf N's committed state is its seed and its aux corrections
             leaves[-1] = _aux_state(base, leaves[-1], rr.aux_x, rr.aux_beta, rr.aux_c)
-        flat_all[e - 1] = shares.flat
+        flat_all[e - 1] = flat
         opened = [i for i in range(1, n_parties + 1) if i != istar]
         cmts = commit(suite, sig.salt, e, opened, [leaves[i - 1] for i in opened])
         cmts.insert(istar - 1, rr.cmt_hidden)
@@ -298,14 +279,12 @@ def verify_decoded(ps, pk, message, sig):
     sum_rows = base.add(mains[:, 0, 0], mains[:, 0, 1])[:, None]   # (tau, 1, T)
     rows = np.concatenate([full_rows, sum_rows], axis=1)    # (tau, D + 1, T)
     offsets = np.concatenate([bits == 1, istars[:, None] != 1], axis=1)
-    rows_x, rows_beta, rows_a, rows_c = dims.split(rows)
-    alphas, zs = batch.broadcast_alpha(pk_op, rows_x, rows_a, offsets)
+    alphas, zs = batch.broadcast_alpha(pk_op, rows, offsets)
     al_full = alphas[:, :depth]
     alpha_hid = np.stack([rr.alpha_hidden for rr in sig.rounds])
     al_open = ext.add(alphas[:, depth:], alpha_hid[:, None])   # (tau, 1, r, m)
     al_hidden_side = ext.sub(al_open, al_full)
-    v_full = batch.broadcast_v(zs[:, :depth], rows_beta[:, :depth],
-                               rows_c[:, :depth], al_open)
+    v_full = batch.broadcast_v(zs[:, :depth], rows[:, :depth], al_open)
     v_hidden_side = ext.neg(v_full)
     # the hidden leaf sits on side 2 of dimension k when its bit k is set
     side1_full = bits.astype(bool)

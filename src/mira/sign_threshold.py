@@ -21,7 +21,7 @@ from .bitio import SignatureFormatError
 from .hashing import (H1, H2, X_SIGN, FieldSampler, commit,
                       derive_challenge1, derive_challenge2_threshold)
 from .mpc import ChallengeBatch, PkOperand
-from .sharing import beta_map, neg_inner, shamir_expand, shamir_share
+from .sharing import beta_map, neg_inner, plain_rows, shamir_expand, shamir_share
 from .trees import (H_MERKLE, MerkleTree, merkle_auth, merkle_root,
                     merkle_root_from_auth)
 
@@ -103,6 +103,13 @@ def _extra_party(s_set, subset):
     return min(i for i in s_set if i not in subset)
 
 
+def _h2(suite, base, message, pk_bytes, salt, h1, alphas, vs):
+    """H2 over the (tau, l+1) parties' alpha and v shares, party by party."""
+    count = vs.shape[0] * vs.shape[1]
+    pairs = zip(base.pack_rows(alphas.reshape(count, -1)), base.pack_rows(vs.reshape(count, -1)))
+    return suite.hash(H2, message, pk_bytes, salt, h1, *[blob for pair in pairs for blob in pair])
+
+
 def sign(ps, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs."""
     x, beta = sk.sign_inputs()
@@ -110,18 +117,15 @@ def sign(ps, pk, sk, message, entropy):
     return encode(ps, sig)
 
 
-def _sign_core(ps, pk, x, beta, message, entropy,
-               ch1_override=None, ch2_override=None):
+def _sign_core(ps, pk, x, beta, message, entropy):
     base, ext = ps.base, ps.ext
     suite = ps.suite
     n_parties, ell, tau = ps.n_parties, ps.ell, ps.tau
     s_set = ps.opened_set
     dims = ps.share_dims
-    k, r, m = ps.k, ps.r, ps.m
+    r, m = ps.r, ps.m
     pk_op = PkOperand.of(pk)
     pk_bytes = pk.body_bytes()
-    x = np.asarray(x, np.uint8)
-    beta = np.asarray(beta, np.uint8)
 
     rng = suite.xof(X_SIGN, entropy)
     salt = rng.read(suite.salt_bytes)
@@ -135,9 +139,7 @@ def _sign_core(ps, pk, x, beta, message, entropy,
         a_plains[e] = sampler.take(r * m).reshape(r, m)
         rands[e] = sampler.take(ell * dims.total).reshape(ell, dims.total)
     c_plains = neg_inner(ext, a_plains, beta_map(ext, beta))
-    secrets = np.concatenate([np.broadcast_to(np.concatenate([x, beta.ravel()]),
-                                              (tau, k + r * m)),
-                              a_plains.reshape(tau, r * m), c_plains], axis=1)
+    secrets = plain_rows(x, beta, a_plains, c_plains)
     shares_all = shamir_share(base, secrets, ell, n_parties, rands)
     trees, roots = [], []
     for e in range(1, tau + 1):
@@ -147,28 +149,19 @@ def _sign_core(ps, pk, x, beta, message, entropy,
         roots.append(merkle_root(suite, tree))
 
     h1 = suite.hash(H1, message, pk_bytes, salt, *roots)
-    ch1 = ch1_override or derive_challenge1(suite, h1, ext, ps.n, tau)
+    ch1 = derive_challenge1(suite, h1, ext, ps.n, tau)
     batch = ChallengeBatch(ext, r, ch1)
 
     # batch: row 0 = plaintext, rows 1..l+1 = the public parties of S
     s_idx = np.asarray(s_set) - 1
     rows = np.concatenate([secrets[:, None], shares_all[:, s_idx]], axis=1)
-    rows_x, rows_beta, rows_a, rows_c = dims.split(rows)
-    alphas, zs = batch.broadcast_alpha(pk_op, rows_x, rows_a,
-                                       np.ones(ell + 2, bool))
-    alpha_plain = alphas[:, 0]
-    vs = batch.broadcast_v(zs, rows_beta, rows_c, alpha_plain[:, None])
+    alphas, zs = batch.broadcast_alpha(pk_op, rows, np.ones(ell + 2, bool))
+    vs = batch.broadcast_v(zs, rows, alphas[:, :1])
     assert not vs[:, 0].any(), "witness does not satisfy the rank bound"
     alpha_s = alphas[:, 1:]
-    v_s = vs[:, 1:]
 
-    share_blobs = []
-    for e in range(tau):
-        for j in range(ell + 1):
-            share_blobs.append(base.pack(alpha_s[e, j]))
-            share_blobs.append(base.pack(v_s[e, j]))
-    h2 = suite.hash(H2, message, pk_bytes, salt, h1, *share_blobs)
-    ch2 = ch2_override or derive_challenge2_threshold(suite, h2, n_parties, ell, tau)
+    h2 = _h2(suite, base, message, pk_bytes, salt, h1, alpha_s, vs[:, 1:])
+    ch2 = derive_challenge2_threshold(suite, h2, n_parties, ell, tau)
 
     rounds = []
     for e in range(1, tau + 1):
@@ -197,7 +190,6 @@ def verify_decoded(ps, pk, message, sig):
     n_parties, ell, tau = ps.n_parties, ps.ell, ps.tau
     s_set = ps.opened_set
     s_pts = np.asarray(s_set, np.uint8)
-    dims = ps.share_dims
     r, m = ps.r, ps.m
     pk_op = PkOperand.of(pk)
 
@@ -219,9 +211,7 @@ def verify_decoded(ps, pk, message, sig):
 
     batch = ChallengeBatch(ext, r, ch1)
     opened = np.stack([rr.opened for rr in sig.rounds])      # (tau, ell, T)
-    rows_x, rows_beta, rows_a, rows_c = dims.split(opened)
-    alpha_i, zs = batch.broadcast_alpha(pk_op, rows_x, rows_a,
-                                        np.ones(ell, bool))
+    alpha_i, zs = batch.broadcast_alpha(pk_op, opened, np.ones(ell, bool))
 
     # all rounds at once: alpha through I + {i*} at S + {0}; v through
     # I + {0}, where v(0) = 0, at S
@@ -233,19 +223,11 @@ def verify_decoded(ps, pk, message, sig):
         np.column_stack([subsets, istars]), np.append(s_pts, 0))
     alpha_sharings = alpha_at[:, :ell + 1]
     alpha_opens = alpha_at[:, ell + 1].reshape(tau, r, m)
-    v_i_all = batch.broadcast_v(zs, rows_beta, rows_c, alpha_opens[:, None])
+    v_i_all = batch.broadcast_v(zs, opened, alpha_opens[:, None])
     v_sharings = shamir_expand(
         base, np.concatenate([v_i_all, np.zeros((tau, 1, m), np.uint8)], axis=1),
         np.column_stack([subsets, np.zeros(tau, np.uint8)]), s_pts)
 
-    share_blobs = []
-    details = []
-    for e in range(tau):
-        for j in range(ell + 1):
-            share_blobs.append(base.pack(alpha_sharings[e, j]))
-            share_blobs.append(base.pack(v_sharings[e, j]))
-        details.append({"alpha_open": alpha_opens[e],
-                        "alpha_sharing": alpha_sharings[e], "v_sharing": v_sharings[e]})
-
-    h2bar = suite.hash(H2, message, pk.body_bytes(), sig.salt, h1bar, *share_blobs)
-    return h1bar == sig.h1 and h2bar == sig.h2, details
+    h2bar = _h2(suite, base, message, pk.body_bytes(), sig.salt, h1bar,
+                alpha_sharings, v_sharings)
+    return h1bar == sig.h1 and h2bar == sig.h2, None

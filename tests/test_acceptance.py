@@ -23,7 +23,7 @@ from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator, fq_basis
 from mira.sharing import (ShareDims, additive_share, beta_map, hypercube_aggregate,
-                          shamir_share)
+                          plain_rows, shamir_share)
 from mira.trees import SeedTree, leaves_from_path, merkle_auth, merkle_root
 from mira.trees import merkle_root_from_auth, H_MERKLE
 
@@ -118,11 +118,9 @@ def test_criterion_4_false_positive_exhaustive():
         eps = np.array([bits[n] >> t & 1 for t in range(3)], np.uint8)
         challenges.append((gam, eps))
     batch = ChallengeBatch(ext, r, challenges)
-    al, z = batch.broadcast_alpha(op, np.tile(x, (len(challenges), 1, 1)),
-                                  np.tile(a, (len(challenges), 1, 1, 1)),
-                                  np.ones(1, bool))
-    v = batch.broadcast_v(z, np.tile(beta, (len(challenges), 1, 1, 1)),
-                          np.tile(c, (len(challenges), 1, 1)), al)
+    rows = np.tile(plain_rows(x, beta, a, c), (len(challenges), 1, 1))
+    al, z = batch.broadcast_alpha(op, rows, np.ones(1, bool))
+    v = batch.broadcast_v(z, rows, al)
     accepts = int((~v.reshape(len(challenges), m).any(axis=1)).sum())
     frac = Fraction(accepts, len(challenges))
     assert Fraction(0) < frac <= Fraction(15, 64)
@@ -198,21 +196,16 @@ def test_criterion_7_oracle_equivalence():
             shares, a_p, c_p = additive_share(SUITE, b"\x00" * 32, e + 1, seeds,
                                               dims, mr.base, ext, x, beta,
                                               beta_map(ext, beta))
-            leaf_rows[e] = shares.flat
+            leaf_rows[e] = shares
             a_plains[e] = a_p
             c_plains[e] = c_p
-        rx, rb, ra, rc = dims.split(leaf_rows)
         offs = np.zeros(n_parties, bool)
         offs[0] = True
-        al, z = batch.broadcast_alpha(op, rx, ra, offs)
-        plain_rows = np.concatenate([
-            np.broadcast_to(np.concatenate([x, beta.ravel()]),
-                            (chunk, 1, mr.k + mr.r * mr.m)),
-            a_plains.reshape(chunk, 1, -1), c_plains[:, None]], axis=2)
-        px, pb, pa, pc = dims.split(plain_rows)
-        al_p, z_p = batch.broadcast_alpha(op, px, pa, np.ones(1, bool))
-        v_p = batch.broadcast_v(z_p, pb, pc, al_p)
-        v = batch.broadcast_v(z, rb, rc, al_p)
+        al, z = batch.broadcast_alpha(op, leaf_rows, offs)
+        plains = plain_rows(x, beta, a_plains, c_plains)[:, None]
+        al_p, z_p = batch.broadcast_alpha(op, plains, np.ones(1, bool))
+        v_p = batch.broadcast_v(z_p, plains, al_p)
+        v = batch.broadcast_v(z, leaf_rows, al_p)
         assert np.array_equal(mr.base.axis_sum(al, 1), al_p[:, 0])
         assert np.array_equal(mr.base.axis_sum(v, 1), v_p[:, 0])
         assert not v_p.any()
@@ -244,12 +237,10 @@ def test_criterion_7_oracle_equivalence():
             rand = rng.integers(0, 251, (ell, coords.size)).astype(np.uint8)
             rows[e] = shamir_share(mr.base, coords, ell, n_parties, rand)
             plains[e, 0] = coords
-        rx, rb, ra, rc = dims.split(rows)
-        px, pb, pa, pc = dims.split(plains)
-        al, z = batch.broadcast_alpha(op, rx, ra, np.ones(n_parties, bool))
-        al_p, z_p = batch.broadcast_alpha(op, px, pa, np.ones(1, bool))
-        v_p = batch.broadcast_v(z_p, pb, pc, al_p)
-        v = batch.broadcast_v(z, rb, rc, al_p)
+        al, z = batch.broadcast_alpha(op, rows, np.ones(n_parties, bool))
+        al_p, z_p = batch.broadcast_alpha(op, plains, np.ones(1, bool))
+        v_p = batch.broadcast_v(z_p, plains, al_p)
+        v = batch.broadcast_v(z, rows, al_p)
         assert not v_p.any()
         for e in range(chunk):
             sel = np.array([0, 3, 6])

@@ -1,4 +1,4 @@
-"""Signature codec properties at level 1 of both variants.
+"""Signature codec properties for all six parameter sets.
 
 ``decode`` meets bytes from outside the program: whatever it is given, it
 either parses them or raises ``SignatureFormatError``, the one error both
@@ -16,20 +16,23 @@ from mira.bitio import SignatureFormatError
 from mira.keys import keygen_optimized
 
 SCHEMES = {params.ADDITIVE: sa, params.THRESHOLD: st}
-VARIANTS = list(SCHEMES)
+# (variant, level); a level-1 set is named by its variant alone.  Additive
+# level 3 has an odd state width, so every other round starts mid-byte.
+VARIANTS = [pytest.param((variant, level), id=variant if level == 1 else f"{variant}-{level}")
+            for variant in SCHEMES for level in (1, 3, 5)]
 
 
 @lru_cache(maxsize=None)
 def valid_signature(variant):
-    ps = params.parameter_set(variant, 1)
+    ps = params.parameter_set(*variant)
     sp = ps.sign_params()
-    pk, sk = keygen_optimized(ps.minrank(), b"codec-" + variant.encode())
-    return sp, SCHEMES[variant].sign(sp, pk, sk, b"codec message", b"codec entropy")
+    pk, sk = keygen_optimized(ps.minrank(), b"codec-" + variant[0].encode())
+    return sp, SCHEMES[variant[0]].sign(sp, pk, sk, b"codec message", b"codec entropy")
 
 
 def decode_or_format_error(variant, data):
     """Decode; on success the encoding must give ``data`` back."""
-    scheme = SCHEMES[variant]
+    scheme = SCHEMES[variant[0]]
     sp, _ = valid_signature(variant)
     try:
         sig = scheme.decode(sp, data)

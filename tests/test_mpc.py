@@ -15,7 +15,7 @@ from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
 from mira.sharing import (ShareDims, additive_share, beta_map, hypercube_aggregate,
-                          shamir_share)
+                          plain_rows, shamir_share)
 
 from helpers import shamir_reconstruct
 
@@ -41,8 +41,9 @@ def random_challenge(mr, rng):
 
 def plain_run(batch, op, x, beta, a, c):
     """The check of a one-round batch on plaintext inputs: (alpha, v)."""
-    al, z = batch.broadcast_alpha(op, x[None, None], a[None, None], [True])
-    v = batch.broadcast_v(z, beta[None, None], c[None, None], al)
+    rows = plain_rows(x, beta, a, c)[None, None]
+    al, z = batch.broadcast_alpha(op, rows, [True])
+    v = batch.broadcast_v(z, rows, al)
     return al[0, 0], v[0, 0]
 
 
@@ -76,9 +77,9 @@ def test_additive_sum_equals_plaintext():
     alpha_p, v_p = plain_run(batch, op, x, beta, a_plain, c_plain)
     offs = np.zeros(n_parties, bool)
     offs[0] = True
-    al, z = batch.broadcast_alpha(op, shares.x[None], shares.a[None], offs)
+    al, z = batch.broadcast_alpha(op, shares[None], offs)
     assert np.array_equal(mr.base.axis_sum(al[0], 0), alpha_p)
-    v = batch.broadcast_v(z, shares.beta[None], shares.c[None], alpha_p[None, None])
+    v = batch.broadcast_v(z, shares[None], alpha_p[None, None])
     assert np.array_equal(mr.base.axis_sum(v[0], 0), v_p)
     assert not v_p.any()
 
@@ -96,14 +97,11 @@ def test_shamir_parties_reconstruct_to_plaintext():
     sh = shamir_share(mr.base, coords, ell, n_parties, rand)
     batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
     alpha_p, v_p = plain_run(batch, op, x, beta, a, c)
-    dims = ShareDims(k=mr.k, r=mr.r, m=mr.m)
-    xs, bs, as_, cs = dims.split(sh)
     sel = np.array([1, 4, 7], np.uint8)  # any ell+1 parties
-    al, z = batch.broadcast_alpha(op, xs[None, sel - 1], as_[None, sel - 1],
-                                  np.ones(3, bool))
+    al, z = batch.broadcast_alpha(op, sh[None, sel - 1], np.ones(3, bool))
     arec = shamir_reconstruct(mr.base, al[0].reshape(3, -1), sel)
     assert np.array_equal(arec.reshape(mr.r, mr.m), alpha_p)
-    v = batch.broadcast_v(z, bs[None, sel - 1], cs[None, sel - 1], alpha_p[None, None])
+    v = batch.broadcast_v(z, sh[None, sel - 1], alpha_p[None, None])
     vrec = shamir_reconstruct(mr.base, v[0], sel)
     assert np.array_equal(vrec, v_p)
     assert not v_p.any()
@@ -117,9 +115,9 @@ def test_share_linearity():
     batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
     xu = rng.integers(0, 16, (2, mr.k)).astype(np.uint8)
     au = rng.integers(0, 16, (2, mr.r, mr.m)).astype(np.uint8)
-    al, z = batch.broadcast_alpha(op, xu[None], au[None], np.array([True, False]))
-    al_sum, z_sum = batch.broadcast_alpha(op, mr.base.add(xu[0], xu[1])[None, None],
-                                          mr.base.add(au[0], au[1])[None, None],
+    ru = plain_rows(xu, np.zeros_like(au), au, np.zeros((2, mr.m), np.uint8))
+    al, z = batch.broadcast_alpha(op, ru[None], np.array([True, False]))
+    al_sum, z_sum = batch.broadcast_alpha(op, mr.base.add(ru[0], ru[1])[None, None],
                                           np.array([True]))
     assert np.array_equal(mr.base.axis_sum(al[0], 0), al_sum[0, 0])
     assert np.array_equal(mr.base.axis_sum(z[0], 0), z_sum[0, 0])
@@ -137,18 +135,12 @@ def test_hypercube_consistency_and_shortcut():
                                               beta_map(ext, beta))
     batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
     alpha_p, v_p = plain_run(batch, op, x, beta, a_plain, c_plain)
-    mains_x = hypercube_aggregate(mr.base, shares.x)
-    mains_a = hypercube_aggregate(mr.base, shares.a)
-    mains_b = hypercube_aggregate(mr.base, shares.beta)
-    mains_c = hypercube_aggregate(mr.base, shares.c)
     depth = 4
-    rows_x = mains_x.reshape(2 * depth, -1)
-    rows_a = mains_a.reshape(2 * depth, mr.r, mr.m)
+    rows = hypercube_aggregate(mr.base, shares).reshape(1, 2 * depth, -1)
     offs = np.array([True, False] * depth)
-    al, z = batch.broadcast_alpha(op, rows_x[None], rows_a[None], offs)
+    al, z = batch.broadcast_alpha(op, rows, offs)
     al = al.reshape(depth, 2, mr.r, mr.m)
-    v = batch.broadcast_v(z, mains_b.reshape(1, 2 * depth, mr.r, mr.m),
-                          mains_c.reshape(1, 2 * depth, -1), alpha_p[None, None])
+    v = batch.broadcast_v(z, rows, alpha_p[None, None])
     v = v.reshape(depth, 2, mr.m)
     for kd in range(depth):
         # both main parties of every dimension open the same plaintext
@@ -185,12 +177,9 @@ def test_exhaustive_false_positive_bound_toy():
         eps = np.array([bits[n] & 1, bits[n] >> 1 & 1, bits[n] >> 2 & 1], np.uint8)
         challenges.append((gamma, eps))
     batch = ChallengeBatch(ext, r, challenges)
-    al, z = batch.broadcast_alpha(op, np.tile(x, (len(challenges), 1, 1)),
-                                  np.tile(a, (len(challenges), 1, 1, 1)),
-                                  np.ones(1, bool))
-    v = batch.broadcast_v(z, np.tile(beta, (len(challenges), 1, 1, 1)),
-                          np.tile(c, (len(challenges), 1, 1)),
-                          al)
+    rows = np.tile(plain_rows(x, beta, a, c), (len(challenges), 1, 1))
+    al, z = batch.broadcast_alpha(op, rows, np.ones(1, bool))
+    v = batch.broadcast_v(z, rows, al)
     accepts = int((~v.reshape(len(challenges), m).any(axis=1)).sum())
     frac = Fraction(accepts, len(challenges))
     assert frac <= Fraction(15, 64)
@@ -265,8 +254,9 @@ def test_batched_contraction_matches_per_party_reference(q, m, n, tau, b, k, dat
     x, a, beta, c = rand(tau, b, k), rand(tau, b, r, m), rand(tau, b, r, m), rand(tau, b, m)
     offsets = rng.random((tau, b)) < 0.5
     batch = ChallengeBatch(ext, r, challenges)
-    alpha, z = batch.broadcast_alpha(PkOperand(ext.base, l_rows, m0_flat), x, a, offsets)
-    v = batch.broadcast_v(z, beta, c, alpha)
+    rows = plain_rows(x, beta, a, c)
+    alpha, z = batch.broadcast_alpha(PkOperand(ext.base, l_rows, m0_flat), rows, offsets)
+    v = batch.broadcast_v(z, rows, alpha)
     ref = reference_run(ext, r, challenges, l_rows, m0_flat, x, a, beta, c, offsets)
     assert np.array_equal(alpha, ref[0])
     assert np.array_equal(z, ref[1])
@@ -287,7 +277,8 @@ def test_broadcast_v_with_one_opened_alpha_per_round(q, m, tau, b, r, seed):
 
     challenges = [(rand(2, m), rand(m)) for _ in range(tau)]
     z, beta, c, alpha = rand(tau, b, m), rand(tau, b, r, m), rand(tau, b, m), rand(tau, 1, r, m)
-    v = ChallengeBatch(ext, r, challenges).broadcast_v(z, beta, c, alpha)
+    rows = plain_rows(np.zeros((tau, b, 0), np.uint8), beta, np.zeros_like(beta), c)
+    v = ChallengeBatch(ext, r, challenges).broadcast_v(z, rows, alpha)
     for e, (_, eps) in enumerate(challenges):
         for p in range(b):
             ip = ext.base.axis_sum(ext.mul(alpha[e, 0], beta[e, p]), axis=0)

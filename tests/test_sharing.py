@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mira.fields import base_field, ext_field
 from mira.hashing import HashSuite
-from mira.sharing import (InputShares, ShareDims, additive_share, beta_map,
+from mira.sharing import (ShareDims, additive_share, beta_map,
                           expand_leaf_shares, hypercube_aggregate, neg_inner,
                           shamir_expand, shamir_points, shamir_share)
 
@@ -36,10 +36,11 @@ def test_component_sums_hit_secrets():
     for trial in range(40):
         n = int(rng.choice([2, 4, 8, 16]))
         field, ext, x, beta, shares, a_plain, c_plain = make_sharing(n, trial + 1)
-        assert np.array_equal(field.axis_sum(shares.x, 0), x)
-        assert np.array_equal(field.axis_sum(shares.beta, 0), beta)
-        assert np.array_equal(field.axis_sum(shares.a, 0), a_plain)
-        assert np.array_equal(field.axis_sum(shares.c, 0), c_plain)
+        sx, sbeta, sa, sc = DIMS.split(shares)
+        assert np.array_equal(field.axis_sum(sx, 0), x)
+        assert np.array_equal(field.axis_sum(sbeta, 0), beta)
+        assert np.array_equal(field.axis_sum(sa, 0), a_plain)
+        assert np.array_equal(field.axis_sum(sc, 0), c_plain)
         # c = -<a, beta> against the reconstructed a (inner product oracle)
         ip = ext.zero()
         for i in range(DIMS.r):
@@ -49,7 +50,8 @@ def test_component_sums_hit_secrets():
 
 def test_additive_two_parties():
     field, ext, x, beta, shares, _, _ = make_sharing(2, 99)
-    assert np.array_equal(shares.x[1], field.sub(x, shares.x[0]))
+    sx = DIMS.split(shares)[0]
+    assert np.array_equal(sx[1], field.sub(x, sx[0]))
 
 
 def test_property_suite_additive_sums():
@@ -68,16 +70,18 @@ def test_property_suite_additive_sums():
 
 def test_hypercube_trivial_depth_one():
     field, _, x, _, shares, _, _ = make_sharing(2, 5)
-    mains = hypercube_aggregate(field, shares.x)
-    assert np.array_equal(mains[0, 0], shares.x[0])
-    assert np.array_equal(mains[0, 1], shares.x[1])
+    sx = DIMS.split(shares)[0]
+    mains = hypercube_aggregate(field, sx)
+    assert np.array_equal(mains[0, 0], sx[0])
+    assert np.array_equal(mains[0, 1], sx[1])
 
 
 def test_hypercube_index_map_d3():
     # main share (2, 1) aggregates leaves {1, 2, 5, 6}
     field, _, x, _, shares, _, _ = make_sharing(8, 6)
-    mains = hypercube_aggregate(field, shares.x)
-    expect = field.axis_sum(shares.x[[0, 1, 4, 5]], 0)
+    sx = DIMS.split(shares)[0]
+    mains = hypercube_aggregate(field, sx)
+    expect = field.axis_sum(sx[[0, 1, 4, 5]], 0)
     assert np.array_equal(mains[1, 0], expect)
     assert [leaf_side(i, 2) for i in (1, 2, 5, 6)] == [1, 1, 1, 1]
     assert [leaf_side(i, 2) for i in (3, 4, 7, 8)] == [2, 2, 2, 2]
@@ -133,13 +137,14 @@ def test_leaf_n_stream_only_samples_a():
     field = base_field(16)
     seeds = [bytes([i]) * 16 for i in range(4)]
     shares = expand_leaf_shares(SUITE, SALT, 2, seeds, DIMS, field)
-    assert not shares.x[-1].any() and not shares.beta[-1].any() and not shares.c[-1].any()
-    assert shares.a[-1].any()
+    sx, sbeta, sa, sc = DIMS.split(shares)
+    assert not sx[-1].any() and not sbeta[-1].any() and not sc[-1].any()
+    assert sa[-1].any()
     # hidden leaves stay zero
     shares2 = expand_leaf_shares(SUITE, SALT, 2, [seeds[0], None, seeds[2], seeds[3]],
                                  DIMS, field)
-    assert not shares2.flat[1].any()
-    assert np.array_equal(shares2.flat[0], shares.flat[0])
+    assert not shares2[1].any()
+    assert np.array_equal(shares2[0], shares[0])
 
 
 def test_bulk_and_stream_paths_agree():
@@ -151,9 +156,9 @@ def test_bulk_and_stream_paths_agree():
     shares = expand_leaf_shares(SUITE, SALT, 3, seeds, DIMS, field)
     for i in range(1, 5):
         sampler = FieldSampler(field, leaf_stream(SUITE, SALT, 3, i, seeds[i - 1]))
-        assert np.array_equal(shares.flat[i - 1], sampler.take(DIMS.total))
+        assert np.array_equal(shares[i - 1], sampler.take(DIMS.total))
     sampler = FieldSampler(field, leaf_stream(SUITE, SALT, 3, 5, seeds[4]))
-    assert np.array_equal(shares.a[4].ravel(), sampler.take(DIMS.r * DIMS.m))
+    assert np.array_equal(DIMS.split(shares)[2][4].ravel(), sampler.take(DIMS.r * DIMS.m))
 
 
 # ---------------------------------------------------------------------------

@@ -149,10 +149,9 @@ def test_opened_alpha_is_alpha_of_the_full_leaf_sum(ap, istars, monkeypatch):
         shares, _, _ = additive_share(ap.suite, sig.salt, e, tree.leaves(), ap.share_dims,
                                       ap.base, ap.ext, x, beta,
                                       beta_map(ap.ext, beta))
-        sums.append(ap.base.axis_sum(shares.flat, axis=0))
-    sum_x, _, sum_a, _ = ap.share_dims.split(np.stack(sums)[:, None])
+        sums.append(ap.base.axis_sum(shares, axis=0))
     batch = ChallengeBatch(ap.ext, ap.r, derive_challenge1(ap.suite, sig.h1, ap.ext, ap.n, ap.tau))
-    alpha, _ = batch.broadcast_alpha(PkOperand.of(pk), sum_x, sum_a, [True])
+    alpha, _ = batch.broadcast_alpha(PkOperand.of(pk), np.stack(sums)[:, None], [True])
     opened = details["alpha_open"]                            # (tau, D, r, m)
     assert np.array_equal(opened, np.broadcast_to(alpha, opened.shape))
 
@@ -228,9 +227,9 @@ def _spy_broadcast_alpha(monkeypatch):
     calls = []
     orig = ChallengeBatch.broadcast_alpha
 
-    def spy(self, pk_op, x_shares, a_shares, offsets):
-        out = orig(self, pk_op, x_shares, a_shares, offsets)
-        calls.append((self, pk_op, np.asarray(x_shares).shape, out))
+    def spy(self, pk_op, rows, offsets):
+        out = orig(self, pk_op, rows, offsets)
+        calls.append((self, pk_op, np.asarray(rows).shape, out))
         return out
 
     monkeypatch.setattr(ChallengeBatch, "broadcast_alpha", spy)
@@ -263,11 +262,10 @@ def test_sum_row_gives_the_part_row_alphas(ap, istars, monkeypatch):
     ok, _ = sa.verify_decoded(ap, pk, b"m", sig)
     assert ok
     [(batch, pk_op, _, (alphas, _))] = calls
-    depth, dims, ext = ap.depth, ap.share_dims, ap.ext
+    depth, ext = ap.depth, ap.ext
     mains = orig_aggregate(ap.base, flats[0])                 # (tau, D, 2, T)
     ist = np.asarray(istars)
     bits = (ist[:, None] - 1 >> np.arange(depth)[None, :]) & 1
     part_rows = np.take_along_axis(mains, bits[:, :, None, None], axis=2)[:, :, 0]
-    px, _, pa, _ = dims.split(part_rows)
-    al_part, _ = batch.broadcast_alpha(pk_op, px, pa, (bits == 0) & (ist[:, None] != 1))
+    al_part, _ = batch.broadcast_alpha(pk_op, part_rows, (bits == 0) & (ist[:, None] != 1))
     assert np.array_equal(ext.sub(alphas[:, depth:], alphas[:, :depth]), al_part)

@@ -123,13 +123,12 @@ def manual_protocol_run(tp, n_run, tag=b"run"):
     eps = rng.integers(0, mr.q, mr.m).astype(np.uint8)
     batch = ChallengeBatch(ext, mr.r, [(gamma, eps)])
     op = PkOperand.of(pk)
-    al_p, z_p = batch.broadcast_alpha(op, x[None, None], a[None, None], [True])
-    v_p = batch.broadcast_v(z_p, beta[None, None], c[None, None], al_p)
+    al_p, z_p = batch.broadcast_alpha(op, coords[None, None], [True])
+    v_p = batch.broadcast_v(z_p, coords[None, None], al_p)
     alpha_p = al_p[0, 0]
     assert not v_p.any()
-    xs, bs, as_, cs = tp.share_dims.split(shares[None])
-    al, z = batch.broadcast_alpha(op, xs, as_, np.ones(n_run, bool))
-    v = batch.broadcast_v(z, bs, cs, alpha_p[None, None])
+    al, z = batch.broadcast_alpha(op, shares[None], np.ones(n_run, bool))
+    v = batch.broadcast_v(z, shares[None], alpha_p[None, None])
     return mr, alpha_p, al[0], v[0]
 
 
