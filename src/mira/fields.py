@@ -45,16 +45,20 @@ Characteristic-2 fields pick a path by input:
   from the full multiplication table and an XOR reduction;
 * bit-sliced GEMM - larger products lay the left operand's d bit planes
   side by side along K and multiply them, in one float32 BLAS call, by a
-  (d*K, d*C) right operand whose row block s holds the bit planes of
-  y^s * b, already reduced by the modulus; the parity of each count is an
-  output bit, and the d output planes shift into place; ``matmul`` runs
-  the ``matmul3`` body without the stack axis, as its T = 1 case;
+  (d*K, W*C) right operand holding y^s * b in row block s, already reduced
+  by the modulus.  Each output bit has a lane of bit_length(d*K) bits in
+  one of W float32 words, so at d = 4 two lanes share a word while
+  d*K <= 4095 (half the bytes and multiply-adds of a word per bit), and
+  W = d from 4096 on; the parity of each lane's count is an output bit.
+  ``matmul`` runs the ``matmul3`` body without the stack axis (T = 1);
 * ``Gf2Table`` - the public-key operand x @ L, a fixed GF(2) map applied
-  to every party's share, is a byte-indexed XOR table built once per key.
-  On the share-of-E shapes it beats the bit-sliced GEMM: 3.1-3.4 against
-  8.5-8.7 ms on the 306 rows of an additive level-5 verify and 3.7-4.5
-  against 9.7-9.9 ms on the 340 rows of a sign (one thread of a 2-vCPU
-  x86-64 host, OpenBLAS, medians of 21 in two runs).
+  to every party's share, is a nibble-indexed XOR table built once per key,
+  1.10 MB at additive level 5 where a byte-indexed one holds 8.8 MB.  Inside
+  level-5 signs and verifies, the 306-row share-of-E product took 1.6-1.7
+  ms against 2.4-2.5 ms with the byte-indexed table, which leaves the cache
+  between calls; back to back the byte-indexed table is faster (0.9
+  against 1.4 ms) and the bit-sliced GEMM takes 2.9-3.1 ms (one thread of
+  a 2-vCPU x86-64 host, OpenBLAS, medians of 21-42 calls).
 """
 
 from functools import lru_cache
@@ -65,6 +69,10 @@ from .bitio import pack_nibbles, unpack_nibbles
 
 # float32 holds every integer below this exactly
 _F32_EXACT = 1 << 24
+# count lanes per float32 word in a GF(2^d) GEMM: with at most 4, lanes sit
+# at least 6 bits apart, more than their number, as ``Char2Field._gemm``'s
+# multiply needs
+_MAX_LANES = 4
 
 
 def _is_prime(n):
@@ -230,6 +238,10 @@ class Char2Field:
         self.char = 2
         self.modulus_bits = _char2_modulus(d)
         self._build_tables()
+        # the GEMM's right-operand entries for every word count (see
+        # ``_word_count``), gathered by ``matmul3_prepare``
+        self._word_tables = {words: self._lane_words(words) for words in
+                             {-(-d // per) for per in range(1, min(d, _MAX_LANES) + 1)}}
 
     def _build_tables(self):
         q, mod = self.q, self.modulus_bits
@@ -269,6 +281,39 @@ class Char2Field:
         inv[1:] = exp[(q - 1 - log[nz]) % (q - 1)]
         self.EXP, self.LOG, self.MUL, self.INV = exp, log, mul, inv
 
+    def _word_count(self, inner):
+        """float32 words per output element of a product with inner size K.
+
+        Each lane counts at most d*K bit products, so it needs
+        bit_length(d*K) bits; 24 // that many lanes (at most ``_MAX_LANES``)
+        share a word, whose value then stays below 2^24.
+        """
+        assert self.d * inner < _F32_EXACT
+        width = (self.d * inner).bit_length() or 1
+        per_word = min(self.d, _MAX_LANES, 24 // width)
+        return -(-self.d // per_word)
+
+    def _lanes(self, words):
+        """(lanes, spacing): output bits per word and the distance between them."""
+        lanes = -(-self.d // words)
+        return lanes, 24 // lanes
+
+    def _lane_words(self, words):
+        """(d, q) operand entries of ``words`` float32 words, one void item each.
+
+        Word j of entry [s, v] holds 2^(l * spacing) for each set bit
+        j*lanes + l of y^s * v.
+        """
+        d, q = self.d, self.q
+        lanes, spacing = self._lanes(words)
+        ysv = self.MUL[1 << np.arange(d)].astype(np.int64)        # (d, q)
+        table = np.zeros((d, q, words), np.int64)
+        for u in range(d):
+            j, lane = divmod(u, lanes)
+            table[:, :, j] |= ((ysv >> u) & 1) << (lane * spacing)
+        table = np.ascontiguousarray(table.astype(np.float32))
+        return table.view(np.dtype((np.void, 4 * words))).reshape(d, q)
+
     def add(self, a, b):
         return np.bitwise_xor(np.asarray(a, np.uint8), np.asarray(b, np.uint8))
 
@@ -300,20 +345,20 @@ class Char2Field:
         return self._gemm(a, self.matmul3_prepare(b))
 
     def matmul3_prepare(self, b3):
-        """Right operand(s) (..., K, C) as (..., d*K, d*C) bit planes, and C.
+        """Right operand(s) (..., K, C) as float32 (..., d*K, W*C) lane words, and C.
 
-        Row block s, column block u holds bit u of y^s * b: the reduction
-        modulo the field polynomial is built into the operand.
+        Row s*K + k, columns c*W .. c*W + W - 1 hold the W = ``_word_count(K)``
+        words of y^s * b[k, c], gathered per s from the field's tables.
         """
         b3 = np.asarray(b3, np.uint8)
         inner, cols = b3.shape[-2:]
-        d = self.d
-        bp = np.empty(b3.shape[:-2] + (d * inner, d * cols), dtype=np.float32)
-        for s in range(d):
-            ysb = self.MUL[1 << s][b3]
-            for u in range(d):
-                bp[..., s * inner:(s + 1) * inner, u * cols:(u + 1) * cols] = (ysb >> u) & 1
-        return bp, cols
+        words = self._word_count(inner)
+        table = self._word_tables[words]
+        idx = b3.astype(np.intp)
+        bp = np.empty(b3.shape[:-2] + (self.d,) + b3.shape[-2:], table.dtype)
+        for s in range(self.d):
+            np.take(table[s], idx, out=bp[..., s, :, :])
+        return bp.view(np.float32).reshape(b3.shape[:-2] + (self.d * inner, words * cols)), cols
 
     def matmul3(self, a3, prepared):
         """(T, R, K) @ (T, K, C) stacked products via bit-sliced parity GEMMs."""
@@ -321,22 +366,31 @@ class Char2Field:
 
     def _gemm(self, a, prepared):
         # (..., R, K) @ prepared: the d bit planes of a side by side along K,
-        # one float32 GEMM, parity of the counts, output planes shifted in
+        # one float32 GEMM giving every lane's count, the parity of each
+        # lane moved to its output bit
         bp, cols = prepared
         a = np.asarray(a, np.uint8)
         lead, (rows, inner) = a.shape[:-2], a.shape[-2:]
         d = self.d
-        assert d * inner < (1 << 15)
+        words = self._word_count(inner)
+        lanes, spacing = self._lanes(words)
         ap = np.empty(lead + (rows, d * inner), dtype=np.float32)
         for s in range(d):
             ap[..., s * inner:(s + 1) * inner] = (a >> s) & 1
-        prod = np.matmul(ap, bp).astype(np.int16)
-        prod &= 1
-        prod = prod.astype(np.uint8)
-        out = prod[..., :cols].copy()
-        for u in range(1, d):
-            out |= prod[..., u * cols:(u + 1) * cols] << u
-        return out
+        # keep the parity bit of every lane, then one multiply moves the bit
+        # of lane l from l*spacing to shift + l; its partial products land on
+        # distinct bits (spacing > lanes), so nothing carries
+        counts = np.matmul(ap, bp).astype(np.int32).view(np.uint32)
+        counts &= sum(1 << (lane * spacing) for lane in range(lanes))
+        shift = (lanes - 1) * (spacing - 1)
+        counts *= sum(1 << (shift + lane - lane * spacing) for lane in range(lanes))
+        counts >>= shift
+        bits = counts.astype(np.uint8).reshape(lead + (rows, cols, words))
+        bits &= (1 << lanes) - 1
+        out = bits[..., 0]
+        for j in range(1, words):
+            out = out | (bits[..., j] << (j * lanes))
+        return np.ascontiguousarray(out)
 
     # -- byte encoding -----------------------------------------------------
 
@@ -372,11 +426,13 @@ class Char2Field:
 
 
 class Gf2Table:
-    """Right-multiplication by a fixed GF(2) matrix via byte-indexed XOR tables.
+    """Right-multiplication by a fixed GF(2) matrix via nibble-indexed XOR tables.
 
-    Builds, for every 8-bit chunk of the input vector, a 256-entry table of
+    Builds, for every 4-bit chunk of the input vector, a 16-entry table of
     partial output rows; applying the map is one table gather and XOR per
-    chunk.  Used for the large fixed operands (public key matrices).
+    chunk.  Used for the large fixed operands (public key matrices), where
+    the table is 8x smaller than a byte-indexed one (16 rows per 4 input
+    bits against 256 per 8).
     """
 
     def __init__(self, mbits):
@@ -388,21 +444,23 @@ class Gf2Table:
         padded = np.zeros((self.chunks * 8, cols), np.uint8)
         padded[:rows] = mbits
         packed = np.packbits(padded, axis=1)          # (chunks*8, out_bytes)
-        packed = packed.reshape(self.chunks, 8, self.out_bytes)
-        table = np.zeros((self.chunks, 256, self.out_bytes), np.uint8)
-        for i in range(8):
+        packed = packed.reshape(2 * self.chunks, 4, self.out_bytes)
+        table = np.zeros((2 * self.chunks, 16, self.out_bytes), np.uint8)
+        for i in range(4):
             step = 1 << i
-            # numeric bit i of the chunk byte selects packed row 7-i (packbits
-            # is big-endian within a byte)
-            table[:, step:2 * step] = table[:, :step] ^ packed[:, 7 - i, None, :]
+            # numeric bit i of a nibble selects packed row 3-i of its chunk
+            # (packbits is big-endian within a byte: high nibble first)
+            table[:, step:2 * step] = table[:, :step] ^ packed[:, 3 - i, None, :]
         self.table = table
 
     def apply_packed(self, xbytes):
         """(R, chunks) packed input bits -> (R, out_bytes) packed output."""
+        nibbles = np.empty((2 * self.chunks, xbytes.shape[0]), np.uint8)
+        np.right_shift(xbytes.T, 4, out=nibbles[0::2])
+        np.bitwise_and(xbytes.T, 15, out=nibbles[1::2])
         out = np.zeros((xbytes.shape[0], self.out_bytes), np.uint8)
-        t = self.table
-        for c in range(self.chunks):
-            out ^= t[c, xbytes[:, c]]
+        for t, idx in zip(self.table, nibbles):
+            out ^= t[idx]
         return out
 
 

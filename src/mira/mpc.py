@@ -45,7 +45,8 @@ class PkOperand:
 
     def _gf2_table(self):
         # x @ L over GF(2^d) as a GF(2) map on bit planes: input bit (s, i)
-        # contributes y^s * L[i, :], whose planes fill the matching rows
+        # contributes y^s * L[i, :], whose planes fill the matching rows; the
+        # nibble-indexed table holds 16 output rows per 4 input bits
         if self._gf2 is None:
             base = self.base
             d = base.d

@@ -413,9 +413,51 @@ def test_char2_products_match_mul_table(d, stack, shapes, data, seed):
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_char2_gemm_exact_at_the_lane_boundary(d, side):
+    # up to d*K <= 4095 a count fits 12 bits and two lanes share a float32
+    # word; from d*K = 4096 on each output bit has a word of its own.
+    # All-(q-1) left operands and a right column per element, all of it
+    # that element, make every count as large as it can be somewhere.
+    field = Char2Field(d)
+    inner = 4095 // d if side == "below" else 4096 // d
+    words = -(-d // 2) if side == "below" else d
+    cols = max(70, field.q + 6)
+    rng = np.random.default_rng(inner)
+    a3 = np.full((3, 8, inner), field.q - 1, np.uint8)
+    b3 = rng.integers(0, field.q, (3, inner, cols)).astype(np.uint8)
+    b3[..., :field.q] = np.arange(field.q)
+    prepared = field.matmul3_prepare(b3)
+    assert prepared[0].shape == (3, d * inner, words * cols) and prepared[1] == cols
+    ref = _mul_table_product(field, a3, b3)
+    assert np.array_equal(field.matmul3(a3, prepared), ref)
+    assert np.array_equal(field.matmul(a3[0], b3[0]), ref[0])   # above the gather switch
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_char2_gemm_exact_with_many_lanes(d):
+    # small K packs up to four lanes in a word; every element as a column
+    # and a random left row beside the all-(q-1) one set many lane bits at
+    # once.  K = 0 and C = 0 give empty sums and empty products.
+    field = Char2Field(d)
+    rng = np.random.default_rng(d)
+    empty = field.matmul3(np.ones((2, 3, 4), np.uint8),
+                          field.matmul3_prepare(np.ones((2, 4, 0), np.uint8)))
+    assert empty.shape == (2, 3, 0)
+    for inner in range(0, 9):
+        a3 = np.full((2, 2, inner), field.q - 1, np.uint8)
+        a3[:, 1] = rng.integers(0, field.q, (2, inner))
+        b3 = np.broadcast_to(np.arange(field.q, dtype=np.uint8), (2, inner, field.q)).copy()
+        b3[1] = rng.integers(0, field.q, (inner, field.q))
+        ref = _mul_table_product(field, a3, b3)
+        assert np.array_equal(field.matmul3(a3, field.matmul3_prepare(b3)), ref), inner
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
 def test_char2_gemm_exact_at_the_inner_bound(d):
-    # d * K bit-plane products are summed per output bit; int16 holds them
-    # while d * K < 2^15.  All-ones left planes make the counts large.
+    # d * K bit-plane products are summed per output bit; at this size each
+    # count has a float32 word of its own, exact below 2^24.  All-ones left
+    # planes make the counts large.
     field = Char2Field(d)
     inner = ((1 << 15) - 1) // d
     rng = np.random.default_rng(d)
@@ -444,6 +486,19 @@ def test_gf2_table_matches_bit_matmul():
     xb = np.packbits(x, axis=1)
     got = np.unpackbits(table.apply_packed(xb), axis=1)[:, :70]
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("in_bits", [1, 3, 4, 5, 8, 45, 61])
+@pytest.mark.parametrize("out_bits", [1, 9, 71])
+def test_gf2_table_partial_chunks(in_bits, out_bits):
+    # inputs that end inside a nibble or a byte, outputs inside a byte
+    rng = np.random.default_rng(in_bits * 100 + out_bits)
+    mbits = rng.integers(0, 2, (in_bits, out_bits)).astype(np.uint8)
+    x = rng.integers(0, 2, (17, in_bits)).astype(np.uint8)
+    x[0] = 1
+    got = Gf2Table(mbits).apply_packed(np.packbits(x, axis=1))
+    assert got.shape == (17, (out_bits + 7) // 8)
+    assert np.array_equal(np.unpackbits(got, axis=1)[:, :out_bits], (x @ mbits) & 1)
 
 
 def test_base_field_flags():
