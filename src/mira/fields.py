@@ -215,10 +215,14 @@ class PrimeField:
         return _split_rows(self.pack(arr), len(arr))
 
     def unpack(self, data, count):
-        arr = np.frombuffer(data, dtype=np.uint8, count=count)
-        if np.any(arr >= self.q):
+        return self.unpack_rows(np.frombuffer(data, dtype=np.uint8, count=count), count)
+
+    def unpack_rows(self, raw, count):
+        """(..., count) elements from (..., packed_size(count)) uint8 rows, each
+        checked as ``unpack`` checks one block."""
+        if np.any(raw >= self.q):
             raise ValueError("field element out of range")
-        return arr.copy()
+        return raw.copy()
 
     def packed_size(self, count):
         return count
@@ -408,15 +412,19 @@ class Char2Field:
         return _split_rows(self.pack(arr), len(arr))
 
     def unpack(self, data, count):
+        raw = np.frombuffer(data, dtype=np.uint8, count=self.packed_size(count))
+        return self.unpack_rows(raw, count)
+
+    def unpack_rows(self, raw, count):
+        """(..., count) elements from (..., packed_size(count)) uint8 rows, each
+        checked as ``unpack`` checks one block."""
         if self.q != 16:
-            arr = np.frombuffer(data, dtype=np.uint8, count=count)
-            if np.any(arr >= self.q):
+            if np.any(raw >= self.q):
                 raise ValueError("field element out of range")
-            return arr.copy()
-        raw = np.frombuffer(data, dtype=np.uint8, count=(count + 1) // 2)
-        if count & 1 and raw[-1] >> 4:
+            return raw.copy()
+        if count & 1 and np.any(raw[..., -1] >> 4):
             raise ValueError("nonzero padding nibble")
-        return unpack_nibbles(raw)[:count]
+        return unpack_nibbles(raw)[..., :count]
 
     def packed_size(self, count):
         return (count + 1) // 2 if self.q == 16 else count

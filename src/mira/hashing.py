@@ -90,6 +90,10 @@ class XofStream:
         self._pos = end
         return out
 
+    def unread(self, n):
+        """Step back over the last ``n`` bytes read; the next read returns them again."""
+        self._pos -= n
+
 
 class _LittleEndian(dict):
     """Memo of fixed-width little-endian encodings, looked up at C speed."""
@@ -150,6 +154,38 @@ class FieldSampler:
             got += take
         return out
 
+    def take_many(self, counts):
+        """``[self.take(c) for c in counts]`` with one stream read.
+
+        Power-of-two fields read the bytes those takes consume as one block.
+        A prime field reads every take's first rejection window at once
+        (``take`` sizes it ``need + need // 8 + 8``), accepts bytes with one
+        mask and keeps the first ``count`` accepted bytes of each window.  If
+        a window holds too few, the stream steps back to its start and that
+        take and the ones after it run one by one.
+        """
+        counts = np.asarray(counts, np.intp)
+        q = self.field.q
+        if q & (q - 1) == 0:
+            return np.split(self.take(int(counts.sum())), np.cumsum(counts[:-1]))
+        wins = np.where(counts > 0, counts + (counts >> 3) + 8, 0)
+        ends = np.cumsum(wins)
+        starts = ends - wins
+        raw = np.frombuffer(self.stream.read(int(ends[-1])), np.uint8)
+        ok = raw < (256 // q) * q
+        before = np.concatenate([[0], np.cumsum(ok)])    # accepted bytes before each byte
+        short = np.flatnonzero(before[ends] - before[starts] < counts)
+        fast = int(short[0]) if len(short) else len(counts)
+        stop = int(starts[fast]) if fast < len(counts) else len(raw)
+        # an accepted byte is kept while it ranks within its window's count
+        rank = before[1:stop + 1] - np.repeat(before[starts], wins)[:stop]
+        keep = ok[:stop] & (rank <= np.repeat(counts, wins)[:stop])
+        out = np.split(raw[:stop][keep] % q, np.cumsum(counts[:fast]))[:fast]
+        if fast < len(counts):
+            self.stream.unread(len(raw) - stop)
+            out += [self.take(int(c)) for c in counts[fast:]]
+        return out
+
     def _take_nibbles(self, count):
         pend = self._nibbles if self._nibbles is not None else np.zeros(0, np.uint8)
         if len(pend) < count:
@@ -161,22 +197,15 @@ class FieldSampler:
     def matrix(self, rows, cols):
         return self.take(rows * cols).reshape(rows, cols)
 
-    def ext_elements(self, m, count):
-        return self.take(count * m).reshape(count, m)
-
 
 # ---------------------------------------------------------------------------
 # Fiat-Shamir challenge streams
 
 def derive_challenge1(suite, h1, ext, n, tau):
     """Per-round (gamma_1..gamma_n, eps) over GF(q^m) from h1."""
-    sampler = FieldSampler(ext.base, suite.xof(X_CH1, h1))
-    out = []
-    for _ in range(tau):
-        gamma = sampler.ext_elements(ext.m, n)
-        eps = sampler.ext_elements(ext.m, 1)[0]
-        out.append((gamma, eps))
-    return out
+    m = ext.m
+    draws = FieldSampler(ext.base, suite.xof(X_CH1, h1)).take_many([n * m, m] * tau)
+    return [(gamma.reshape(n, m), eps) for gamma, eps in zip(draws[0::2], draws[1::2])]
 
 
 def derive_challenge2_additive(suite, h2, n_parties, tau):

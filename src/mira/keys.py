@@ -77,24 +77,29 @@ class SecretKey:
     _beta: np.ndarray = dc_field(default=None, repr=False, compare=False)
 
     def _derivation(self):
-        # (m0_flat, x, E) from one replay of the key derivation, kept read-only
+        # (L, m0_flat, x, E) from one replay of the key derivation, kept read-only
         if self._derived is None:
-            derived = _derive(self.params, self.seed_pk, self.seed_sk)[1:]
+            derived = _derive(self.params, self.seed_pk, self.seed_sk)
             for arr in derived:
                 arr.flags.writeable = False
             self._derived = derived
         return self._derived
 
     def public_key(self):
-        """The matching public key, from the replayed key derivation."""
+        """The matching public key, from the replayed key derivation.
+
+        Its ``matrices()`` are the derivation's own read-only L and M_0, so
+        the key does not expand L from the seed a second time.
+        """
         ps = self.params
-        m0_flat = self._derivation()[0]
-        return PublicKey(params=ps, seed_pk=self.seed_pk,
-                         m0_entries=m0_flat[ps.k:].copy())
+        l_rows, m0_flat = self._derivation()[:2]
+        pk = PublicKey(params=ps, seed_pk=self.seed_pk, m0_entries=m0_flat[ps.k:].copy())
+        pk._cache["mats"] = (l_rows, m0_flat)
+        return pk
 
     def witness(self):
         """(x, E) from the replayed key derivation."""
-        return self._derivation()[1:]
+        return self._derivation()[2:]
 
     def sign_inputs(self):
         """(x, beta): the witness and the annihilator of E's column space.

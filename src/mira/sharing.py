@@ -20,9 +20,10 @@ any number of a's is then one GF(q) product.
 Shamir sharing evaluates an independent random degree-l polynomial per
 coordinate at the public points e_i = i, which caps N at q - 1.  Both
 directions take a leading round axis: ``shamir_share`` builds the
-Vandermonde matrix once for all rounds, and ``shamir_expand`` takes one
-point set per round and evaluates every round's polynomials with one weight
-computation and one stacked field GEMM.
+Vandermonde matrix once for all rounds, and ``shamir_expand`` takes the
+Lagrange weights of one point set per round (``lagrange_weights`` computes
+them for any number of point sets at once) and evaluates every round's
+polynomials with one stacked field GEMM.
 """
 
 from dataclasses import dataclass
@@ -220,7 +221,7 @@ def _field_prod(field, arr):
     return out
 
 
-def _lagrange_weights(field, points, targets):
+def lagrange_weights(field, points, targets):
     """(B, A, t) weights w with P_b(targets_a) = sum_j w_baj P_b(points_bj).
 
     Each row of ``points`` (B, t) holds t distinct points of its own
@@ -240,20 +241,12 @@ def _lagrange_weights(field, points, targets):
     return field.mul(num, field.inv(den)[:, None, :])
 
 
-def shamir_expand(field, shares, points, targets):
+def shamir_expand(field, shares, weights):
     """Evaluate interpolating polynomials at every target point.
 
-    shares (B, t, C) and points (B, t) hold B independent degree-(t-1)
-    sharings, e.g. one per signature round; the result is (B, A, C) for
-    targets (A,).  Without the leading B axis, shares (t, C) and points
-    (t,) give (A, C).
+    shares (B, t, C) hold B independent degree-(t-1) sharings, e.g. one per
+    signature round, and ``weights`` (B, A, t) their ``lagrange_weights``
+    for A targets; the result is (B, A, C).  One weight computation can
+    serve several point sets, each then passing its own slice.
     """
-    shares = np.asarray(shares, np.uint8)
-    points = np.asarray(points, np.uint8)
-    targets = np.asarray(targets, np.uint8).ravel()
-    single = points.ndim == 1
-    if single:
-        shares, points = shares[None], points[None]
-    w = _lagrange_weights(field, points, targets)
-    out = field.matmul3(w, field.matmul3_prepare(shares))
-    return out[0] if single else out
+    return field.matmul3(weights, field.matmul3_prepare(np.asarray(shares, np.uint8)))

@@ -21,7 +21,8 @@ from .bitio import SignatureFormatError
 from .hashing import (H1, H2, X_SIGN, FieldSampler, commit,
                       derive_challenge1, derive_challenge2_threshold)
 from .mpc import ChallengeBatch, PkOperand
-from .sharing import beta_map, neg_inner, plain_rows, shamir_expand, shamir_share
+from .sharing import (beta_map, lagrange_weights, neg_inner, plain_rows, shamir_expand,
+                      shamir_share)
 from .trees import (H_MERKLE, MerkleTree, merkle_auth, merkle_root,
                     merkle_root_from_auth)
 
@@ -61,41 +62,58 @@ def decode(ps, data):
     suite = ps.suite
     base = ps.base
     dims = ps.share_dims
-    r, m = dims.r, dims.m
     db = suite.digest_bytes
     opened_count = ps.ell * dims.total
+    alpha_count = dims.r * dims.m
     opened_bytes = base.packed_size(opened_count)    # encode packs the block
-    alpha_bytes = base.packed_size(r * m)
-    pos = 0
+    block = opened_bytes + base.packed_size(alpha_count)
+    max_nodes = _max_auth_nodes(ps)
+    size = len(data)
 
-    def take(n):
-        nonlocal pos
-        if pos + n > len(data):
-            raise SignatureFormatError("truncated signature")
-        out = data[pos:pos + n]
-        pos += n
-        return out
+    # one pass over the 2-byte auth counts locates every round's element
+    # block; a malformed round ends it, and its fault is raised after the
+    # element checks of the blocks before it, as a round-by-round parse would
+    head = suite.salt_bytes + 2 * db
+    pos, fault, partial = head, None, None
+    counts, block_at = [], []
+    for _ in range(ps.tau):
+        if pos + 2 > size:
+            fault = "truncated signature"
+            break
+        count = int.from_bytes(data[pos:pos + 2], "little")
+        if count > max_nodes:
+            fault = "authentication path too long"
+            break
+        pos += 2 + count * db
+        if pos + block > size:
+            fault = "truncated signature"
+            if pos + opened_bytes <= size:
+                partial = pos              # its opened block parses first
+            break
+        counts.append(count)
+        block_at.append(pos)
+        pos += block
 
+    raw = np.frombuffer(data, np.uint8)
+    blocks = raw[np.asarray(block_at, np.intp)[:, None] + np.arange(block)]
     try:
-        salt = take(suite.salt_bytes)
-        h1 = take(db)
-        h2 = take(db)
-        rounds = []
-        for _ in range(ps.tau):
-            count = int.from_bytes(take(2), "little")
-            if count > _max_auth_nodes(ps):
-                raise SignatureFormatError("authentication path too long")
-            auth = [take(db) for _ in range(count)]
-            opened = base.unpack(take(opened_bytes), opened_count)
-            alpha_star = base.unpack(take(alpha_bytes), r * m).reshape(r, m)
-            rounds.append(RoundResponse(auth=auth,
-                                        opened=opened.reshape(ps.ell, dims.total),
-                                        alpha_star=alpha_star))
+        opened = base.unpack_rows(blocks[:, :opened_bytes], opened_count)
+        alphas = base.unpack_rows(blocks[:, opened_bytes:], alpha_count)
+        if partial is not None:
+            base.unpack_rows(raw[None, partial:partial + opened_bytes], opened_count)
     except ValueError as exc:
         raise SignatureFormatError(str(exc)) from None
-    if pos != len(data):
+    if fault is not None:
+        raise SignatureFormatError(fault)
+    if pos != size:
         raise SignatureFormatError("trailing data")
-    return ThresholdSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
+    rounds = [RoundResponse(auth=[data[p:p + db] for p in range(at - count * db, at, db)],
+                            opened=opened_e.reshape(ps.ell, dims.total),
+                            alpha_star=alpha_e.reshape(dims.r, dims.m))
+              for count, at, opened_e, alpha_e in zip(counts, block_at, opened, alphas)]
+    return ThresholdSignature(salt=data[:suite.salt_bytes],
+                              h1=data[suite.salt_bytes:suite.salt_bytes + db],
+                              h2=data[suite.salt_bytes + db:head], rounds=rounds)
 
 
 def _extra_party(s_set, subset):
@@ -129,15 +147,12 @@ def _sign_core(ps, pk, x, beta, message, entropy):
 
     rng = suite.xof(X_SIGN, entropy)
     salt = rng.read(suite.salt_bytes)
-    sampler = FieldSampler(base, rng)
 
-    # draws in round order (a, then the Shamir coefficients); c and the
-    # shares of all rounds follow in one batch each
-    a_plains = np.empty((tau, r, m), np.uint8)
-    rands = np.empty((tau, ell, dims.total), np.uint8)
-    for e in range(tau):
-        a_plains[e] = sampler.take(r * m).reshape(r, m)
-        rands[e] = sampler.take(ell * dims.total).reshape(ell, dims.total)
+    # draws in round order (a, then the Shamir coefficients) from one
+    # read; c and the shares of all rounds follow in one batch each
+    draws = FieldSampler(base, rng).take_many([r * m, ell * dims.total] * tau)
+    a_plains = np.reshape(draws[0::2], (tau, r, m))
+    rands = np.reshape(draws[1::2], (tau, ell, dims.total))
     c_plains = neg_inner(ext, a_plains, beta_map(ext, beta))
     secrets = plain_rows(x, beta, a_plains, c_plains)
     shares_all = shamir_share(base, secrets, ell, n_parties, rands)
@@ -214,19 +229,23 @@ def verify_decoded(ps, pk, message, sig):
     alpha_i, zs = batch.broadcast_alpha(pk_op, opened, np.ones(ell, bool))
 
     # all rounds at once: alpha through I + {i*} at S + {0}; v through
-    # I + {0}, where v(0) = 0, at S
+    # I + {0}, where v(0) = 0, at S; one weight computation for both
     subsets = np.asarray(ch2, np.uint8)                      # (tau, ell)
     istars = np.asarray([_extra_party(s_set, subset) for subset in ch2], np.uint8)
+    zeros = np.zeros(tau, np.uint8)
+    weights = lagrange_weights(
+        base, np.concatenate([np.column_stack([subsets, istars]),
+                              np.column_stack([subsets, zeros])]), np.append(s_pts, 0))
     alpha_star = np.stack([rr.alpha_star.reshape(1, r * m) for rr in sig.rounds])
     alpha_at = shamir_expand(
         base, np.concatenate([alpha_i.reshape(tau, ell, r * m), alpha_star], axis=1),
-        np.column_stack([subsets, istars]), np.append(s_pts, 0))
+        weights[:tau])
     alpha_sharings = alpha_at[:, :ell + 1]
     alpha_opens = alpha_at[:, ell + 1].reshape(tau, r, m)
     v_i_all = batch.broadcast_v(zs, opened, alpha_opens[:, None])
     v_sharings = shamir_expand(
         base, np.concatenate([v_i_all, np.zeros((tau, 1, m), np.uint8)], axis=1),
-        np.column_stack([subsets, np.zeros(tau, np.uint8)]), s_pts)
+        weights[tau:, :ell + 1])
 
     h2bar = _h2(suite, base, message, pk.body_bytes(), sig.salt, h1bar,
                 alpha_sharings, v_sharings)

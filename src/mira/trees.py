@@ -13,8 +13,6 @@ The empty-tree and padding conventions are part of the wire format.
 
 from functools import cached_property
 
-import numpy as np
-
 from .hashing import H_MERKLE, X_TREE, encode_u16, encode_u32
 
 
@@ -160,37 +158,41 @@ def merkle_root_from_auth(suite, leaf_hashes, indices, auth, n_leaves):
     """Recompute the root from (already hashed) leaves at ``indices``.
 
     Returns None when the path has the wrong shape.  leaf_hashes[j] must be
-    the level-0 digest H_M(v) for 1-based leaf index indices[j].
+    the level-0 digest H_M(v) for 1-based leaf index indices[j].  Each level
+    is a sorted list of known positions with their digests; a known node's
+    missing sibling is the next auth digest, taken left to right.
     """
-    order = np.argsort(indices)
-    pairs = [(indices[j] - 1, leaf_hashes[j]) for j in order]
-    if not pairs or pairs[0][0] < 0 or pairs[-1][0] >= n_leaves:
+    order = sorted(range(len(indices)), key=indices.__getitem__)
+    pos = [indices[j] - 1 for j in order]
+    dig = [leaf_hashes[j] for j in order]
+    if not pos or pos[0] < 0 or pos[-1] >= n_leaves:
         return None
-    if len({p for p, _ in pairs}) != len(pairs):
+    if any(a == b for a, b in zip(pos, pos[1:])):
         return None
-    pad = 1 << max(0, (n_leaves - 1).bit_length())
-    cur = dict(pairs)
+    h = suite.hash
     it = iter(auth)
-    width = pad
+    width = 1 << max(0, (n_leaves - 1).bit_length())
     try:
         while width > 1:
-            nxt = {}
-            for pos in sorted(cur):
-                par = pos >> 1
-                if par in nxt:
-                    continue
-                sib = pos ^ 1
-                left = cur[pos] if pos & 1 == 0 else cur.get(sib)
-                right = cur[pos] if pos & 1 == 1 else cur.get(sib)
-                if left is None:
-                    left = next(it)
-                if right is None:
-                    right = next(it)
-                nxt[par] = suite.hash(H_MERKLE, left + right)
-            cur = nxt
+            up_pos, up_dig = [], []
+            j, known = 0, len(pos)
+            while j < known:
+                p = pos[j]
+                if p & 1:
+                    pair = next(it) + dig[j]
+                    j += 1
+                elif j + 1 < known and pos[j + 1] == p + 1:
+                    pair = dig[j] + dig[j + 1]
+                    j += 2
+                else:
+                    pair = dig[j] + next(it)
+                    j += 1
+                up_pos.append(p >> 1)
+                up_dig.append(h(H_MERKLE, pair))
+            pos, dig = up_pos, up_dig
             width >>= 1
     except StopIteration:
         return None
     if next(it, None) is not None:
         return None
-    return cur[0]
+    return dig[0]

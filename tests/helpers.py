@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from mira.bitio import SignatureFormatError
 from mira.matrices import rank
 from mira.params import PARAM_IDS, parameter_set
-from mira.sharing import shamir_expand
+from mira.sharing import lagrange_weights, shamir_expand
+from mira.sign_threshold import RoundResponse, ThresholdSignature, _max_auth_nodes
+from mira.trees import H_MERKLE
 
 
 def all_parameter_sets():
@@ -35,9 +38,22 @@ def leaf_side(leaf, dim):
     return ((leaf - 1) >> (dim - 1) & 1) + 1
 
 
+def shamir_at(field, shares, points, targets):
+    """Interpolating polynomials at ``targets`` (A,): shares (B, t, C) and
+    points (B, t) give (B, A, C); without the B axis, (t, C) and (t,) give (A, C)."""
+    shares = np.asarray(shares, np.uint8)
+    points = np.asarray(points, np.uint8)
+    single = points.ndim == 1
+    if single:
+        shares, points = shares[None], points[None]
+    weights = lagrange_weights(field, points, np.asarray(targets, np.uint8).ravel())
+    out = shamir_expand(field, shares, weights)
+    return out[0] if single else out
+
+
 def shamir_reconstruct(field, shares, points):
     """Interpolate at zero: shares (..., t, C), points (..., t) -> (..., C)."""
-    return shamir_expand(field, shares, points, np.zeros(1, np.uint8))[..., 0, :]
+    return shamir_at(field, shares, points, np.zeros(1, np.uint8))[..., 0, :]
 
 
 def evaluate(ext, qp, x):
@@ -81,3 +97,89 @@ def gaussian_binomial(m, r, q):
         out *= Fraction(q ** m - q ** i, q ** r - q ** i)
     assert out.denominator == 1
     return out.numerator
+
+
+def threshold_decode_by_round(ps, data):
+    """Reference threshold decoder: one round at a time, each block on its own.
+
+    ``mira.sign_threshold.decode`` must parse the same signatures and reject
+    the rest with the same ``SignatureFormatError`` message.
+    """
+    suite = ps.suite
+    base = ps.base
+    dims = ps.share_dims
+    r, m = dims.r, dims.m
+    db = suite.digest_bytes
+    opened_count = ps.ell * dims.total
+    opened_bytes = base.packed_size(opened_count)
+    alpha_bytes = base.packed_size(r * m)
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(data):
+            raise SignatureFormatError("truncated signature")
+        out = data[pos:pos + n]
+        pos += n
+        return out
+
+    try:
+        salt = take(suite.salt_bytes)
+        h1 = take(db)
+        h2 = take(db)
+        rounds = []
+        for _ in range(ps.tau):
+            count = int.from_bytes(take(2), "little")
+            if count > _max_auth_nodes(ps):
+                raise SignatureFormatError("authentication path too long")
+            auth = [take(db) for _ in range(count)]
+            opened = base.unpack(take(opened_bytes), opened_count)
+            alpha_star = base.unpack(take(alpha_bytes), r * m).reshape(r, m)
+            rounds.append(RoundResponse(auth=auth,
+                                        opened=opened.reshape(ps.ell, dims.total),
+                                        alpha_star=alpha_star))
+    except ValueError as exc:
+        raise SignatureFormatError(str(exc)) from None
+    if pos != len(data):
+        raise SignatureFormatError("trailing data")
+    return ThresholdSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
+
+
+def merkle_root_from_auth_by_dict(suite, leaf_hashes, indices, auth, n_leaves):
+    """Reference Merkle recompute: a dict of known nodes, sorted per level.
+
+    ``mira.trees.merkle_root_from_auth`` must return the same root (or None)
+    and make the same hash calls in the same order.
+    """
+    order = np.argsort(indices)
+    pairs = [(indices[j] - 1, leaf_hashes[j]) for j in order]
+    if not pairs or pairs[0][0] < 0 or pairs[-1][0] >= n_leaves:
+        return None
+    if len({p for p, _ in pairs}) != len(pairs):
+        return None
+    pad = 1 << max(0, (n_leaves - 1).bit_length())
+    cur = dict(pairs)
+    it = iter(auth)
+    width = pad
+    try:
+        while width > 1:
+            nxt = {}
+            for pos in sorted(cur):
+                par = pos >> 1
+                if par in nxt:
+                    continue
+                sib = pos ^ 1
+                left = cur[pos] if pos & 1 == 0 else cur.get(sib)
+                right = cur[pos] if pos & 1 == 1 else cur.get(sib)
+                if left is None:
+                    left = next(it)
+                if right is None:
+                    right = next(it)
+                nxt[par] = suite.hash(H_MERKLE, left + right)
+            cur = nxt
+            width >>= 1
+    except StopIteration:
+        return None
+    if next(it, None) is not None:
+        return None
+    return cur[0]

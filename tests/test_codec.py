@@ -3,6 +3,8 @@
 ``decode`` meets bytes from outside the program: whatever it is given, it
 either parses them or raises ``SignatureFormatError``, the one error both
 variants share; and whatever it parses, ``encode`` writes back unchanged.
+The threshold decoder also gives the same result, or the same error
+message, as a straightforward round-by-round reference decoder.
 """
 
 from functools import lru_cache
@@ -14,6 +16,8 @@ from hypothesis import strategies as hs
 from mira import params, sign_additive as sa, sign_threshold as st
 from mira.bitio import SignatureFormatError
 from mira.keys import keygen_optimized
+
+from helpers import threshold_decode_by_round
 
 SCHEMES = {params.ADDITIVE: sa, params.THRESHOLD: st}
 # (variant, level); a level-1 set is named by its variant alone.  Additive
@@ -86,3 +90,102 @@ def test_byte_mutated_signature(variant, edits):
     for frac, mask in edits:
         data[int(frac * len(data))] ^= mask
     decode_or_format_error(variant, bytes(data))
+
+
+# ---------------------------------------------------------------------------
+# the threshold decoder against the round-by-round reference decoder
+
+# GF(16) with ell = 1: T = 13, so both the opened block and the r*m = 3
+# alpha block end in a padding nibble
+EQUIV_SETS = {
+    "t1": params.parameter_set("threshold", 1).sign_params(),
+    "gf16": params.ParameterSet("threshold", 0, q=16, m=3, n=3, k=4, r=1, N=15, tau=3,
+                                eta=1, lam=128, ell=1).sign_params(),
+}
+EDITS = ("count", "element", "truncate", "trail", "xor")
+
+
+@lru_cache(maxsize=None)
+def equiv_signature(name):
+    ps = EQUIV_SETS[name]
+    pk, sk = keygen_optimized(ps, b"equiv " + name.encode())
+    data = st.sign(ps, pk, sk, b"equiv message", b"equiv entropy")
+    return data, _layout(ps, data)
+
+
+def _layout(ps, data):
+    """(count, opened, alpha, end) byte offsets of every round of ``data``."""
+    db = ps.suite.digest_bytes
+    opened_bytes = ps.base.packed_size(ps.ell * ps.share_dims.total)
+    alpha_bytes = ps.base.packed_size(ps.r * ps.m)
+    pos = ps.suite.salt_bytes + 2 * db
+    out = []
+    for rr in threshold_decode_by_round(ps, data).rounds:
+        opened = pos + 2 + len(rr.auth) * db
+        out.append((pos, opened, opened + opened_bytes, opened + opened_bytes + alpha_bytes))
+        pos = out[-1][-1]
+    return out
+
+
+def _edit(ps, data, layout, kind, frac, value):
+    e = layout[int(frac * len(layout))]
+    if kind == "count":
+        # near the auth path limit, or any 16-bit count
+        limit = st._max_auth_nodes(ps)
+        count = value if value & 1 else value % (limit + 4)
+        data[e[0]:e[0] + 2] = count.to_bytes(2, "little")
+    elif kind == "element":
+        if ps.base.q == 16:      # a nonzero padding nibble of either block
+            data[e[2 + value % 2] - 1] |= 0x10 * (1 + value % 15)
+        else:                    # an element byte >= q
+            data[e[1] + value % (e[3] - e[1])] = 251 + value % 5
+    elif kind == "truncate":
+        del data[int(frac * len(data)):]
+    elif kind == "trail":
+        data += bytes([value & 0xFF]) * (1 + value % 40)
+    elif data:
+        data[int(frac * len(data))] ^= 1 + value % 255
+
+
+def _decoded(decoder, ps, data):
+    """Everything a decode gives: the parsed fields, or the error message."""
+    try:
+        sig = decoder(ps, data)
+    except SignatureFormatError as exc:
+        return str(exc)
+    return (sig.salt, sig.h1, sig.h2,
+            [(rr.auth, rr.opened.shape, rr.opened.tolist(),
+              rr.alpha_star.shape, rr.alpha_star.tolist()) for rr in sig.rounds])
+
+
+@pytest.mark.parametrize("name", list(EQUIV_SETS))
+@settings(max_examples=300, deadline=None)
+@given(edits=hs.lists(hs.tuples(hs.sampled_from(EDITS), hs.floats(0, 1, exclude_max=True),
+                                hs.integers(0, 2 ** 16 - 1)), max_size=4))
+def test_threshold_decode_matches_round_by_round_reference(name, edits):
+    ps = EQUIV_SETS[name]
+    valid, layout = equiv_signature(name)
+    data = bytearray(valid)
+    for kind, frac, value in edits:
+        if len(data) >= len(valid) or kind in ("truncate", "trail", "xor"):
+            _edit(ps, data, layout, kind, frac, value)
+    data = bytes(data)
+    assert _decoded(st.decode, ps, data) == _decoded(threshold_decode_by_round, ps, data)
+
+
+@pytest.mark.parametrize("name", list(EQUIV_SETS))
+def test_threshold_decode_checks_elements_before_a_later_fault(name):
+    # a bad element ahead of a truncated alpha block or an oversized count
+    # of the next round is reported first, as a round-by-round parse finds it
+    ps = EQUIV_SETS[name]
+    valid, layout = equiv_signature(name)
+    last, first = layout[-1], layout[0]
+    bad_last, bad_first = bytearray(valid), bytearray(valid)
+    _edit(ps, bad_last, layout, "element", 0.99, 0)          # last round's opened block
+    _edit(ps, bad_first, layout, "element", 0.0, 0)
+    bad_first[layout[1][0]:layout[1][0] + 2] = b"\xff\xff"
+    cases = [bytes(bad_last[:last[2] + 1]), bytes(bad_first)]
+    want = "nonzero padding nibble" if ps.base.q == 16 else "field element out of range"
+    for data in cases:
+        assert _decoded(threshold_decode_by_round, ps, data) == want
+        assert _decoded(st.decode, ps, data) == want

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -6,7 +7,7 @@ from mira.fields import base_field, ext_field
 from mira.hashing import (H0_COMMIT, H1, H2, H3, H4, H_MERKLE, FieldSampler,
                           HashSuite, commit, derive_challenge1,
                           derive_challenge2_additive,
-                          derive_challenge2_threshold, encode_u16)
+                          derive_challenge2_threshold, encode_u16, XofStream)
 
 SUITE = HashSuite(128)
 
@@ -113,3 +114,83 @@ def test_challenge2_threshold_subset_uniformity():
     expect = 10000 / 28
     chi2 = ((counts - expect) ** 2 / expect).sum()
     assert chi2 < CHI2_CRIT[27], chi2
+
+
+class _Bytes:
+    """A SHAKE stand-in: ``digest(n)`` is the first n bytes of a fixed buffer."""
+
+    def __init__(self, buf):
+        self.buf = buf
+
+    def digest(self, n):
+        assert n <= len(self.buf), "test buffer too short"
+        return self.buf[:n]
+
+
+class _CountingStream(XofStream):
+    unreads = 0
+
+    def unread(self, n):
+        self.unreads += 1
+        super().unread(n)
+
+
+def _biased_bytes(seed, reject_rate, size=1 << 17):
+    """Bytes where about ``reject_rate`` of them are 255, rejected by GF(251)."""
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(0, 251, size, dtype=np.uint8)
+    vals[rng.random(size) < reject_rate] = 255
+    return vals.tobytes()
+
+
+def _take_many_matches_takes(q, counts, make_stream):
+    field = base_field(q)
+    one, seq = make_stream(), make_stream()
+    got = FieldSampler(field, one).take_many(counts)
+    sampler = FieldSampler(field, seq)
+    want = [sampler.take(c) for c in counts]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.uint8 and np.array_equal(g, w)
+    # both samplers leave their streams (and any pending nibble) at the same place
+    assert np.array_equal(FieldSampler(field, one).take(3), FieldSampler(field, seq).take(3))
+    return one
+
+
+@pytest.mark.parametrize("q", [16, 251])
+@settings(max_examples=60, deadline=None)
+@given(counts=hs.lists(hs.integers(0, 400), min_size=1, max_size=12),
+       seed=hs.binary(min_size=1, max_size=8), lead=hs.integers(0, 40))
+def test_take_many_equals_sequential_takes(q, counts, seed, lead):
+    def make():
+        stream = SUITE.xof(0x0D, seed)
+        stream.read(lead)           # signing reads the salt first
+        return stream
+    _take_many_matches_takes(q, counts, make)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=hs.lists(hs.integers(0, 400), min_size=1, max_size=12),
+       seed=hs.integers(0, 2 ** 32 - 1), rate=hs.sampled_from([0.1, 0.2, 0.5]))
+def test_take_many_short_window_fallback(counts, seed, rate):
+    buf = _biased_bytes(seed, rate)
+    one = _take_many_matches_takes(251, counts, lambda: _CountingStream(_Bytes(buf)))
+    if rate == 0.5 and max(counts) >= 8:
+        assert one.unreads == 1     # half the bytes rejected: some window runs short
+
+
+@pytest.mark.parametrize("counts", [[50, 3, 200], [3, 2, 300, 4]], ids=["first", "third"])
+def test_take_many_fallback_from_one_window_on(counts):
+    buf = _biased_bytes(7, 0.5)
+    one = _take_many_matches_takes(251, counts, lambda: _CountingStream(_Bytes(buf)))
+    assert one.unreads == 1
+
+
+def test_challenge1_one_read_per_stream():
+    ext = ext_field(251, 12)
+    h1 = b"\x05" * 32
+    chals = derive_challenge1(SUITE, h1, ext, 13, 7)
+    sampler = FieldSampler(ext.base, SUITE.xof(0x08, h1))
+    for gamma, eps in chals:
+        assert np.array_equal(gamma, sampler.take(13 * 12).reshape(13, 12))
+        assert np.array_equal(eps, sampler.take(12))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from mira.fields import base_field, ext_field
 from mira.hashing import HashSuite
 from mira.sharing import (ShareDims, additive_share, beta_map,
-                          expand_leaf_shares, hypercube_aggregate, neg_inner,
-                          shamir_expand, shamir_points, shamir_share)
+                          expand_leaf_shares, hypercube_aggregate, lagrange_weights,
+                          neg_inner, shamir_expand, shamir_points, shamir_share)
 
-from helpers import leaf_side, shamir_reconstruct
+from helpers import leaf_side, shamir_at, shamir_reconstruct
 
 SUITE = HashSuite(128)
 SALT = b"\x21" * SUITE.salt_bytes
@@ -220,7 +220,7 @@ def test_shamir_expand_matches_polynomial_fit():
     shares = shamir_share(f, secrets, 2, 6, rand)
     pts = np.array([1, 3, 5], np.uint8)
     coeffs = _poly_fit_oracle(q, pts, shares[[0, 2, 4]].astype(np.int64))
-    everywhere = shamir_expand(f, shares[[0, 2, 4]], pts, shamir_points(f, 6))
+    everywhere = shamir_at(f, shares[[0, 2, 4]], pts, shamir_points(f, 6))
     for i in range(6):
         evald = sum(coeffs[j] * pow(i + 1, j, q) for j in range(3)) % q
         assert np.array_equal(everywhere[i], evald.astype(np.uint8))
@@ -324,13 +324,18 @@ def test_batched_expand_matches_known_evaluations(case):
         shares = shamir_share(f, coeffs[e, 0], ell, n, coeffs[e, 1:])
         at = np.concatenate([coeffs[e, :1], shares])      # row p = P(p)
         vals.append(at[points[e]])
-    got = shamir_expand(f, np.stack(vals), points, targets)
+    got = shamir_at(f, np.stack(vals), points, targets)
     assert got.shape == (len(points), len(targets), coeffs.shape[2])
     for e in range(len(points)):
         for a, tgt in enumerate(targets):
             assert np.array_equal(got[e, a], _evaluate(q, coeffs[e], tgt))
-    # the single-round call is the B = 1 batch
-    assert np.array_equal(shamir_expand(f, vals[0], points[0], targets), got[0])
+    # the single-round call is the B = 1 batch, and each round's slice of
+    # one weight computation is that round's own weights
+    assert np.array_equal(shamir_at(f, vals[0], points[0], targets), got[0])
+    weights = lagrange_weights(f, points, targets)
+    for e in range(len(points)):
+        assert np.array_equal(weights[e:e + 1], lagrange_weights(f, points[e:e + 1], targets))
+        assert np.array_equal(shamir_expand(f, vals[e][None], weights[e:e + 1])[0], got[e])
     rec = shamir_reconstruct(f, np.stack(vals), points)
     assert np.array_equal(rec, coeffs[:, 0])
 
@@ -347,7 +352,7 @@ def test_batched_expand_rejects_duplicate_points_in_any_row(case, data):
     points[row, i] = points[row, j]
     shares = np.zeros((len(points), ell + 1, coeffs.shape[2]), np.uint8)
     with pytest.raises(ValueError):
-        shamir_expand(f, shares, points, targets)
+        shamir_at(f, shares, points, targets)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,7 @@ from mira.params import ParameterSet
 from mira.qpoly import annihilator
 from mira.sharing import shamir_share
 
-from helpers import shamir_reconstruct
+from helpers import shamir_at, shamir_reconstruct
 
 TOY = ParameterSet("threshold", 0, q=251, m=3, n=3, k=3, r=1, N=10, tau=3, eta=1,
                    lam=128, ell=2).sign_params()
@@ -139,8 +139,7 @@ def test_degree_preservation_of_alpha_shares():
     flat = al.reshape(8, -1)
     pts = np.arange(1, 9, dtype=np.uint8)
     # interpolate from l+1 parties, check every remaining share is consistent
-    from mira.sharing import shamir_expand
-    expanded = shamir_expand(base, flat[:tp.ell + 1], pts[:tp.ell + 1], pts)
+    expanded = shamir_at(base, flat[:tp.ell + 1], pts[:tp.ell + 1], pts)
     assert np.array_equal(expanded, flat)
     rec = shamir_reconstruct(base, flat[[0, 3, 6]], pts[[0, 3, 6]])
     assert np.array_equal(rec.reshape(mr.r, mr.m), alpha_p)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mira.hashing import H_MERKLE, HashSuite
 from mira.trees import (SeedTree, leaves_from_path, merkle_auth, merkle_root,
                         merkle_root_from_auth)
+
+from helpers import merkle_root_from_auth_by_dict
 
 SUITE = HashSuite(128)
 SALT = b"\x11" * SUITE.salt_bytes
@@ -151,3 +155,47 @@ def test_merkle_reject_malformed_index_sets():
     hashes = [SUITE.hash(H_MERKLE, leaves[0])]
     assert merkle_root_from_auth(SUITE, hashes, [9], [], 8) is None
     assert merkle_root_from_auth(SUITE, hashes * 2, [1, 1], [], 8) is None
+
+
+class _Recording:
+    """A hash suite that logs every ``hash`` call before making it."""
+
+    def __init__(self, suite):
+        self.suite = suite
+        self.calls = []
+
+    def hash(self, role, *parts):
+        self.calls.append((role,) + parts)
+        return self.suite.hash(role, *parts)
+
+
+AUTH_EDITS = ("none", "drop_last", "drop_first", "extra", "duplicate", "swap")
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=hs.integers(1, 40), picks=hs.lists(hs.integers(-1, 42), max_size=6),
+       edit=hs.sampled_from(AUTH_EDITS))
+def test_merkle_walk_matches_dict_reference(n, picks, edit):
+    # index lists may repeat a leaf, fall outside [1, n] or be empty; the
+    # auth path is the honest one for the in-range leaves, then edited
+    leaves = [bytes([i % 256, n]) * 16 for i in range(n)]
+    picks = [p % (n + 2) for p in picks]              # 0 and n + 1 fall outside
+    valid = sorted({p for p in picks if 1 <= p <= n})
+    auth = merkle_auth(SUITE, leaves, valid) if valid else []
+    if edit == "drop_last":
+        auth = auth[:-1]
+    elif edit == "drop_first":
+        auth = auth[1:]
+    elif edit == "extra":
+        auth = auth + [bytes(SUITE.digest_bytes)]
+    elif edit == "duplicate":
+        auth = auth + auth[-1:]
+    elif edit == "swap":
+        auth = auth[::-1]
+    hashes = [SUITE.hash(H_MERKLE, leaves[p - 1] if 1 <= p <= n else b"outside") for p in picks]
+    new, ref = _Recording(SUITE), _Recording(SUITE)
+    got = merkle_root_from_auth(new, hashes, picks, auth, n)
+    assert got == merkle_root_from_auth_by_dict(ref, hashes, picks, auth, n)
+    assert new.calls == ref.calls
+    if edit == "none" and picks and len(valid) == len(picks):
+        assert got == merkle_root(SUITE, leaves)
