@@ -16,10 +16,16 @@ Each invocation is domain-separated by a single role byte:
 Integer framing in hash inputs: round index e and party index i are 2-byte
 little endian, tree node indices 4-byte, hypercube dimension 1 byte.
 
-Callers build a round's ``salt || e`` prefix once (``commit`` takes a whole
-round's states), but every digest stays one ``HashSuite.hash``,
-``xof_digest`` or ``xof`` call over the same bytes, so counting those methods
-counts the hash work.
+The hot loops hash whole levels or rounds at once: ``HashSuite.hash_many``
+and ``xof_many`` digest ``role || prefix || suffix`` for every suffix of a
+list in one comprehension, with the same bytes and in the same order as one
+``hash`` or ``xof_digest`` call per suffix.  Seed-tree levels, leaf
+payloads, ``commit``, Merkle levels and the additive H3 digests go through
+them.  ``hash``, ``xof_digest`` and ``xof`` stay the units of hash work:
+while ``HashSuite.hash`` or ``xof_digest`` is replaced on the class (a
+tracer or a test that counts digests), a batch runs through the
+replacement one call per suffix, so wrapping those methods still sees
+every digest.
 """
 
 import hashlib
@@ -64,12 +70,33 @@ class HashSuite:
     def hash(self, role, *parts):
         return self._hash_ctor(self._roles[role] + b"".join(parts)).digest()
 
+    def hash_many(self, role, prefix, suffixes):
+        """``[self.hash(role, prefix, s) for s in suffixes]`` in one comprehension."""
+        if HashSuite.hash is not _HASH:
+            return [self.hash(role, prefix, s) for s in suffixes]
+        ctor = self._hash_ctor
+        head = self._roles[role] + prefix
+        return [ctor(head + s).digest() for s in suffixes]
+
     def xof_digest(self, role, payload, n):
         """One-shot XOF output; ``payload`` is a single bytes object."""
         return self._xof_ctor(self._roles[role] + payload).digest(n)
 
+    def xof_many(self, role, prefix, suffixes, n):
+        """``[self.xof_digest(role, prefix + s, n) for s in suffixes]`` in one comprehension."""
+        if HashSuite.xof_digest is not _XOF_DIGEST:
+            return [self.xof_digest(role, prefix + s, n) for s in suffixes]
+        ctor = self._xof_ctor
+        head = self._roles[role] + prefix
+        return [ctor(head + s).digest(n) for s in suffixes]
+
     def xof(self, role, *parts):
         return XofStream(self._xof_ctor(self._roles[role] + b"".join(parts)))
+
+
+# the unwrapped single-digest methods; see the module docstring
+_HASH = HashSuite.hash
+_XOF_DIGEST = HashSuite.xof_digest
 
 
 class XofStream:
@@ -113,9 +140,8 @@ encode_u32 = _LittleEndian(4).__getitem__
 
 def commit(suite, salt, e, indices, states):
     """Position-bound commitments to round ``e``'s party ``states``, one each."""
-    prefix = salt + encode_u16(e)
-    h = suite.hash
-    return [h(H0_COMMIT, prefix, encode_u16(i), s) for i, s in zip(indices, states)]
+    return suite.hash_many(H0_COMMIT, salt + encode_u16(e),
+                           [encode_u16(i) + s for i, s in zip(indices, states)])
 
 
 # ---------------------------------------------------------------------------

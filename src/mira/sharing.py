@@ -89,10 +89,9 @@ def expand_leaf_shares(suite, salt, e, seeds, dims, field):
         nib = q == 16
         nbytes = (t + 1) // 2 if nib else t
         prefix = salt + encode_u16(e)
-        xof = suite.xof_digest
         live = [i for i in range(n - 1) if seeds[i] is not None]
-        blobs = b"".join([xof(X_LEAF, prefix + encode_u16(i + 1) + seeds[i], nbytes)
-                          for i in live])
+        blobs = b"".join(suite.xof_many(X_LEAF, prefix,
+                                        [encode_u16(i + 1) + seeds[i] for i in live], nbytes))
         if live:
             raw = np.frombuffer(blobs, np.uint8).reshape(len(live), nbytes)
             if nib:
@@ -102,7 +101,7 @@ def expand_leaf_shares(suite, salt, e, seeds, dims, field):
         if seeds[-1] is not None:
             cnt = a_hi - a_lo
             nb = (cnt + 1) // 2 if nib else cnt
-            raw = np.frombuffer(xof(X_LEAF, prefix + encode_u16(n) + seeds[-1], nb),
+            raw = np.frombuffer(suite.xof_digest(X_LEAF, prefix + encode_u16(n) + seeds[-1], nb),
                                 np.uint8)
             if nib:
                 flat[n - 1, a_lo:a_hi] = unpack_nibbles(raw)[:cnt]

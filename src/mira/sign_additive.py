@@ -132,10 +132,8 @@ def _exec_hashes(suite, base, salt, al1, v1, al2, v2):
     """H3 digest of every (round, dimension), rounds outer; operands (tau, D, ...)."""
     tau, depth = al1.shape[:2]
     packed = [base.pack_rows(op.reshape(tau * depth, -1)) for op in (al1, v1, al2, v2)]
-    keys = [(encode_u16(e), bytes([kd])) for e in range(1, tau + 1)
-            for kd in range(1, depth + 1)]
-    return [suite.hash(H3, salt, eb, kb, *parts)
-            for (eb, kb), parts in zip(keys, zip(*packed))]
+    keys = [encode_u16(e) + bytes([kd]) for e in range(1, tau + 1) for kd in range(1, depth + 1)]
+    return suite.hash_many(H3, salt, [b"".join(row) for row in zip(keys, *packed)])
 
 
 def sign(ps, pk, sk, message, entropy):
@@ -155,8 +153,10 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
     pk_op = PkOperand.of(pk)
     pk_bytes = pk.body_bytes()
 
-    rng = suite.xof(X_SIGN, entropy)
-    salt = rng.read(suite.salt_bytes)
+    # the salt and every round's root seed, squeezed with one read
+    sb, seed_bytes = suite.salt_bytes, suite.seed_bytes
+    randomness = suite.xof(X_SIGN, entropy).read(sb + tau * seed_bytes)
+    salt = randomness[:sb]
 
     trees, cmts_all, h0s = [], [], []
     flat_all = np.empty((tau, n_parties, dims.total), np.uint8)
@@ -164,7 +164,8 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
     c_plains = np.empty((tau, m), np.uint8)
     w_beta = beta_map(ext, beta)
     for e in range(1, tau + 1):
-        tree = SeedTree.expand(suite, rng.read(suite.seed_bytes), salt, e, n_parties)
+        root_seed = randomness[sb + (e - 1) * seed_bytes:sb + e * seed_bytes]
+        tree = SeedTree.expand(suite, root_seed, salt, e, n_parties)
         flat_all[e - 1], a_plains[e - 1], c_plains[e - 1] = additive_share(
             suite, salt, e, tree.leaves(), dims, base, ext, x, beta, w_beta)
         states = tree.leaves()

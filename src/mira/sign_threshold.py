@@ -215,8 +215,8 @@ def verify_decoded(ps, pk, message, sig):
     for e in range(1, tau + 1):
         rr = sig.rounds[e - 1]
         subset = ch2[e - 1]
-        cmt_hashes = [suite.hash(H_MERKLE, cmt) for cmt in
-                      commit(suite, sig.salt, e, subset, base.pack_rows(rr.opened))]
+        cmt_hashes = suite.hash_many(
+            H_MERKLE, b"", commit(suite, sig.salt, e, subset, base.pack_rows(rr.opened)))
         root = merkle_root_from_auth(suite, cmt_hashes, list(subset), rr.auth,
                                      n_parties)
         if root is None:

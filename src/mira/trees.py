@@ -52,14 +52,13 @@ class SeedTree:
 
 def _expand_levels(suite, nodes, salt, round_index, n_leaves):
     """Derive the children of every known inner node of the heap list
-    ``nodes`` (None where unknown), one comprehension per tree level."""
+    ``nodes`` (None where unknown), one ``xof_many`` call per tree level."""
     prefix = salt + encode_u16(round_index)
     sb = suite.seed_bytes
-    xof = suite.xof_digest
     lo = 1
     while lo < n_leaves:
         known = [i for i in range(lo, 2 * lo) if nodes[i] is not None]
-        both = [xof(X_TREE, prefix + encode_u32(i) + nodes[i], 2 * sb) for i in known]
+        both = suite.xof_many(X_TREE, prefix, [encode_u32(i) + nodes[i] for i in known], 2 * sb)
         for i, pair in zip(known, both):
             nodes[2 * i] = pair[:sb]
             nodes[2 * i + 1] = pair[sb:]
@@ -109,14 +108,14 @@ class MerkleTree:
     def levels(self):
         suite = self.suite
         n = len(self.leaf_values)
-        hashed = [suite.hash(H_MERKLE, v) for v in self.leaf_values]
+        hashed = suite.hash_many(H_MERKLE, b"", self.leaf_values)
         pad = 1 << max(0, (n - 1).bit_length())
         zero = bytes(suite.digest_bytes)
         level = hashed + [zero] * (pad - n)
         levels = [level]
         while len(level) > 1:
-            level = [suite.hash(H_MERKLE, level[i] + level[i + 1])
-                     for i in range(0, len(level), 2)]
+            pairs = [a + b for a, b in zip(level[::2], level[1::2])]
+            level = suite.hash_many(H_MERKLE, b"", pairs)
             levels.append(level)
         return levels
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 
 from mira.bitio import SignatureFormatError
+from mira.hashing import H_MERKLE, X_TREE, encode_u16, encode_u32
 from mira.matrices import rank
 from mira.params import PARAM_IDS, parameter_set
 from mira.sharing import lagrange_weights, shamir_expand
 from mira.sign_threshold import RoundResponse, ThresholdSignature, _max_auth_nodes
-from mira.trees import H_MERKLE
 
 
 def all_parameter_sets():
@@ -183,3 +183,31 @@ def merkle_root_from_auth_by_dict(suite, leaf_hashes, indices, auth, n_leaves):
     if next(it, None) is not None:
         return None
     return cur[0]
+
+
+def merkle_levels_by_node(suite, leaf_values):
+    """Reference Merkle levels, bottom-up: one ``suite.hash`` per node.
+
+    Leaves are hashed, the level is padded with zero digests to a power of
+    two, and each parent hashes its left child followed by its right one.
+    """
+    n = len(leaf_values)
+    pad = 1 << max(0, (n - 1).bit_length())
+    level = [suite.hash(H_MERKLE, v) for v in leaf_values]
+    level += [bytes(suite.digest_bytes)] * (pad - n)
+    levels = [level]
+    while len(level) > 1:
+        level = [suite.hash(H_MERKLE, level[i], level[i + 1]) for i in range(0, len(level), 2)]
+        levels.append(level)
+    return levels
+
+
+def seed_tree_by_node(suite, root_seed, salt, round_index, n_leaves):
+    """Reference seed-tree heap list: one ``xof_digest`` per inner node."""
+    sb = suite.seed_bytes
+    nodes = [None, root_seed] + [None] * (2 * n_leaves - 2)
+    for i in range(1, n_leaves):
+        payload = salt + encode_u16(round_index) + encode_u32(i) + nodes[i]
+        pair = suite.xof_digest(X_TREE, payload, 2 * sb)
+        nodes[2 * i], nodes[2 * i + 1] = pair[:sb], pair[sb:]
+    return nodes

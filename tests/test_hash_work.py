@@ -1,9 +1,12 @@
-"""Pin the hash work of one fixed-input sign and verify per variant.
+"""Pin the hash work of one fixed-input sign and verify per variant and level.
 
 Hash and XOF calls are most of a signature's cost and are fixed by the wire
 format, so a change that adds, drops or batches one shows here, without
 wall-clock noise.  ``HashSuite.hash``, ``xof`` and ``xof_digest`` are counted
 by role byte (see ``mira.hashing``) together with the bytes they absorb.
+While they are wrapped, ``hash_many`` and ``xof_many`` run through the
+wrappers one digest at a time, so a batched digest counts as the single call
+it replaces.
 
 The bytes each XOF role squeezes are pinned too.  A stream (``xof``)
 squeezes again from byte 0 whenever its buffer grows, so a read pattern
@@ -12,9 +15,13 @@ that grows it in steps squeezes more than it uses; a one-shot
 """
 
 import collections
+import functools
+import os
+import sys
 
 import pytest
 
+import mira
 from mira import params, sign_additive, sign_threshold
 from mira.hashing import (H0_COMMIT, H1, H2, H3, H4, H_MERKLE, X_CH1, X_CH2, X_LEAF,
                           X_SIGN, X_TREE, HashSuite)
@@ -49,6 +56,56 @@ PINNED = {
             ("xof_digest", X_LEAF): (4590, 243270),
         },
     },
+    ("additive", 3): {
+        "sign": {
+            ("hash", H0_COMMIT): (6656, 516438),
+            ("hash", H1): (26, 320814),
+            ("hash", H2): (1, 1311),
+            ("hash", H3): (208, 38688),
+            ("hash", H4): (1, 10216),
+            ("xof", X_CH1): (1, 49),
+            ("xof", X_CH2): (1, 49),
+            ("xof", X_SIGN): (1, 15),
+            ("xof_digest", X_TREE): (6630, 523770),
+            ("xof_digest", X_LEAF): (6656, 512512),
+        },
+        "verify": {
+            ("hash", H0_COMMIT): (6630, 514436),
+            ("hash", H1): (26, 320814),
+            ("hash", H2): (1, 1311),
+            ("hash", H3): (208, 38688),
+            ("hash", H4): (1, 10216),
+            ("xof", X_CH1): (1, 49),
+            ("xof", X_CH2): (1, 49),
+            ("xof_digest", X_TREE): (6422, 507338),
+            ("xof_digest", X_LEAF): (6630, 510510),
+        },
+    },
+    ("additive", 5): {
+        "sign": {
+            ("hash", H0_COMMIT): (8704, 886448),
+            ("hash", H1): (34, 559334),
+            ("hash", H2): (1, 2255),
+            ("hash", H3): (272, 62560),
+            ("hash", H4): (1, 17701),
+            ("xof", X_CH1): (1, 65),
+            ("xof", X_CH2): (1, 65),
+            ("xof", X_SIGN): (1, 15),
+            ("xof_digest", X_TREE): (8670, 893010),
+            ("xof_digest", X_LEAF): (8704, 879104),
+        },
+        "verify": {
+            ("hash", H0_COMMIT): (8670, 883014),
+            ("hash", H1): (34, 559334),
+            ("hash", H2): (1, 2255),
+            ("hash", H3): (272, 62560),
+            ("hash", H4): (1, 17701),
+            ("xof", X_CH1): (1, 65),
+            ("xof", X_CH2): (1, 65),
+            ("xof_digest", X_TREE): (8398, 864994),
+            ("xof_digest", X_LEAF): (8670, 875670),
+        },
+    },
     ("threshold", 1): {
         "sign": {
             ("hash", H0_COMMIT): (1750, 392000),
@@ -68,7 +125,105 @@ PINNED = {
             ("xof", X_CH2): (1, 33),
         },
     },
+    ("threshold", 3): {
+        "sign": {
+            ("hash", H0_COMMIT): (2500, 845000),
+            ("hash", H1): (1, 698),
+            ("hash", H2): (1, 4106),
+            ("hash", H_MERKLE): (5050, 369850),
+            ("xof", X_CH1): (1, 49),
+            ("xof", X_CH2): (1, 49),
+            ("xof", X_SIGN): (1, 15),
+        },
+        "verify": {
+            ("hash", H0_COMMIT): (30, 10140),
+            ("hash", H1): (1, 698),
+            ("hash", H2): (1, 4106),
+            ("hash", H_MERKLE): (231, 20967),
+            ("xof", X_CH1): (1, 49),
+            ("xof", X_CH2): (1, 49),
+        },
+    },
+    ("threshold", 5): {
+        "sign": {
+            ("hash", H0_COMMIT): (3500, 1351000),
+            ("hash", H1): (1, 1170),
+            ("hash", H2): (1, 6610),
+            ("hash", H_MERKLE): (7070, 688030),
+            ("xof", X_CH1): (1, 65),
+            ("xof", X_CH2): (1, 65),
+            ("xof", X_SIGN): (1, 15),
+        },
+        "verify": {
+            ("hash", H0_COMMIT): (42, 16212),
+            ("hash", H1): (1, 1170),
+            ("hash", H2): (1, 6610),
+            ("hash", H_MERKLE): (316, 38076),
+            ("xof", X_CH1): (1, 65),
+            ("xof", X_CH2): (1, 65),
+        },
+    },
 }
+
+# (method, role byte) -> bytes squeezed from the XOF, every refill counted.
+# Each challenge stream is drawn with one read, and additive signing reads
+# its salt and all root seeds with one read, so X_CH1 and additive X_SIGN
+# squeeze exactly the bytes they use.
+PINNED_SQUEEZED = {
+    ("additive", 1): {
+        "sign": {("xof", X_CH1): 2448, ("xof", X_CH2): 64, ("xof", X_SIGN): 320,
+                 ("xof_digest", X_TREE): 146880, ("xof_digest", X_LEAF): 680040},
+        "verify": {("xof", X_CH1): 2448, ("xof", X_CH2): 64,
+                   ("xof_digest", X_TREE): 142272, ("xof_digest", X_LEAF): 677376},
+    },
+    ("additive", 3): {
+        "sign": {("xof", X_CH1): 4940, ("xof", X_CH2): 64, ("xof", X_SIGN): 672,
+                 ("xof_digest", X_TREE): 318240, ("xof_digest", X_LEAF): 1380522},
+        "verify": {("xof", X_CH1): 4940, ("xof", X_CH2): 64,
+                   ("xof_digest", X_TREE): 308256, ("xof_digest", X_LEAF): 1375114},
+    },
+    ("additive", 5): {
+        "sign": {("xof", X_CH1): 8993, ("xof", X_CH2): 64, ("xof", X_SIGN): 1152,
+                 ("xof_digest", X_TREE): 554880, ("xof_digest", X_LEAF): 2473296},
+        "verify": {("xof", X_CH1): 8993, ("xof", X_CH2): 64,
+                   ("xof_digest", X_TREE): 537472, ("xof_digest", X_LEAF): 2463606},
+    },
+    ("threshold", 1): {
+        "sign": {("xof", X_CH1): 1428, ("xof", X_CH2): 64, ("xof", X_SIGN): 5094},
+        "verify": {("xof", X_CH1): 1428, ("xof", X_CH2): 64},
+    },
+    ("threshold", 3): {
+        "sign": {("xof", X_CH1): 3040, ("xof", X_CH2): 64, ("xof", X_SIGN): 10782},
+        "verify": {("xof", X_CH1): 3040, ("xof", X_CH2): 64},
+    },
+    ("threshold", 5): {
+        "sign": {("xof", X_CH1): 4760, ("xof", X_CH2): 64, ("xof", X_SIGN): 16830},
+        "verify": {("xof", X_CH1): 4760, ("xof", X_CH2): 64},
+    },
+}
+
+
+@functools.cache
+def _operations(variant, level):
+    """The fixed-input sign and its verify as calls, key-only work done already."""
+    ps = params.parameter_set(variant, level).sign_params()
+    scheme = SCHEMES[variant]
+    pk, sk = keygen_optimized(ps, b"hash work")
+    sk.sign_inputs()
+    pk.matrices()
+    data = scheme.sign(ps, pk, sk, b"pinned message", b"pinned entropy")
+    return {"sign": lambda: scheme.sign(ps, pk, sk, b"pinned message", b"pinned entropy"),
+            "verify": lambda: scheme.verify(ps, pk, b"pinned message", data)}
+
+
+def _per_operation(variant, level, tally, value):
+    """Run the sign and the verify, reading ``tally`` after each."""
+    out = {}
+    for op, run in _operations(variant, level).items():
+        tally.clear()
+        assert run()
+        out[op] = {key: value(val) for key, val in sorted(tally.items())}
+    return out
 
 
 def _counting(monkeypatch):
@@ -91,41 +246,11 @@ def _counting(monkeypatch):
     return tally
 
 
-def _frozen(tally):
-    return {key: tuple(val) for key, val in sorted(tally.items())}
-
-
 @pytest.mark.parametrize("variant, level", list(PINNED))
 def test_hash_calls_and_bytes_by_role(variant, level, monkeypatch):
-    ps = params.parameter_set(variant, level).sign_params()
-    scheme = SCHEMES[variant]
-    pk, sk = keygen_optimized(ps, b"hash work")
-    sk.sign_inputs()                     # key-only work stays out of the counts
-    pk.matrices()
     tally = _counting(monkeypatch)
-    data = scheme.sign(ps, pk, sk, b"pinned message", b"pinned entropy")
-    signed = _frozen(tally)
-    tally.clear()
-    assert scheme.verify(ps, pk, b"pinned message", data)
-    verified = _frozen(tally)
-    assert {"sign": signed, "verify": verified} == PINNED[(variant, level)]
-
-
-# (method, role byte) -> bytes squeezed from the XOF, every refill counted.
-# Each challenge stream is drawn with one read, so X_CH1 squeezes the bytes
-# it uses; X_SIGN's first 64 bytes are the buffer of the salt read.
-PINNED_SQUEEZED = {
-    ("additive", 1): {
-        "sign": {("xof", X_CH1): 2448, ("xof", X_CH2): 64, ("xof", X_SIGN): 960,
-                 ("xof_digest", X_TREE): 146880, ("xof_digest", X_LEAF): 680040},
-        "verify": {("xof", X_CH1): 2448, ("xof", X_CH2): 64,
-                   ("xof_digest", X_TREE): 142272, ("xof_digest", X_LEAF): 677376},
-    },
-    ("threshold", 1): {
-        "sign": {("xof", X_CH1): 1428, ("xof", X_CH2): 64, ("xof", X_SIGN): 5094},
-        "verify": {("xof", X_CH1): 1428, ("xof", X_CH2): 64},
-    },
-}
+    got = _per_operation(variant, level, tally, tuple)
+    assert got == PINNED[(variant, level)]
 
 
 class _CountingShake:
@@ -160,15 +285,37 @@ def _counting_squeezed(monkeypatch):
 
 @pytest.mark.parametrize("variant, level", list(PINNED_SQUEEZED))
 def test_xof_bytes_squeezed_by_role(variant, level, monkeypatch):
-    ps = params.parameter_set(variant, level).sign_params()
-    scheme = SCHEMES[variant]
-    pk, sk = keygen_optimized(ps, b"hash work")
-    sk.sign_inputs()
-    pk.matrices()
     tally = _counting_squeezed(monkeypatch)
-    data = scheme.sign(ps, pk, sk, b"pinned message", b"pinned entropy")
-    signed = {key: val[0] for key, val in sorted(tally.items())}
-    tally.clear()
-    assert scheme.verify(ps, pk, b"pinned message", data)
-    verified = {key: val[0] for key, val in sorted(tally.items())}
-    assert {"sign": signed, "verify": verified} == PINNED_SQUEEZED[(variant, level)]
+    got = _per_operation(variant, level, tally, lambda val: val[0])
+    assert got == PINNED_SQUEEZED[(variant, level)]
+
+
+def _mira_frames(run):
+    """Python frames entered in the ``mira`` package while ``run()`` runs."""
+    root = os.path.dirname(mira.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        assert run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("variant, level, op", [("additive", 1, "sign"),
+                                                ("additive", 1, "verify"),
+                                                ("threshold", 1, "sign")])
+def test_python_frames_per_hash_call(variant, level, op):
+    """Batched digests keep the Python frames well below one per hash call.
+
+    A ratio, not an exact count: how many frames a comprehension opens
+    depends on the Python version.
+    """
+    calls = sum(calls for calls, _ in PINNED[(variant, level)][op].values())
+    assert _mira_frames(_operations(variant, level)[op]) < calls / 4

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mira.fields import base_field, ext_field
-from mira.hashing import (H0_COMMIT, H1, H2, H3, H4, H_MERKLE, FieldSampler,
+from mira.hashing import (H0_COMMIT, H1, H2, H3, H4, H_MERKLE, X_LEAF, X_TREE, FieldSampler,
                           HashSuite, commit, derive_challenge1,
                           derive_challenge2_additive,
                           derive_challenge2_threshold, encode_u16, XofStream)
@@ -51,6 +51,46 @@ def test_suite_sizes_per_level():
         assert s.seed_bytes == lam // 8
         assert len(s.hash(0, b"x")) == s.digest_bytes
         assert len(s.xof_digest(6, b"x", 17)) == 17
+
+
+SUFFIX_LISTS = {"zero": [], "one": [b"only"],
+                "many": [bytes([i]) * (i % 9) for i in range(40)]}
+
+
+@pytest.mark.parametrize("lam", [128, 192, 256])
+@pytest.mark.parametrize("suffixes", list(SUFFIX_LISTS.values()), ids=list(SUFFIX_LISTS))
+@pytest.mark.parametrize("prefix", [b"", b"salt and round"], ids=["bare", "prefixed"])
+def test_batched_digests_equal_single_calls(lam, suffixes, prefix):
+    suite = HashSuite(lam)
+    assert suite.hash_many(H_MERKLE, prefix, suffixes) == [
+        suite.hash(H_MERKLE, prefix, s) for s in suffixes]
+    assert suite.xof_many(X_TREE, prefix, suffixes, 37) == [
+        suite.xof_digest(X_TREE, prefix + s, 37) for s in suffixes]
+
+
+@pytest.mark.parametrize("count", [0, 1, 25])
+def test_wrapped_single_methods_see_a_batch_as_single_calls(count, monkeypatch):
+    suffixes = [bytes([i]) * (1 + i % 5) for i in range(count)]
+    expected = (SUITE.hash_many(H0_COMMIT, b"prefix", suffixes),
+                SUITE.xof_many(X_LEAF, b"prefix", suffixes, 21))
+    seen = []
+    hash_, xof_digest = HashSuite.hash, HashSuite.xof_digest
+
+    def counted_hash(self, role, *parts):
+        seen.append(("hash", role, b"".join(parts)))
+        return hash_(self, role, *parts)
+
+    def counted_xof_digest(self, role, payload, n):
+        seen.append(("xof_digest", role, payload))
+        return xof_digest(self, role, payload, n)
+
+    monkeypatch.setattr(HashSuite, "hash", counted_hash)
+    monkeypatch.setattr(HashSuite, "xof_digest", counted_xof_digest)
+    got = (SUITE.hash_many(H0_COMMIT, b"prefix", suffixes),
+           SUITE.xof_many(X_LEAF, b"prefix", suffixes, 21))
+    assert got == expected
+    assert seen == ([("hash", H0_COMMIT, b"prefix" + s) for s in suffixes]
+                    + [("xof_digest", X_LEAF, b"prefix" + s) for s in suffixes])
 
 
 def test_sampler_rejection_bound_f251():

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mira.hashing import H_MERKLE, HashSuite
-from mira.trees import (SeedTree, leaves_from_path, merkle_auth, merkle_root,
+from mira.trees import (MerkleTree, SeedTree, leaves_from_path, merkle_auth, merkle_root,
                         merkle_root_from_auth)
 
-from helpers import merkle_root_from_auth_by_dict
+from helpers import merkle_levels_by_node, merkle_root_from_auth_by_dict, seed_tree_by_node
 
 SUITE = HashSuite(128)
 SALT = b"\x11" * SUITE.salt_bytes
@@ -21,6 +21,15 @@ def test_expand_deterministic():
     assert t1.leaves() == t2.leaves()
     t3 = SeedTree.expand(SUITE, b"\x01" * 16, SALT, 2, 8)
     assert t1.leaves() != t3.leaves()  # round binding
+
+
+@pytest.mark.parametrize("lam", [128, 192, 256])
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_expand_equals_per_node_reference(lam, n):
+    suite = HashSuite(lam)
+    root, salt = bytes(range(suite.seed_bytes)), b"\x07" * suite.salt_bytes
+    tree = SeedTree.expand(suite, root, salt, 3, n)
+    assert tree.nodes == seed_tree_by_node(suite, root, salt, 3, n)
 
 
 def test_reveal_example_n4_hide_2():
@@ -91,6 +100,15 @@ def test_tree_errors():
 def test_merkle_single_leaf():
     v = b"\xabcd leaf"
     assert merkle_root(SUITE, [v]) == SUITE.hash(H_MERKLE, v)
+
+
+@pytest.mark.parametrize("lam", [128, 192, 256])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 250])
+def test_merkle_levels_equal_per_node_reference(lam, n):
+    # non-powers of two pad their hashed level with zero digests
+    suite = HashSuite(lam)
+    leaves = [bytes([i % 256, i // 256]) * (1 + i % 7) for i in range(n)]
+    assert MerkleTree(suite, leaves).levels == merkle_levels_by_node(suite, leaves)
 
 
 def test_merkle_round_trip_and_tamper():
