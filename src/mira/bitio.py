@@ -1,4 +1,5 @@
-"""Nibble packing for GF(16) data, and the signature decoders' shared error.
+"""Signature wire layouts, nibble packing for GF(16) data, and the
+signature decoders' shared error and result.
 
 GF(16) elements travel as 4-bit values, two per byte with the low nibble
 first; an odd count ends in one zero padding nibble.
@@ -6,11 +7,71 @@ first; an odd count ends in one zero padding nibble.
 ``SignatureFormatError`` is the one error both signature decoders raise.
 """
 
+import math
+from dataclasses import dataclass
+from itertools import accumulate
+
 import numpy as np
+
+SEED, DIGEST, ELEM, U16 = "seed", "digest", "element", "u16"
 
 
 class SignatureFormatError(ValueError):
     """A signature's bytes do not parse under its parameter set."""
+
+
+@dataclass
+class Signature:
+    salt: bytes
+    h1: bytes
+    h2: bytes
+    rounds: list
+
+
+class Layout:
+    """A signature variant's wire layout, which its codec and size bounds read.
+
+    Every signature starts with the ``header`` byte strings, (name, bytes)
+    each and ``head`` bytes in all; ``ps.tau`` rounds follow, each with the
+    ``fields`` in wire order as (name, unit, shape).  A unit is a SEED or
+    DIGEST byte string, a field ELEMent, or the U16 count of the
+    variable-length field after it, whose shape is then its largest.  With
+    ``stream`` the rounds form one stream of codec units, one per element
+    and two per byte when q = 16, packed at once (additive); otherwise
+    every element field is a block packed on its own (threshold).
+    ``widths`` are the fields' largest sizes in codec units, of which a
+    byte holds ``units_per_byte``, and ``max_bytes`` is the largest
+    signature, the size of every additive one.
+    """
+
+    def __init__(self, ps, fields, stream):
+        suite = ps.suite
+        sb, db = suite.salt_bytes, suite.digest_bytes
+        nbytes = {SEED: suite.seed_bytes, DIGEST: db, U16: 2}
+        self.header, self.head = (("salt", sb), ("h1", db), ("h2", db)), sb + 2 * db
+        self.fields = fields
+        self.units_per_byte = upb = 2 if stream and ps.q == 16 else 1
+        counts = [(unit, math.prod(shape)) for _, unit, shape in fields]
+        self.widths = tuple(upb * nbytes[unit] * n if unit != ELEM
+                            else n if stream else ps.base.packed_size(n) for unit, n in counts)
+        self.max_bytes = self.head + -(-ps.tau * sum(self.widths) // upb)
+
+    def units(self, data):
+        """Bytes as codec units: two nibbles each, or one byte."""
+        if self.units_per_byte == 2:
+            return unpack_nibbles(data)
+        return np.frombuffer(data, np.uint8).copy()
+
+    def shape(self, name):
+        return next(shape for field, _, shape in self.fields if field == name)
+
+    def header_bytes(self, sig):
+        return b"".join(getattr(sig, name) for name, _ in self.header)
+
+    def signature(self, data, rounds):
+        ends = accumulate(size for _, size in self.header)
+        return Signature(*(data[end - size:end] for (_, size), end in zip(self.header, ends)),
+                         rounds)
 
 
 def unpack_nibbles(data):

@@ -30,12 +30,17 @@ class KeyFormatError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class PublicKey:
     params: ParameterSet
     seed_pk: bytes
     m0_entries: np.ndarray          # tail (mn - k); the first k entries are zero
     _cache: dict = dc_field(default_factory=dict, repr=False)
+
+    def __eq__(self, other):
+        """Same parameter set and body bytes; the cache is not compared."""
+        return isinstance(other, PublicKey) and (
+            (self.params, self.body_bytes()) == (other.params, other.body_bytes()))
 
     def matrices(self):
         """(l_rows, m0_flat): L as (k, mn) with M_i = row i row-major reshaped."""

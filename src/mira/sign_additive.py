@@ -16,11 +16,13 @@ and the verifier rejects any nonzero aux, so no bit of a signature is
 malleable.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .bitio import SignatureFormatError, unpack_nibbles
+from .bitio import DIGEST, ELEM, SEED, Layout, Signature, SignatureFormatError
 from .hashing import (H1, H2, H3, H4, X_SIGN, commit,
                       derive_challenge1, derive_challenge2_additive, encode_u16)
 from .mpc import ChallengeBatch, PkOperand
@@ -31,6 +33,7 @@ from .trees import SeedTree, leaves_from_path
 
 @dataclass
 class RoundResponse:
+    """One round's response; its fields are the layout's, in wire order."""
     path: list          # D sibling seeds, root side first
     cmt_hidden: bytes
     alpha_hidden: np.ndarray   # (r, m)
@@ -39,82 +42,62 @@ class RoundResponse:
     aux_c: np.ndarray          # (m,)
 
 
-@dataclass
-class AdditiveSignature:
-    salt: bytes
-    h1: bytes
-    h2: bytes
-    rounds: list
-
-
-def field_elems_per_round(ps):
-    # alpha_hidden (r*m), aux_x (k), aux_beta (r*m), aux_c (m): one state row
-    return ps.share_dims.total
-
-
-def signature_size_bits(ps):
-    bits = 4 if ps.q == 16 else 8
-    per_round = ps.depth * ps.lam + 2 * ps.lam + field_elems_per_round(ps) * bits
-    return 6 * ps.lam + ps.tau * per_round
+@lru_cache(maxsize=None)
+def layout(ps):
+    """Per round the byte fields, then one state row's worth of elements."""
+    r, m = ps.r, ps.m
+    return Layout(ps, (
+        ("path", SEED, (ps.depth,)), ("cmt_hidden", DIGEST, ()), ("alpha_hidden", ELEM, (r, m)),
+        ("aux_x", ELEM, (ps.k,)), ("aux_beta", ELEM, (r, m)), ("aux_c", ELEM, (m,))), stream=True)
 
 
 def signature_size_bytes(ps):
-    return (signature_size_bits(ps) + 7) // 8
-
-
-def _byte_units(base, data):
-    """Bytes as codec units: two nibbles each when q = 16, else one byte."""
-    return unpack_nibbles(data) if base.q == 16 else np.frombuffer(data, np.uint8)
+    return layout(ps).max_bytes
 
 
 def encode(ps, sig):
-    """One unit stream, packed once: nibbles when q = 16, else bytes.
+    """The header bytes, then the rounds' unit stream packed at once.
 
-    The header bytes come first, then per round its path and hidden
-    commitment bytes and its field block (alpha_hidden, aux_x, aux_beta,
-    aux_c).  With an odd unit count per round every other round starts
-    mid-byte; only the stream's last byte is padded.
+    With an odd unit count per round every other round starts mid-byte;
+    only the stream's last byte is padded.
     """
-    base = ps.base
+    base, lay = ps.base, layout(ps)
     rounds = sig.rounds
-    paths = _byte_units(base, b"".join(b"".join(rr.path) + rr.cmt_hidden for rr in rounds))
-    fields = np.stack([np.concatenate([rr.alpha_hidden.ravel(), rr.aux_x,
-                                       rr.aux_beta.ravel(), rr.aux_c]) for rr in rounds])
-    body = np.concatenate([paths.reshape(len(rounds), -1), fields], axis=1)
-    out = base.pack(np.concatenate([_byte_units(base, sig.salt + sig.h1 + sig.h2),
-                                    body.ravel()]))
-    assert len(out) == signature_size_bytes(ps)
+    columns = []
+    for name, unit, shape in lay.fields:
+        values = [getattr(rr, name) for rr in rounds]
+        if unit != ELEM:                    # byte strings, or lists of them
+            values = lay.units(b"".join(b"".join(v) if shape else v for v in values))
+        columns.append(np.array(values).reshape(len(rounds), -1))
+    out = lay.header_bytes(sig) + base.pack(np.concatenate(columns, axis=1).ravel())
+    assert len(out) == lay.max_bytes
     return out
 
 
 def decode(ps, data):
-    if len(data) != signature_size_bytes(ps):
+    base, lay = ps.base, layout(ps)
+    if len(data) != lay.max_bytes:
         raise SignatureFormatError("signature length mismatch")
-    base, suite = ps.base, ps.suite
-    k, r, m, depth = ps.k, ps.r, ps.m, ps.depth
-    sb, db, seed = suite.salt_bytes, suite.digest_bytes, suite.seed_bytes
-    head = sb + 2 * db
-    step = depth * seed + db                        # path and commitment bytes per round
-    upb = 2 if base.q == 16 else 1                  # units per byte
-    units = _byte_units(base, data)
-    end = upb * head + ps.tau * (upb * step + field_elems_per_round(ps))
+    tau, upb = ps.tau, lay.units_per_byte
+    units = lay.units(data[lay.head:])
+    end = tau * sum(lay.widths)
     if units[end:].any():
         raise SignatureFormatError("trailing data")
-    body = units[upb * head:end].reshape(ps.tau, -1)
-    fields = body[:, upb * step:].copy()
-    if np.any(fields >= base.q):
-        raise SignatureFormatError("field element out of range")
-    paths = base.pack(body[:, :upb * step])
-    rounds = []
-    for e, f in enumerate(fields):
-        raw = paths[e * step:(e + 1) * step]
-        rounds.append(RoundResponse(
-            path=[raw[j * seed:(j + 1) * seed] for j in range(depth)],
-            cmt_hidden=raw[depth * seed:], alpha_hidden=f[:r * m].reshape(r, m),
-            aux_x=f[r * m:r * m + k], aux_beta=f[r * m + k:2 * r * m + k].reshape(r, m),
-            aux_c=f[2 * r * m + k:]))
-    return AdditiveSignature(salt=data[:sb], h1=data[sb:sb + db], h2=data[sb + db:head],
-                             rounds=rounds)
+    body = units[:end].reshape(tau, -1)
+    columns, at = [], 0
+    for (_, unit, shape), width in zip(lay.fields, lay.widths):
+        block = body[:, at:at + width]
+        at += width
+        if unit == ELEM:
+            if upb == 1 and np.any(block >= base.q):     # a nibble is below q = 16
+                raise SignatureFormatError("field element out of range")
+            columns.append(block.reshape((tau,) + shape))
+            continue
+        raw, step = base.pack(block), width // upb      # each round's bytes, back to back
+        size = step // math.prod(shape)                 # one seed or digest
+        columns.append([[raw[p:p + size] for p in range(e, e + step, size)] if shape
+                        else raw[e:e + step] for e in range(0, tau * step, step)])
+    return lay.signature(data, [RoundResponse(*vals) for vals in zip(*columns)])
 
 
 def _aux_state(base, seed, x_n, beta_n, c_n):
@@ -143,8 +126,7 @@ def sign(ps, pk, sk, message, entropy):
     return encode(ps, sig)
 
 
-def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
-               ch1_override=None, ch2_override=None):
+def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None):
     base, ext = ps.base, ps.ext
     suite = ps.suite
     n_parties, depth, tau = ps.n_parties, ps.depth, ps.tau
@@ -177,7 +159,7 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
         cmts_all.append(cmts)
 
     h1 = suite.hash(H2, salt, message, *h0s)
-    ch1 = ch1_override or derive_challenge1(suite, h1, ext, ps.n, tau)
+    ch1 = derive_challenge1(suite, h1, ext, ps.n, tau)
     batch = ChallengeBatch(ext, r, ch1)
 
     # one batched run: row 0 = plaintext, rows 1..D = side-1 main parties
@@ -204,7 +186,7 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
 
     exec_hashes = _exec_hashes(suite, base, salt, al1, v1, al2, v2)
     h2 = suite.hash(H4, message, pk_bytes, salt, h1, *exec_hashes)
-    ch2 = ch2_override or derive_challenge2_additive(suite, h2, n_parties, tau)
+    ch2 = derive_challenge2_additive(suite, h2, n_parties, tau)
 
     istars = np.asarray(ch2)
     al_hidden, _ = batch.broadcast_alpha(
@@ -222,7 +204,7 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None,
             alpha_hidden=al_hidden[e - 1, 0], aux_x=aux_x[e - 1],
             aux_beta=aux_beta[e - 1], aux_c=aux_c[e - 1]))
 
-    return AdditiveSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
+    return Signature(salt, h1, h2, rounds)
 
 
 def verify(ps, pk, message, data):

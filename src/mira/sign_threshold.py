@@ -9,15 +9,16 @@ extra party i* = min(S \\ I), enough for the verifier to reconstruct the
 degree-l broadcast sharings (using v(0) = 0 for the response values).
 
 Shares of a low-threshold sharing are correlated, so no seed tree is used
-and signature length varies with the authentication paths; every per-round
-block starts with a 2-byte node count.
+and signature length varies with the authentication paths (see ``layout``).
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .bitio import SignatureFormatError
+from .bitio import DIGEST, ELEM, U16, Layout, Signature, SignatureFormatError
 from .hashing import (H1, H2, X_SIGN, FieldSampler, commit,
                       derive_challenge1, derive_challenge2_threshold)
 from .mpc import ChallengeBatch, PkOperand
@@ -29,53 +30,54 @@ from .trees import (H_MERKLE, MerkleTree, merkle_auth, merkle_root,
 
 @dataclass
 class RoundResponse:
+    """One round's response: the layout's fields after the auth count, in wire order."""
     auth: list                 # Merkle digests, bottom-up left-right
     opened: np.ndarray         # (ell, T) state rows, ascending party index
     alpha_star: np.ndarray     # (r, m)
 
 
-@dataclass
-class ThresholdSignature:
-    salt: bytes
-    h1: bytes
-    h2: bytes
-    rounds: list
+@lru_cache(maxsize=None)
+def layout(ps):
+    """Per round the auth count and digests, then two element blocks.
+
+    Level l of the padded Merkle tree gives 2 k_(l-1) - k_l digests, k_l <=
+    min(ell, 2^l) being its nodes on the opened leaves' paths (``merkle_auth``).
+    The sum telescopes to 2 + sum(k_l, 0 < l < depth) - ell, so it is at most
+    the same sum with every k_l at its bound: 19 for ell = 3 of 250 leaves.
+    """
+    ell, depth = ps.ell, (ps.n_parties - 1).bit_length()
+    max_auth = sum(2 * min(ell, 1 << (l - 1)) - min(ell, 1 << l) for l in range(1, depth + 1))
+    return Layout(ps, (
+        ("auth_count", U16, ()), ("auth", DIGEST, (max_auth,)),
+        ("opened", ELEM, (ell, ps.share_dims.total)), ("alpha_star", ELEM, (ps.r, ps.m))),
+        stream=False)
 
 
 def encode(ps, sig):
-    base = ps.base
-    out = bytearray(sig.salt + sig.h1 + sig.h2)
+    base, lay = ps.base, layout(ps)
+    blocks = [name for name, unit, _ in lay.fields if unit == ELEM]
+    out = [lay.header_bytes(sig)]
     for rr in sig.rounds:
-        out += len(rr.auth).to_bytes(2, "little")
-        out += b"".join(rr.auth)
-        out += base.pack(rr.opened)
-        out += base.pack(rr.alpha_star)
-    return bytes(out)
-
-
-def _max_auth_nodes(ps):
-    pad_depth = max(1, (ps.n_parties - 1).bit_length())
-    return ps.ell * (pad_depth + 1)
+        out.append(len(rr.auth).to_bytes(2, "little"))
+        out += rr.auth
+        for name in blocks:
+            out.append(base.pack(getattr(rr, name)))
+    return b"".join(out)
 
 
 def decode(ps, data):
-    suite = ps.suite
-    base = ps.base
-    dims = ps.share_dims
-    db = suite.digest_bytes
-    opened_count = ps.ell * dims.total
-    alpha_count = dims.r * dims.m
-    opened_bytes = base.packed_size(opened_count)    # encode packs the block
-    block = opened_bytes + base.packed_size(alpha_count)
-    max_nodes = _max_auth_nodes(ps)
+    base, lay = ps.base, layout(ps)
+    db = ps.suite.digest_bytes
+    max_nodes, = lay.shape("auth")
+    blocks = [(shape, width) for (_, unit, shape), width in zip(lay.fields, lay.widths)
+              if unit == ELEM]
+    block = sum(width for _, width in blocks)
     size = len(data)
 
     # one pass over the 2-byte auth counts locates every round's element
-    # block; a malformed round ends it, and its fault is raised after the
+    # blocks; a malformed round ends it, and its fault is raised after the
     # element checks of the blocks before it, as a round-by-round parse would
-    head = suite.salt_bytes + 2 * db
-    pos, fault, partial = head, None, None
-    counts, block_at = [], []
+    pos, fault, counts, starts = lay.head, None, [], []
     for _ in range(ps.tau):
         if pos + 2 > size:
             fault = "truncated signature"
@@ -85,35 +87,32 @@ def decode(ps, data):
             fault = "authentication path too long"
             break
         pos += 2 + count * db
+        starts.append(pos)
         if pos + block > size:
             fault = "truncated signature"
-            if pos + opened_bytes <= size:
-                partial = pos              # its opened block parses first
             break
         counts.append(count)
-        block_at.append(pos)
         pos += block
 
-    raw = np.frombuffer(data, np.uint8)
-    blocks = raw[np.asarray(block_at, np.intp)[:, None] + np.arange(block)]
+    rows = np.frombuffer(data, np.uint8).take(
+        np.asarray(starts, np.intp)[:, None] + np.arange(block), mode="clip")
+    columns, at = [], 0
     try:
-        opened = base.unpack_rows(blocks[:, :opened_bytes], opened_count)
-        alphas = base.unpack_rows(blocks[:, opened_bytes:], alpha_count)
-        if partial is not None:
-            base.unpack_rows(raw[None, partial:partial + opened_bytes], opened_count)
+        for shape, width in blocks:
+            # a truncated round's whole blocks are checked too
+            fits = len(starts) if starts and starts[-1] + at + width <= size else len(counts)
+            elems = base.unpack_rows(rows[:fits, at:at + width], math.prod(shape))
+            columns.append(elems[:len(counts)].reshape((-1,) + shape))
+            at += width
     except ValueError as exc:
         raise SignatureFormatError(str(exc)) from None
     if fault is not None:
         raise SignatureFormatError(fault)
     if pos != size:
         raise SignatureFormatError("trailing data")
-    rounds = [RoundResponse(auth=[data[p:p + db] for p in range(at - count * db, at, db)],
-                            opened=opened_e.reshape(ps.ell, dims.total),
-                            alpha_star=alpha_e.reshape(dims.r, dims.m))
-              for count, at, opened_e, alpha_e in zip(counts, block_at, opened, alphas)]
-    return ThresholdSignature(salt=data[:suite.salt_bytes],
-                              h1=data[suite.salt_bytes:suite.salt_bytes + db],
-                              h2=data[suite.salt_bytes + db:head], rounds=rounds)
+    rounds = [RoundResponse([data[p:p + db] for p in range(start - count * db, start, db)], *vals)
+              for count, start, *vals in zip(counts, starts, *columns)]
+    return lay.signature(data, rounds)
 
 
 def _extra_party(s_set, subset):
@@ -186,7 +185,7 @@ def _sign_core(ps, pk, x, beta, message, entropy):
             auth=merkle_auth(suite, trees[e - 1], subset),
             opened=shares_all[e - 1, np.asarray(subset) - 1],
             alpha_star=alpha_s[e - 1, s_set.index(istar)]))
-    return ThresholdSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
+    return Signature(salt, h1, h2, rounds)
 
 
 def verify(ps, pk, message, data):

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from mira.bitio import SignatureFormatError
+from mira.bitio import Signature, SignatureFormatError
 from mira.hashing import H_MERKLE, X_TREE, encode_u16, encode_u32
 from mira.matrices import rank
 from mira.params import PARAM_IDS, parameter_set
 from mira.sharing import lagrange_weights, shamir_expand
-from mira.sign_threshold import RoundResponse, ThresholdSignature, _max_auth_nodes
+from mira.sign_threshold import RoundResponse, layout
 
 
 def all_parameter_sets():
@@ -130,7 +130,7 @@ def threshold_decode_by_round(ps, data):
         rounds = []
         for _ in range(ps.tau):
             count = int.from_bytes(take(2), "little")
-            if count > _max_auth_nodes(ps):
+            if count > layout(ps).shape("auth")[0]:
                 raise SignatureFormatError("authentication path too long")
             auth = [take(db) for _ in range(count)]
             opened = base.unpack(take(opened_bytes), opened_count)
@@ -142,7 +142,7 @@ def threshold_decode_by_round(ps, data):
         raise SignatureFormatError(str(exc)) from None
     if pos != len(data):
         raise SignatureFormatError("trailing data")
-    return ThresholdSignature(salt=salt, h1=h1, h2=h2, rounds=rounds)
+    return Signature(salt=salt, h1=h1, h2=h2, rounds=rounds)
 
 
 def merkle_root_from_auth_by_dict(suite, leaf_hashes, indices, auth, n_leaves):

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from mira import cli, params
+from mira import cli, params, sign_threshold
 
 
 def run(argv):
@@ -75,6 +75,23 @@ def test_verify_exit_codes(tmp_path, keypair):
     sig.write_bytes(bytes(blob[:50]))
     assert run(["verify", "--key", str(pk), "--in", str(msg),
                 "--sig", str(sig)]) == 2
+
+
+def test_verify_auth_path_past_the_layout_limit_exits_2(tmp_path, keypair, capsys):
+    # 20 digests parse at no round of a t1 signature: three of 250 leaves
+    # never need more than 19
+    pk, sk = keypair
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"payload")
+    sig = tmp_path / "out.sig"
+    run(["sign", "--key", str(sk), "--in", str(msg), "--out", str(sig), "--seed", "04"])
+    ps = params.parameter_set("threshold", 1)
+    decoded = sign_threshold.decode(ps, sig.read_bytes())
+    auth = decoded.rounds[0].auth
+    auth += [bytes(ps.suite.digest_bytes)] * (20 - len(auth))
+    sig.write_bytes(sign_threshold.encode(ps, decoded))
+    assert run(["verify", "--key", str(pk), "--in", str(msg), "--sig", str(sig)]) == 2
+    assert "authentication path too long" in capsys.readouterr().err
 
 
 def test_cli_closes_every_file_it_reads(tmp_path, keypair, monkeypatch):

@@ -8,6 +8,7 @@ message, as a straightforward round-by-round reference decoder.
 """
 
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from mira.keys import keygen_optimized
 
 from helpers import threshold_decode_by_round
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 SCHEMES = {params.ADDITIVE: sa, params.THRESHOLD: st}
 # (variant, level); a level-1 set is named by its variant alone.  Additive
 # level 3 has an odd state width, so every other round starts mid-byte.
@@ -49,6 +51,14 @@ def decode_or_format_error(variant, data):
 def test_one_shared_format_error():
     assert sa.SignatureFormatError is st.SignatureFormatError is SignatureFormatError
     assert issubclass(SignatureFormatError, ValueError)
+
+
+@pytest.mark.parametrize("variant", list(SCHEMES))
+def test_readme_layout_line_matches_the_layout(variant):
+    lay = SCHEMES[variant].layout(params.parameter_set(variant, 1))
+    line = (f"`{' || '.join(name for name, _ in lay.header)}`, then per round "
+            f"`{' || '.join(name for name, _, _ in lay.fields)}`.")
+    assert line in README.read_text()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -131,7 +141,7 @@ def _edit(ps, data, layout, kind, frac, value):
     e = layout[int(frac * len(layout))]
     if kind == "count":
         # near the auth path limit, or any 16-bit count
-        limit = st._max_auth_nodes(ps)
+        limit, = st.layout(ps).shape("auth")
         count = value if value & 1 else value % (limit + 4)
         data[e[0]:e[0] + 2] = count.to_bytes(2, "little")
     elif kind == "element":

@@ -84,6 +84,19 @@ def test_serialization_round_trip_and_rederivation():
         assert np.array_equal(x1, x2) and np.array_equal(e1, e2)
 
 
+def test_keys_compare_by_params_and_bytes():
+    ps = params.parameter_set("additive", 1)
+    pk, sk = keygen_optimized(ps, b"eq")
+    pk.matrices()                               # a filled cache is not compared
+    assert PublicKey.from_bytes(pk.to_bytes()) == pk == sk.public_key()
+    assert SecretKey.from_bytes(sk.to_bytes()) == sk
+    other_pk, other_sk = keygen_optimized(ps, b"ne")
+    assert pk != other_pk and sk != other_sk
+    assert pk != keygen_optimized(params.parameter_set("additive", 3), b"eq")[0]
+    flipped = PublicKey(ps, pk.seed_pk, pk.m0_entries ^ np.uint8(1))
+    assert pk != flipped and pk != pk.to_bytes()
+
+
 def test_key_format_errors():
     with pytest.raises(KeyFormatError):
         PublicKey.from_bytes(b"")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mira import params, sign_additive as sa
+from mira.bitio import ELEM
 from mira.hashing import X_SIGN, derive_challenge1, derive_challenge2_additive
 from mira.keys import keygen_optimized
 from mira.mpc import ChallengeBatch, PkOperand
@@ -40,12 +41,13 @@ def test_round_trip_and_exact_size(level):
 
 def test_per_round_response_size_level1():
     ap = params.parameter_set("additive", 1).sign_params()
-    total = sa.signature_size_bytes(ap)
-    fixed = 6 * ap.lam // 8
-    per_round = (total - fixed) // ap.tau
-    assert per_round == 308
+    lay = sa.layout(ap)
+    assert lay.head == 6 * ap.lam // 8
+    per_round = (sa.signature_size_bytes(ap) - lay.head) // ap.tau
+    assert per_round == sum(lay.widths) // lay.units_per_byte == 308
     # 148 field bytes + 160 tree/commitment bytes
-    field_bytes = sa.field_elems_per_round(ap) // 2
+    field_bytes = sum(width for (_, unit, _), width in zip(lay.fields, lay.widths)
+                      if unit == ELEM) // lay.units_per_byte
     assert field_bytes == 148
     assert per_round - field_bytes == (ap.depth + 2) * ap.lam // 8 == 160
 
@@ -90,15 +92,20 @@ def test_hidden_leaf_stays_hidden():
                 assert got[i - 1] == tree.leaf(i)
 
 
-def test_aux_zeroed_when_hidden_leaf_is_last():
+def _force_hidden_leaves(monkeypatch, istars):
+    monkeypatch.setattr(sa, "derive_challenge2_additive", lambda *args: list(istars))
+
+
+def test_aux_zeroed_when_hidden_leaf_is_last(monkeypatch):
     ap = TOY
     pk, sk, x, beta = toy_keys(ap)
-    sig = sa._sign_core(ap, pk, x, beta, b"m", b"e",
-                        ch2_override=[ap.n_parties] * ap.tau)
+    _force_hidden_leaves(monkeypatch, [ap.n_parties] * ap.tau)
+    sig = sa._sign_core(ap, pk, x, beta, b"m", b"e")
     for rr in sig.rounds:
         assert not rr.aux_x.any() and not rr.aux_beta.any() and not rr.aux_c.any()
     # and with a different hidden leaf the aux holds the real corrections
-    sig = sa._sign_core(ap, pk, x, beta, b"m", b"e", ch2_override=[1] * ap.tau)
+    _force_hidden_leaves(monkeypatch, [1] * ap.tau)
+    sig = sa._sign_core(ap, pk, x, beta, b"m", b"e")
     assert any(rr.aux_x.any() or rr.aux_beta.any() for rr in sig.rounds)
 
 
@@ -134,7 +141,7 @@ def test_opened_alpha_is_alpha_of_the_full_leaf_sum(ap, istars, monkeypatch):
     # hidden leaf's share; it must be alpha of all N leaf rows summed, hidden
     # leaf included, with the M_0 offset.  The rows come from the signing
     # entropy, whichever leaf (1, N or a middle one) carries the offset.
-    monkeypatch.setattr(sa, "derive_challenge2_additive", lambda *args: list(istars))
+    _force_hidden_leaves(monkeypatch, istars)
     pk, sk = keygen_optimized(ap, b"open")
     x, beta = sk.sign_inputs()
     sig = sa.decode(ap, sa.sign(ap, pk, sk, b"m", b"e"))
@@ -156,17 +163,19 @@ def test_opened_alpha_is_alpha_of_the_full_leaf_sum(ap, istars, monkeypatch):
     assert np.array_equal(opened, np.broadcast_to(alpha, opened.shape))
 
 
-def test_challenge_injection_seams():
+def test_challenge_injection_seams(monkeypatch):
     ap = TOY
     pk, sk, x, beta = toy_keys(ap)
     rng = np.random.default_rng(0)
     gamma = [(rng.integers(0, 16, (ap.n, ap.m)).astype(np.uint8),
               rng.integers(0, 16, ap.m).astype(np.uint8))
              for _ in range(ap.tau)]
-    ch2 = [3] * ap.tau
-    sig = sa._sign_core(ap, pk, x, beta, b"m", b"e",
-                        ch1_override=gamma, ch2_override=ch2)
-    # responses answer the injected challenge: leaf 3 is the hidden one
+    monkeypatch.setattr(sa, "derive_challenge1", lambda *args: gamma)
+    _force_hidden_leaves(monkeypatch, [3] * ap.tau)
+    sig = sa._sign_core(ap, pk, x, beta, b"m", b"e")
+    # responses answer the injected challenges: leaf 3 is the hidden one,
+    # and verify, deriving the same ones, accepts
+    assert sa.verify_decoded(ap, pk, b"m", sig)[0]
     for e in range(1, ap.tau + 1):
         got = leaves_from_path(ap.suite, sig.rounds[e - 1].path, 3,
                                sig.salt, e, ap.n_parties)
@@ -251,7 +260,7 @@ def test_verify_runs_d_plus_one_rows_per_round(ap, monkeypatch):
 def test_sum_row_gives_the_part_row_alphas(ap, istars, monkeypatch):
     # alpha(sum of opened leaves) - alpha(full row) is the part row's alpha,
     # which the verifier used to compute directly on D more rows per round
-    monkeypatch.setattr(sa, "derive_challenge2_additive", lambda *args: list(istars))
+    _force_hidden_leaves(monkeypatch, istars)
     pk, sk = keygen_optimized(ap, b"part")
     sig = sa.decode(ap, sa.sign(ap, pk, sk, b"m", b"e"))
     flats = []

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
 from mira.sharing import shamir_share
+from mira.trees import MerkleTree, merkle_auth
 
 from helpers import shamir_at, shamir_reconstruct
 
@@ -37,6 +41,27 @@ def test_round_trip_and_size_bound(level):
         assert len(sig) * 8 <= bound
         assert st.verify(tp, pk, msg, sig)
         assert not st.verify(tp, pk, msg + b"!", sig)
+
+
+@pytest.mark.parametrize("n, ell, tight", [(10, 3, True), (16, 3, True), (33, 3, True),
+                                           (15, 1, True), (20, 4, False), (12, 5, False)])
+def test_auth_limit_bounds_every_subset(n, ell, tight):
+    ps = params.parameter_set("threshold", 1).with_overrides(N=n, ell=ell)
+    tree = MerkleTree(ps.suite, [bytes([i]) for i in range(n)])
+    most = max(len(merkle_auth(ps.suite, tree, subset))
+               for subset in itertools.combinations(range(1, n + 1), ell))
+    limit, = st.layout(ps).shape("auth")
+    assert limit == most if tight else limit > most
+
+
+@pytest.mark.parametrize("level, largest, bound", [(1, 8713, 8720), (3, 18634, 18658),
+                                                   (5, 31902, 31965)])
+def test_layout_maximum_within_the_estimator_bound(level, largest, bound):
+    ps = params.parameter_set("threshold", level)
+    lay = st.layout(ps)
+    assert lay.shape("auth") == (19,)
+    assert lay.max_bytes == largest
+    assert largest <= math.ceil(estimator.sig_size_bound_bits(ps) / 8) == bound
 
 
 def test_per_round_field_payload_level1():
