@@ -4,8 +4,7 @@ Library entry points:
 
     params.parameter_set(variant, level)   registry lookup
     keys.keygen_optimized(ps, entropy)     key pair generation
-    sign_additive.sign / .verify           additive variant
-    sign_threshold.sign / .verify          threshold variant
+    ps.scheme.sign / .verify / .decode     the set's variant: sign_additive or sign_threshold
     estimator.report(ps)                   sizes and attack costs
 
 The ``mira`` console script wraps these; see README.

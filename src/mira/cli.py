@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import estimator, keys, params
-from . import sign_additive, sign_threshold
+from .bitio import SignatureFormatError
 from .hashing import X_KAT, encode_u32
 from .keys import KeyFormatError
 
@@ -26,6 +26,12 @@ def _entropy_from(args):
         return bytes.fromhex(args.seed)
     except ValueError:
         raise ValueError("--seed must be a hex string") from None
+
+
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return int(text)
 
 
 def _read(path, mode="rb"):
@@ -50,10 +56,6 @@ def _write(path, data, mode=0o666):
         os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
-
-
-def _scheme(variant):
-    return sign_threshold if variant == params.THRESHOLD else sign_additive
 
 
 def cmd_keygen(args):
@@ -85,7 +87,7 @@ def cmd_sign(args):
     ps = sk.params
     _load_keypair_params(args, ps)
     message = _read(args.infile)
-    sig = _scheme(ps.variant).sign(ps, sk.public_key(), sk, message, _entropy_from(args))
+    sig = ps.scheme.sign(ps, sk.public_key(), sk, message, _entropy_from(args))
     _write(args.out, sig)
     print(f"wrote {args.out}: {len(sig)} bytes")
     return EXIT_OK
@@ -101,13 +103,12 @@ def cmd_verify(args):
     _load_keypair_params(args, ps)
     message = _read(args.infile)
     data = _read(args.sig)
-    scheme = _scheme(ps.variant)
     try:
-        sig = scheme.decode(ps, data)
-    except scheme.SignatureFormatError as exc:
+        sig = ps.scheme.decode(ps, data)
+    except SignatureFormatError as exc:
         print(f"malformed signature: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    ok, _ = scheme.verify_decoded(ps, pk, message, sig)
+    ok = ps.scheme.verify_decoded(ps, pk, message, sig)
     print("accept" if ok else "reject")
     return EXIT_OK if ok else EXIT_REJECT
 
@@ -136,7 +137,6 @@ _KAT_FIELDS = ("count", "seed", "msg", "pk", "sk", "sig")
 
 def _kat_records(variant, level, count, master):
     ps = params.parameter_set(variant, level)
-    scheme = _scheme(variant)
     suite = ps.suite
     for i in range(count):
         seed = suite.xof(X_KAT, master, encode_u32(i)).read(48)
@@ -144,7 +144,7 @@ def _kat_records(variant, level, count, master):
         sign_entropy = suite.xof(X_KAT, b"sign", seed).read(48)
         msg = suite.xof(X_KAT, b"msg", seed).read(33 * (i + 1))
         pk, sk = keys.keygen_optimized(ps, keygen_entropy)
-        sig = scheme.sign(ps, pk, sk, msg, sign_entropy)
+        sig = ps.scheme.sign(ps, pk, sk, msg, sign_entropy)
         yield {
             "count": str(i),
             "seed": seed.hex(),
@@ -196,9 +196,9 @@ def cmd_kat(args):
                     return EXIT_REJECT
             # independently re-verify the recorded signature
             pk = keys.PublicKey.from_bytes(bytes.fromhex(have["pk"]))
-            if not _scheme(pk.params.variant).verify(pk.params, pk,
-                                                     bytes.fromhex(have["msg"]),
-                                                     bytes.fromhex(have["sig"])):
+            ps = pk.params
+            if not ps.scheme.verify(ps, pk, bytes.fromhex(have["msg"]),
+                                    bytes.fromhex(have["sig"])):
                 print(f"KAT signature rejects at count={have['count']}",
                       file=sys.stderr)
                 return EXIT_REJECT
@@ -248,13 +248,13 @@ def build_parser():
     es = sub.add_parser("estimate", help="print size/security estimates")
     common(es)
     for flag in ("q", "m", "n", "k", "r", "N", "ell", "tau", "eta"):
-        es.add_argument(f"--{flag}", type=int)
+        es.add_argument(f"--{flag}", type=_positive_int)
     es.add_argument("--omega", type=float)
     es.set_defaults(func=cmd_estimate)
 
     ka = sub.add_parser("kat", help="generate or check known-answer records")
     common(ka)
-    ka.add_argument("--count", type=int, default=5)
+    ka.add_argument("--count", type=_positive_int, default=5)
     ka.add_argument("--out", default="kat.txt")
     ka.add_argument("--check", help="existing KAT file to re-derive and compare")
     ka.set_defaults(func=cmd_kat)

@@ -661,13 +661,6 @@ class ExtField:
         m = self.m
         return self.base.matmul3(us, self._mul_map).reshape(us.shape[0], m, m)
 
-    def pack(self, arr):
-        return self.base.pack(arr)
-
-    def unpack(self, data, count):
-        flat = self.base.unpack(data, count * self.m)
-        return flat.reshape(count, self.m)
-
     def __repr__(self):
         return f"ExtField({self.base!r}^{self.m})"
 

@@ -35,21 +35,22 @@ class PublicKey:
     params: ParameterSet
     seed_pk: bytes
     m0_entries: np.ndarray          # tail (mn - k); the first k entries are zero
-    _cache: dict = dc_field(default_factory=dict, repr=False)
+    _mats: tuple = dc_field(default=None, repr=False)
+    _operand: object = dc_field(default=None, repr=False)    # mpc.PkOperand.of fills it
 
     def __eq__(self, other):
-        """Same parameter set and body bytes; the cache is not compared."""
+        """Same parameter set and body bytes; the prepared state is not compared."""
         return isinstance(other, PublicKey) and (
             (self.params, self.body_bytes()) == (other.params, other.body_bytes()))
 
     def matrices(self):
         """(l_rows, m0_flat): L as (k, mn) with M_i = row i row-major reshaped."""
-        if "mats" not in self._cache:
+        if self._mats is None:
             ps = self.params
             m0 = np.zeros(ps.m * ps.n, np.uint8)
             m0[ps.k:] = self.m0_entries
-            self._cache["mats"] = (_expand_l(ps, self.seed_pk), m0)
-        return self._cache["mats"]
+            self._mats = (_expand_l(ps, self.seed_pk), m0)
+        return self._mats
 
     def body_bytes(self):
         """seed || packed M_0 entries (the size the tables report)."""
@@ -98,9 +99,8 @@ class SecretKey:
         """
         ps = self.params
         l_rows, m0_flat = self._derivation()[:2]
-        pk = PublicKey(params=ps, seed_pk=self.seed_pk, m0_entries=m0_flat[ps.k:].copy())
-        pk._cache["mats"] = (l_rows, m0_flat)
-        return pk
+        return PublicKey(params=ps, seed_pk=self.seed_pk, m0_entries=m0_flat[ps.k:].copy(),
+                         _mats=(l_rows, m0_flat))
 
     def witness(self):
         """(x, E) from the replayed key derivation."""

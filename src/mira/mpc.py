@@ -37,11 +37,10 @@ class PkOperand:
 
     @classmethod
     def of(cls, pk):
-        cache = pk._cache
-        if "operand" not in cache:
-            l_rows, m0 = pk.matrices()
-            cache["operand"] = cls(pk.params.base, l_rows, m0)
-        return cache["operand"]
+        """The key's operand, built on first use and kept on the key."""
+        if pk._operand is None:
+            pk._operand = cls(pk.params.base, *pk.matrices())
+        return pk._operand
 
     def _gf2_table(self):
         # x @ L over GF(2^d) as a GF(2) map on bit planes: input bit (s, i)

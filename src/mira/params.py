@@ -3,7 +3,8 @@
 A ``ParameterSet`` is the published table row (q, m, n, k, r, N, tau, and
 ell for the threshold variant) plus the knobs the cost estimator exposes
 (eta, omega).  Keys, both signature schemes and the estimator all read the
-same object; nothing checks a row when it is built, so the estimator can
+same object, and its ``scheme`` is the one place a variant picks its
+signature module; nothing checks a row when it is built, so the estimator can
 price any override.  Validation happens where a row is used:
 ``minrank()`` checks the instance shape (1 <= r <= min(m, n),
 1 <= k < mn) and ``sign_params()`` additionally checks what the signing
@@ -19,6 +20,7 @@ distinct nonzero evaluation points, so ``n_parties`` is min(N, q - 1)
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+from . import sign_additive, sign_threshold
 from .fields import base_field, ext_field
 from .hashing import HashSuite
 from .sharing import ShareDims
@@ -68,6 +70,12 @@ class ParameterSet:
     @property
     def share_dims(self):
         return ShareDims(k=self.k, r=self.r, m=self.m)
+
+    @property
+    def scheme(self):
+        """The variant's signature module: ``sign``, ``verify``, ``encode``,
+        ``decode`` and ``layout``, each taking this set first."""
+        return sign_threshold if self.variant == THRESHOLD else sign_additive
 
     @property
     def n_parties(self):

@@ -51,10 +51,6 @@ def layout(ps):
         ("aux_x", ELEM, (ps.k,)), ("aux_beta", ELEM, (r, m)), ("aux_c", ELEM, (m,))), stream=True)
 
 
-def signature_size_bytes(ps):
-    return layout(ps).max_bytes
-
-
 def encode(ps, sig):
     """The header bytes, then the rounds' unit stream packed at once.
 
@@ -126,7 +122,7 @@ def sign(ps, pk, sk, message, entropy):
     return encode(ps, sig)
 
 
-def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None):
+def _sign_core(ps, pk, x, beta, message, entropy):
     base, ext = ps.base, ps.ext
     suite = ps.suite
     n_parties, depth, tau = ps.n_parties, ps.depth, ps.tau
@@ -172,17 +168,9 @@ def _sign_core(ps, pk, x, beta, message, entropy, cheat_leaf=None):
     vs = batch.broadcast_v(zs, rows, alphas[:, :1])
     v_plain = vs[:, 0]
     v1 = vs[:, 1:]
-    if cheat_leaf is None:
-        assert not v_plain.any(), "witness does not satisfy the rank bound"
+    assert not v_plain.any(), "witness does not satisfy the rank bound"
     al2 = ext.sub(alpha_plain[:, None], al1)
     v2 = ext.sub(v_plain[:, None], v1)
-    if cheat_leaf is not None:
-        delta = ext.neg(v_plain)
-        for kdim in range(1, depth + 1):
-            if (cheat_leaf - 1) >> (kdim - 1) & 1 == 0:
-                v1[:, kdim - 1] = ext.add(v1[:, kdim - 1], delta)
-            else:
-                v2[:, kdim - 1] = ext.add(v2[:, kdim - 1], delta)
 
     exec_hashes = _exec_hashes(suite, base, salt, al1, v1, al2, v2)
     h2 = suite.hash(H4, message, pk_bytes, salt, h1, *exec_hashes)
@@ -213,12 +201,11 @@ def verify(ps, pk, message, data):
         sig = decode(ps, data)
     except SignatureFormatError:
         return False
-    ok, _ = verify_decoded(ps, pk, message, sig)
-    return ok
+    return verify_decoded(ps, pk, message, sig)
 
 
 def verify_decoded(ps, pk, message, sig):
-    """Returns (accept, per-round reconstructed broadcast details)."""
+    """Accept/reject a decoded signature."""
     base, ext = ps.base, ps.ext
     suite = ps.suite
     n_parties, depth, tau = ps.n_parties, ps.depth, ps.tau
@@ -235,11 +222,11 @@ def verify_decoded(ps, pk, message, sig):
         rr = sig.rounds[e - 1]
         istar = ch2[e - 1]
         if istar == n_parties and (rr.aux_x.any() or rr.aux_beta.any() or rr.aux_c.any()):
-            return False, None
+            return False
         try:
             leaves = leaves_from_path(suite, rr.path, istar, sig.salt, e, n_parties)
         except ValueError:
-            return False, None
+            return False
         flat = expand_leaf_shares(suite, sig.salt, e, leaves, dims, base)
         if istar != n_parties:
             flat[-1] = plain_rows(rr.aux_x, rr.aux_beta, dims.split(flat[-1])[2], rr.aux_c)
@@ -280,5 +267,4 @@ def verify_decoded(ps, pk, message, sig):
 
     h1bar = suite.hash(H2, sig.salt, message, *h0s)
     h2bar = suite.hash(H4, message, pk.body_bytes(), sig.salt, h1bar, *exec_hashes)
-    details = {"alpha_open": np.broadcast_to(al_open, al_full.shape), "istars": ch2}
-    return h1bar == sig.h1 and h2bar == sig.h2, details
+    return h1bar == sig.h1 and h2bar == sig.h2

@@ -194,11 +194,11 @@ def verify(ps, pk, message, data):
         sig = decode(ps, data)
     except SignatureFormatError:
         return False
-    ok, _ = verify_decoded(ps, pk, message, sig)
-    return ok
+    return verify_decoded(ps, pk, message, sig)
 
 
 def verify_decoded(ps, pk, message, sig):
+    """Accept/reject a decoded signature."""
     base, ext = ps.base, ps.ext
     suite = ps.suite
     n_parties, ell, tau = ps.n_parties, ps.ell, ps.tau
@@ -219,7 +219,7 @@ def verify_decoded(ps, pk, message, sig):
         root = merkle_root_from_auth(suite, cmt_hashes, list(subset), rr.auth,
                                      n_parties)
         if root is None:
-            return False, None
+            return False
         roots.append(root)
     h1bar = suite.hash(H1, message, pk.body_bytes(), sig.salt, *roots)
 
@@ -248,4 +248,4 @@ def verify_decoded(ps, pk, message, sig):
 
     h2bar = _h2(suite, base, message, pk.body_bytes(), sig.salt, h1bar,
                 alpha_sharings, v_sharings)
-    return h1bar == sig.h1 and h2bar == sig.h2, None
+    return h1bar == sig.h1 and h2bar == sig.h2

@@ -30,10 +30,6 @@ class SeedTree:
         _expand_levels(suite, nodes, salt, round_index, n_leaves)
         return cls(n_leaves, nodes)
 
-    def leaf(self, i):
-        """Leaf seed, 1-based leaf index."""
-        return self.nodes[self.n_leaves + i - 1]
-
     def leaves(self):
         return self.nodes[self.n_leaves:]
 

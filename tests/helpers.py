@@ -1,12 +1,16 @@
 """Reference helpers the tests share; the library itself never needs them."""
 
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import numpy as np
 
+from mira import sign_additive
 from mira.bitio import Signature, SignatureFormatError
 from mira.hashing import H_MERKLE, X_TREE, encode_u16, encode_u32
 from mira.matrices import rank
+from mira.mpc import ChallengeBatch
 from mira.params import PARAM_IDS, parameter_set
 from mira.sharing import lagrange_weights, shamir_expand
 from mira.sign_threshold import RoundResponse, layout
@@ -36,6 +40,37 @@ def witness_matrix(pk, x):
 def leaf_side(leaf, dim):
     """Side (1 or 2) of 1-based ``leaf`` along 1-based ``dim``."""
     return ((leaf - 1) >> (dim - 1) & 1) + 1
+
+
+class CheatingBatch(ChallengeBatch):
+    """The rank check of an additive prover without a witness who bets on one leaf.
+
+    Its plaintext v is nonzero.  ``broadcast_v`` reports v = 0 instead and,
+    in every dimension where ``leaf`` is on side 1, takes the difference out
+    of the side-1 main party; where ``leaf`` is on side 2, the side-2 party,
+    signed as v - side 1, takes it.  The main party without ``leaf`` is
+    honest in every dimension, so a verifier that hides ``leaf`` recomputes
+    the same broadcasts.
+    """
+
+    def __init__(self, ext, r, challenges, leaf):
+        super().__init__(ext, r, challenges)
+        self.leaf = leaf
+
+    def broadcast_v(self, z_shares, rows, alphas):
+        vs = super().broadcast_v(z_shares, rows, alphas)     # (tau, 1 + D, m)
+        dims = np.arange(1, vs.shape[1])
+        side1 = dims[leaf_side(self.leaf, dims) == 1]
+        vs[:, side1] = self.ext.sub(vs[:, side1], vs[:, :1])
+        vs[:, 0] = 0
+        return vs
+
+
+def sign_cheating(ps, pk, x, beta, message, entropy, leaf):
+    """Additive ``_sign_core`` with the rank check of ``CheatingBatch``: for any
+    (x, beta), a signature that verifies when the second challenge hides ``leaf``."""
+    with mock.patch.object(sign_additive, "ChallengeBatch", partial(CheatingBatch, leaf=leaf)):
+        return sign_additive._sign_core(ps, pk, x, beta, message, entropy)
 
 
 def shamir_at(field, shares, points, targets):

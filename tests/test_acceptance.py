@@ -27,15 +27,11 @@ from mira.sharing import (ShareDims, additive_share, beta_map, hypercube_aggrega
 from mira.trees import SeedTree, leaves_from_path, merkle_auth, merkle_root
 from mira.trees import merkle_root_from_auth, H_MERKLE
 
-from helpers import evaluate, evaluate_many, shamir_at, shamir_reconstruct
+from helpers import evaluate, evaluate_many, shamir_at, shamir_reconstruct, sign_cheating
 
 SUITE = HashSuite(128)
 
 ALL_SETS = [(v, l) for v in (params.ADDITIVE, params.THRESHOLD) for l in (1, 3, 5)]
-
-
-def _sign_verify(variant):
-    return (st, "threshold") if variant == params.THRESHOLD else (sa, "additive")
 
 
 def test_criterion_1_completeness_100_round_trips():
@@ -47,7 +43,7 @@ def test_criterion_1_completeness_100_round_trips():
     for variant, level in ALL_SETS:
         ps = params.parameter_set(variant, level)
         sp = ps.sign_params()
-        scheme, _ = _sign_verify(variant)
+        scheme = sp.scheme
         pk, sk = keygen_optimized(ps.minrank(), b"acc1-%s-%d" % (variant.encode(), level))
         accepted = 0
         for i in range(trials):
@@ -143,8 +139,7 @@ def test_criterion_5_soundness_monte_carlo():
         xbad = rng.integers(0, 2, ap.k).astype(np.uint8)
         beta_bad = rng.integers(0, 2, (ap.r, ap.m)).astype(np.uint8)
         leaf = int(rng.integers(1, 5))
-        sig = sa._sign_core(ap, pk, xbad, beta_bad, b"forge", b"acc5-%d" % t,
-                            cheat_leaf=leaf)
+        sig = sign_cheating(ap, pk, xbad, beta_bad, b"forge", b"acc5-%d" % t, leaf)
         accepts += sa.verify(ap, pk, b"forge", sa.encode(ap, sig))
     freq = accepts / trials
     sigma = math.sqrt(0.25 * 0.75 / trials)
@@ -305,12 +300,13 @@ def test_criterion_9_property_suites():
     for n in (2, 4, 8, 16, 32, 64, 128, 256):
         tree = SeedTree.expand(SUITE, bytes(rng.integers(0, 256, 16, dtype=np.uint8)),
                                b"\x01" * 32, 1, n)
+        seeds = tree.leaves()
         for hidden in rng.integers(1, n + 1, size=125):
             hidden = int(hidden)
             got = leaves_from_path(SUITE, tree.sibling_path(hidden), hidden,
                                    b"\x01" * 32, 1, n)
             assert got[hidden - 1] is None
-            assert all(got[i - 1] == tree.leaf(i)
+            assert all(got[i - 1] == seeds[i - 1]
                        for i in range(1, n + 1) if i != hidden)
             cases += 1
     assert cases >= 1000
@@ -406,9 +402,10 @@ def test_criterion_10_fuzz_rejection():
     assert accepts == 0
 
     # spot check at the full level-1 parameters as well
-    for variant, scheme in ((params.ADDITIVE, sa), (params.THRESHOLD, st)):
+    for variant in (params.ADDITIVE, params.THRESHOLD):
         ps = params.parameter_set(variant, 1)
         sp = ps.sign_params()
+        scheme = sp.scheme
         pk, sk = keygen_optimized(ps.minrank(), b"acc10-%s" % variant.encode())
         data = scheme.sign(sp, pk, sk, b"fuzz", b"x")
         if variant == params.ADDITIVE:

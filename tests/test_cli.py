@@ -313,6 +313,24 @@ def test_sign_bad_seed_exits_2(tmp_path, keypair, capsys):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    *(["estimate", "--variant", "threshold", "--level", "1", f"--{flag}", value]
+      for flag in ("q", "m", "n", "k", "r", "N", "ell", "tau", "eta") for value in ("0", "-1")),
+    ["kat", "--variant", "additive", "--level", "1", "--count", "0"],
+    ["kat", "--variant", "additive", "--level", "1", "--count", "-2"],
+    ["estimate", "--variant", "threshold", "--level", "1", "--N", "x"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_non_positive_integer_option_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # zero once divided in the estimator (exit 1) or gave a nonsense estimate
+    # (exit 0), and --count -2 wrote a KAT file that its own --check rejects
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "kat.txt").exists()
+
+
 def test_estimate_accepts_eta_override():
     # eta is an estimator knob only; the signing code rejects eta != 1
     assert run(["estimate", "--variant", "additive", "--level", "1", "--eta", "2"]) == 0

@@ -21,11 +21,10 @@ from mira.keys import keygen_optimized
 from helpers import threshold_decode_by_round
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-SCHEMES = {params.ADDITIVE: sa, params.THRESHOLD: st}
 # (variant, level); a level-1 set is named by its variant alone.  Additive
 # level 3 has an odd state width, so every other round starts mid-byte.
 VARIANTS = [pytest.param((variant, level), id=variant if level == 1 else f"{variant}-{level}")
-            for variant in SCHEMES for level in (1, 3, 5)]
+            for variant in (params.ADDITIVE, params.THRESHOLD) for level in (1, 3, 5)]
 
 
 @lru_cache(maxsize=None)
@@ -33,18 +32,17 @@ def valid_signature(variant):
     ps = params.parameter_set(*variant)
     sp = ps.sign_params()
     pk, sk = keygen_optimized(ps.minrank(), b"codec-" + variant[0].encode())
-    return sp, SCHEMES[variant[0]].sign(sp, pk, sk, b"codec message", b"codec entropy")
+    return sp, sp.scheme.sign(sp, pk, sk, b"codec message", b"codec entropy")
 
 
 def decode_or_format_error(variant, data):
     """Decode; on success the encoding must give ``data`` back."""
-    scheme = SCHEMES[variant[0]]
     sp, _ = valid_signature(variant)
     try:
-        sig = scheme.decode(sp, data)
+        sig = sp.scheme.decode(sp, data)
     except SignatureFormatError:
         return False
-    assert scheme.encode(sp, sig) == data
+    assert sp.scheme.encode(sp, sig) == data
     return True
 
 
@@ -53,12 +51,29 @@ def test_one_shared_format_error():
     assert issubclass(SignatureFormatError, ValueError)
 
 
-@pytest.mark.parametrize("variant", list(SCHEMES))
+@pytest.mark.parametrize("variant", [params.ADDITIVE, params.THRESHOLD])
 def test_readme_layout_line_matches_the_layout(variant):
-    lay = SCHEMES[variant].layout(params.parameter_set(variant, 1))
+    ps = params.parameter_set(variant, 1)
+    lay = ps.scheme.layout(ps)
     line = (f"`{' || '.join(name for name, _ in lay.header)}`, then per round "
             f"`{' || '.join(name for name, _, _ in lay.fields)}`.")
     assert line in README.read_text()
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text().split("## Library API", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("malformed: ")
+
+
+@pytest.mark.parametrize("variant", [params.ADDITIVE, params.THRESHOLD])
+def test_verify_decoded_returns_a_bool(variant):
+    ps = params.parameter_set(variant, 1)
+    pk, sk = keygen_optimized(ps, b"bool")
+    sig = ps.scheme.decode(ps, ps.scheme.sign(ps, pk, sk, b"m", b"e"))
+    assert ps.scheme.verify_decoded(ps, pk, b"m", sig) is True
+    assert ps.scheme.verify_decoded(ps, pk, b"other message", sig) is False
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -1,10 +1,11 @@
 """Signing and verification from several threads while lazy caches fill up.
 
-The public-key operand (``PublicKey._cache``), the Frobenius matrices of the
-extension field, the fixed rank-check map and a secret key's derivation and
-annihilator are all built on first use and stored without a lock; each is
-stored by one assignment of its finished value, so a thread sees either
-nothing (and builds it too) or the whole thing.
+The public key's matrices and operand (``PublicKey._mats``, ``_operand``),
+the Frobenius matrices of the extension field, the fixed rank-check map and
+a secret key's derivation and annihilator are all built on first use and
+stored without a lock; each is stored by one assignment of its finished
+value, so a thread sees either nothing (and builds it too) or the whole
+thing.
 """
 
 import sys
@@ -13,11 +14,10 @@ import threading
 import numpy as np
 import pytest
 
-from mira import mpc, params, sign_additive, sign_threshold
+from mira import mpc, params
 from mira.keys import PublicKey, SecretKey, keygen_optimized
 
 THREADS = 4
-SCHEMES = {"additive": sign_additive, "threshold": sign_threshold}
 
 
 def tampered(sig, rng):
@@ -44,7 +44,7 @@ def run_threads(worker):
 @pytest.mark.parametrize("variant", ["additive", "threshold"])
 def test_concurrent_verify_matches_single_threaded(variant):
     ps = params.parameter_set(variant, 1)
-    scheme = SCHEMES[variant]
+    scheme = ps.scheme
     pk, sk = keygen_optimized(ps, b"threads " + variant.encode())
     rng = np.random.default_rng(11)
     cases = []
@@ -78,7 +78,7 @@ def test_concurrent_verify_matches_single_threaded(variant):
 @pytest.mark.parametrize("variant", ["additive", "threshold"])
 def test_concurrent_sign_on_fresh_key_matches_single_threaded(variant):
     ps = params.parameter_set(variant, 1)
-    scheme = SCHEMES[variant]
+    scheme = ps.scheme
     pk, sk = keygen_optimized(ps, b"sign threads " + variant.encode())
     inputs = [(b"message %d" % i, b"entropy %d" % i) for i in range(2)]
     expected = [scheme.sign(ps, pk, sk, msg, ent) for msg, ent in inputs]

@@ -301,11 +301,12 @@ def test_pack_rows_equals_per_row_pack(q, odd, rows, half, flip, seed):
 
 
 def test_ext_element_serialization_order():
+    # an element is its m base coordinates, so the base field packs it
     ext = ext_field(251, 3)
     el = np.array([[1, 2, 3], [4, 5, 6]], np.uint8)
-    blob = ext.pack(el)
+    blob = ext.base.pack(el)
     assert blob == bytes([1, 2, 3, 4, 5, 6])  # ascending basis order
-    assert np.array_equal(ext.unpack(blob, 2), el)
+    assert np.array_equal(ext.base.unpack(blob, 2 * ext.m).reshape(2, ext.m), el)
 
 
 def test_matmul_paths_agree():

@@ -16,11 +16,10 @@ import collections
 import numpy as np
 import pytest
 
-from mira import params, sign_additive, sign_threshold
+from mira import params
 from mira.fields import Char2Field, PrimeField
 from mira.keys import keygen_optimized
 
-SCHEMES = {"additive": sign_additive, "threshold": sign_threshold}
 
 # method -> (calls, multiply-accumulates)
 PINNED = {
@@ -60,7 +59,7 @@ def _counting(monkeypatch):
 @pytest.mark.parametrize("variant, level", list(PINNED))
 def test_gemm_calls_and_macs(variant, level, monkeypatch):
     ps = params.parameter_set(variant, level).sign_params()
-    scheme = SCHEMES[variant]
+    scheme = ps.scheme
     pk, sk = keygen_optimized(ps, b"gemm work")
     assert scheme.verify(ps, pk, b"warm-up", scheme.sign(ps, pk, sk, b"warm-up", b"w"))
     tally = _counting(monkeypatch)

@@ -22,12 +22,11 @@ import sys
 import pytest
 
 import mira
-from mira import params, sign_additive, sign_threshold
+from mira import params
 from mira.hashing import (H0_COMMIT, H1, H2, H3, H4, H_MERKLE, X_CH1, X_CH2, X_LEAF,
                           X_SIGN, X_TREE, HashSuite)
 from mira.keys import keygen_optimized
 
-SCHEMES = {"additive": sign_additive, "threshold": sign_threshold}
 
 # (method, role byte) -> (calls, bytes absorbed including the role byte)
 PINNED = {
@@ -207,7 +206,7 @@ PINNED_SQUEEZED = {
 def _operations(variant, level):
     """The fixed-input sign and its verify as calls, key-only work done already."""
     ps = params.parameter_set(variant, level).sign_params()
-    scheme = SCHEMES[variant]
+    scheme = ps.scheme
     pk, sk = keygen_optimized(ps, b"hash work")
     sk.sign_inputs()
     pk.matrices()

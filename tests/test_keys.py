@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mira import keys, params, sign_additive, sign_threshold
+from mira import keys, params
 from mira.keys import KeyFormatError, PublicKey, SecretKey, keygen_optimized
 from mira.matrices import columns_to_ext, rank
+from mira.mpc import PkOperand
 from mira.qpoly import annihilator
 
 from helpers import validate_witness, witness_matrix
@@ -87,7 +88,7 @@ def test_serialization_round_trip_and_rederivation():
 def test_keys_compare_by_params_and_bytes():
     ps = params.parameter_set("additive", 1)
     pk, sk = keygen_optimized(ps, b"eq")
-    pk.matrices()                               # a filled cache is not compared
+    PkOperand.of(pk)                            # prepared state is not compared
     assert PublicKey.from_bytes(pk.to_bytes()) == pk == sk.public_key()
     assert SecretKey.from_bytes(sk.to_bytes()) == sk
     other_pk, other_sk = keygen_optimized(ps, b"ne")
@@ -95,6 +96,26 @@ def test_keys_compare_by_params_and_bytes():
     assert pk != keygen_optimized(params.parameter_set("additive", 3), b"eq")[0]
     flipped = PublicKey(ps, pk.seed_pk, pk.m0_entries ^ np.uint8(1))
     assert pk != flipped and pk != pk.to_bytes()
+
+
+def test_keygen_leaves_the_operand_unbuilt():
+    # the GF(2) table of x @ L is the operand's largest part: keygen does not
+    # pay for it, and the operand builds it only for its first E shares
+    ps = params.parameter_set("additive", 1)
+    pk, _ = keygen_optimized(ps, b"operand")
+    assert pk._operand is None
+    op = PkOperand.of(pk)
+    assert op is PkOperand.of(pk) is pk._operand
+    assert op._gf2 is None
+    op.e_shares(np.zeros((1, ps.k), np.uint8), [False])
+    assert op._gf2 is not None and PkOperand.of(pk) is op
+
+
+def test_public_keys_share_the_secret_keys_l():
+    ps = params.parameter_set("threshold", 1)
+    _, sk = keygen_optimized(ps, b"shared l")
+    l_rows = sk.public_key().matrices()[0]
+    assert sk.public_key().matrices()[0] is l_rows is sk._derivation()[0]
 
 
 def test_key_format_errors():
@@ -140,10 +161,10 @@ def annihilator_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("variant,scheme", [("additive", sign_additive),
-                                            ("threshold", sign_threshold)])
-def test_beta_is_built_once_per_key(variant, scheme, annihilator_calls):
+@pytest.mark.parametrize("variant", ["additive", "threshold"])
+def test_beta_is_built_once_per_key(variant, annihilator_calls):
     ps = params.parameter_set(variant, 1)
+    scheme = ps.scheme
     pk, sk = keygen_optimized(ps, b"beta " + variant.encode())
     sk.public_key()
     assert annihilator_calls == []

@@ -173,4 +173,4 @@ def test_beta_serialization():
     ext = ext_field(251, 3)
     beta = np.array([[1, 2, 3], [4, 5, 6]], np.uint8)
     qp = QPolynomial(r=2, beta=beta)
-    assert ext.pack(qp.beta) == bytes([1, 2, 3, 4, 5, 6])
+    assert ext.base.pack(qp.beta) == bytes([1, 2, 3, 4, 5, 6])

@@ -12,6 +12,8 @@ from mira.qpoly import annihilator
 from mira.sharing import additive_share, beta_map
 from mira.trees import SeedTree, leaves_from_path
 
+from helpers import sign_cheating
+
 TABLE_SIZES = {1: 5640, 3: 11779, 5: 20762}
 
 TOY = ParameterSet("additive", 0, q=16, m=4, n=4, k=5, r=2, N=8, tau=3, eta=1,
@@ -34,7 +36,7 @@ def test_round_trip_and_exact_size(level):
     pk, sk = keygen_optimized(ap, b"rt%d" % level)
     msg = b"round trip"
     sig = sa.sign(ap, pk, sk, msg, b"entropy")
-    assert len(sig) == TABLE_SIZES[level] == sa.signature_size_bytes(ap)
+    assert len(sig) == TABLE_SIZES[level] == sa.layout(ap).max_bytes
     assert sa.verify(ap, pk, msg, sig)
     assert not sa.verify(ap, pk, msg + b"!", sig)
 
@@ -43,7 +45,7 @@ def test_per_round_response_size_level1():
     ap = params.parameter_set("additive", 1).sign_params()
     lay = sa.layout(ap)
     assert lay.head == 6 * ap.lam // 8
-    per_round = (sa.signature_size_bytes(ap) - lay.head) // ap.tau
+    per_round = (lay.max_bytes - lay.head) // ap.tau
     assert per_round == sum(lay.widths) // lay.units_per_byte == 308
     # 148 field bytes + 160 tree/commitment bytes
     field_bytes = sum(width for (_, unit, _), width in zip(lay.fields, lay.widths)
@@ -82,14 +84,14 @@ def test_hidden_leaf_stays_hidden():
         tree = SeedTree.expand(ap.suite, rng.read(ap.suite.seed_bytes),
                                sig.salt, e, ap.n_parties)
         istar = ch2[e - 1]
-        hidden_seed = tree.leaf(istar)
-        assert hidden_seed not in data
+        seeds = tree.leaves()
+        assert seeds[istar - 1] not in data
         got = leaves_from_path(ap.suite, sig.rounds[e - 1].path, istar,
                                sig.salt, e, ap.n_parties)
         assert got[istar - 1] is None
         for i in range(1, ap.n_parties + 1):
             if i != istar:
-                assert got[i - 1] == tree.leaf(i)
+                assert got[i - 1] == seeds[i - 1]
 
 
 def _force_hidden_leaves(monkeypatch, istars):
@@ -145,8 +147,12 @@ def test_opened_alpha_is_alpha_of_the_full_leaf_sum(ap, istars, monkeypatch):
     pk, sk = keygen_optimized(ap, b"open")
     x, beta = sk.sign_inputs()
     sig = sa.decode(ap, sa.sign(ap, pk, sk, b"m", b"e"))
-    ok, details = sa.verify_decoded(ap, pk, b"m", sig)
-    assert ok
+    opened = []                                     # the opened alphas verify uses
+    orig = ChallengeBatch.broadcast_v
+    monkeypatch.setattr(ChallengeBatch, "broadcast_v",
+                        lambda self, zs, rows, alphas: opened.append(alphas)
+                        or orig(self, zs, rows, alphas))
+    assert sa.verify_decoded(ap, pk, b"m", sig)
     rng = ap.suite.xof(X_SIGN, b"e")
     assert rng.read(ap.suite.salt_bytes) == sig.salt
     sums = []
@@ -159,8 +165,8 @@ def test_opened_alpha_is_alpha_of_the_full_leaf_sum(ap, istars, monkeypatch):
         sums.append(ap.base.axis_sum(shares, axis=0))
     batch = ChallengeBatch(ap.ext, ap.r, derive_challenge1(ap.suite, sig.h1, ap.ext, ap.n, ap.tau))
     alpha, _ = batch.broadcast_alpha(PkOperand.of(pk), np.stack(sums)[:, None], [True])
-    opened = details["alpha_open"]                            # (tau, D, r, m)
-    assert np.array_equal(opened, np.broadcast_to(alpha, opened.shape))
+    [al_open] = opened                                        # (tau, 1, r, m)
+    assert np.array_equal(al_open, alpha)
 
 
 def test_challenge_injection_seams(monkeypatch):
@@ -175,7 +181,7 @@ def test_challenge_injection_seams(monkeypatch):
     sig = sa._sign_core(ap, pk, x, beta, b"m", b"e")
     # responses answer the injected challenges: leaf 3 is the hidden one,
     # and verify, deriving the same ones, accepts
-    assert sa.verify_decoded(ap, pk, b"m", sig)[0]
+    assert sa.verify_decoded(ap, pk, b"m", sig)
     for e in range(1, ap.tau + 1):
         got = leaves_from_path(ap.suite, sig.rounds[e - 1].path, 3,
                                sig.salt, e, ap.n_parties)
@@ -195,8 +201,7 @@ def test_single_leaf_cheat_accepts_iff_challenge_hits():
         xbad = rng.integers(0, 16, ap.k).astype(np.uint8)
         beta_bad = rng.integers(0, 16, (ap.r, ap.m)).astype(np.uint8)
         leaf = int(rng.integers(1, 5))
-        sig = sa._sign_core(ap, pk, xbad, beta_bad, b"m", b"c%d" % t,
-                            cheat_leaf=leaf)
+        sig = sign_cheating(ap, pk, xbad, beta_bad, b"m", b"c%d" % t, leaf)
         data = sa.encode(ap, sig)
         istar = derive_challenge2_additive(ap.suite, sig.h2, 4, 1)[0]
         accepted = sa.verify(ap, pk, b"m", data)
@@ -250,8 +255,7 @@ def test_verify_runs_d_plus_one_rows_per_round(ap, monkeypatch):
     pk, sk = keygen_optimized(ap, b"rows")
     sig = sa.decode(ap, sa.sign(ap, pk, sk, b"m", b"e"))
     calls = _spy_broadcast_alpha(monkeypatch)
-    ok, _ = sa.verify_decoded(ap, pk, b"m", sig)
-    assert ok
+    assert sa.verify_decoded(ap, pk, b"m", sig)
     assert sum(shape[0] * shape[1] for _, _, shape, _ in calls) == ap.tau * (ap.depth + 1)
 
 
@@ -268,8 +272,7 @@ def test_sum_row_gives_the_part_row_alphas(ap, istars, monkeypatch):
     monkeypatch.setattr(sa, "_aggregate_rounds",
                         lambda field, flat: flats.append(flat) or orig_aggregate(field, flat))
     calls = _spy_broadcast_alpha(monkeypatch)
-    ok, _ = sa.verify_decoded(ap, pk, b"m", sig)
-    assert ok
+    assert sa.verify_decoded(ap, pk, b"m", sig)
     [(batch, pk_op, _, (alphas, _))] = calls
     depth, ext = ap.depth, ap.ext
     mains = orig_aggregate(ap.base, flats[0])                 # (tau, D, 2, T)

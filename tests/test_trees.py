@@ -40,8 +40,9 @@ def test_reveal_example_n4_hide_2():
     assert path[0] == tree.nodes[3]     # internal node of leaves 3, 4
     assert path[1] == tree.nodes[4]     # leaf 1
     got = leaves_from_path(SUITE, path, 2, SALT, 1, 4)
-    assert got[0] == tree.leaf(1) and got[1] is None
-    assert got[2] == tree.leaf(3) and got[3] == tree.leaf(4)
+    seeds = tree.leaves()
+    assert got[0] == seeds[0] and got[1] is None
+    assert got[2] == seeds[2] and got[3] == seeds[3]
 
 
 def test_path_lengths():
@@ -53,13 +54,14 @@ def test_path_lengths():
 
 def test_reconstruction_exhaustive_n8():
     tree = SeedTree.expand(SUITE, b"\x04" * 16, SALT, 5, 8)
+    seeds = tree.leaves()
     for hidden in range(1, 9):
         got = leaves_from_path(SUITE, tree.sibling_path(hidden), hidden, SALT, 5, 8)
         for i in range(1, 9):
             if i == hidden:
                 assert got[i - 1] is None
             else:
-                assert got[i - 1] == tree.leaf(i)
+                assert got[i - 1] == seeds[i - 1]
 
 
 def test_seed_tree_property_suite():
@@ -69,12 +71,13 @@ def test_seed_tree_property_suite():
     for n in (2, 4, 8, 16, 32, 64, 128, 256):
         tree = SeedTree.expand(SUITE, bytes(rng.integers(0, 256, 16, dtype=np.uint8)),
                                SALT, 1, n)
+        seeds = tree.leaves()
         hid = rng.integers(1, n + 1, size=max(1000 // 8, 2))
         for hidden in hid:
             hidden = int(hidden)
             got = leaves_from_path(SUITE, tree.sibling_path(hidden), hidden, SALT, 1, n)
             assert got[hidden - 1] is None
-            ok = all(got[i - 1] == tree.leaf(i) for i in range(1, n + 1) if i != hidden)
+            ok = all(got[i - 1] == seeds[i - 1] for i in range(1, n + 1) if i != hidden)
             assert ok
             cases += 1
     assert cases >= 1000
