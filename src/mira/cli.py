@@ -6,6 +6,7 @@ or written and KAT files without complete records.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -118,6 +119,11 @@ def cmd_estimate(args):
     ps = ps.with_overrides(q=args.q, m=args.m, n=args.n, k=args.k, r=args.r,
                            N=args.N, ell=args.ell, tau=args.tau, eta=args.eta,
                            omega=args.omega)
+    ps.minrank()
+    if ps.q < 2:
+        raise ValueError("q must be at least 2")
+    if not 2 <= ps.omega <= 3:
+        raise ValueError(f"--omega must be a number in [2, 3], not {ps.omega}")
     rep = estimator.report(ps)
     rows = rep.lines()
     width = max(len(k) for k, _ in rows)
@@ -209,7 +215,10 @@ def cmd_kat(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: building it takes far
+    longer than one ``parse_args``, which leaves it unchanged."""
     p = argparse.ArgumentParser(prog="mira", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -18,7 +18,9 @@ GEMM turns a batch of b into multiplication matrices (column t = b * X^t);
 ``mul(a, b)`` is those matrices times a, summed over t, and ``pow``,
 ``inv``, ``dot`` and q-polynomials build on it.  The Frobenius matrices F_i
 (v -> v^(q^i)), i < m, are one read-only stack built with the field: F_1
-holds the powers (X^q)^t, and F_i = F_1 F_(i-1).  The modulus test runs
+holds the powers (X^q)^t, and F_i = F_1 F_(i-1); ``frob`` applies one of
+them, or several side by side in one product.  ``inv`` needs no
+exponentiation (Itoh-Tsujii, from the conjugates).  The modulus test runs
 Rabin's test in GF(q)[X]/(f) through the same class.
 
 Extension moduli are fixed deterministically (see ``ext_field``):
@@ -629,9 +631,17 @@ class ExtField:
         return out
 
     def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inversion of zero")
-        return self.pow(a, self.q ** self.m - 2)
+        """Itoh-Tsujii: a^(-1) = N(a)^(-1) a^(q + ... + q^(m-1)), the conjugates
+        a^(q^i) from one ``frob`` multiplied by a pairwise tree, and the norm
+        N(a) in GF(q) inverted there (ZeroDivisionError for a zero element)."""
+        a = np.asarray(a, np.uint8)
+        conj = self.frob(a, range(1, self.m))
+        while len(conj) > 1:
+            half = len(conj) // 2
+            conj = np.concatenate([self.mul(conj[:half], conj[half:2 * half]),
+                                   conj[2 * half:]])
+        norm = self.mul(a, conj[0])[..., 0]
+        return self.base.mul(conj[0], self.base.inv(norm)[..., None])
 
     def dot(self, a, b, axis=-2):
         """Sum of elementwise field products along ``axis`` of (..., m) stacks."""
@@ -649,11 +659,17 @@ class ExtField:
         return self._frob_stack[int(i) % self.m]
 
     def frob(self, a, i=1):
-        """a^(q^i) for a of shape (..., m)."""
+        """a^(q^i) for a of shape (..., m).
+
+        A sequence of exponents gives (len(i),) + a.shape, every power from
+        one product with the matrices F_i side by side.
+        """
         a = np.asarray(a, np.uint8)
-        fi = self.frob_matrix(i)
-        shp = a.shape
-        return self.base.matmul(a.reshape(-1, self.m), fi.T).reshape(shp)
+        m = self.m
+        idx = np.asarray(i, np.int64) % m
+        cols = self._frob_stack[idx.ravel()].transpose(2, 0, 1).reshape(m, -1)
+        out = self.base.matmul(a.reshape(-1, m), cols).reshape(-1, idx.size, m)
+        return out.swapaxes(0, 1).reshape(idx.shape + a.shape)
 
     def mul_matrices(self, us):
         """(B, m) elements -> (B, m, m) multiplication matrices, one GEMM."""

@@ -1,9 +1,11 @@
 """MinRank instance and key pair generation.
 
 The systematic ("optimized") generator samples the stacked matrix
-L = [I_k | L'] row by row from the public seed, forces the first k row-order
-entries of M_0 to zero and stores only the (mn - k)-entry tail next to the
-seed.  The secret key is two seeds: replaying the derivation from
+L = [I_k | L'] row by row from the public seed and the rank-r matrix E from
+the secret seed.  The witness x is E's first k row-order entries, so
+M_0 = E - x L has those entries zero and its (mn - k)-entry tail is one
+product, E's tail minus x L'; only that tail is stored next to the seed.
+The secret key is two seeds: replaying the derivation from
 (seed_sk, seed_pk) recovers the witness x and the low-rank E, so nothing
 else needs to be stored; a ``SecretKey`` replays it once and keeps the
 result for its public key and every signature.  The signer's other witness
@@ -157,17 +159,16 @@ def _expand_l(ps, seed_pk):
 
 
 def _derive(ps, seed_pk, seed_sk):
-    """Systematic derivation: returns (L, m0_flat, x, E)."""
+    """Systematic derivation: returns (L, m0_flat, x, E), with x the first k
+    entries of E and M_0 = E - x L from one (1, k) @ (k, mn - k) product."""
     base = ps.base
     l_rows = _expand_l(ps, seed_pk)
     sk_sampler = FieldSampler(base, ps.suite.xof(X_KEYSEC, seed_sk))
     e_mat = sample_rank_bounded(base, ps.m, ps.n, ps.r, sk_sampler)
-    beta = sk_sampler.take(ps.k)
-    f_flat = base.sub(e_mat.reshape(-1), base.matmul(beta[None, :], l_rows)[0])
-    f_head = f_flat[:ps.k]
-    m0_flat = base.sub(f_flat, base.matmul(f_head[None, :], l_rows)[0])
-    assert not m0_flat[:ps.k].any()
-    x = base.add(beta, f_head)
+    e_flat = e_mat.reshape(-1)
+    x = e_flat[:ps.k].copy()
+    m0_flat = np.zeros_like(e_flat)
+    m0_flat[ps.k:] = base.sub(e_flat[ps.k:], base.matmul(x[None, :], l_rows[:, ps.k:])[0])
     return l_rows, m0_flat, x, e_mat
 
 

@@ -49,28 +49,29 @@ def fq_basis(base, elems, expected_dim=None):
 def annihilator(ext, support, r):
     """Monic q-polynomial of q-degree r vanishing on the span of ``support``.
 
-    Built iteratively over a basis (b_1..b_r): starting from L_0(X) = X,
-    L_{i+1}(X) = L_i(X)^q - L_i(b_{i+1})^(q-1) * L_i(X).  Each step doubles
-    the root space by b_{i+1}, giving the same polynomial as the product
-    over all q^r span elements without enumerating them.  The coefficients
-    stay one (i+1, m) stack, so a step is one ``frob`` and one ``mul``.
+    Built iteratively over a basis (b_1..b_r): starting from M_0(X) = X,
+    M_{i+1}(X) = w M_i(X)^q - w^q M_i(X) with w = M_i(b_{i+1}) != 0.  Each
+    step doubles the root space by b_{i+1}, giving the same roots as the
+    product over all q^r span elements without enumerating them.  M_i is a
+    nonzero multiple of the monic annihilator of b_1..b_i, so one division
+    by the leading coefficient at the end gives the result.  The
+    coefficients stay one (i+1, m) stack: a step is one evaluation, two
+    ``frob`` and two ``mul``, with no exponentiation.
     """
     basis = fq_basis(ext.base, support, expected_dim=r)
-    coeffs = ext.one(1)  # L_0(X) = X
+    coeffs = ext.one(1)  # M_0(X) = X
     for b in basis:
-        lb = evaluate_coeffs(ext, coeffs, b)
-        if ext.is_zero(lb):  # pragma: no cover - basis rows are independent
+        w = evaluate_coeffs(ext, coeffs, b)
+        if ext.is_zero(w):  # pragma: no cover - basis rows are independent
             raise SupportDimensionError("basis element already a root")
         nxt = ext.zero(len(coeffs) + 1)
-        nxt[1:] = ext.frob(coeffs, 1)
-        nxt[:-1] = ext.sub(nxt[:-1], ext.mul(ext.pow(lb, ext.q - 1), coeffs))
+        nxt[1:] = ext.mul(ext.frob(coeffs, 1), w)
+        nxt[:-1] = ext.sub(nxt[:-1], ext.mul(coeffs, ext.frob(w, 1)))
         coeffs = nxt
-    assert np.array_equal(coeffs[-1], ext.one())
-    return QPolynomial(r=r, beta=coeffs[:-1])
+    return QPolynomial(r=r, beta=ext.mul(coeffs[:-1], ext.inv(coeffs[-1])))
 
 
 def evaluate_coeffs(ext, coeffs, x):
-    """Evaluate sum_t coeffs[t] * x^(q^t) for a (k, m) coefficient stack."""
-    x = np.asarray(x, np.uint8)
-    powers = np.stack([ext.frob(x, t) for t in range(len(coeffs))])
-    return ext.dot(coeffs, powers, axis=0)
+    """Evaluate sum_t coeffs[t] * x^(q^t) for a (k, m) coefficient stack;
+    the k powers of x come from one ``frob``."""
+    return ext.dot(coeffs, ext.frob(x, range(len(coeffs))), axis=0)

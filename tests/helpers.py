@@ -8,8 +8,10 @@ import numpy as np
 
 from mira import sign_additive
 from mira.bitio import Signature, SignatureFormatError
-from mira.hashing import H_MERKLE, X_TREE, encode_u16, encode_u32
-from mira.matrices import rank
+from mira.hashing import H_MERKLE, X_KEYSEC, X_TREE, FieldSampler, encode_u16, encode_u32
+from mira.keys import _expand_l
+from mira.matrices import rank, sample_rank_bounded
+from mira.qpoly import QPolynomial, fq_basis
 from mira.mpc import ChallengeBatch
 from mira.params import PARAM_IDS, parameter_set
 from mira.sharing import lagrange_weights, shamir_expand
@@ -103,6 +105,36 @@ def evaluate_many(ext, qp, xs):
     for t in range(qp.r):
         acc = ext.add(acc, ext.mul(qp.beta[t], ext.frob(xs, t)))
     return acc
+
+
+def derive_two_products(ps, seed_pk, seed_sk):
+    """Reference key derivation through a blinding vector beta drawn after E:
+    f = E - beta L, x = beta + f_head and M_0 = f - f_head L, two full-width
+    products.  Returns (L, m0_flat, x, E) like ``keys._derive``."""
+    base = ps.base
+    l_rows = _expand_l(ps, seed_pk)
+    sk_sampler = FieldSampler(base, ps.suite.xof(X_KEYSEC, seed_sk))
+    e_mat = sample_rank_bounded(base, ps.m, ps.n, ps.r, sk_sampler)
+    beta = sk_sampler.take(ps.k)
+    f_flat = base.sub(e_mat.reshape(-1), base.matmul(beta[None, :], l_rows)[0])
+    f_head = f_flat[:ps.k]
+    m0_flat = base.sub(f_flat, base.matmul(f_head[None, :], l_rows)[0])
+    return l_rows, m0_flat, base.add(beta, f_head), e_mat
+
+
+def annihilator_by_pow(ext, support, r):
+    """Reference annihilator through the monic recurrence
+    L_{i+1}(X) = L_i(X)^q - L_i(b)^(q-1) L_i(X), one ``pow`` per basis element."""
+    coeffs = ext.one(1)  # L_0(X) = X
+    for b in fq_basis(ext.base, support, expected_dim=r):
+        lb = ext.base.axis_sum(np.stack([ext.mul(c, ext.frob(b, t))
+                                         for t, c in enumerate(coeffs)]), 0)
+        nxt = ext.zero(len(coeffs) + 1)
+        nxt[1:] = ext.frob(coeffs, 1)
+        nxt[:-1] = ext.sub(nxt[:-1], ext.mul(ext.pow(lb, ext.q - 1), coeffs))
+        coeffs = nxt
+    assert np.array_equal(coeffs[-1], ext.one())
+    return QPolynomial(r=r, beta=coeffs[:-1])
 
 
 def mul_matrices_by_shifts(ext, us):

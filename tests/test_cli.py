@@ -331,6 +331,51 @@ def test_non_positive_integer_option_is_a_usage_error(argv, tmp_path, monkeypatc
     assert not (tmp_path / "kat.txt").exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    pytest.param(override, message, id=" ".join(override)) for override, message in [
+        (["--q", "1"], "q must be at least 2"),
+        (["--k", "1000"], "k must be in [1, m*n)"),
+        (["--r", "40"], "rank bound out of range"),
+        (["--omega", "nan"], "--omega must be a number in [2, 3]"),
+        (["--omega", "-3"], "--omega must be a number in [2, 3]"),
+        (["--omega", "inf"], "--omega must be a number in [2, 3]"),
+    ]])
+def test_estimate_rejects_sets_that_are_no_minrank_instance(override, message, capsys):
+    # each once printed an estimate and exited 0
+    assert run(["estimate", "--variant", "threshold", "--level", "1", *override]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_estimate_accepts_omega_in_range(capsys):
+    for omega in ("2", "2.37", "3"):
+        assert run(["estimate", "--variant", "threshold", "--level", "1",
+                    "--omega", omega]) == 0
+
+
+def test_parser_is_built_once_and_reused_unchanged(tmp_path, capsys):
+    estimate = ["estimate", "--variant", "threshold", "--level", "1"]
+    cli.build_parser.cache_clear()
+    assert run(estimate) == 0
+    plain = capsys.readouterr().out
+    assert run(estimate + ["--tau", "9", "--omega", "2.5"]) == 0
+    assert capsys.readouterr().out != plain
+    with pytest.raises(SystemExit) as exc:
+        run(["keygen", "--variant", "additive", "--level", "2"])
+    assert exc.value.code == 2
+    assert run(["estimate", "--variant", "threshold", "--level", "1", "--r", "40"]) == 2
+    capsys.readouterr()
+    # neither the overrides nor the usage errors carry over to the next call
+    assert run(estimate) == 0
+    assert capsys.readouterr().out == plain
+    pk, sk = tmp_path / "pk.bin", tmp_path / "sk.bin"
+    assert run(["keygen", "--variant", "additive", "--level", "1", "--seed", "aabbcc",
+                "--pk", str(pk), "--sk", str(sk)]) == 0
+    assert len(pk.read_bytes()) == 1 + 84
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_estimate_accepts_eta_override():
     # eta is an estimator knob only; the signing code rejects eta != 1
     assert run(["estimate", "--variant", "additive", "--level", "1", "--eta", "2"]) == 0

@@ -75,21 +75,37 @@ def test_inverse_of_one():
 
 def test_inverse_matches_extended_euclid_oracle():
     rng = np.random.default_rng(1)
-    for q, m in [(251, 12), (16, 16), (7, 3)]:
+    for q, m in [(251, 12), (251, 16), (16, 16), (16, 19), (16, 23), (7, 3)]:
         ext = ext_field(q, m)
-        for _ in range(10):
-            a = rng.integers(0, q, m).astype(np.uint8)
-            if ext.is_zero(a):
-                a[0] = 1
-            inv = ext.inv(a)
-            assert np.array_equal(ext.mul(a, inv), ext.one())
+        batch = rng.integers(0, q, (10, m)).astype(np.uint8)
+        batch[0] = 0
+        batch[0, m - 1] = 1                       # X^(m-1)
+        batch[~batch.any(axis=1), 0] = 1
+        inverses = ext.inv(batch)
+        assert np.array_equal(ext.mul(batch, inverses), ext.one(len(batch)))
+        for a, inv in zip(batch, inverses):
+            assert np.array_equal(ext.inv(a), inv)
             assert np.array_equal(inv, ext_euclid_inverse(ext, a))
+
+
+def test_frob_of_an_exponent_sequence_stacks_the_powers():
+    for q, m in [(16, 19), (251, 12), (2, 3)]:
+        ext = ext_field(q, m)
+        rng = np.random.default_rng(q + m)
+        a = rng.integers(0, q, (2, 3, m)).astype(np.uint8)
+        exps = [0, 1, m - 1, m, m + 2]
+        stacked = ext.frob(a, exps)
+        assert stacked.shape == (len(exps),) + a.shape
+        for t, power in zip(exps, stacked):
+            assert np.array_equal(power, ext.frob(a, t))
 
 
 def test_inversion_of_zero_raises():
     ext = ext_field(16, 16)
     with pytest.raises(ZeroDivisionError):
         ext.inv(ext.zero())
+    with pytest.raises(ZeroDivisionError):
+        ext.inv(np.stack([ext.one(), ext.zero()]))
     with pytest.raises(ZeroDivisionError):
         base_field(251).inv(np.zeros(3, np.uint8))
     with pytest.raises(ZeroDivisionError):

@@ -1,13 +1,15 @@
-"""Pin the field-GEMM work of one fixed-input sign and verify per variant.
+"""Pin the field-GEMM work of one fixed-input keygen, sign and verify per set.
 
 GEMMs are most of a signature's arithmetic, so a change that adds a product
 or widens one shows here without wall-clock noise.  ``matmul`` and
 ``matmul3`` of both base fields are counted where perfbench's tracer counts
 them, at the public entry points: one call each, and (R, K) of the left
 operand times the C columns of the right one (from the prepared
-``(planes, C)`` tuple in characteristic 2, else from the array).  One sign
-and verify run first, so per-process and per-key caches (rank map,
-Frobenius matrices, public-key operand) are built and the counts hold
+``(planes, C)`` tuple in characteristic 2, else from the array).  Key
+generation is the rank-bounded E = A B and the derivation's one product
+with L', and uses no cache.  One sign and verify run before the pinned
+ones, so per-process and per-key caches (rank map, Frobenius matrices,
+public-key operand, beta) are built and the sign and verify counts hold
 per-signature work only, whatever ran before.
 """
 
@@ -24,12 +26,34 @@ from mira.keys import keygen_optimized
 # method -> (calls, multiply-accumulates)
 PINNED = {
     ("additive", 1): {
+        "keygen": {"matmul": (2, 17600)},
         "sign": {"matmul": (18, 23040), "matmul3": (11, 6103040)},
         "verify": {"matmul3": (7, 5515776)},
     },
+    ("additive", 3): {
+        "keygen": {"matmul": (2, 34590)},
+        "sign": {"matmul": (26, 56316), "matmul3": (11, 16710690)},
+        "verify": {"matmul3": (7, 15120846)},
+    },
+    ("additive", 5): {
+        "keygen": {"matmul": (2, 66721)},
+        "sign": {"matmul": (34, 107916), "matmul3": (11, 38095406)},
+        "verify": {"matmul3": (7, 34497148)},
+    },
     ("threshold", 1): {
+        "keygen": {"matmul": (2, 6335)},
         "sign": {"matmul": (9, 1614340), "matmul3": (8, 565056)},
         "verify": {"matmul": (1, 180180), "matmul3": (9, 372624)},
+    },
+    ("threshold", 3): {
+        "keygen": {"matmul": (2, 15479)},
+        "sign": {"matmul": (12, 4170800), "matmul3": (8, 1827840)},
+        "verify": {"matmul": (1, 784800), "matmul3": (9, 1201280)},
+    },
+    ("threshold", 5): {
+        "keygen": {"matmul": (2, 19399)},
+        "sign": {"matmul": (16, 6534864), "matmul3": (8, 2970624)},
+        "verify": {"matmul": (1, 1245216), "matmul3": (9, 1958656)},
     },
 }
 
@@ -60,12 +84,19 @@ def _counting(monkeypatch):
 def test_gemm_calls_and_macs(variant, level, monkeypatch):
     ps = params.parameter_set(variant, level).sign_params()
     scheme = ps.scheme
-    pk, sk = keygen_optimized(ps, b"gemm work")
-    assert scheme.verify(ps, pk, b"warm-up", scheme.sign(ps, pk, sk, b"warm-up", b"w"))
     tally = _counting(monkeypatch)
+
+    def taken():
+        counts = {key: tuple(val) for key, val in sorted(tally.items())}
+        tally.clear()
+        return counts
+
+    pk, sk = keygen_optimized(ps, b"gemm work")
+    generated = taken()
+    assert scheme.verify(ps, pk, b"warm-up", scheme.sign(ps, pk, sk, b"warm-up", b"w"))
+    taken()
     data = scheme.sign(ps, pk, sk, b"pinned message", b"pinned entropy")
-    signed = {key: tuple(val) for key, val in sorted(tally.items())}
-    tally.clear()
+    signed = taken()
     assert scheme.verify(ps, pk, b"pinned message", data)
-    verified = {key: tuple(val) for key, val in sorted(tally.items())}
-    assert {"sign": signed, "verify": verified} == PINNED[(variant, level)]
+    verified = taken()
+    assert {"keygen": generated, "sign": signed, "verify": verified} == PINNED[(variant, level)]

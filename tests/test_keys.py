@@ -7,7 +7,7 @@ from mira.matrices import columns_to_ext, rank
 from mira.mpc import PkOperand
 from mira.qpoly import annihilator
 
-from helpers import validate_witness, witness_matrix
+from helpers import derive_two_products, validate_witness, witness_matrix
 
 TABLE_PK_BODY = {("additive", 1): 84, ("additive", 3): 121, ("additive", 5): 150,
                  ("threshold", 1): 117, ("threshold", 3): 155, ("threshold", 5): 195}
@@ -38,6 +38,24 @@ def test_systematic_head_is_zero():
     l_rows, m0 = pk.matrices()
     assert not m0[:mr.k].any()
     assert np.array_equal(l_rows[:, :mr.k], np.eye(mr.k, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("variant,level", list(TABLE_PK_BODY))
+def test_one_product_derivation_matches_two_product_reference(variant, level):
+    ps = params.parameter_set(variant, level)
+    base, k = ps.base, ps.k
+    for entropy in (b"derive-0", b"derive-1", b"derive-2"):
+        pk, sk = keygen_optimized(ps, entropy)
+        l_rows, m0, x, e_mat = keys._derive(ps, sk.seed_pk, sk.seed_sk)
+        e_flat = e_mat.reshape(-1)
+        assert np.array_equal(x, e_flat[:k])
+        assert not m0[:k].any()
+        assert np.array_equal(m0, base.sub(e_flat, base.matmul(x[None, :], l_rows)[0]))
+        ref = derive_two_products(ps, sk.seed_pk, sk.seed_sk)
+        for have, want in zip((l_rows, m0, x, e_mat), ref):
+            assert np.array_equal(have, want)
+        ref_pk = PublicKey(params=ps, seed_pk=sk.seed_pk, m0_entries=ref[1][k:])
+        assert pk.to_bytes() == ref_pk.to_bytes()
 
 
 def test_different_entropy_different_keys():

@@ -6,7 +6,7 @@ import pytest
 from mira.fields import base_field, ext_field
 from mira.qpoly import QPolynomial, SupportDimensionError, annihilator, fq_basis
 
-from helpers import evaluate, evaluate_many
+from helpers import all_parameter_sets, annihilator_by_pow, evaluate, evaluate_many
 
 
 def all_elements(ext):
@@ -158,6 +158,29 @@ def test_iterative_equals_full_product_small():
                 assert np.array_equal(coef, qp.beta[int(np.log2(deg))])
             else:
                 assert ext.is_zero(coef)
+
+
+# (q, m, support size n, r): every shipped set's, then the toy fields above
+SHIPPED_AND_TOY = sorted({(ps.q, ps.m, ps.n, ps.r) for ps in all_parameter_sets()}) + [
+    (2, 3, 4, 1), (2, 4, 6, 2), (2, 4, 4, 3), (4, 3, 5, 2), (7, 3, 4, 2),
+    (16, 8, 6, 3), (251, 3, 4, 2)]
+
+
+@pytest.mark.parametrize("q, m, n, r", SHIPPED_AND_TOY)
+def test_annihilator_matches_pow_recurrence(q, m, n, r):
+    ext = ext_field(q, m)
+    base = ext.base
+    rng = np.random.default_rng([q, m, n, r])
+    for _ in range(3):
+        while True:   # n columns spanning an r-dimensional space, as E's do
+            a = rng.integers(0, q, (m, r)).astype(np.uint8)
+            b = rng.integers(0, q, (r, n)).astype(np.uint8)
+            support = np.ascontiguousarray(base.matmul(a, b).T)
+            if len(fq_basis(base, support)) == r:
+                break
+        qp = annihilator(ext, support, r)
+        assert np.array_equal(qp.beta, annihilator_by_pow(ext, support, r).beta)
+        assert not evaluate_many(ext, qp, support).any()
 
 
 def test_wrong_dimension_raises():
