@@ -140,6 +140,10 @@ def support_minors_cost(ps, max_b=10):
     For the (n - a)-column instance with k - a*m unknowns, degree b is
     admissible when the equation count N_b reaches M_b - 1; the cost is
     q^(a*r) * N_b * M_b^(omega - 1).  Returns (log2 or inf, details).
+
+    b is searched only up to ``max_b`` = 10.  Two shipped minima sit on that
+    cap: threshold level 1 (a = 0, b = 10) and level 3 (a = 1, b = 10);
+    whether a larger b is admissible is open (ROADMAP item 8).
     """
     q, m, r, omega = ps.q, ps.m, ps.r, ps.omega
     best = math.inf

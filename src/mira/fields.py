@@ -10,7 +10,8 @@ Two base field flavours are provided:
 
 * ``PrimeField(p)``  - integers mod p (p prime, p <= 251 shipped);
 * ``Char2Field(d)``  - GF(2^d) with elements encoded as d-bit polynomial
-  values over GF(2) and multiplication via log/antilog tables.
+  values over GF(2) and multiplication via a table read off the ring
+  ``ext_field(2, d)``.
 
 ``ExtField`` derives all of its arithmetic from one table built with the
 field, X^k mod f for k < 2m - 1.  It gives the fixed (m, m*m) map whose one
@@ -21,7 +22,8 @@ GEMM turns a batch of b into multiplication matrices (column t = b * X^t);
 holds the powers (X^q)^t, and F_i = F_1 F_(i-1); ``frob`` applies one of
 them, or several side by side in one product.  ``inv`` needs no
 exponentiation (Itoh-Tsujii, from the conjugates).  The modulus test runs
-Rabin's test in GF(q)[X]/(f) through the same class.
+Rabin's test in GF(q)[X]/(f) through the same class, its gcd conditions as
+ranks of multiplication matrices (``matrices.rank``).
 
 Extension moduli are fixed deterministically (see ``ext_field``):
 the monic irreducible of degree m whose non-leading coefficient vector,
@@ -68,6 +70,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bitio import pack_nibbles, unpack_nibbles
+from .matrices import rank
 
 # float32 holds every integer below this exactly
 _F32_EXACT = 1 << 24
@@ -86,47 +89,6 @@ def _is_prime(n):
             return False
         i += 1
     return True
-
-
-# ---------------------------------------------------------------------------
-# GF(2)[y] bit-polynomial helpers (used only to build Char2Field tables)
-
-def _bitpoly_mul(a, b):
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
-def _bitpoly_mod(a, mod):
-    dm = mod.bit_length() - 1
-    while a.bit_length() - 1 >= dm and a:
-        a ^= mod << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _bitpoly_irreducible(mod):
-    deg = mod.bit_length() - 1
-    if deg < 1 or not mod & 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for low in range(1 << d):
-            div = (1 << d) | low
-            if _bitpoly_mod(mod, div) == 0:
-                return False
-    return True
-
-
-def _char2_modulus(d):
-    """Lexicographically least irreducible y^d + tail over GF(2)."""
-    for tail in range(1, 1 << d):
-        mod = (1 << d) | tail
-        if _bitpoly_irreducible(mod):
-            return mod
-    raise ValueError(f"no irreducible of degree {d}")
 
 
 def _split_rows(data, rows):
@@ -234,7 +196,11 @@ class PrimeField:
 
 
 class Char2Field:
-    """GF(2^d), d >= 2; addition is XOR, multiplication by antilog tables."""
+    """GF(2^d), d >= 2; addition is XOR, multiplication by a (q, q) table.
+
+    The modulus is ``ext_field(2, d)``'s, the least irreducible y^d + tail
+    under the same rule as every extension modulus.
+    """
 
     def __init__(self, d):
         if not 2 <= d <= 8:
@@ -242,50 +208,21 @@ class Char2Field:
         self.q = 1 << d
         self.d = d
         self.char = 2
-        self.modulus_bits = _char2_modulus(d)
-        self._build_tables()
+        ring = ext_field(2, d)
+        self.modulus_bits = int(ring.modulus @ (1 << np.arange(d + 1)))
+        # column s of v's multiplication matrix in the ring is y^s * v, so
+        # u * v is the XOR of those columns at u's set bits, one bit at a time
+        bits = (np.arange(self.q)[:, None] >> np.arange(d)) & 1
+        ysv = ring.mul_matrices(bits).transpose(0, 2, 1) @ (1 << np.arange(d))   # [v, s]
+        mul = np.zeros((self.q, self.q), np.uint8)
+        for s in range(d):
+            mul[1 << s:2 << s] = mul[:1 << s] ^ ysv[:, s].astype(np.uint8)
+        self.MUL = mul
+        self.INV = np.argmax(mul == 1, axis=1).astype(np.uint8)
         # the GEMM's right-operand entries for every word count (see
         # ``_word_count``), gathered by ``matmul3_prepare``
         self._word_tables = {words: self._lane_words(words) for words in
                              {-(-d // per) for per in range(1, min(d, _MAX_LANES) + 1)}}
-
-    def _build_tables(self):
-        q, mod = self.q, self.modulus_bits
-
-        def clmul(a, b):
-            return _bitpoly_mod(_bitpoly_mul(a, b), mod)
-
-        # find a generator, then log/antilog tables
-        gen = None
-        for g in range(2, q):
-            x, order = 1, 0
-            seen = set()
-            while True:
-                x = clmul(x, g)
-                order += 1
-                if x == 1:
-                    break
-                if x in seen:  # pragma: no cover - cannot happen in a field
-                    break
-                seen.add(x)
-            if order == q - 1:
-                gen = g
-                break
-        assert gen is not None
-        exp = np.zeros(2 * (q - 1), dtype=np.uint8)
-        log = np.zeros(q, dtype=np.int32)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = clmul(x, gen)
-        exp[q - 1:] = exp[:q - 1]
-        mul = np.zeros((q, q), dtype=np.uint8)
-        nz = np.arange(1, q)
-        mul[1:, 1:] = exp[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
-        inv = np.zeros(q, dtype=np.uint8)
-        inv[1:] = exp[(q - 1 - log[nz]) % (q - 1)]
-        self.EXP, self.LOG, self.MUL, self.INV = exp, log, mul, inv
 
     def _word_count(self, inner):
         """float32 words per output element of a product with inner size K.
@@ -489,30 +426,6 @@ def base_field(q):
     raise ValueError(f"unsupported field order {q}")
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over an arbitrary base field (setup-time only)
-
-def _poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _poly_gcd_deg(base, a, b):
-    """Degree of gcd(a, b) for ascending coefficient vectors."""
-    a, b = _poly_trim(a.copy()), _poly_trim(b.copy())
-    while len(b):
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        lead = base.mul(a[-1], base.inv(b[-1]))
-        shift = len(a) - len(b)
-        a[shift:] = base.sub(a[shift:], base.mul(lead, b))
-        a = _poly_trim(a)
-    return len(a) - 1
-
-
 def _ext_irreducible(base, coeffs):
     """Rabin's test: the field GF(q)[X]/(f) if the monic ``coeffs`` (len m+1)
     is irreducible over ``base``, else None.
@@ -520,7 +433,9 @@ def _ext_irreducible(base, coeffs):
     f of degree m is irreducible iff X^(q^m) = X mod f and
     gcd(X^(q^(m/t)) - X, f) = 1 for every prime t | m.  The powers come from
     the Frobenius stack of the ring GF(q)[X]/(f), whose F_i is the q^i-power
-    map for every i < m whether or not f is irreducible.
+    map for every i < m whether or not f is irreducible.  g is coprime to f
+    exactly when multiplying by g is invertible on the ring, so each gcd is
+    the rank of g's multiplication matrix.
     """
     m = len(coeffs) - 1
     ring = ExtField(base, m, coeffs)
@@ -530,7 +445,7 @@ def _ext_irreducible(base, coeffs):
         return None
     for t in (p for p in range(2, m + 1) if m % p == 0 and _is_prime(p)):
         diff = ring.sub(ring.frob(x, m // t), x)       # X^(q^(m/t)) - X
-        if not diff.any() or _poly_gcd_deg(base, coeffs, diff) != 0:
+        if rank(base, ring.mul_matrices(diff[None])[0]) != m:
             return None
     return ring
 

@@ -1,4 +1,5 @@
-"""Matrices over GF(q): rank, rank-bounded sampling, column embedding.
+"""Matrices over GF(q): pivot columns and rank, rank-bounded sampling,
+column embedding.
 
 A matrix is a plain numpy uint8 array of shape (rows, cols).  The column
 embedding identifies column j with the extension field element whose
@@ -9,12 +10,18 @@ matrix maps to n elements of GF(q^m).
 import numpy as np
 
 
-def rank(field, mat):
-    """Row echelon rank via Gaussian elimination, first nonzero pivot."""
+def pivot_columns(field, mat):
+    """Pivot columns of the row echelon form of ``mat`` (Gaussian elimination,
+    first nonzero pivot): in order, the columns that are not combinations of
+    the columns before them.  This is the one GF(q) elimination of the
+    package: keygen's rank check and the annihilator's basis both use it."""
     a = np.array(mat, dtype=np.uint8, copy=True)
     rows, cols = a.shape
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         piv = None
         for i in range(r, rows):
             if a[i, c]:
@@ -30,10 +37,13 @@ def rank(field, mat):
         nz = np.nonzero(mask)[0]
         if len(nz):
             a[nz] = field.sub(a[nz], field.mul(mask[nz, None], a[r][None, :]))
-        r += 1
-        if r == rows:
-            break
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def rank(field, mat):
+    """Rank over GF(q): the number of pivot columns."""
+    return len(pivot_columns(field, mat))
 
 
 def sample_rank_bounded(field, m, n, r, sampler):

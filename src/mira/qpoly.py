@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrices import pivot_columns
+
 
 class SupportDimensionError(ValueError):
     """Raised when the span of the given elements is not of the stated dimension."""
@@ -19,31 +21,6 @@ class SupportDimensionError(ValueError):
 class QPolynomial:
     r: int
     beta: np.ndarray  # (r, m) coefficients beta_0..beta_{r-1}
-
-
-def fq_basis(base, elems, expected_dim=None):
-    """Greedy basis of the GF(q)-span of elems (rows), in first-seen order."""
-    elems = np.asarray(elems, np.uint8)
-    m = elems.shape[1]
-    basis = []
-    reduced = np.zeros((0, m), np.uint8)  # row echelon, pivot-normalized
-    pivots = []
-    for row in elems:
-        v = row.copy()
-        for rr, pc in zip(reduced, pivots):
-            if v[pc]:
-                v = base.sub(v, base.mul(v[pc], rr))
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            continue
-        piv = nz[0]
-        basis.append(row.copy())
-        reduced = np.concatenate([reduced, base.mul(base.inv(v[piv]), v)[None, :]])
-        pivots.append(piv)
-    if expected_dim is not None and len(basis) != expected_dim:
-        raise SupportDimensionError(
-            f"span has dimension {len(basis)}, expected {expected_dim}")
-    return basis
 
 
 def annihilator(ext, support, r):
@@ -57,8 +34,15 @@ def annihilator(ext, support, r):
     by the leading coefficient at the end gives the result.  The
     coefficients stay one (i+1, m) stack: a step is one evaluation, two
     ``frob`` and two ``mul``, with no exponentiation.
+
+    The basis is the support elements at the pivot columns of the (m, n)
+    matrix they form, from the same elimination as keygen's rank check
+    (``SupportDimensionError`` unless there are r of them).
     """
-    basis = fq_basis(ext.base, support, expected_dim=r)
+    support = np.asarray(support, np.uint8)
+    basis = support[pivot_columns(ext.base, support.T)]
+    if len(basis) != r:
+        raise SupportDimensionError(f"span has dimension {len(basis)}, expected {r}")
     coeffs = ext.one(1)  # M_0(X) = X
     for b in basis:
         w = evaluate_coeffs(ext, coeffs, b)

@@ -10,8 +10,8 @@ from mira import sign_additive
 from mira.bitio import Signature, SignatureFormatError
 from mira.hashing import H_MERKLE, X_KEYSEC, X_TREE, FieldSampler, encode_u16, encode_u32
 from mira.keys import _expand_l
-from mira.matrices import rank, sample_rank_bounded
-from mira.qpoly import QPolynomial, fq_basis
+from mira.matrices import pivot_columns, rank, sample_rank_bounded
+from mira.qpoly import QPolynomial
 from mira.mpc import ChallengeBatch
 from mira.params import PARAM_IDS, parameter_set
 from mira.sharing import lagrange_weights, shamir_expand
@@ -125,8 +125,11 @@ def derive_two_products(ps, seed_pk, seed_sk):
 def annihilator_by_pow(ext, support, r):
     """Reference annihilator through the monic recurrence
     L_{i+1}(X) = L_i(X)^q - L_i(b)^(q-1) L_i(X), one ``pow`` per basis element."""
+    support = np.asarray(support, np.uint8)
+    basis = support[pivot_columns(ext.base, support.T)]
+    assert len(basis) == r
     coeffs = ext.one(1)  # L_0(X) = X
-    for b in fq_basis(ext.base, support, expected_dim=r):
+    for b in basis:
         lb = ext.base.axis_sum(np.stack([ext.mul(c, ext.frob(b, t))
                                          for t, c in enumerate(coeffs)]), 0)
         nxt = ext.zero(len(coeffs) + 1)
@@ -135,6 +138,48 @@ def annihilator_by_pow(ext, support, r):
         coeffs = nxt
     assert np.array_equal(coeffs[-1], ext.one())
     return QPolynomial(r=r, beta=coeffs[:-1])
+
+
+def clmul(a, b):
+    """Carry-less product of two GF(2)[y] polynomials held as int bit masks."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def bitpoly_mod(a, mod):
+    """a mod ``mod`` in GF(2)[y], by shifting out the leading bit."""
+    deg = mod.bit_length() - 1
+    while a.bit_length() - 1 >= deg:
+        a ^= mod << (a.bit_length() - 1 - deg)
+    return a
+
+
+def bitpoly_irreducible(mod):
+    """Trial division by every polynomial of degree 1 .. deg(mod) // 2."""
+    deg = mod.bit_length() - 1
+    return deg >= 1 and all(bitpoly_mod(mod, div)
+                            for div in range(2, 1 << (deg // 2 + 1)))
+
+
+def char2_reference(d):
+    """(modulus, MUL, INV) of GF(2^d) from bit-polynomial arithmetic: the least
+    irreducible y^d + tail, carry-less products reduced by it, and a^(q-2)."""
+    q = 1 << d
+    mod = next(v for v in range(q + 1, 2 * q) if bitpoly_irreducible(v))
+    mul = np.array([[bitpoly_mod(clmul(a, b), mod) for b in range(q)] for a in range(q)],
+                   np.uint8)
+    inv = np.zeros(q, np.uint8)
+    for a in range(1, q):
+        acc = 1
+        for _ in range(q - 2):
+            acc = int(mul[acc, a])
+        inv[a] = acc
+    return mod, mul, inv
 
 
 def mul_matrices_by_shifts(ext, us):

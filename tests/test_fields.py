@@ -8,7 +8,7 @@ from hypothesis import strategies as hs
 from mira.fields import (Char2Field, Gf2Table, PrimeField, base_field,
                          ext_field, _KNOWN_TAILS, _ext_irreducible)
 
-from helpers import mul_matrices_by_shifts
+from helpers import char2_reference, mul_matrices_by_shifts
 
 
 def ext_euclid_inverse(ext, a):
@@ -260,6 +260,22 @@ def test_mul_matrices_match_shift_reduce(q, m, b, seed):
 def test_gf16_wire_format_modulus():
     f = base_field(16)
     assert f.modulus_bits == 0b10011  # y^4 + y + 1
+
+
+# the least irreducible y^d + tail over GF(2), d = 2..8
+_LEAST_CHAR2_MODULI = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011,
+                       7: 0b10000011, 8: 0b100011011}
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_char2_tables_match_bit_polynomial_reference(d):
+    # Char2Field reads its modulus and tables off the ring ext_field(2, d);
+    # the reference searches by trial division and multiplies carry-less
+    field = Char2Field(d)
+    mod, mul, inv = char2_reference(d)
+    assert field.modulus_bits == mod == _LEAST_CHAR2_MODULI[d]
+    assert np.array_equal(field.MUL, mul)
+    assert np.array_equal(field.INV, inv)
 
 
 def _monic(q, m, tail):

@@ -3,7 +3,7 @@ import pytest
 
 from mira.fields import base_field
 from mira.hashing import HashSuite, FieldSampler, X_KEYSEC
-from mira.matrices import columns_to_ext, rank, sample_rank_bounded
+from mira.matrices import columns_to_ext, pivot_columns, rank, sample_rank_bounded
 
 from helpers import ext_to_columns
 
@@ -85,10 +85,42 @@ def test_columns_round_trip():
 
 def test_span_dimension_equals_rank():
     rng = np.random.default_rng(3)
-    from mira.qpoly import fq_basis
     for q in (2, 16):
         f = base_field(q)
         for _ in range(50):
             m = rng.integers(0, q, (5, 6)).astype(np.uint8)
-            basis = fq_basis(f, columns_to_ext(m))
-            assert len(basis) == rank(f, m)
+            basis = columns_to_ext(m)[pivot_columns(f, m)]
+            assert len(basis) == rank(f, m.T)
+            assert rank(f, basis) == len(basis)
+
+
+def prefix_rank_pivots_oracle(field, mat):
+    """Columns that are not in the span of the columns before them, with the
+    span enumerated element by element."""
+    span = np.zeros((1, mat.shape[0]), np.uint8)
+    pivots = []
+    for c, col in enumerate(mat.T):
+        if col.tobytes() in {v.tobytes() for v in span}:
+            continue
+        pivots.append(c)
+        scaled = field.mul(np.arange(field.q, dtype=np.uint8)[:, None], col[None, :])
+        span = field.add(span[:, None, :], scaled[None, :, :]).reshape(-1, len(col))
+    return pivots
+
+
+@pytest.mark.parametrize("q, rows, inner", [(2, 6, 6), (16, 5, 3), (251, 4, 2)])
+def test_pivot_columns_raise_the_prefix_rank(q, rows, inner):
+    # products through an inner dimension keep the span small enough to
+    # enumerate; a zero column and the second copy of a column are no pivots
+    f = base_field(q)
+    rng = np.random.default_rng(q)
+    assert pivot_columns(f, np.zeros((rows, 4), np.uint8)) == []
+    for _ in range(12):
+        cols = int(rng.integers(1, 9))
+        mat = f.matmul(rng.integers(0, q, (rows, inner)).astype(np.uint8),
+                       rng.integers(0, q, (inner, cols)).astype(np.uint8))
+        mat = np.concatenate([np.zeros((rows, 1), np.uint8), mat, mat[:, :2]], axis=1)
+        mat = mat[:, rng.permutation(mat.shape[1])]
+        pivots = pivot_columns(f, mat)
+        assert pivots == prefix_rank_pivots_oracle(f, mat)
+        assert len(pivots) == rank(f, mat)
