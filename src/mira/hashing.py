@@ -147,6 +147,13 @@ def commit(suite, salt, e, indices, states):
 # ---------------------------------------------------------------------------
 # field element sampling
 
+def _pieces(flat, counts):
+    """Consecutive views of ``flat`` with the given sizes: plain slices,
+    cheaper than ``np.split``, which walks its pieces in Python."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
 class FieldSampler:
     """Uniform field elements from an XOF stream.
 
@@ -193,7 +200,7 @@ class FieldSampler:
         counts = np.asarray(counts, np.intp)
         q = self.field.q
         if q & (q - 1) == 0:
-            return np.split(self.take(int(counts.sum())), np.cumsum(counts[:-1]))
+            return _pieces(self.take(int(counts.sum())), counts)
         wins = np.where(counts > 0, counts + (counts >> 3) + 8, 0)
         ends = np.cumsum(wins)
         starts = ends - wins
@@ -206,7 +213,7 @@ class FieldSampler:
         # an accepted byte is kept while it ranks within its window's count
         rank = before[1:stop + 1] - np.repeat(before[starts], wins)[:stop]
         keep = ok[:stop] & (rank <= np.repeat(counts, wins)[:stop])
-        out = np.split(raw[:stop][keep] % q, np.cumsum(counts[:fast]))[:fast]
+        out = _pieces(raw[:stop][keep] % q, counts[:fast])
         if fast < len(counts):
             self.stream.unread(len(raw) - stop)
             out += [self.take(int(c)) for c in counts[fast:]]

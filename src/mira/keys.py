@@ -32,6 +32,10 @@ class KeyFormatError(ValueError):
     pass
 
 
+class KeyMismatchError(ValueError):
+    """A parameter set or public key passed to ``sign`` is not the secret key's own."""
+
+
 @dataclass(eq=False)
 class PublicKey:
     params: ParameterSet
@@ -103,6 +107,17 @@ class SecretKey:
         l_rows, m0_flat = self._derivation()[:2]
         return PublicKey(params=ps, seed_pk=self.seed_pk, m0_entries=m0_flat[ps.k:].copy(),
                          _mats=(l_rows, m0_flat))
+
+    def check_pair(self, ps, pk):
+        """Raise ``KeyMismatchError`` unless ``ps`` and ``pk`` are this key's own.
+
+        The set and the public seed are compared before the derivation is
+        replayed, M_0 after; a mismatched key would otherwise sign with a
+        witness that fails the rank check.
+        """
+        if ps != self.params or pk.params != ps or pk.seed_pk != self.seed_pk or not (
+                np.array_equal(pk.m0_entries, self._derivation()[1][ps.k:])):
+            raise KeyMismatchError("parameter set or public key is not the secret key's own")
 
     def witness(self):
         """(x, E) from the replayed key derivation."""

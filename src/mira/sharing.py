@@ -212,32 +212,48 @@ def shamir_share(field, secrets, ell, n_parties, rand):
     return out[0] if single else out
 
 
-def _field_prod(field, arr):
-    """Field product over the last axis."""
-    out = arr[..., 0]
-    for j in range(1, arr.shape[-1]):
-        out = field.mul(out, arr[..., j])
-    return out
+def _products_but_one(field, diff):
+    """(..., t) -> (..., t): entry j is the product of every diff[..., k], k != j.
+
+    Prefix times suffix products.  Over a prime field they run on the int64
+    residues unreduced, exact while (q - 1)^(t - 1) < 2^63 (t <= 8 at
+    q = 251), and are reduced once; otherwise one ``field.mul`` per factor.
+    """
+    t = diff.shape[-1]
+    out = np.ones(diff.shape, np.int64)
+    if field.char == field.q and (field.q - 1) ** (t - 1) < 1 << 63:
+        wide = diff.astype(np.int64)
+        np.multiply.accumulate(wide[..., :-1], axis=-1, out=out[..., 1:])
+        out[..., :-1] *= np.multiply.accumulate(wide[..., :0:-1], axis=-1)[..., ::-1]
+        out %= field.q
+        return out.astype(np.uint8)
+    for j in range(1, t):
+        out[..., j] = field.mul(out[..., j - 1], diff[..., j - 1])
+    suffix = np.ones(diff.shape[:-1], np.uint8)
+    for j in range(t - 2, -1, -1):
+        suffix = field.mul(suffix, diff[..., j + 1])
+        out[..., j] = field.mul(out[..., j], suffix)
+    return out.astype(np.uint8)
 
 
 def lagrange_weights(field, points, targets):
     """(B, A, t) weights w with P_b(targets_a) = sum_j w_baj P_b(points_bj).
 
     Each row of ``points`` (B, t) holds t distinct points of its own
-    degree-(t-1) polynomial P_b.
+    degree-(t-1) polynomial P_b.  The numerators prod_(k != j) (x_a - p_bk)
+    and the denominators prod_(k != j) (p_bj - p_bk) are one products-but-one
+    pass over the differences of every target and every point to the points.
     """
-    t = points.shape[-1]
+    (b, t), a = points.shape, len(targets)
     srt = np.sort(points, axis=-1)
-    if np.any(srt[:, 1:] == srt[:, :-1]):
+    if (srt[:, 1:] == srt[:, :-1]).any():
         raise ValueError("duplicate interpolation points")
-    off = ~np.eye(t, dtype=bool)
-    one = np.uint8(1)
-    # den[b, j] = prod_{k != j} (p_bj - p_bk); num[b, a, j] = prod_{k != j} (x_a - p_bk)
-    den = _field_prod(field, np.where(
-        off, field.sub(points[:, :, None], points[:, None, :]), one))
-    dist = field.sub(targets[None, :, None], points[:, None, :])
-    num = _field_prod(field, np.where(off, dist[:, :, None, :], one))
-    return field.mul(num, field.inv(den)[:, None, :])
+    xs = np.empty((b, a + t), np.uint8)
+    xs[:, :a] = targets
+    xs[:, a:] = points
+    prods = _products_but_one(field, field.sub(xs[:, :, None], points[:, None, :]))
+    den = np.diagonal(prods[:, a:], axis1=1, axis2=2)
+    return field.mul(prods[:, :a], field.inv(den)[:, None, :])
 
 
 def shamir_expand(field, shares, weights):

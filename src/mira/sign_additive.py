@@ -116,7 +116,11 @@ def _exec_hashes(suite, base, salt, al1, v1, al2, v2):
 
 
 def sign(ps, pk, sk, message, entropy):
-    """Serialized signature of ``message``; deterministic in all inputs."""
+    """Serialized signature of ``message``; deterministic in all inputs.
+
+    Raises ``keys.KeyMismatchError`` if ``ps`` or ``pk`` is not ``sk``'s own.
+    """
+    sk.check_pair(ps, pk)
     x, beta = sk.sign_inputs()
     sig = _sign_core(ps, pk, x, beta, message, entropy)
     return encode(ps, sig)
@@ -210,9 +214,7 @@ def verify_decoded(ps, pk, message, sig):
     suite = ps.suite
     n_parties, depth, tau = ps.n_parties, ps.depth, ps.tau
     dims = ps.share_dims
-    pk_op = PkOperand.of(pk)
 
-    ch1 = derive_challenge1(suite, sig.h1, ext, ps.n, tau)
     ch2 = derive_challenge2_additive(suite, sig.h2, n_parties, tau)
     istars = np.asarray(ch2)
 
@@ -237,8 +239,12 @@ def verify_decoded(ps, pk, message, sig):
         cmts = commit(suite, sig.salt, e, opened, [leaves[i - 1] for i in opened])
         cmts.insert(istar - 1, rr.cmt_hidden)
         h0s.append(suite.hash(H1, sig.salt, encode_u16(e), *cmts))
+    # h1 depends on the round digests alone: check it before the rank check
+    h1bar = suite.hash(H2, sig.salt, message, *h0s)
+    if h1bar != sig.h1:
+        return False
 
-    batch = ChallengeBatch(ext, ps.r, ch1)
+    batch = ChallengeBatch(ext, ps.r, derive_challenge1(suite, sig.h1, ext, ps.n, tau))
     mains = _aggregate_rounds(base, flat_all)               # (tau, D, 2, T)
     bits = (istars[:, None] - 1 >> np.arange(depth)[None, :]) & 1   # (tau, D)
     e_idx = np.repeat(np.arange(tau)[:, None], depth, axis=1)
@@ -249,7 +255,7 @@ def verify_decoded(ps, pk, message, sig):
     sum_rows = base.add(mains[:, 0, 0], mains[:, 0, 1])[:, None]   # (tau, 1, T)
     rows = np.concatenate([full_rows, sum_rows], axis=1)    # (tau, D + 1, T)
     offsets = np.concatenate([bits == 1, istars[:, None] != 1], axis=1)
-    alphas, zs = batch.broadcast_alpha(pk_op, rows, offsets)
+    alphas, zs = batch.broadcast_alpha(PkOperand.of(pk), rows, offsets)
     al_full = alphas[:, :depth]
     alpha_hid = np.stack([rr.alpha_hidden for rr in sig.rounds])
     al_open = ext.add(alphas[:, depth:], alpha_hid[:, None])   # (tau, 1, r, m)
@@ -265,6 +271,5 @@ def verify_decoded(ps, pk, message, sig):
         np.where(side1_full[..., None, None], al_hidden_side, al_full),
         np.where(side1_full[..., None], v_hidden_side, v_full))
 
-    h1bar = suite.hash(H2, sig.salt, message, *h0s)
     h2bar = suite.hash(H4, message, pk.body_bytes(), sig.salt, h1bar, *exec_hashes)
-    return h1bar == sig.h1 and h2bar == sig.h2
+    return h2bar == sig.h2

@@ -115,9 +115,11 @@ def decode(ps, data):
     return lay.signature(data, rounds)
 
 
-def _extra_party(s_set, subset):
-    """i* = min(S \\ I): the one party of S whose alpha share is also opened."""
-    return min(i for i in s_set if i not in subset)
+def _extra_parties(s_set, subsets):
+    """Per round the position in S of i* = min(S \\ I), the one party of S
+    whose alpha share is also opened; ``subsets`` holds one I per row."""
+    outside = (np.asarray(subsets)[:, :, None] != np.asarray(s_set)).all(axis=1)
+    return outside.argmax(axis=1)
 
 
 def _h2(suite, base, message, pk_bytes, salt, h1, alphas, vs):
@@ -128,7 +130,11 @@ def _h2(suite, base, message, pk_bytes, salt, h1, alphas, vs):
 
 
 def sign(ps, pk, sk, message, entropy):
-    """Serialized signature of ``message``; deterministic in all inputs."""
+    """Serialized signature of ``message``; deterministic in all inputs.
+
+    Raises ``keys.KeyMismatchError`` if ``ps`` or ``pk`` is not ``sk``'s own.
+    """
+    sk.check_pair(ps, pk)
     x, beta = sk.sign_inputs()
     sig = _sign_core(ps, pk, x, beta, message, entropy)
     return encode(ps, sig)
@@ -177,14 +183,14 @@ def _sign_core(ps, pk, x, beta, message, entropy):
     h2 = _h2(suite, base, message, pk_bytes, salt, h1, alpha_s, vs[:, 1:])
     ch2 = derive_challenge2_threshold(suite, h2, n_parties, ell, tau)
 
+    stars = _extra_parties(s_set, ch2)
     rounds = []
     for e in range(1, tau + 1):
         subset = ch2[e - 1]
-        istar = _extra_party(s_set, subset)
         rounds.append(RoundResponse(
             auth=merkle_auth(suite, trees[e - 1], subset),
             opened=shares_all[e - 1, np.asarray(subset) - 1],
-            alpha_star=alpha_s[e - 1, s_set.index(istar)]))
+            alpha_star=alpha_s[e - 1, stars[e - 1]]))
     return Signature(salt, h1, h2, rounds)
 
 
@@ -203,38 +209,36 @@ def verify_decoded(ps, pk, message, sig):
     suite = ps.suite
     n_parties, ell, tau = ps.n_parties, ps.ell, ps.tau
     s_set = ps.opened_set
-    s_pts = np.asarray(s_set, np.uint8)
     r, m = ps.r, ps.m
-    pk_op = PkOperand.of(pk)
+
+    # every round's commitments, their leaf digests in one call, then all
+    # Merkle roots level by level; h1 is checked before the rank check
+    ch2 = derive_challenge2_threshold(suite, sig.h2, n_parties, ell, tau)
+    opened = np.stack([rr.opened for rr in sig.rounds])      # (tau, ell, T)
+    states = base.pack_rows(opened.reshape(tau * ell, -1))
+    cmts = []
+    for e in range(1, tau + 1):
+        cmts += commit(suite, sig.salt, e, ch2[e - 1], states[(e - 1) * ell:e * ell])
+    leaves = suite.hash_many(H_MERKLE, b"", cmts)
+    roots = merkle_root_from_auth(suite, [leaves[i:i + ell] for i in range(0, tau * ell, ell)],
+                                  ch2, [rr.auth for rr in sig.rounds], n_parties)
+    if None in roots:
+        return False
+    h1bar = suite.hash(H1, message, pk.body_bytes(), sig.salt, *roots)
+    if h1bar != sig.h1:
+        return False
 
     ch1 = derive_challenge1(suite, sig.h1, ext, ps.n, tau)
-    ch2 = derive_challenge2_threshold(suite, sig.h2, n_parties, ell, tau)
-
-    roots = []
-    for e in range(1, tau + 1):
-        rr = sig.rounds[e - 1]
-        subset = ch2[e - 1]
-        cmt_hashes = suite.hash_many(
-            H_MERKLE, b"", commit(suite, sig.salt, e, subset, base.pack_rows(rr.opened)))
-        root = merkle_root_from_auth(suite, cmt_hashes, list(subset), rr.auth,
-                                     n_parties)
-        if root is None:
-            return False
-        roots.append(root)
-    h1bar = suite.hash(H1, message, pk.body_bytes(), sig.salt, *roots)
-
     batch = ChallengeBatch(ext, r, ch1)
-    opened = np.stack([rr.opened for rr in sig.rounds])      # (tau, ell, T)
-    alpha_i, zs = batch.broadcast_alpha(pk_op, opened, np.ones(ell, bool))
+    alpha_i, zs = batch.broadcast_alpha(PkOperand.of(pk), opened, np.ones(ell, bool))
 
     # all rounds at once: alpha through I + {i*} at S + {0}; v through
     # I + {0}, where v(0) = 0, at S; one weight computation for both
-    subsets = np.asarray(ch2, np.uint8)                      # (tau, ell)
-    istars = np.asarray([_extra_party(s_set, subset) for subset in ch2], np.uint8)
-    zeros = np.zeros(tau, np.uint8)
-    weights = lagrange_weights(
-        base, np.concatenate([np.column_stack([subsets, istars]),
-                              np.column_stack([subsets, zeros])]), np.append(s_pts, 0))
+    targets = np.asarray(s_set + (0,), np.uint8)
+    points = np.zeros((2, tau, ell + 1), np.uint8)
+    points[:, :, :ell] = ch2
+    points[0, :, ell] = targets[_extra_parties(s_set, ch2)]
+    weights = lagrange_weights(base, points.reshape(2 * tau, ell + 1), targets)
     alpha_star = np.stack([rr.alpha_star.reshape(1, r * m) for rr in sig.rounds])
     alpha_at = shamir_expand(
         base, np.concatenate([alpha_i.reshape(tau, ell, r * m), alpha_star], axis=1),
@@ -248,4 +252,4 @@ def verify_decoded(ps, pk, message, sig):
 
     h2bar = _h2(suite, base, message, pk.body_bytes(), sig.salt, h1bar,
                 alpha_sharings, v_sharings)
-    return h1bar == sig.h1 and h2bar == sig.h2
+    return h2bar == sig.h2

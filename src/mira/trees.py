@@ -150,44 +150,56 @@ def merkle_auth(suite, leaves, indices):
 
 
 def merkle_root_from_auth(suite, leaf_hashes, indices, auth, n_leaves):
-    """Recompute the root from (already hashed) leaves at ``indices``.
+    """Recompute the roots of several same-size trees, one per round, from
+    their (already hashed) opened leaves.
 
-    Returns None when the path has the wrong shape.  leaf_hashes[j] must be
-    the level-0 digest H_M(v) for 1-based leaf index indices[j].  Each level
-    is a sorted list of known positions with their digests; a known node's
-    missing sibling is the next auth digest, taken left to right.
+    The arguments are per-round lists: leaf_hashes[b][j] must be the level-0
+    digest H_M(v) for 1-based leaf index indices[b][j], and auth[b] is round
+    b's path.  Returns one root per round, None where a round's indices or
+    path have the wrong shape.  Each level of a round is a sorted list of
+    known positions with their digests; a known node's missing sibling is the
+    round's next auth digest, taken left to right.  All rounds climb together,
+    one ``hash_many`` per level, so digests come level by level, and within
+    a level round by round.  A round whose path runs out stops there; the
+    pairs it formed on that level are still hashed.
     """
-    order = sorted(range(len(indices)), key=indices.__getitem__)
-    pos = [indices[j] - 1 for j in order]
-    dig = [leaf_hashes[j] for j in order]
-    if not pos or pos[0] < 0 or pos[-1] >= n_leaves:
-        return None
-    if any(a == b for a, b in zip(pos, pos[1:])):
-        return None
-    h = suite.hash
-    it = iter(auth)
+    rounds = []                      # per round [positions, digests, auth iterator] or None
+    for hashes, idx, path in zip(leaf_hashes, indices, auth):
+        order = sorted(range(len(idx)), key=idx.__getitem__)
+        pos = [idx[j] - 1 for j in order]
+        if not pos or pos[0] < 0 or pos[-1] >= n_leaves or len(set(pos)) < len(pos):
+            rounds.append(None)
+        else:
+            rounds.append([pos, [hashes[j] for j in order], iter(path)])
     width = 1 << max(0, (n_leaves - 1).bit_length())
-    try:
-        while width > 1:
-            up_pos, up_dig = [], []
+    while width > 1:
+        pairs, climbed = [], []
+        for b, state in enumerate(rounds):
+            if state is None:
+                continue
+            pos, dig, it = state
+            start, up = len(pairs), []
             j, known = 0, len(pos)
-            while j < known:
-                p = pos[j]
-                if p & 1:
-                    pair = next(it) + dig[j]
-                    j += 1
-                elif j + 1 < known and pos[j + 1] == p + 1:
-                    pair = dig[j] + dig[j + 1]
-                    j += 2
-                else:
-                    pair = dig[j] + next(it)
-                    j += 1
-                up_pos.append(p >> 1)
-                up_dig.append(h(H_MERKLE, pair))
-            pos, dig = up_pos, up_dig
-            width >>= 1
-    except StopIteration:
-        return None
-    if next(it, None) is not None:
-        return None
-    return dig[0]
+            try:
+                while j < known:
+                    p = pos[j]
+                    if p & 1:
+                        pairs.append(next(it) + dig[j])
+                        j += 1
+                    elif j + 1 < known and pos[j + 1] == p + 1:
+                        pairs.append(dig[j] + dig[j + 1])
+                        j += 2
+                    else:
+                        pairs.append(dig[j] + next(it))
+                        j += 1
+                    up.append(p >> 1)
+            except StopIteration:
+                rounds[b] = None
+                continue
+            climbed.append((state, start, up))
+        digests = suite.hash_many(H_MERKLE, b"", pairs)
+        for state, start, up in climbed:
+            state[0], state[1] = up, digests[start:start + len(up)]
+        width >>= 1
+    return [None if state is None or next(state[2], None) is not None else state[1][0]
+            for state in rounds]

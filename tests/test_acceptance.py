@@ -321,9 +321,9 @@ def test_criterion_9_property_suites():
         idx = sorted(int(i) + 1 for i in rng.choice(n, size=k, replace=False))
         auth = merkle_auth(SUITE, leaves, idx)
         hashes = [SUITE.hash(H_MERKLE, leaves[i - 1]) for i in idx]
-        assert merkle_root_from_auth(SUITE, hashes, idx, auth, n) == root
+        assert merkle_root_from_auth(SUITE, [hashes], [idx], [auth], n) == [root]
         bad = [bytes([h[0] ^ 1]) + h[1:] for h in hashes]
-        assert merkle_root_from_auth(SUITE, bad, idx, auth, n) != root
+        assert merkle_root_from_auth(SUITE, [bad], [idx], [auth], n) != [root]
         cases += 2
 
     # Shamir share/reconstruct/expand round trips

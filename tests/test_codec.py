@@ -10,6 +10,7 @@ message, as a straightforward round-by-round reference decoder.
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -115,6 +116,30 @@ def test_byte_mutated_signature(variant, edits):
     for frac, mask in edits:
         data[int(frac * len(data))] ^= mask
     decode_or_format_error(variant, bytes(data))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=50, deadline=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1))
+def test_arbitrary_bytes_of_signature_length(variant, seed):
+    # arbitrary bytes of a valid signature's length: additive ones mostly
+    # decode, so the canonical-encoding check above sees them
+    _, sig = valid_signature(variant)
+    decode_or_format_error(variant, np.random.default_rng(seed).bytes(len(sig)))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_mutated_signatures_reach_the_canonical_encoding_check(variant):
+    # the byte-mutation fuzz asserts encode(decode(b)) == b on every b that
+    # decodes; most single-byte mutations do decode, in both variants
+    _, sig = valid_signature(variant)
+    rng = np.random.default_rng(13)
+    decoded = 0
+    for _ in range(40):
+        data = bytearray(sig)
+        data[int(rng.integers(len(data)))] ^= int(rng.integers(1, 256))
+        decoded += decode_or_format_error(variant, bytes(data))
+    assert decoded >= 20
 
 
 # ---------------------------------------------------------------------------

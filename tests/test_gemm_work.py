@@ -84,6 +84,7 @@ def _counting(monkeypatch):
 def test_gemm_calls_and_macs(variant, level, monkeypatch):
     ps = params.parameter_set(variant, level).sign_params()
     scheme = ps.scheme
+    ps.ext                  # the fields are built once per process, not per key
     tally = _counting(monkeypatch)
 
     def taken():
@@ -100,3 +101,16 @@ def test_gemm_calls_and_macs(variant, level, monkeypatch):
     assert scheme.verify(ps, pk, b"pinned message", data)
     verified = taken()
     assert {"keygen": generated, "sign": signed, "verify": verified} == PINNED[(variant, level)]
+
+
+@pytest.mark.parametrize("variant", ["additive", "threshold"])
+def test_h1_mismatch_rejects_before_any_gemm(variant, monkeypatch):
+    # h1 is checked as soon as the round digests give it, before the rank
+    # check builds its challenge operand
+    ps = params.parameter_set(variant, 1).sign_params()
+    pk, sk = keygen_optimized(ps, b"h1 flip")
+    data = bytearray(ps.scheme.sign(ps, pk, sk, b"m", b"e"))
+    data[ps.suite.salt_bytes] ^= 1                    # the first byte of h1
+    tally = _counting(monkeypatch)
+    assert ps.scheme.verify(ps, pk, b"m", bytes(data)) is False
+    assert dict(tally) == {}

@@ -307,14 +307,23 @@ def _mira_frames(run):
     return count
 
 
+# frames allowed per hash call where a quarter is not the bound: threshold
+# verify makes only about 180 digests, so its fixed per-signature frames
+# (decode, challenge draws, the rank check's GEMMs) weigh more
+FRAMES_PER_CALL = {("threshold", 1, "verify"): 2}
+
+
 @pytest.mark.parametrize("variant, level, op", [("additive", 1, "sign"),
                                                 ("additive", 1, "verify"),
-                                                ("threshold", 1, "sign")])
+                                                ("threshold", 1, "sign"),
+                                                ("threshold", 1, "verify")])
 def test_python_frames_per_hash_call(variant, level, op):
-    """Batched digests keep the Python frames well below one per hash call.
+    """Batched digests keep the Python frames well below one per hash call,
+    and threshold verify's Merkle roots cost no frames per node.
 
     A ratio, not an exact count: how many frames a comprehension opens
     depends on the Python version.
     """
     calls = sum(calls for calls, _ in PINNED[(variant, level)][op].values())
-    assert _mira_frames(_operations(variant, level)[op]) < calls / 4
+    bound = FRAMES_PER_CALL.get((variant, level, op), 1 / 4) * calls
+    assert _mira_frames(_operations(variant, level)[op]) < bound

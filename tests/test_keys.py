@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mira
 from mira import keys, params
-from mira.keys import KeyFormatError, PublicKey, SecretKey, keygen_optimized
+from mira.hashing import HashSuite
+from mira.keys import (KeyFormatError, KeyMismatchError, PublicKey, SecretKey,
+                       keygen_optimized)
 from mira.matrices import columns_to_ext, rank
 from mira.mpc import PkOperand
 from mira.qpoly import annihilator
@@ -206,3 +213,54 @@ def test_kept_beta_is_read_only_and_fresh(annihilator_calls):
     # equality and repr ignore the kept beta, as they ignore the derivation
     fresh = SecretKey.from_bytes(sk.to_bytes())
     assert fresh == sk and repr(fresh) == repr(sk)
+
+
+def _mismatches(variant):
+    """(set, public key, secret key) triples in which set or public key is not
+    the secret key's own, the secret key's derivation already replayed."""
+    ps = params.parameter_set(variant, 1)
+    pk, sk = keygen_optimized(ps, b"mismatch")
+    other_pk, _ = keygen_optimized(ps, b"other")
+    sk.witness()
+    flipped = PublicKey(ps, pk.seed_pk, pk.m0_entries ^ np.uint8(1))
+    return {"other key": (ps, other_pk, sk), "other M_0": (ps, flipped, sk),
+            "other level": (params.parameter_set(variant, 3), pk, sk),
+            "other tau": (ps.with_overrides(tau=ps.tau - 1), pk, sk)}
+
+
+@pytest.mark.parametrize("variant", ["additive", "threshold"])
+def test_sign_with_a_foreign_set_or_public_key_raises_before_hashing(variant, monkeypatch):
+    def no_hashing(*args):
+        raise AssertionError("hashed before the key check")
+
+    for name, (ps, pk, sk) in _mismatches(variant).items():
+        with monkeypatch.context() as patch:
+            for method in ("hash", "xof", "xof_digest"):
+                patch.setattr(HashSuite, method, no_hashing)
+            with pytest.raises(KeyMismatchError, match="not the secret key's own"):
+                ps.scheme.sign(ps, pk, sk, b"m", b"e")
+    assert issubclass(KeyMismatchError, ValueError)
+
+
+def test_key_mismatch_is_raised_under_python_O():
+    # the check is no assert, so -O keeps it
+    code = """
+import sys
+from mira import params
+from mira.keys import KeyMismatchError, keygen_optimized
+assert not __debug__
+for variant in ("additive", "threshold"):
+    ps = params.parameter_set(variant, 1)
+    _, sk = keygen_optimized(ps, b"mismatch")
+    other_pk, _ = keygen_optimized(ps, b"other")
+    try:
+        ps.scheme.sign(ps, other_pk, sk, b"m", b"e")
+    except KeyMismatchError:
+        continue
+    sys.exit(variant + " signed with a foreign public key")
+"""
+    src = os.path.dirname(os.path.dirname(mira.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

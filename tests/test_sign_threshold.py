@@ -13,7 +13,7 @@ from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
 from mira.sharing import shamir_share
-from mira.trees import MerkleTree, merkle_auth
+from mira.trees import MerkleTree, merkle_auth, merkle_root_from_auth
 
 from helpers import shamir_at, shamir_reconstruct
 
@@ -281,3 +281,32 @@ def test_operational_party_cap():
     assert row.sign_params().n_parties == 6
     with pytest.raises(ValueError):
         row.with_overrides(ell=6).sign_params()
+
+
+@pytest.fixture(scope="module")
+def t1_signed():
+    ps = params.parameter_set("threshold", 1)
+    pk, sk = keygen_optimized(ps, b"auth shape")
+    return ps, pk, st.sign(ps, pk, sk, b"m", b"e")
+
+
+@pytest.mark.parametrize("edit", ["short", "long"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_bad_auth_shape_in_one_round_rejects(t1_signed, edit, where, monkeypatch):
+    # the Merkle recompute of all rounds returns None for the edited round
+    # alone, and verify rejects there
+    ps, pk, data = t1_signed
+    sig = st.decode(ps, data)
+    bad = {"first": 0, "middle": ps.tau // 2, "last": ps.tau - 1}[where]
+    auth = sig.rounds[bad].auth
+    sig.rounds[bad].auth = auth[:-1] if edit == "short" else auth + auth[-1:]
+    results = []
+
+    def spy(*args):
+        results.append(merkle_root_from_auth(*args))
+        return results[-1]
+
+    monkeypatch.setattr(st, "merkle_root_from_auth", spy)
+    assert st.verify_decoded(ps, pk, b"m", sig) is False
+    roots, = results
+    assert [b for b, root in enumerate(roots) if root is None] == [bad]

@@ -124,12 +124,12 @@ def test_merkle_round_trip_and_tamper():
         idx = [int(i) for i in idx]
         auth = merkle_auth(SUITE, leaves, idx)
         hashes = [SUITE.hash(H_MERKLE, leaves[i - 1]) for i in idx]
-        assert merkle_root_from_auth(SUITE, hashes, idx, auth, 16) == root
+        assert merkle_root_from_auth(SUITE, [hashes], [idx], [auth], 16) == [root]
         # flip one byte of an opened leaf -> different root
         bad = leaves[idx[0] - 1]
         bad = bytes([bad[0] ^ 1]) + bad[1:]
         hashes_bad = [SUITE.hash(H_MERKLE, bad)] + hashes[1:]
-        assert merkle_root_from_auth(SUITE, hashes_bad, idx, auth, 16) != root
+        assert merkle_root_from_auth(SUITE, [hashes_bad], [idx], [auth], 16) != [root]
 
 
 def test_merkle_property_suite():
@@ -144,18 +144,18 @@ def test_merkle_property_suite():
         idx = sorted(int(i) + 1 for i in rng.choice(n, size=k, replace=False))
         auth = merkle_auth(SUITE, leaves, idx)
         hashes = [SUITE.hash(H_MERKLE, leaves[i - 1]) for i in idx]
-        assert merkle_root_from_auth(SUITE, hashes, idx, auth, n) == root
+        assert merkle_root_from_auth(SUITE, [hashes], [idx], [auth], n) == [root]
         ok += 1
         # tamper with one auth digest (when present)
         if auth:
             j = int(rng.integers(0, len(auth)))
             bad = list(auth)
             bad[j] = bytes([bad[j][0] ^ 0x80]) + bad[j][1:]
-            assert merkle_root_from_auth(SUITE, hashes, idx, bad, n) != root
+            assert merkle_root_from_auth(SUITE, [hashes], [idx], [bad], n) != [root]
             ok += 1
         # truncated path rejects
         if auth:
-            assert merkle_root_from_auth(SUITE, hashes, idx, auth[:-1], n) is None
+            assert merkle_root_from_auth(SUITE, [hashes], [idx], [auth[:-1]], n) == [None]
             ok += 1
     assert ok >= 1000
 
@@ -174,12 +174,13 @@ def test_merkle_auth_size_bound():
 def test_merkle_reject_malformed_index_sets():
     leaves = [bytes([i]) * 32 for i in range(8)]
     hashes = [SUITE.hash(H_MERKLE, leaves[0])]
-    assert merkle_root_from_auth(SUITE, hashes, [9], [], 8) is None
-    assert merkle_root_from_auth(SUITE, hashes * 2, [1, 1], [], 8) is None
+    assert merkle_root_from_auth(SUITE, [hashes], [[9]], [[]], 8) == [None]
+    assert merkle_root_from_auth(SUITE, [hashes * 2], [[1, 1]], [[]], 8) == [None]
 
 
 class _Recording:
-    """A hash suite that logs every ``hash`` call before making it."""
+    """A hash suite that logs every ``hash`` call before making it; a
+    ``hash_many`` batch logs one call per digest, with its whole input."""
 
     def __init__(self, suite):
         self.suite = suite
@@ -188,6 +189,9 @@ class _Recording:
     def hash(self, role, *parts):
         self.calls.append((role,) + parts)
         return self.suite.hash(role, *parts)
+
+    def hash_many(self, role, prefix, suffixes):
+        return [self.hash(role, prefix + s) for s in suffixes]
 
 
 AUTH_EDITS = ("none", "drop_last", "drop_first", "extra", "duplicate", "swap")
@@ -215,8 +219,56 @@ def test_merkle_walk_matches_dict_reference(n, picks, edit):
         auth = auth[::-1]
     hashes = [SUITE.hash(H_MERKLE, leaves[p - 1] if 1 <= p <= n else b"outside") for p in picks]
     new, ref = _Recording(SUITE), _Recording(SUITE)
-    got = merkle_root_from_auth(new, hashes, picks, auth, n)
+    got, = merkle_root_from_auth(new, [hashes], [picks], [auth], n)
     assert got == merkle_root_from_auth_by_dict(ref, hashes, picks, auth, n)
     assert new.calls == ref.calls
     if edit == "none" and picks and len(valid) == len(picks):
         assert got == merkle_root(SUITE, leaves)
+
+
+def _rounds(rng, n, count):
+    """``count`` honest rounds of one n-leaf tree size: (hashes, indices, auth, root)."""
+    out = []
+    for _ in range(count):
+        leaves = [bytes(rng.integers(0, 256, 8, dtype=np.uint8)) for _ in range(n)]
+        k = int(rng.integers(1, min(n, 4) + 1))
+        idx = [int(i) + 1 for i in rng.permutation(rng.choice(n, size=k, replace=False))]
+        out.append(([SUITE.hash(H_MERKLE, leaves[i - 1]) for i in idx], idx,
+                    merkle_auth(SUITE, leaves, idx), merkle_root(SUITE, leaves)))
+    return out
+
+
+def test_multi_round_roots_equal_per_round_reference():
+    # random subsets of 1-4 leaves (in any order), trees of 2-256 leaves,
+    # 1-14 rounds per call
+    rng = np.random.default_rng(21)
+    for _ in range(120):
+        n = int(rng.integers(2, 257))
+        rounds = _rounds(rng, n, int(rng.integers(1, 15)))
+        hashes, idx, auth, roots = map(list, zip(*rounds))
+        got = merkle_root_from_auth(SUITE, hashes, idx, auth, n)
+        assert got == [merkle_root_from_auth_by_dict(SUITE, *r[:3], n) for r in rounds]
+        assert got == roots
+
+
+BAD_SHAPES = {
+    "short": lambda h, i, a, n: (h, i, a[:-1]),
+    "long": lambda h, i, a, n: (h, i, a + [bytes(SUITE.digest_bytes)]),
+    "duplicated": lambda h, i, a, n: (h + h[:1], i + i[:1], a),
+    "out_of_range": lambda h, i, a, n: (h, i[:-1] + [n + 1], a),
+}
+
+
+@pytest.mark.parametrize("shape", list(BAD_SHAPES))
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_multi_round_bad_shape_gives_none_for_that_round_only(shape, where):
+    rng = np.random.default_rng(list(BAD_SHAPES).index(shape))
+    n, count = 250, 7
+    bad = {"first": 0, "middle": count // 2, "last": count - 1}[where]
+    rounds = _rounds(rng, n, count)                 # each path has digests to drop
+    hashes, idx, auth, roots = map(list, zip(*rounds))
+    hashes[bad], idx[bad], auth[bad] = BAD_SHAPES[shape](hashes[bad], idx[bad], auth[bad], n)
+    got = merkle_root_from_auth(SUITE, hashes, idx, auth, n)
+    assert got == [None if b == bad else root for b, root in enumerate(roots)]
+    assert got[bad] is None is merkle_root_from_auth_by_dict(
+        SUITE, hashes[bad], idx[bad], auth[bad], n)
