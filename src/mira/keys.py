@@ -112,8 +112,10 @@ class SecretKey:
         """Raise ``KeyMismatchError`` unless ``ps`` and ``pk`` are this key's own.
 
         The set and the public seed are compared before the derivation is
-        replayed, M_0 after; a mismatched key would otherwise sign with a
-        witness that fails the rank check.
+        replayed, so those mismatches raise before any hashing.  A foreign
+        M_0 under the key's own seed can only be found after the replay,
+        which hashes.  A mismatched key would otherwise sign with a witness
+        that fails the rank check.
         """
         if ps != self.params or pk.params != ps or pk.seed_pk != self.seed_pk or not (
                 np.array_equal(pk.m0_entries, self._derivation()[1][ps.k:])):

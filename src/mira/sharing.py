@@ -215,25 +215,17 @@ def shamir_share(field, secrets, ell, n_parties, rand):
 def _products_but_one(field, diff):
     """(..., t) -> (..., t): entry j is the product of every diff[..., k], k != j.
 
-    Prefix times suffix products.  Over a prime field they run on the int64
-    residues unreduced, exact while (q - 1)^(t - 1) < 2^63 (t <= 8 at
-    q = 251), and are reduced once; otherwise one ``field.mul`` per factor.
+    Prefix times suffix products: 3(t - 1) ``field.mul`` calls for any t.
     """
     t = diff.shape[-1]
-    out = np.ones(diff.shape, np.int64)
-    if field.char == field.q and (field.q - 1) ** (t - 1) < 1 << 63:
-        wide = diff.astype(np.int64)
-        np.multiply.accumulate(wide[..., :-1], axis=-1, out=out[..., 1:])
-        out[..., :-1] *= np.multiply.accumulate(wide[..., :0:-1], axis=-1)[..., ::-1]
-        out %= field.q
-        return out.astype(np.uint8)
+    out = np.ones(diff.shape, np.uint8)
     for j in range(1, t):
         out[..., j] = field.mul(out[..., j - 1], diff[..., j - 1])
     suffix = np.ones(diff.shape[:-1], np.uint8)
     for j in range(t - 2, -1, -1):
         suffix = field.mul(suffix, diff[..., j + 1])
         out[..., j] = field.mul(out[..., j], suffix)
-    return out.astype(np.uint8)
+    return out
 
 
 def lagrange_weights(field, points, targets):

@@ -215,31 +215,50 @@ def test_kept_beta_is_read_only_and_fresh(annihilator_calls):
     assert fresh == sk and repr(fresh) == repr(sk)
 
 
-def _mismatches(variant):
-    """(set, public key, secret key) triples in which set or public key is not
-    the secret key's own, the secret key's derivation already replayed."""
-    ps = params.parameter_set(variant, 1)
-    pk, sk = keygen_optimized(ps, b"mismatch")
-    other_pk, _ = keygen_optimized(ps, b"other")
-    sk.witness()
-    flipped = PublicKey(ps, pk.seed_pk, pk.m0_entries ^ np.uint8(1))
-    return {"other key": (ps, other_pk, sk), "other M_0": (ps, flipped, sk),
-            "other level": (params.parameter_set(variant, 3), pk, sk),
-            "other tau": (ps.with_overrides(tau=ps.tau - 1), pk, sk)}
+def _no_hashing(patch):
+    def fail(*args):
+        raise AssertionError("hashed before the key check")
+
+    for method in ("hash", "xof", "xof_digest"):
+        patch.setattr(HashSuite, method, fail)
 
 
 @pytest.mark.parametrize("variant", ["additive", "threshold"])
-def test_sign_with_a_foreign_set_or_public_key_raises_before_hashing(variant, monkeypatch):
-    def no_hashing(*args):
-        raise AssertionError("hashed before the key check")
-
-    for name, (ps, pk, sk) in _mismatches(variant).items():
+def test_sign_with_a_foreign_set_or_public_seed_raises_before_hashing(variant, monkeypatch):
+    ps = params.parameter_set(variant, 1)
+    pk, sk = keygen_optimized(ps, b"mismatch")
+    other_pk, _ = keygen_optimized(ps, b"other")
+    cases = {"other key": (ps, other_pk), "other level": (params.parameter_set(variant, 3), pk),
+             "other tau": (ps.with_overrides(tau=ps.tau - 1), pk)}
+    for name, (sign_ps, sign_pk) in cases.items():
+        # a secret key read back from bytes has not replayed its derivation yet
+        fresh = SecretKey.from_bytes(sk.to_bytes())
         with monkeypatch.context() as patch:
-            for method in ("hash", "xof", "xof_digest"):
-                patch.setattr(HashSuite, method, no_hashing)
+            _no_hashing(patch)
             with pytest.raises(KeyMismatchError, match="not the secret key's own"):
-                ps.scheme.sign(ps, pk, sk, b"m", b"e")
+                sign_ps.scheme.sign(sign_ps, sign_pk, fresh, b"m", b"e")
     assert issubclass(KeyMismatchError, ValueError)
+
+
+@pytest.mark.parametrize("variant", ["additive", "threshold"])
+def test_sign_with_a_foreign_m0_raises_right_after_the_derivation_replay(variant, monkeypatch):
+    # same set and public seed: only the replayed derivation tells M_0 apart,
+    # so sign hashes what the replay hashes and nothing more
+    ps = params.parameter_set(variant, 1)
+    pk, sk = keygen_optimized(ps, b"mismatch")
+    flipped = PublicKey(ps, pk.seed_pk, pk.m0_entries ^ np.uint8(1))
+    calls = []
+    for method in ("hash", "xof", "xof_digest"):
+        def record(*args, _method=method, _real=getattr(HashSuite, method)):
+            calls.append(_method)
+            return _real(*args)
+        monkeypatch.setattr(HashSuite, method, record)
+    SecretKey.from_bytes(sk.to_bytes()).witness()
+    replay = list(calls)
+    calls.clear()
+    with pytest.raises(KeyMismatchError, match="not the secret key's own"):
+        ps.scheme.sign(ps, flipped, SecretKey.from_bytes(sk.to_bytes()), b"m", b"e")
+    assert replay and calls == replay
 
 
 def test_key_mismatch_is_raised_under_python_O():
