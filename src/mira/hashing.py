@@ -138,10 +138,19 @@ encode_u16 = _LittleEndian(2).__getitem__
 encode_u32 = _LittleEndian(4).__getitem__
 
 
-def commit(suite, salt, e, indices, states):
-    """Position-bound commitments to round ``e``'s party ``states``, one each."""
-    return suite.hash_many(H0_COMMIT, salt + encode_u16(e),
-                           [encode_u16(i) + s for i, s in zip(indices, states)])
+def party_suffixes(indices, states):
+    """``u16(i) || state`` per party, None for a None state (a hidden party).
+
+    After a round's ``salt || u16(e)`` these are the commitment inputs; with
+    the leaf seeds as states they are also the leaf streams' inputs.
+    """
+    return [None if s is None else encode_u16(i) + s for i, s in zip(indices, states)]
+
+
+def commit(suite, salt, e, suffixes):
+    """Position-bound commitments to round ``e``'s parties, one per
+    ``party_suffixes`` entry."""
+    return suite.hash_many(H0_COMMIT, salt + encode_u16(e), suffixes)
 
 
 # ---------------------------------------------------------------------------

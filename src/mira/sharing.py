@@ -11,11 +11,17 @@ Additive sharings derive leaves 1..N-1 from their tree seeds and leaf N
 carries explicit corrections making every component column sum to its
 secret.  The hypercube identifies leaf i with the base-2 coordinate vector
 of i-1 (least significant bit = dimension 1, bit b = side b+1); the main
-party (k, j) is the sum of the leaves on side j of dimension k.
+party (k, j) is the sum of the leaves on side j of dimension k.  A round's
+leaf rows stay as their streams' bytes (``expand_leaf_shares``): in GF(16)
+two elements per byte, and adding is XOR on the packed bytes as on the
+elements.  Every sum of a round runs on those raw rows, and only the rows
+the rank check reads are unpacked by ``leaf_elements``: the D side-1 main
+parties and one row sum per round, and the hidden leaf's row.
 
 Both signers compute the aux value c = -<a, beta> through ``beta_map``, the
-(r*m, m) matrix of beta's multiplications, built once per signature: c for
-any number of a's is then one GF(q) product.
+(r*m, m) matrix of beta's multiplications, built once per signature: c of
+all rounds is then one GF(q) product (``aux_corrections`` in the additive
+signer).
 
 Shamir sharing evaluates an independent random degree-l polynomial per
 coordinate at the public points e_i = i, which caps N at q - 1.  Both
@@ -71,52 +77,59 @@ def leaf_stream(suite, salt, e, i, seed):
     return suite.xof(X_LEAF, salt, encode_u16(e), encode_u16(i), seed)
 
 
-def expand_leaf_shares(suite, salt, e, seeds, dims, field):
-    """Expand per-leaf pseudorandom rows; the last leaf samples only ``a``.
+def leaf_elements(field, rows, count):
+    """The first ``count`` elements of each raw leaf row, or raw row sum.
 
-    Returns the (N, T) rows.  ``seeds`` lists all N leaf seeds; a None
-    entry (hidden leaf) leaves its row zero.  Components are drawn in flat
-    row order from each leaf's stream; leaf N's stream starts directly at
-    the ``a`` block.
+    GF(16) rows are stream bytes of two elements each (low nibble first),
+    other powers of two stream bytes whose low bits are the element, and
+    odd prime fields keep elements.  In characteristic 2 ``field.add`` on
+    raw bytes is XOR (mod 2 for q = 2: the same low bit), so sums run on raw
+    rows; the pad nibble of an odd-length GF(16) row is dropped here.
     """
-    n = len(seeds)
-    t = dims.total
-    a_lo = dims.k + dims.r * dims.m
-    a_hi = a_lo + dims.r * dims.m
-    flat = np.zeros((n, t), np.uint8)
     q = field.q
+    if q == 16:
+        return unpack_nibbles(rows[..., :(count + 1) // 2])[..., :count]
     if q & (q - 1) == 0:
-        nib = q == 16
-        nbytes = (t + 1) // 2 if nib else t
+        return rows[..., :count] & np.uint8(q - 1)
+    return rows[..., :count]
+
+
+def expand_leaf_shares(suite, salt, e, suffixes, dims, field):
+    """One round's leaf rows, as the leaf streams give them.
+
+    ``suffixes`` are the N leaves' ``party_suffixes`` of their seeds, None
+    for a hidden leaf.  Returns (rows, a_n).  rows (N, W), W =
+    ``field.packed_size(T)``, holds leaves 1..N-1 in the raw form
+    ``leaf_elements`` reads, zero for a hidden leaf and for leaf N.  Leaf
+    N's stream draws only its ``a`` block, returned as (r, m) elements in
+    a_n (None when leaf N is hidden): the rest of its row is corrections.
+    """
+    n, t = len(suffixes), dims.total
+    r, m = dims.r, dims.m
+    width = field.packed_size(t)
+    last = suffixes[-1]
+    a_n = None
+    if field.q & (field.q - 1) == 0:
         prefix = salt + encode_u16(e)
-        live = [i for i in range(n - 1) if seeds[i] is not None]
-        blobs = b"".join(suite.xof_many(X_LEAF, prefix,
-                                        [encode_u16(i + 1) + seeds[i] for i in live], nbytes))
-        if live:
-            raw = np.frombuffer(blobs, np.uint8).reshape(len(live), nbytes)
-            if nib:
-                flat[live] = unpack_nibbles(raw)[:, :t]
-            else:
-                flat[live] = raw & np.uint8(q - 1)
-        if seeds[-1] is not None:
-            cnt = a_hi - a_lo
-            nb = (cnt + 1) // 2 if nib else cnt
-            raw = np.frombuffer(suite.xof_digest(X_LEAF, prefix + encode_u16(n) + seeds[-1], nb),
-                                np.uint8)
-            if nib:
-                flat[n - 1, a_lo:a_hi] = unpack_nibbles(raw)[:cnt]
-            else:
-                flat[n - 1, a_lo:a_hi] = raw & np.uint8(q - 1)
+        zero = bytes(width)
+        head = suffixes[:-1]
+        if None in head:
+            live = iter(suite.xof_many(X_LEAF, prefix, [s for s in head if s is not None], width))
+            blobs = [zero if s is None else next(live) for s in head]
+        else:
+            blobs = suite.xof_many(X_LEAF, prefix, head, width)
+        rows = np.frombuffer(b"".join(blobs) + zero, np.uint8).reshape(n, width)
+        if last is not None:
+            raw = suite.xof_digest(X_LEAF, prefix + last, field.packed_size(r * m))
+            a_n = leaf_elements(field, np.frombuffer(raw, np.uint8), r * m)
     else:
-        for i, seed in enumerate(seeds, start=1):
-            if seed is None:
-                continue
-            sampler = FieldSampler(field, leaf_stream(suite, salt, e, i, seed))
-            if i < n:
-                flat[i - 1] = sampler.take(t)
-            else:
-                flat[i - 1, a_lo:a_hi] = sampler.take(a_hi - a_lo)
-    return flat
+        rows = np.zeros((n, width), np.uint8)
+        for i, s in enumerate(suffixes[:-1], start=1):
+            if s is not None:
+                rows[i - 1] = FieldSampler(field, leaf_stream(suite, salt, e, i, s[2:])).take(t)
+        if last is not None:
+            a_n = FieldSampler(field, leaf_stream(suite, salt, e, n, last[2:])).take(r * m)
+    return rows, None if a_n is None else a_n.reshape(r, m)
 
 
 def beta_map(ext, beta):
@@ -136,21 +149,32 @@ def neg_inner(ext, a, w_beta):
     return ext.neg(ip).reshape(a.shape[:-2] + (ext.m,))
 
 
-def additive_share(suite, salt, e, seeds, dims, field, ext, x, beta, w_beta):
-    """Full additive sharing with the aux correction leaf.
+def additive_share(suite, salt, e, suffixes, dims, field):
+    """One round's leaf rows and their sums, before leaf N's corrections.
 
-    a is the sum of the per-leaf pseudorandom draws (all N of them) and
-    c = -<a, beta> is computed against that reconstructed a, through
-    beta's ``beta_map`` ``w_beta``.  Returns ((N, T) rows, a_plain, c_plain).
+    Returns (rows, head, a_plain): the raw rows of ``expand_leaf_shares``,
+    head (T,) the element sum of leaves 1..N-1, and a_plain (r, m) the sum
+    of every leaf's ``a`` draw, leaf N's included.  ``aux_corrections``
+    completes leaf N's row once a_plain of every round is known.
     """
-    rows = expand_leaf_shares(suite, salt, e, seeds, dims, field)
-    a_plain = field.axis_sum(dims.split(rows)[2], axis=0)
-    c_plain = neg_inner(ext, a_plain, w_beta)
-    # leaf N's x, beta and c correct the column sums to the secret; its a
-    # entries come back unchanged, as a_plain minus the other leaves' a
-    head = field.axis_sum(rows[:-1], axis=0)
-    rows[-1] = field.sub(plain_rows(x, beta, a_plain, c_plain), head)
-    return rows, a_plain, c_plain
+    rows, a_n = expand_leaf_shares(suite, salt, e, suffixes, dims, field)
+    head = leaf_elements(field, field.axis_sum(rows[:-1], axis=0), dims.total)
+    a_plain = field.add(dims.split(head)[2], a_n)
+    return rows, head, a_plain
+
+
+def aux_corrections(field, ext, x, beta, w_beta, heads, a_plains):
+    """Plaintext rows and leaf N's rows of any number of rounds.
+
+    ``heads`` (..., T) and ``a_plains`` (..., r, m) are ``additive_share``'s
+    sums; c = -<a, beta> of every round is one product through beta's
+    ``beta_map`` ``w_beta``.  Leaf N's row is the plaintext row minus the
+    head: its x, beta and c entries correct the column sums to the secret,
+    and its a entries come out as its own draw.  Returns (plains, leaf_n),
+    both (..., T).
+    """
+    plains = plain_rows(x, beta, a_plains, neg_inner(ext, a_plains, w_beta))
+    return plains, field.sub(plains, heads)
 
 
 def hypercube_aggregate(field, arr):
@@ -160,6 +184,8 @@ def hypercube_aggregate(field, arr):
     folding the upper half onto it removes that dimension, so all D sides
     cost about 2N row additions.  Side 2 is derived as total - side 1, so a
     zeroed (hidden) leaf row simply drops out of whichever side it belongs to.
+    The rows may be raw leaf rows (``leaf_elements``): only ``field.add``,
+    ``sub`` and ``axis_sum`` touch them.
     """
     arr = np.asarray(arr, np.uint8)
     n = arr.shape[0]

@@ -4,11 +4,15 @@ Per round the signer expands N = 2^D leaf input shares from a salted seed
 tree, commits to every leaf state, and answers the first challenge with
 D + 1 rank-check executions only: the plaintext run plus one main party
 per dimension; the opposite main shares follow by subtracting from the
-plaintext broadcast.  The second challenge hides one leaf; the response
-opens all other seeds via the sibling path, the hidden leaf's commitment
-and its broadcast alpha share, plus the aux corrections of leaf N.  The
-verifier also runs D + 1 executions per round: per dimension the main
-party without the hidden leaf, and the sum of all opened leaves.
+plaintext broadcast.  The leaf shares stay as their streams' packed bytes
+and are summed as such; of a round's N leaf rows only D + 1 sums, and the
+hidden leaf's row, are ever unpacked.  Leaf N's corrections, and so its
+commitment, wait for c of every round, one product for the signature.
+The second challenge hides one leaf; the response opens all other seeds
+via the sibling path, the hidden leaf's commitment and its broadcast alpha
+share, plus the aux corrections of leaf N.  The verifier also runs D + 1
+executions per round: per dimension the main party without the hidden
+leaf, and the sum of all opened leaves.
 
 The aux block is part of the fixed signature layout even when the hidden
 leaf is N itself; in that case it is zeroed (leaf N's state must not leak)
@@ -23,11 +27,11 @@ from functools import lru_cache
 import numpy as np
 
 from .bitio import DIGEST, ELEM, SEED, Layout, Signature, SignatureFormatError
-from .hashing import (H1, H2, H3, H4, X_SIGN, commit,
-                      derive_challenge1, derive_challenge2_additive, encode_u16)
+from .hashing import (H1, H2, H3, H4, X_SIGN, commit, derive_challenge1,
+                      derive_challenge2_additive, encode_u16, party_suffixes)
 from .mpc import ChallengeBatch, PkOperand
-from .sharing import (additive_share, beta_map, expand_leaf_shares,
-                      hypercube_aggregate, plain_rows)
+from .sharing import (additive_share, aux_corrections, beta_map, expand_leaf_shares,
+                      hypercube_aggregate, leaf_elements, plain_rows)
 from .trees import SeedTree, leaves_from_path
 
 
@@ -96,15 +100,23 @@ def decode(ps, data):
     return lay.signature(data, [RoundResponse(*vals) for vals in zip(*columns)])
 
 
-def _aux_state(base, seed, x_n, beta_n, c_n):
-    return seed + base.pack(np.concatenate([np.asarray(x_n, np.uint8),
-                                            np.asarray(beta_n, np.uint8).ravel(),
-                                            np.asarray(c_n, np.uint8)]))
+def _aux_bytes(base, x_n, beta_n, c_n):
+    """Per round, leaf N's committed state after its seed: its x, beta and c
+    corrections, packed; arguments (tau, k), (tau, r, m) and (tau, m)."""
+    return base.pack_rows(np.concatenate([x_n, beta_n.reshape(len(x_n), -1), c_n], axis=1))
 
 
-def _aggregate_rounds(field, flat_tnt):
-    """(tau, N, T) leaf rows -> (tau, D, 2, T) main-party rows, through views."""
-    return hypercube_aggregate(field, flat_tnt.transpose(1, 0, 2)).transpose(2, 0, 1, 3)
+def _aggregate_rounds(field, rows, t):
+    """One round's side-1 main parties (D, T) and the sum of its leaves
+    1..N-1 (T,), as elements, from ``expand_leaf_shares``'s raw rows.
+
+    Leaf N lies on side 2 of every dimension (all its coordinate bits are
+    set), so its zero raw row leaves side 1 whole; only the D side-1 rows
+    and the raw total are unpacked.
+    """
+    sides = hypercube_aggregate(field, rows)                    # (D, 2, W) raw
+    return (leaf_elements(field, sides[:, 0], t),
+            leaf_elements(field, field.add(sides[0, 0], sides[0, 1]), t))
 
 
 def _exec_hashes(suite, base, salt, al1, v1, al2, v2):
@@ -131,6 +143,7 @@ def _sign_core(ps, pk, x, beta, message, entropy):
     suite = ps.suite
     n_parties, depth, tau = ps.n_parties, ps.depth, ps.tau
     dims = ps.share_dims
+    t = dims.total
     r, m = ps.r, ps.m
     pk_op = PkOperand.of(pk)
     pk_bytes = pk.body_bytes()
@@ -140,22 +153,30 @@ def _sign_core(ps, pk, x, beta, message, entropy):
     randomness = suite.xof(X_SIGN, entropy).read(sb + tau * seed_bytes)
     salt = randomness[:sb]
 
-    trees, cmts_all, h0s = [], [], []
-    flat_all = np.empty((tau, n_parties, dims.total), np.uint8)
+    # per round the leaf rows stay raw; c of all rounds is one product, which
+    # leaf N's corrections and so its commitment wait for
+    trees, suffixes_all, rows_all = [], [], []
+    heads = np.empty((tau, t), np.uint8)
     a_plains = np.empty((tau, r, m), np.uint8)
-    c_plains = np.empty((tau, m), np.uint8)
-    w_beta = beta_map(ext, beta)
+    side1 = np.empty((tau, depth, t), np.uint8)
     for e in range(1, tau + 1):
         root_seed = randomness[sb + (e - 1) * seed_bytes:sb + e * seed_bytes]
         tree = SeedTree.expand(suite, root_seed, salt, e, n_parties)
-        flat_all[e - 1], a_plains[e - 1], c_plains[e - 1] = additive_share(
-            suite, salt, e, tree.leaves(), dims, base, ext, x, beta, w_beta)
-        states = tree.leaves()
-        xn, bn, _, cn = dims.split(flat_all[e - 1, -1])
-        states[-1] = _aux_state(base, states[-1], xn, bn, cn)
-        cmts = commit(suite, salt, e, range(1, n_parties + 1), states)
-        h0s.append(suite.hash(H1, salt, encode_u16(e), *cmts))
+        suffixes = party_suffixes(range(1, n_parties + 1), tree.leaves())
+        rows, heads[e - 1], a_plains[e - 1] = additive_share(suite, salt, e, suffixes, dims, base)
+        side1[e - 1], _ = _aggregate_rounds(base, rows, t)
         trees.append(tree)
+        suffixes_all.append(suffixes)
+        rows_all.append(rows)
+    plains, leaf_n = aux_corrections(base, ext, x, beta, beta_map(ext, beta), heads, a_plains)
+    xn, bn, _, cn = dims.split(leaf_n)
+    aux = _aux_bytes(base, xn, bn, cn)
+
+    cmts_all, h0s = [], []
+    for e in range(1, tau + 1):
+        suffixes = suffixes_all[e - 1]
+        cmts = commit(suite, salt, e, suffixes[:-1] + [suffixes[-1] + aux[e - 1]])
+        h0s.append(suite.hash(H1, salt, encode_u16(e), *cmts))
         cmts_all.append(cmts)
 
     h1 = suite.hash(H2, salt, message, *h0s)
@@ -163,9 +184,7 @@ def _sign_core(ps, pk, x, beta, message, entropy):
     batch = ChallengeBatch(ext, r, ch1)
 
     # one batched run: row 0 = plaintext, rows 1..D = side-1 main parties
-    mains = _aggregate_rounds(base, flat_all)               # (tau, D, 2, T)
-    rows = np.concatenate([plain_rows(x, beta, a_plains, c_plains)[:, None],
-                           mains[:, :, 0]], axis=1)
+    rows = np.concatenate([plains[:, None], side1], axis=1)
     alphas, zs = batch.broadcast_alpha(pk_op, rows, np.ones(depth + 1, bool))
     alpha_plain = alphas[:, 0]
     al1 = alphas[:, 1:]
@@ -180,12 +199,14 @@ def _sign_core(ps, pk, x, beta, message, entropy):
     h2 = suite.hash(H4, message, pk_bytes, salt, h1, *exec_hashes)
     ch2 = derive_challenge2_additive(suite, h2, n_parties, tau)
 
+    # the hidden leaves' rows; leaf N's raw row is zero, its row is leaf_n
     istars = np.asarray(ch2)
-    al_hidden, _ = batch.broadcast_alpha(
-        pk_op, flat_all[np.arange(tau), istars - 1][:, None], (istars == 1)[:, None])
+    last = (istars == n_parties)[:, None]
+    hidden = leaf_elements(base, np.stack([rows_all[e][i - 1] for e, i in enumerate(ch2)]), t)
+    hidden = np.where(last, leaf_n, hidden)
+    al_hidden, _ = batch.broadcast_alpha(pk_op, hidden[:, None], (istars == 1)[:, None])
     # leaf N's aux corrections; zeros where leaf N is the hidden one
-    aux_x, aux_beta, _, aux_c = dims.split(
-        np.where((istars == n_parties)[:, None], 0, flat_all[:, -1]))
+    aux_x, aux_beta, _, aux_c = dims.split(np.where(last, 0, leaf_n))
 
     rounds = []
     for e in range(1, tau + 1):
@@ -214,29 +235,39 @@ def verify_decoded(ps, pk, message, sig):
     suite = ps.suite
     n_parties, depth, tau = ps.n_parties, ps.depth, ps.tau
     dims = ps.share_dims
+    t = dims.total
 
     ch2 = derive_challenge2_additive(suite, sig.h2, n_parties, tau)
     istars = np.asarray(ch2)
+    rounds = sig.rounds
+    aux_x = np.stack([rr.aux_x for rr in rounds])
+    aux_beta = np.stack([rr.aux_beta for rr in rounds])
+    aux_c = np.stack([rr.aux_c for rr in rounds])
+    last = istars == n_parties
+    if aux_x[last].any() or aux_beta[last].any() or aux_c[last].any():
+        return False
+    aux = _aux_bytes(base, aux_x, aux_beta, aux_c)
 
     h0s = []
-    flat_all = np.empty((tau, n_parties, dims.total), np.uint8)
+    side1 = np.empty((tau, depth, t), np.uint8)
+    heads = np.empty((tau, t), np.uint8)
+    a_n = np.zeros((tau, ps.r, ps.m), np.uint8)       # zero where leaf N is hidden
     for e in range(1, tau + 1):
-        rr = sig.rounds[e - 1]
+        rr = rounds[e - 1]
         istar = ch2[e - 1]
-        if istar == n_parties and (rr.aux_x.any() or rr.aux_beta.any() or rr.aux_c.any()):
-            return False
         try:
             leaves = leaves_from_path(suite, rr.path, istar, sig.salt, e, n_parties)
         except ValueError:
             return False
-        flat = expand_leaf_shares(suite, sig.salt, e, leaves, dims, base)
+        suffixes = party_suffixes(range(1, n_parties + 1), leaves)
+        rows, a_last = expand_leaf_shares(suite, sig.salt, e, suffixes, dims, base)
         if istar != n_parties:
-            flat[-1] = plain_rows(rr.aux_x, rr.aux_beta, dims.split(flat[-1])[2], rr.aux_c)
+            a_n[e - 1] = a_last
             # leaf N's committed state is its seed and its aux corrections
-            leaves[-1] = _aux_state(base, leaves[-1], rr.aux_x, rr.aux_beta, rr.aux_c)
-        flat_all[e - 1] = flat
-        opened = [i for i in range(1, n_parties + 1) if i != istar]
-        cmts = commit(suite, sig.salt, e, opened, [leaves[i - 1] for i in opened])
+            suffixes[-1] += aux[e - 1]
+        side1[e - 1], heads[e - 1] = _aggregate_rounds(base, rows, t)
+        del suffixes[istar - 1]
+        cmts = commit(suite, sig.salt, e, suffixes)
         cmts.insert(istar - 1, rr.cmt_hidden)
         h0s.append(suite.hash(H1, sig.salt, encode_u16(e), *cmts))
     # h1 depends on the round digests alone: check it before the rank check
@@ -245,25 +276,26 @@ def verify_decoded(ps, pk, message, sig):
         return False
 
     batch = ChallengeBatch(ext, ps.r, derive_challenge1(suite, sig.h1, ext, ps.n, tau))
-    mains = _aggregate_rounds(base, flat_all)               # (tau, D, 2, T)
+    # the sum of the opened leaves: leaf N's row is its aux corrections and
+    # its own a, and zero where it is hidden (its aux is zero then)
+    totals = base.add(heads, plain_rows(aux_x, aux_beta, a_n, aux_c))
     bits = (istars[:, None] - 1 >> np.arange(depth)[None, :]) & 1   # (tau, D)
-    e_idx = np.repeat(np.arange(tau)[:, None], depth, axis=1)
-    d_idx = np.broadcast_to(np.arange(depth)[None, :], (tau, depth))
-    full_rows = mains[e_idx, d_idx, 1 - bits]               # (tau, D, T)
+    # the main party without the hidden leaf: side 1 where the hidden leaf's
+    # bit is set, else side 2 = total - side 1 (its hidden row is zero)
+    side1_full = bits.astype(bool)
+    full_rows = np.where(side1_full[..., None], side1, base.sub(totals[:, None], side1))
     # alpha is affine in the share: the opened alpha is alpha(sum of the
     # opened leaves, whose hidden row is zero) plus the hidden leaf's share
-    sum_rows = base.add(mains[:, 0, 0], mains[:, 0, 1])[:, None]   # (tau, 1, T)
-    rows = np.concatenate([full_rows, sum_rows], axis=1)    # (tau, D + 1, T)
+    rows = np.concatenate([full_rows, totals[:, None]], axis=1)    # (tau, D + 1, T)
     offsets = np.concatenate([bits == 1, istars[:, None] != 1], axis=1)
     alphas, zs = batch.broadcast_alpha(PkOperand.of(pk), rows, offsets)
     al_full = alphas[:, :depth]
-    alpha_hid = np.stack([rr.alpha_hidden for rr in sig.rounds])
+    alpha_hid = np.stack([rr.alpha_hidden for rr in rounds])
     al_open = ext.add(alphas[:, depth:], alpha_hid[:, None])   # (tau, 1, r, m)
     al_hidden_side = ext.sub(al_open, al_full)
     v_full = batch.broadcast_v(zs[:, :depth], rows[:, :depth], al_open)
     v_hidden_side = ext.neg(v_full)
     # the hidden leaf sits on side 2 of dimension k when its bit k is set
-    side1_full = bits.astype(bool)
     exec_hashes = _exec_hashes(
         suite, base, sig.salt,
         np.where(side1_full[..., None, None], al_full, al_hidden_side),

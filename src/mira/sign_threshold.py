@@ -20,7 +20,7 @@ import numpy as np
 
 from .bitio import DIGEST, ELEM, U16, Layout, Signature, SignatureFormatError
 from .hashing import (H1, H2, X_SIGN, FieldSampler, commit,
-                      derive_challenge1, derive_challenge2_threshold)
+                      derive_challenge1, derive_challenge2_threshold, party_suffixes)
 from .mpc import ChallengeBatch, PkOperand
 from .sharing import (beta_map, lagrange_weights, neg_inner, plain_rows, shamir_expand,
                       shamir_share)
@@ -163,8 +163,9 @@ def _sign_core(ps, pk, x, beta, message, entropy):
     shares_all = shamir_share(base, secrets, ell, n_parties, rands)
     trees, roots = [], []
     for e in range(1, tau + 1):
-        tree = MerkleTree(suite, commit(suite, salt, e, range(1, n_parties + 1),
-                                        base.pack_rows(shares_all[e - 1])))
+        states = base.pack_rows(shares_all[e - 1])
+        tree = MerkleTree(suite, commit(suite, salt, e,
+                                        party_suffixes(range(1, n_parties + 1), states)))
         trees.append(tree)
         roots.append(merkle_root(suite, tree))
 
@@ -218,7 +219,8 @@ def verify_decoded(ps, pk, message, sig):
     states = base.pack_rows(opened.reshape(tau * ell, -1))
     cmts = []
     for e in range(1, tau + 1):
-        cmts += commit(suite, sig.salt, e, ch2[e - 1], states[(e - 1) * ell:e * ell])
+        cmts += commit(suite, sig.salt, e,
+                       party_suffixes(ch2[e - 1], states[(e - 1) * ell:e * ell]))
     leaves = suite.hash_many(H_MERKLE, b"", cmts)
     roots = merkle_root_from_auth(suite, [leaves[i:i + ell] for i in range(0, tau * ell, ell)],
                                   ch2, [rr.auth for rr in sig.rounds], n_parties)

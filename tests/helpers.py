@@ -8,13 +8,15 @@ import numpy as np
 
 from mira import sign_additive
 from mira.bitio import Signature, SignatureFormatError
-from mira.hashing import H_MERKLE, X_KEYSEC, X_TREE, FieldSampler, encode_u16, encode_u32
+from mira.hashing import (H_MERKLE, X_KEYSEC, X_TREE, FieldSampler, encode_u16, encode_u32,
+                          party_suffixes)
 from mira.keys import _expand_l
 from mira.matrices import pivot_columns, rank, sample_rank_bounded
 from mira.qpoly import QPolynomial
 from mira.mpc import ChallengeBatch
 from mira.params import PARAM_IDS, parameter_set
-from mira.sharing import lagrange_weights, shamir_expand
+from mira.sharing import (additive_share, aux_corrections, beta_map, lagrange_weights,
+                          leaf_elements, shamir_expand)
 from mira.sign_threshold import RoundResponse, layout
 
 
@@ -42,6 +44,19 @@ def witness_matrix(pk, x):
 def leaf_side(leaf, dim):
     """Side (1 or 2) of 1-based ``leaf`` along 1-based ``dim``."""
     return ((leaf - 1) >> (dim - 1) & 1) + 1
+
+
+def full_sharing(suite, salt, e, seeds, dims, field, ext, x, beta):
+    """One round's whole additive sharing from its N leaf ``seeds``, as elements.
+
+    Returns ((N, T) rows, a_plain, c_plain): ``additive_share``'s rows through
+    ``leaf_elements``, with leaf N's row from ``aux_corrections``.
+    """
+    suffixes = party_suffixes(range(1, len(seeds) + 1), seeds)
+    rows, head, a_plain = additive_share(suite, salt, e, suffixes, dims, field)
+    plain, leaf_n = aux_corrections(field, ext, x, beta, beta_map(ext, beta), head, a_plain)
+    shares = np.concatenate([leaf_elements(field, rows[:-1], dims.total), leaf_n[None]])
+    return shares, a_plain, dims.split(plain)[3]
 
 
 class CheatingBatch(ChallengeBatch):

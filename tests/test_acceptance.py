@@ -22,12 +22,12 @@ from mira.matrices import columns_to_ext, rank, sample_rank_bounded
 from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
-from mira.sharing import (ShareDims, additive_share, beta_map, hypercube_aggregate,
-                          plain_rows, shamir_share)
+from mira.sharing import ShareDims, hypercube_aggregate, plain_rows, shamir_share
 from mira.trees import SeedTree, leaves_from_path, merkle_auth, merkle_root
 from mira.trees import merkle_root_from_auth, H_MERKLE
 
-from helpers import evaluate, evaluate_many, shamir_at, shamir_reconstruct, sign_cheating
+from helpers import (evaluate, evaluate_many, full_sharing, shamir_at, shamir_reconstruct,
+                     sign_cheating)
 
 SUITE = HashSuite(128)
 
@@ -188,9 +188,8 @@ def test_criterion_7_oracle_equivalence():
         c_plains = np.empty((chunk, mr.m), np.uint8)
         for e in range(chunk):
             seeds = [bytes([kp, e, i]) * 8 for i in range(n_parties)]
-            shares, a_p, c_p = additive_share(SUITE, b"\x00" * 32, e + 1, seeds,
-                                              dims, mr.base, ext, x, beta,
-                                              beta_map(ext, beta))
+            shares, a_p, c_p = full_sharing(SUITE, b"\x00" * 32, e + 1, seeds,
+                                            dims, mr.base, ext, x, beta)
             leaf_rows[e] = shares
             a_plains[e] = a_p
             c_plains[e] = c_p

@@ -27,17 +27,17 @@ from mira.keys import keygen_optimized
 PINNED = {
     ("additive", 1): {
         "keygen": {"matmul": (2, 17600)},
-        "sign": {"matmul": (18, 23040), "matmul3": (11, 6103040)},
+        "sign": {"matmul": (1, 23040), "matmul3": (11, 6103040)},
         "verify": {"matmul3": (7, 5515776)},
     },
     ("additive", 3): {
         "keygen": {"matmul": (2, 34590)},
-        "sign": {"matmul": (26, 56316), "matmul3": (11, 16710690)},
+        "sign": {"matmul": (1, 56316), "matmul3": (11, 16710690)},
         "verify": {"matmul3": (7, 15120846)},
     },
     ("additive", 5): {
         "keygen": {"matmul": (2, 66721)},
-        "sign": {"matmul": (34, 107916), "matmul3": (11, 38095406)},
+        "sign": {"matmul": (1, 107916), "matmul3": (11, 38095406)},
         "verify": {"matmul3": (7, 34497148)},
     },
     ("threshold", 1): {

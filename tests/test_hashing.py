@@ -7,7 +7,8 @@ from mira.fields import base_field, ext_field
 from mira.hashing import (H0_COMMIT, H1, H2, H3, H4, H_MERKLE, X_LEAF, X_TREE, FieldSampler,
                           HashSuite, commit, derive_challenge1,
                           derive_challenge2_additive,
-                          derive_challenge2_threshold, encode_u16, XofStream)
+                          derive_challenge2_threshold, encode_u16, party_suffixes,
+                          XofStream)
 
 SUITE = HashSuite(128)
 
@@ -17,11 +18,11 @@ CHI2_CRIT = {15: 30.578, 27: 46.963, 250: 304.940}
 
 def test_commit_determinism_and_sensitivity():
     salt = b"\x42" * SUITE.salt_bytes
-    [c1] = commit(SUITE, salt, 3, [7], [b"state"])
-    assert [c1] == commit(SUITE, salt, 3, [7], [b"state"])
-    assert [c1] != commit(SUITE, salt, 3, [8], [b"state"])
-    assert [c1] != commit(SUITE, salt, 4, [7], [b"state"])
-    assert [c1] != commit(SUITE, b"\x43" + salt[1:], 3, [7], [b"state"])
+    [c1] = commit(SUITE, salt, 3, party_suffixes([7], [b"state"]))
+    assert [c1] == commit(SUITE, salt, 3, party_suffixes([7], [b"state"]))
+    assert [c1] != commit(SUITE, salt, 3, party_suffixes([8], [b"state"]))
+    assert [c1] != commit(SUITE, salt, 4, party_suffixes([7], [b"state"]))
+    assert [c1] != commit(SUITE, b"\x43" + salt[1:], 3, party_suffixes([7], [b"state"]))
     assert len(c1) == SUITE.digest_bytes
 
 
@@ -33,7 +34,7 @@ def test_commit_determinism_and_sensitivity():
 def test_round_commit_equals_one_hash_per_party(e, parties, salt):
     indices = [i for i, _ in parties]
     states = [s for _, s in parties]
-    assert commit(SUITE, salt, e, indices, states) == [
+    assert commit(SUITE, salt, e, party_suffixes(indices, states)) == [
         SUITE.hash(H0_COMMIT, salt, encode_u16(e), encode_u16(i), s) for i, s in parties]
 
 

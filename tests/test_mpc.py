@@ -14,10 +14,9 @@ from mira.matrices import columns_to_ext, rank, sample_rank_bounded
 from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
-from mira.sharing import (ShareDims, additive_share, beta_map, hypercube_aggregate,
-                          plain_rows, shamir_share)
+from mira.sharing import ShareDims, hypercube_aggregate, plain_rows, shamir_share
 
-from helpers import shamir_reconstruct
+from helpers import full_sharing, shamir_reconstruct
 
 SUITE = HashSuite(128)
 SALT = b"\x31" * SUITE.salt_bytes
@@ -70,9 +69,7 @@ def test_additive_sum_equals_plaintext():
     op = PkOperand.of(pk)
     n_parties = 8
     seeds = [bytes([i]) * 16 for i in range(n_parties)]
-    shares, a_plain, c_plain = additive_share(SUITE, SALT, 1, seeds, dims,
-                                              mr.base, ext, x, beta,
-                                              beta_map(ext, beta))
+    shares, a_plain, c_plain = full_sharing(SUITE, SALT, 1, seeds, dims, mr.base, ext, x, beta)
     batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
     alpha_p, v_p = plain_run(batch, op, x, beta, a_plain, c_plain)
     offs = np.zeros(n_parties, bool)
@@ -130,9 +127,7 @@ def test_hypercube_consistency_and_shortcut():
     dims = ShareDims(k=mr.k, r=mr.r, m=mr.m)
     op = PkOperand.of(pk)
     seeds = [bytes([i]) * 16 for i in range(16)]
-    shares, a_plain, c_plain = additive_share(SUITE, SALT, 1, seeds, dims,
-                                              mr.base, ext, x, beta,
-                                              beta_map(ext, beta))
+    shares, a_plain, c_plain = full_sharing(SUITE, SALT, 1, seeds, dims, mr.base, ext, x, beta)
     batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
     alpha_p, v_p = plain_run(batch, op, x, beta, a_plain, c_plain)
     depth = 4

@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mira.fields import base_field, ext_field
-from mira.hashing import HashSuite
-from mira.sharing import (ShareDims, additive_share, beta_map,
-                          expand_leaf_shares, hypercube_aggregate, lagrange_weights,
-                          neg_inner, shamir_expand, shamir_points, shamir_share)
+from mira.hashing import FieldSampler, HashSuite, party_suffixes
+from mira.sharing import (ShareDims, beta_map, expand_leaf_shares, hypercube_aggregate,
+                          lagrange_weights, leaf_elements, leaf_stream, neg_inner,
+                          shamir_expand, shamir_points, shamir_share)
 
-from helpers import leaf_side, shamir_at, shamir_reconstruct
+from helpers import full_sharing, leaf_side, shamir_at, shamir_reconstruct
 
 SUITE = HashSuite(128)
 SALT = b"\x21" * SUITE.salt_bytes
@@ -25,9 +25,7 @@ def make_sharing(n, seed_tag, x=None, beta=None, q=16):
     x = rng.integers(0, q, DIMS.k).astype(np.uint8) if x is None else x
     beta = rng.integers(0, q, (DIMS.r, DIMS.m)).astype(np.uint8) if beta is None else beta
     seeds = [bytes([seed_tag % 256, i]) * (SUITE.seed_bytes // 2) for i in range(n)]
-    shares, a_plain, c_plain = additive_share(SUITE, SALT, 1, seeds, DIMS,
-                                              field, ext, x, beta,
-                                              beta_map(ext, beta))
+    shares, a_plain, c_plain = full_sharing(SUITE, SALT, 1, seeds, DIMS, field, ext, x, beta)
     return field, ext, x, beta, shares, a_plain, c_plain
 
 
@@ -115,8 +113,8 @@ def test_hypercube_homomorphism():
 
 @pytest.mark.parametrize("q", [2, 16, 7])
 def test_hypercube_aggregates_a_strided_stack(q):
-    # the signer's (N, tau, T) view of its (tau, N, T) block aggregates per
-    # round, as a contiguous (N, T) block does
+    # an (N, tau, T) view of a (tau, N, T) block aggregates per round, as a
+    # contiguous (N, T) block does
     field = base_field(q)
     rng = np.random.default_rng(q)
     arr = rng.integers(0, q, (3, 16, 5)).astype(np.uint8)
@@ -133,32 +131,68 @@ def test_hypercube_requires_power_of_two():
         hypercube_aggregate(base_field(16), np.zeros((6, 3), np.uint8))
 
 
+def _leaf_rows(e, seeds, field):
+    """``expand_leaf_shares`` of ``seeds`` (None = hidden) as (N, T) elements, and a_n."""
+    suffixes = party_suffixes(range(1, len(seeds) + 1), seeds)
+    rows, a_n = expand_leaf_shares(SUITE, SALT, e, suffixes, DIMS, field)
+    return leaf_elements(field, rows, DIMS.total), a_n
+
+
 def test_leaf_n_stream_only_samples_a():
     field = base_field(16)
     seeds = [bytes([i]) * 16 for i in range(4)]
-    shares = expand_leaf_shares(SUITE, SALT, 2, seeds, DIMS, field)
+    shares, a_n = _leaf_rows(2, seeds, field)
     sx, sbeta, sa, sc = DIMS.split(shares)
     assert not sx[-1].any() and not sbeta[-1].any() and not sc[-1].any()
-    assert sa[-1].any()
+    assert not sa[-1].any() and a_n.any()     # leaf N's draw comes apart from its row
     # hidden leaves stay zero
-    shares2 = expand_leaf_shares(SUITE, SALT, 2, [seeds[0], None, seeds[2], seeds[3]],
-                                 DIMS, field)
+    shares2, _ = _leaf_rows(2, [seeds[0], None, seeds[2], seeds[3]], field)
     assert not shares2[1].any()
     assert np.array_equal(shares2[0], shares[0])
 
 
 def test_bulk_and_stream_paths_agree():
     # the vectorized power-of-two path must equal the generic sampler path
-    from mira.hashing import FieldSampler
-    from mira.sharing import leaf_stream
     field = base_field(16)
     seeds = [bytes([7, i]) * 8 for i in range(5)]
-    shares = expand_leaf_shares(SUITE, SALT, 3, seeds, DIMS, field)
+    shares, a_n = _leaf_rows(3, seeds, field)
     for i in range(1, 5):
         sampler = FieldSampler(field, leaf_stream(SUITE, SALT, 3, i, seeds[i - 1]))
         assert np.array_equal(shares[i - 1], sampler.take(DIMS.total))
     sampler = FieldSampler(field, leaf_stream(SUITE, SALT, 3, 5, seeds[4]))
-    assert np.array_equal(DIMS.split(shares)[2][4].ravel(), sampler.take(DIMS.r * DIMS.m))
+    assert np.array_equal(a_n.ravel(), sampler.take(DIMS.r * DIMS.m))
+
+
+@pytest.mark.parametrize("k", [6, 7], ids=["odd-T", "even-T"])
+@pytest.mark.parametrize("q", [2, 7, 16])
+@pytest.mark.parametrize("hidden", [1, 3, 8])
+def test_raw_rows_and_their_sums_match_per_leaf_samplers(q, k, hidden):
+    # every row, and the sum of any set of rows, reads as the per-leaf
+    # sampler's elements; a GF(16) row of odd length ends in a pad nibble
+    # that neither a row nor a sum may keep
+    dims = ShareDims(k=k, r=2, m=5)
+    field = base_field(q)
+    seeds = [bytes([q, i]) * 8 for i in range(8)]
+    seeds[hidden - 1] = None
+    rows, a_n = expand_leaf_shares(SUITE, SALT, 4, party_suffixes(range(1, 9), seeds),
+                                   dims, field)
+    assert rows.shape == (8, field.packed_size(dims.total))
+    assert not rows[hidden - 1].any() and not rows[-1].any()
+    ref = np.zeros((8, dims.total), np.uint8)
+    for i, seed in enumerate(seeds[:-1], start=1):
+        if seed is not None:
+            ref[i - 1] = FieldSampler(field, leaf_stream(SUITE, SALT, 4, i, seed)).take(dims.total)
+    assert np.array_equal(leaf_elements(field, rows, dims.total), ref)
+    if hidden == 8:
+        assert a_n is None
+    else:
+        sampler = FieldSampler(field, leaf_stream(SUITE, SALT, 4, 8, seeds[-1]))
+        assert np.array_equal(a_n, sampler.take(dims.r * dims.m).reshape(dims.r, dims.m))
+    for pick in ([0, 1, 2, 3, 4, 5, 6], [0, 4], [2]):
+        assert np.array_equal(leaf_elements(field, field.axis_sum(rows[pick], 0), dims.total),
+                              field.axis_sum(ref[pick], 0))
+    if q == 16 and dims.total & 1:
+        assert (rows[[i for i in range(7) if i != hidden - 1], -1] >> 4).any()
 
 
 # ---------------------------------------------------------------------------

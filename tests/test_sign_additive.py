@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,9 @@ from mira.mpc import ChallengeBatch, PkOperand
 from mira.matrices import columns_to_ext
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
-from mira.sharing import additive_share, beta_map
 from mira.trees import SeedTree, leaves_from_path
 
-from helpers import sign_cheating
+from helpers import full_sharing, sign_cheating
 
 TABLE_SIZES = {1: 5640, 3: 11779, 5: 20762}
 
@@ -20,6 +21,24 @@ TOY = ParameterSet("additive", 0, q=16, m=4, n=4, k=5, r=2, N=8, tau=3, eta=1,
                    lam=128).sign_params()
 TOY2 = ParameterSet("additive", 0, q=2, m=8, n=6, k=7, r=2, N=4, tau=2, eta=1,
                     lam=128).sign_params()
+
+
+# SHA3-256 of one signature per toy set (q, k), with m = 5, n = 4, r = 2,
+# N = 8 and tau = 8: k = 6 gives an odd row length T = 31, k = 7 an even one,
+# T = 32.  At an odd T each GF(16) leaf stream ends in a pad nibble that no
+# sum may carry into a row.  The hidden leaves cover 1 and N in most sets.
+TOY_FIELD_DIGESTS = {
+    (2, 6): "c4e15eff88462d0d8265bd8f3503b80b8efab46c07b87a1bc37d8d7b90112526",
+    (2, 7): "84ce2e7b96c0da710096f99d6563f42f45cbd5f5b3379756e0c61654fd2d7010",
+    (4, 6): "7aef4fa85b4ad807b4f3ba3caaa554f999a8e128feca6f16351de1a834876f73",
+    (4, 7): "9ad24c61d8ceb2c5ca86f43b35a581555046adfe35164fae63a36079e80f239c",
+    (7, 6): "c91d91f1b2890a8a4f3a372913ba1eab190a8b4071998717bcfa25b0b447f938",
+    (7, 7): "2ed109ca9751110f625f5dc4036cea28a5538d669cdcb1f3f408d01cc31f42e1",
+    (16, 6): "407f7efd02d3efde51c05e97f187b4a5611f07c271b7cd8e0926c83ce56849e9",
+    (16, 7): "b4b584cc28ea8830fe8206791a6323c7595be0ec1f71157e998bc077772861a9",
+    (256, 6): "836070cdb3981c8f9491876ec6057e2a87f058ebd9ebad8f9ecc496d01637291",
+    (256, 7): "bde565060e3de7b44365090e21a75ee4241a5d973b903de3c7be80c94a16c8cf",
+}
 
 
 def toy_keys(ap, tag=b"toy"):
@@ -39,6 +58,17 @@ def test_round_trip_and_exact_size(level):
     assert len(sig) == TABLE_SIZES[level] == sa.layout(ap).max_bytes
     assert sa.verify(ap, pk, msg, sig)
     assert not sa.verify(ap, pk, msg + b"!", sig)
+
+
+@pytest.mark.parametrize("q, k", list(TOY_FIELD_DIGESTS))
+def test_toy_field_signature_bytes(q, k):
+    ap = ParameterSet("additive", 0, q=q, m=5, n=4, k=k, r=2, N=8, tau=8, eta=1,
+                      lam=128).sign_params()
+    assert ap.share_dims.total == 25 + k
+    pk, sk = keygen_optimized(ap, b"toy field")
+    sig = sa.sign(ap, pk, sk, b"pinned", b"entropy")
+    assert sa.verify(ap, pk, b"pinned", sig)
+    assert hashlib.sha3_256(sig).hexdigest() == TOY_FIELD_DIGESTS[q, k]
 
 
 def test_per_round_response_size_level1():
@@ -159,9 +189,8 @@ def test_opened_alpha_is_alpha_of_the_full_leaf_sum(ap, istars, monkeypatch):
     for e in range(1, ap.tau + 1):
         tree = SeedTree.expand(ap.suite, rng.read(ap.suite.seed_bytes), sig.salt, e,
                                ap.n_parties)
-        shares, _, _ = additive_share(ap.suite, sig.salt, e, tree.leaves(), ap.share_dims,
-                                      ap.base, ap.ext, x, beta,
-                                      beta_map(ap.ext, beta))
+        shares, _, _ = full_sharing(ap.suite, sig.salt, e, tree.leaves(), ap.share_dims,
+                                    ap.base, ap.ext, x, beta)
         sums.append(ap.base.axis_sum(shares, axis=0))
     batch = ChallengeBatch(ap.ext, ap.r, derive_challenge1(ap.suite, sig.h1, ap.ext, ap.n, ap.tau))
     alpha, _ = batch.broadcast_alpha(PkOperand.of(pk), np.stack(sums)[:, None], [True])
@@ -267,15 +296,22 @@ def test_sum_row_gives_the_part_row_alphas(ap, istars, monkeypatch):
     _force_hidden_leaves(monkeypatch, istars)
     pk, sk = keygen_optimized(ap, b"part")
     sig = sa.decode(ap, sa.sign(ap, pk, sk, b"m", b"e"))
-    flats = []
+    sums = []                                 # per round (side-1 rows, head)
     orig_aggregate = sa._aggregate_rounds
     monkeypatch.setattr(sa, "_aggregate_rounds",
-                        lambda field, flat: flats.append(flat) or orig_aggregate(field, flat))
+                        lambda *args: sums.append(orig_aggregate(*args)) or sums[-1])
+    checked = []                              # the rows of the rank check
+    orig_alpha = ChallengeBatch.broadcast_alpha
+    monkeypatch.setattr(ChallengeBatch, "broadcast_alpha",
+                        lambda self, pk_op, rows, offsets: checked.append(rows)
+                        or orig_alpha(self, pk_op, rows, offsets))
     calls = _spy_broadcast_alpha(monkeypatch)
     assert sa.verify_decoded(ap, pk, b"m", sig)
     [(batch, pk_op, _, (alphas, _))] = calls
     depth, ext = ap.depth, ap.ext
-    mains = orig_aggregate(ap.base, flats[0])                 # (tau, D, 2, T)
+    side1 = np.stack([side for side, _ in sums])
+    side2 = ap.base.sub(checked[0][:, depth:], side1)       # the sum row minus side 1
+    mains = np.stack([side1, side2], axis=2)                  # (tau, D, 2, T)
     ist = np.asarray(istars)
     bits = (ist[:, None] - 1 >> np.arange(depth)[None, :]) & 1
     part_rows = np.take_along_axis(mains, bits[:, :, None, None], axis=2)[:, :, 0]
