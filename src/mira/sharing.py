@@ -20,7 +20,7 @@ parties and one row sum per round, and the hidden leaf's row.
 
 Both signers compute the aux value c = -<a, beta> through ``beta_map``, the
 (r*m, m) matrix of beta's multiplications, built once per signature: c of
-all rounds is then one GF(q) product (``aux_corrections`` in the additive
+all rounds is then one GF(q) product (``additive_share`` in the additive
 signer).
 
 Shamir sharing evaluates an independent random degree-l polynomial per
@@ -113,11 +113,8 @@ def expand_leaf_shares(suite, salt, e, suffixes, dims, field):
         prefix = salt + encode_u16(e)
         zero = bytes(width)
         head = suffixes[:-1]
-        if None in head:
-            live = iter(suite.xof_many(X_LEAF, prefix, [s for s in head if s is not None], width))
-            blobs = [zero if s is None else next(live) for s in head]
-        else:
-            blobs = suite.xof_many(X_LEAF, prefix, head, width)
+        live = iter(suite.xof_many(X_LEAF, prefix, [s for s in head if s is not None], width))
+        blobs = [zero if s is None else next(live) for s in head]
         rows = np.frombuffer(b"".join(blobs) + zero, np.uint8).reshape(n, width)
         if last is not None:
             raw = suite.xof_digest(X_LEAF, prefix + last, field.packed_size(r * m))
@@ -149,31 +146,19 @@ def neg_inner(ext, a, w_beta):
     return ext.neg(ip).reshape(a.shape[:-2] + (ext.m,))
 
 
-def additive_share(suite, salt, e, suffixes, dims, field):
-    """One round's leaf rows and their sums, before leaf N's corrections.
-
-    Returns (rows, head, a_plain): the raw rows of ``expand_leaf_shares``,
-    head (T,) the element sum of leaves 1..N-1, and a_plain (r, m) the sum
-    of every leaf's ``a`` draw, leaf N's included.  ``aux_corrections``
-    completes leaf N's row once a_plain of every round is known.
-    """
-    rows, a_n = expand_leaf_shares(suite, salt, e, suffixes, dims, field)
-    head = leaf_elements(field, field.axis_sum(rows[:-1], axis=0), dims.total)
-    a_plain = field.add(dims.split(head)[2], a_n)
-    return rows, head, a_plain
-
-
-def aux_corrections(field, ext, x, beta, w_beta, heads, a_plains):
+def additive_share(field, ext, dims, x, beta, heads, a_ns):
     """Plaintext rows and leaf N's rows of any number of rounds.
 
-    ``heads`` (..., T) and ``a_plains`` (..., r, m) are ``additive_share``'s
-    sums; c = -<a, beta> of every round is one product through beta's
-    ``beta_map`` ``w_beta``.  Leaf N's row is the plaintext row minus the
-    head: its x, beta and c entries correct the column sums to the secret,
-    and its a entries come out as its own draw.  Returns (plains, leaf_n),
-    both (..., T).
+    ``heads`` (..., T) are the element sums of leaves 1..N-1 and ``a_ns``
+    (..., r, m) leaf N's ``a`` draws (``expand_leaf_shares``), so a is
+    their sum and c = -<a, beta> of every round is one product through
+    beta's ``beta_map``.  Leaf N's row is the plaintext row minus the head:
+    its x, beta and c entries correct the column sums to the secret, and
+    its a entries come out as its own draw.  Returns (plains, leaf_n), both
+    (..., T).
     """
-    plains = plain_rows(x, beta, a_plains, neg_inner(ext, a_plains, w_beta))
+    a_plains = field.add(dims.split(heads)[2], a_ns)
+    plains = plain_rows(x, beta, a_plains, neg_inner(ext, a_plains, beta_map(ext, beta)))
     return plains, field.sub(plains, heads)
 
 

@@ -30,8 +30,8 @@ from .bitio import DIGEST, ELEM, SEED, Layout, Signature, SignatureFormatError
 from .hashing import (H1, H2, H3, H4, X_SIGN, commit, derive_challenge1,
                       derive_challenge2_additive, encode_u16, party_suffixes)
 from .mpc import ChallengeBatch, PkOperand
-from .sharing import (additive_share, aux_corrections, beta_map, expand_leaf_shares,
-                      hypercube_aggregate, leaf_elements, plain_rows)
+from .sharing import (additive_share, expand_leaf_shares, hypercube_aggregate, leaf_elements,
+                      plain_rows)
 from .trees import SeedTree, leaves_from_path
 
 
@@ -157,18 +157,18 @@ def _sign_core(ps, pk, x, beta, message, entropy):
     # leaf N's corrections and so its commitment wait for
     trees, suffixes_all, rows_all = [], [], []
     heads = np.empty((tau, t), np.uint8)
-    a_plains = np.empty((tau, r, m), np.uint8)
+    a_ns = np.empty((tau, r, m), np.uint8)
     side1 = np.empty((tau, depth, t), np.uint8)
     for e in range(1, tau + 1):
         root_seed = randomness[sb + (e - 1) * seed_bytes:sb + e * seed_bytes]
         tree = SeedTree.expand(suite, root_seed, salt, e, n_parties)
         suffixes = party_suffixes(range(1, n_parties + 1), tree.leaves())
-        rows, heads[e - 1], a_plains[e - 1] = additive_share(suite, salt, e, suffixes, dims, base)
-        side1[e - 1], _ = _aggregate_rounds(base, rows, t)
+        rows, a_ns[e - 1] = expand_leaf_shares(suite, salt, e, suffixes, dims, base)
+        side1[e - 1], heads[e - 1] = _aggregate_rounds(base, rows, t)
         trees.append(tree)
         suffixes_all.append(suffixes)
         rows_all.append(rows)
-    plains, leaf_n = aux_corrections(base, ext, x, beta, beta_map(ext, beta), heads, a_plains)
+    plains, leaf_n = additive_share(base, ext, dims, x, beta, heads, a_ns)
     xn, bn, _, cn = dims.split(leaf_n)
     aux = _aux_bytes(base, xn, bn, cn)
 

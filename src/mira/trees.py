@@ -27,7 +27,7 @@ class SeedTree:
             raise ValueError("seed tree size must be a power of two >= 2")
         nodes = [None] * (2 * n_leaves)
         nodes[1] = root_seed
-        _expand_levels(suite, nodes, salt, round_index, n_leaves, full=True)
+        _expand_levels(suite, nodes, salt, round_index, n_leaves)
         return cls(n_leaves, nodes)
 
     def leaves(self):
@@ -46,25 +46,18 @@ class SeedTree:
         return path
 
 
-def _expand_levels(suite, nodes, salt, round_index, n_leaves, full=False):
+def _expand_levels(suite, nodes, salt, round_index, n_leaves):
     """Derive the children of every known inner node of the heap list
-    ``nodes`` (None where unknown), one ``xof_many`` call per tree level.
-
-    With ``full`` every node is known, so no level is filtered."""
+    ``nodes`` (None where unknown), one ``xof_many`` call per tree level."""
     prefix = salt + encode_u16(round_index)
     sb = suite.seed_bytes
     lo = 1
     while lo < n_leaves:
-        level = range(lo, 2 * lo)
-        known = level if full else [i for i in level if nodes[i] is not None]
+        known = [i for i in range(lo, 2 * lo) if nodes[i] is not None]
         both = suite.xof_many(X_TREE, prefix, [encode_u32(i) + nodes[i] for i in known], 2 * sb)
-        if full:
-            nodes[2 * lo:4 * lo:2] = [pair[:sb] for pair in both]
-            nodes[2 * lo + 1:4 * lo:2] = [pair[sb:] for pair in both]
-        else:
-            for i, pair in zip(known, both):
-                nodes[2 * i] = pair[:sb]
-                nodes[2 * i + 1] = pair[sb:]
+        for i, pair in zip(known, both):
+            nodes[2 * i] = pair[:sb]
+            nodes[2 * i + 1] = pair[sb:]
         lo *= 2
 
 

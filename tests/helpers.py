@@ -15,8 +15,8 @@ from mira.matrices import pivot_columns, rank, sample_rank_bounded
 from mira.qpoly import QPolynomial
 from mira.mpc import ChallengeBatch
 from mira.params import PARAM_IDS, parameter_set
-from mira.sharing import (additive_share, aux_corrections, beta_map, lagrange_weights,
-                          leaf_elements, shamir_expand)
+from mira.sharing import (additive_share, expand_leaf_shares, lagrange_weights, leaf_elements,
+                          shamir_expand)
 from mira.sign_threshold import RoundResponse, layout
 
 
@@ -49,14 +49,16 @@ def leaf_side(leaf, dim):
 def full_sharing(suite, salt, e, seeds, dims, field, ext, x, beta):
     """One round's whole additive sharing from its N leaf ``seeds``, as elements.
 
-    Returns ((N, T) rows, a_plain, c_plain): ``additive_share``'s rows through
-    ``leaf_elements``, with leaf N's row from ``aux_corrections``.
+    Returns ((N, T) rows, a_plain, c_plain): ``expand_leaf_shares``'s rows
+    through ``leaf_elements``, with leaf N's row from ``additive_share``.
     """
     suffixes = party_suffixes(range(1, len(seeds) + 1), seeds)
-    rows, head, a_plain = additive_share(suite, salt, e, suffixes, dims, field)
-    plain, leaf_n = aux_corrections(field, ext, x, beta, beta_map(ext, beta), head, a_plain)
+    rows, a_n = expand_leaf_shares(suite, salt, e, suffixes, dims, field)
+    head = leaf_elements(field, field.axis_sum(rows[:-1], axis=0), dims.total)
+    plain, leaf_n = additive_share(field, ext, dims, x, beta, head, a_n)
     shares = np.concatenate([leaf_elements(field, rows[:-1], dims.total), leaf_n[None]])
-    return shares, a_plain, dims.split(plain)[3]
+    _, _, a_plain, c_plain = dims.split(plain)
+    return shares, a_plain, c_plain
 
 
 class CheatingBatch(ChallengeBatch):
