@@ -112,9 +112,9 @@ def expand_leaf_shares(suite, salt, e, suffixes, dims, field):
     if field.q & (field.q - 1) == 0:
         prefix = salt + encode_u16(e)
         zero = bytes(width)
-        head = suffixes[:-1]
-        live = iter(suite.xof_many(X_LEAF, prefix, [s for s in head if s is not None], width))
-        blobs = [zero if s is None else next(live) for s in head]
+        drawn = suffixes[:-1]
+        live = iter(suite.xof_many(X_LEAF, prefix, [s for s in drawn if s is not None], width))
+        blobs = [zero if s is None else next(live) for s in drawn]
         rows = np.frombuffer(b"".join(blobs) + zero, np.uint8).reshape(n, width)
         if last is not None:
             raw = suite.xof_digest(X_LEAF, prefix + last, field.packed_size(r * m))
