@@ -8,7 +8,7 @@ first; an odd count ends in one zero padding nibble.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -26,6 +26,9 @@ class Signature:
     h1: bytes
     h2: bytes
     rounds: list
+    # element fields kept whole by a codec (threshold): one (tau, ...) array
+    # per field name, whose rows the rounds' fields view
+    blocks: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class Layout:
@@ -68,10 +71,10 @@ class Layout:
     def header_bytes(self, sig):
         return b"".join(getattr(sig, name) for name, _ in self.header)
 
-    def signature(self, data, rounds):
+    def signature(self, data, rounds, blocks=None):
         ends = accumulate(size for _, size in self.header)
         return Signature(*(data[end - size:end] for (_, size), end in zip(self.header, ends)),
-                         rounds)
+                         rounds, blocks or {})
 
 
 def unpack_nibbles(data):

@@ -218,6 +218,8 @@ class Char2Field:
         for s in range(d):
             mul[1 << s:2 << s] = mul[:1 << s] ^ ysv[:, s].astype(np.uint8)
         self.MUL = mul
+        # entry (a << d) | b is a * b: one flat gather, no 2-D fancy index
+        self._mul_flat = mul.ravel()
         self.INV = np.argmax(mul == 1, axis=1).astype(np.uint8)
         # the GEMM's right-operand entries for every word count (see
         # ``_word_count``), gathered by ``matmul3_prepare``
@@ -266,7 +268,11 @@ class Char2Field:
         return np.asarray(a, np.uint8).copy()
 
     def mul(self, a, b):
-        return self.MUL[np.asarray(a, np.uint8), np.asarray(b, np.uint8)]
+        return np.take(self._mul_flat, self._mul_index(a, b))
+
+    def _mul_index(self, a, b):
+        """Positions of the products a * b in the flat table, broadcast."""
+        return (np.asarray(a, np.uint8).astype(np.uint16) << self.d) | np.asarray(b, np.uint8)
 
     def inv(self, a):
         a = np.asarray(a, np.uint8)
@@ -284,7 +290,8 @@ class Char2Field:
         a = np.asarray(a, np.uint8)
         b = np.asarray(b, np.uint8)
         if a.shape[0] * a.shape[1] * b.shape[1] <= (1 << 18):
-            return np.bitwise_xor.reduce(self.MUL[a[:, :, None], b[None, :, :]], axis=1)
+            return np.bitwise_xor.reduce(
+                np.take(self._mul_flat, self._mul_index(a[:, :, None], b)), axis=1)
         return self._gemm(a, self.matmul3_prepare(b))
 
     def matmul3_prepare(self, b3):
@@ -497,6 +504,8 @@ class ExtField:
                 stack[i] = base.matmul(stack[1], stack[i - 1])
         stack.flags.writeable = False
         self._frob_stack = stack
+        # ``mpc._rank_map``'s prepared maps, by r
+        self._rank_maps = {}
 
     # -- element helpers ----------------------------------------------------
 

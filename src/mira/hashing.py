@@ -26,9 +26,14 @@ while ``HashSuite.hash`` or ``xof_digest`` is replaced on the class (a
 tracer or a test that counts digests), a batch runs through the
 replacement one call per suffix, so wrapping those methods still sees
 every digest.
+
+``derive_challenge1`` draws all rounds' gamma and eps with one stream read
+and returns them as (tau, n, m) and (tau, m) arrays, as ``mpc.ChallengeBatch``
+takes them.
 """
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,6 +168,24 @@ def _pieces(flat, counts):
     return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
+@lru_cache(maxsize=64)
+def _windows(counts):
+    """``FieldSampler.take_joined``'s rejection windows for a tuple of counts:
+    (draws, need, starts, total, within), the nonzero counts' indices and
+    values, each window's start in the ``total`` bytes read, and each kept
+    element's rank in its draw."""
+    counts = np.array(counts, np.intp)
+    draws = np.flatnonzero(counts)
+    need = counts[draws]
+    wins = need + (need >> 3) + 8                  # ``take``'s first window
+    ends = np.cumsum(wins)
+    starts = ends - wins
+    within = np.arange(need.sum()) - np.repeat(np.cumsum(need) - need, need)
+    for arr in (draws, need, starts, within):
+        arr.flags.writeable = False     # every caller of these counts shares them
+    return draws, need, starts, int(ends[-1]) if len(ends) else 0, within
+
+
 class FieldSampler:
     """Uniform field elements from an XOF stream.
 
@@ -197,36 +220,38 @@ class FieldSampler:
         return out
 
     def take_many(self, counts):
-        """``[self.take(c) for c in counts]`` with one stream read.
+        """``[self.take(c) for c in counts]``: ``take_joined`` cut into its draws."""
+        return _pieces(self.take_joined(counts), counts)
+
+    def take_joined(self, counts):
+        """``np.concatenate([self.take(c) for c in counts])`` with one stream read.
 
         Power-of-two fields read the bytes those takes consume as one block.
         A prime field reads every take's first rejection window at once
-        (``take`` sizes it ``need + need // 8 + 8``), accepts bytes with one
-        mask and keeps the first ``count`` accepted bytes of each window.  If
-        a window holds too few, the stream steps back to its start and that
+        (``take`` sizes it ``need + need // 8 + 8``; the windows of a tuple of
+        counts are planned once, ``_windows``), accepts bytes with one mask
+        and keeps the first ``count`` accepted bytes of each window.  If a
+        window holds too few, the stream steps back to its start and that
         take and the ones after it run one by one.
         """
-        counts = np.asarray(counts, np.intp)
         q = self.field.q
         if q & (q - 1) == 0:
-            return _pieces(self.take(int(counts.sum())), counts)
-        wins = np.where(counts > 0, counts + (counts >> 3) + 8, 0)
-        ends = np.cumsum(wins)
-        starts = ends - wins
-        raw = np.frombuffer(self.stream.read(int(ends[-1])), np.uint8)
+            return self.take(int(sum(counts)))
+        draws, need, starts, total, within = _windows(tuple(counts))
+        if not total:
+            return np.zeros(0, np.uint8)
+        raw = np.frombuffer(self.stream.read(total), np.uint8)
         ok = raw < (256 // q) * q
-        before = np.concatenate([[0], np.cumsum(ok)])    # accepted bytes before each byte
-        short = np.flatnonzero(before[ends] - before[starts] < counts)
-        fast = int(short[0]) if len(short) else len(counts)
-        stop = int(starts[fast]) if fast < len(counts) else len(raw)
-        # an accepted byte is kept while it ranks within its window's count
-        rank = before[1:stop + 1] - np.repeat(before[starts], wins)[:stop]
-        keep = ok[:stop] & (rank <= np.repeat(counts, wins)[:stop])
-        out = _pieces(raw[:stop][keep] % q, counts[:fast])
-        if fast < len(counts):
-            self.stream.unread(len(raw) - stop)
-            out += [self.take(int(c)) for c in counts[fast:]]
-        return out
+        got = np.add.reduceat(ok, starts, dtype=np.intp)      # accepted bytes per window
+        # the accepted bytes before each window, plus the rank in the window
+        kept = np.repeat(np.cumsum(got) - got, need) + within
+        short = np.flatnonzero(got < need)
+        if not len(short):
+            return raw[ok][kept] % q
+        fast = int(short[0])
+        self.stream.unread(total - int(starts[fast]))
+        head = raw[ok][kept[:int(need[:fast].sum())]] % q
+        return np.concatenate([head] + [self.take(int(c)) for c in counts[draws[fast]:]])
 
     def _take_nibbles(self, count):
         pend = self._nibbles if self._nibbles is not None else np.zeros(0, np.uint8)
@@ -244,10 +269,16 @@ class FieldSampler:
 # Fiat-Shamir challenge streams
 
 def derive_challenge1(suite, h1, ext, n, tau):
-    """Per-round (gamma_1..gamma_n, eps) over GF(q^m) from h1."""
+    """(gamma, eps) over GF(q^m) from h1: every round's gamma_1..gamma_n as
+    one (tau, n, m) array and its eps as one (tau, m) array.
+
+    The stream holds the rounds in order, each its n*m gamma coordinates
+    and then its m eps coordinates, drawn with one ``take_joined``.
+    """
     m = ext.m
-    draws = FieldSampler(ext.base, suite.xof(X_CH1, h1)).take_many([n * m, m] * tau)
-    return [(gamma.reshape(n, m), eps) for gamma, eps in zip(draws[0::2], draws[1::2])]
+    rounds = FieldSampler(ext.base, suite.xof(X_CH1, h1)).take_joined(
+        (n * m, m) * tau).reshape(tau, (n + 1) * m)
+    return rounds[:, :n * m].reshape(tau, n, m), rounds[:, n * m:]
 
 
 def derive_challenge2_additive(suite, h2, n_parties, tau):
@@ -264,20 +295,24 @@ def derive_challenge2_additive(suite, h2, n_parties, tau):
 
 
 def derive_challenge2_threshold(suite, h2, n_parties, ell, tau):
-    """Per round, a sorted ell-subset of [1, N], duplicates rejected."""
+    """Per round, a sorted ell-subset of [1, N], duplicates rejected.
+
+    Bytes are read 64 at first, then doubling: the stream's own squeezes.
+    """
     if n_parties > 255:
         raise ValueError("party indices larger than a byte are not supported")
     stream = suite.xof(X_CH2, h2)
     thresh = (256 // n_parties) * n_parties
+    buf, pos = stream.read(64), 0
     out = []
     for _ in range(tau):
-        chosen = []
+        chosen = set()
         while len(chosen) < ell:
-            b = stream.read(1)[0]
-            if b >= thresh:
-                continue
-            v = b % n_parties + 1
-            if v not in chosen:
-                chosen.append(v)
+            if pos == len(buf):
+                buf += stream.read(len(buf))
+            b = buf[pos]
+            pos += 1
+            if b < thresh:
+                chosen.add(b % n_parties + 1)
         out.append(tuple(sorted(chosen)))
     return out

@@ -17,7 +17,10 @@ field that applies X^u * (X^v)^(q^i) for every coefficient pair.  Parties
 differ only in their state rows, and rows of any origin (plaintext runs,
 additive leaves, hypercube main parties, Shamir parties) take the same
 products.  ``ChallengeBatch`` stacks all rounds so a whole signature's
-party computations run as a handful of batched GEMMs.
+party computations run as a handful of batched GEMMs: it takes the
+challenges as ``hashing.derive_challenge1`` draws them, gamma of every
+round as one (tau, n, m) array and eps as one (tau, m) array, and the
+parties' state rows as (tau, B, T) arrays.
 """
 
 import numpy as np
@@ -34,6 +37,10 @@ class PkOperand:
         self.l_rows = l_rows
         self.m0_flat = m0_flat
         self._gf2 = None
+        # a prime field's L as a GEMM operand; GF(2^d) builds ``_gf2_table``
+        # on first use instead
+        self._l_prepared = (None if isinstance(base, Char2Field)
+                            else base.matmul3_prepare(l_rows))
 
     @classmethod
     def of(cls, pk):
@@ -72,8 +79,10 @@ class PkOperand:
             for t in range(d):
                 e_flat |= ybits[:, t * mn:(t + 1) * mn] << t
         else:
-            e_flat = self.base.matmul(x_shares, self.l_rows)
+            e_flat = self.base.matmul3(x_shares, self._l_prepared)
         offsets = np.asarray(offsets, bool)
+        if offsets.all():
+            return self.base.add(e_flat, self.m0_flat)
         if offsets.any():
             e_flat[offsets] = self.base.add(e_flat[offsets], self.m0_flat)
         return e_flat
@@ -85,7 +94,7 @@ def _rank_map(ext, r):
     Row (v, u), column (i, t) holds coefficient t of X^u * (X^v)^(q^i).
     """
     # threads racing here may each build the map; setdefault keeps one
-    cache = ext.__dict__.setdefault("_rank_maps", {})
+    cache = ext._rank_maps
     if r not in cache:
         m = ext.m
         frobs = np.concatenate([ext.frob_matrix(i).T for i in range(r + 1)])
@@ -103,17 +112,16 @@ class ChallengeBatch:
     over GF(q).  Per signature only G (n, m per round) and the eps
     multiplication matrices are prepared; every party's P takes one stacked
     GEMM, and one product with the fixed map of ``_rank_map`` gives all of
-    (w_0..w_{r-1}, -z).
+    (w_0..w_{r-1}, -z).  ``gamma`` (tau, n, m) and ``eps`` (tau, m) hold
+    every round's challenge, as ``derive_challenge1`` returns them.
     """
 
-    def __init__(self, ext, r, challenges):
+    def __init__(self, ext, r, gamma, eps):
         self.ext = ext
         self.r = r
-        self.tau = len(challenges)
+        self.tau = len(eps)
         base = ext.base
-        gam = np.stack([g for g, _ in challenges])            # (tau, n, m)
-        eps = np.stack([e for _, e in challenges])            # (tau, m)
-        self._gamma = base.matmul3_prepare(gam)
+        self._gamma = base.matmul3_prepare(gamma)
         meps = ext.mul_matrices(eps)                           # (tau, m, m)
         self._meps_t = base.matmul3_prepare(np.ascontiguousarray(meps.transpose(0, 2, 1)))
         self._map = _rank_map(ext, r)

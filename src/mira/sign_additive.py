@@ -180,8 +180,7 @@ def _sign_core(ps, pk, x, beta, message, entropy):
         cmts_all.append(cmts)
 
     h1 = suite.hash(H2, salt, message, *h0s)
-    ch1 = derive_challenge1(suite, h1, ext, ps.n, tau)
-    batch = ChallengeBatch(ext, r, ch1)
+    batch = ChallengeBatch(ext, r, *derive_challenge1(suite, h1, ext, ps.n, tau))
 
     # one batched run: row 0 = plaintext, rows 1..D = side-1 main parties
     rows = np.concatenate([plains[:, None], side1], axis=1)
@@ -275,7 +274,7 @@ def verify_decoded(ps, pk, message, sig):
     if h1bar != sig.h1:
         return False
 
-    batch = ChallengeBatch(ext, ps.r, derive_challenge1(suite, sig.h1, ext, ps.n, tau))
+    batch = ChallengeBatch(ext, ps.r, *derive_challenge1(suite, sig.h1, ext, ps.n, tau))
     # the sum of the opened leaves: leaf N's row is its aux corrections and
     # its own a, and zero where it is hidden (its aux is zero then)
     totals = base.add(heads, plain_rows(aux_x, aux_beta, a_n, aux_c))

@@ -72,8 +72,8 @@ class CheatingBatch(ChallengeBatch):
     the same broadcasts.
     """
 
-    def __init__(self, ext, r, challenges, leaf):
-        super().__init__(ext, r, challenges)
+    def __init__(self, ext, r, gamma, eps, leaf):
+        super().__init__(ext, r, gamma, eps)
         self.leaf = leaf
 
     def broadcast_v(self, z_shares, rows, alphas):
@@ -83,6 +83,12 @@ class CheatingBatch(ChallengeBatch):
         vs[:, side1] = self.ext.sub(vs[:, side1], vs[:, :1])
         vs[:, 0] = 0
         return vs
+
+
+def stacked(challenges):
+    """Per-round (gamma, eps) pairs as ``ChallengeBatch``'s (tau, n, m) and (tau, m) arrays."""
+    gamma, eps = zip(*challenges)
+    return np.stack(gamma), np.stack(eps)
 
 
 def sign_cheating(ps, pk, x, beta, message, entropy, leaf):

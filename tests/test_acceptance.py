@@ -27,7 +27,7 @@ from mira.trees import SeedTree, leaves_from_path, merkle_auth, merkle_root
 from mira.trees import merkle_root_from_auth, H_MERKLE
 
 from helpers import (evaluate, evaluate_many, full_sharing, shamir_at, shamir_reconstruct,
-                     sign_cheating)
+                     sign_cheating, stacked)
 
 SUITE = HashSuite(128)
 
@@ -113,7 +113,7 @@ def test_criterion_4_false_positive_exhaustive():
         gam = np.array([[b >> t & 1 for t in range(3)] for b in bits[:n]], np.uint8)
         eps = np.array([bits[n] >> t & 1 for t in range(3)], np.uint8)
         challenges.append((gam, eps))
-    batch = ChallengeBatch(ext, r, challenges)
+    batch = ChallengeBatch(ext, r, *stacked(challenges))
     rows = np.tile(plain_rows(x, beta, a, c), (len(challenges), 1, 1))
     al, z = batch.broadcast_alpha(op, rows, np.ones(1, bool))
     v = batch.broadcast_v(z, rows, al)
@@ -181,7 +181,7 @@ def test_criterion_7_oracle_equivalence():
         challenges = [(rng.integers(0, 16, (mr.n, mr.m)).astype(np.uint8),
                        rng.integers(0, 16, mr.m).astype(np.uint8))
                       for _ in range(chunk)]
-        batch = ChallengeBatch(ext, mr.r, challenges)
+        batch = ChallengeBatch(ext, mr.r, *stacked(challenges))
         n_parties = 8
         leaf_rows = np.empty((chunk, n_parties, dims.total), np.uint8)
         a_plains = np.empty((chunk, mr.r, mr.m), np.uint8)
@@ -221,7 +221,7 @@ def test_criterion_7_oracle_equivalence():
         challenges = [(rng.integers(0, 251, (mr.n, mr.m)).astype(np.uint8),
                        rng.integers(0, 251, mr.m).astype(np.uint8))
                       for _ in range(chunk)]
-        batch = ChallengeBatch(ext, mr.r, challenges)
+        batch = ChallengeBatch(ext, mr.r, *stacked(challenges))
         rows = np.empty((chunk, n_parties, dims.total), np.uint8)
         plains = np.empty((chunk, 1, dims.total), np.uint8)
         for e in range(chunk):
@@ -378,12 +378,24 @@ def test_criterion_10_fuzz_rejection():
         data = sa.sign(ap, pk, sk, b"fuzz", b"acc10-%d" % ent)
         sig = sa.decode(ap, data)
         ch2 = derive_challenge2_additive(ap.suite, sig.h2, ap.n_parties, ap.tau)
-        if ap.n_parties not in ch2:
-            break  # avoid the non-binding zeroed aux slot of a hidden leaf N
+        if ap.n_parties in ch2:
+            break  # a round hides leaf N, so its aux block is zeroed
         ent += 1
     accepts = 0
     for _ in range(1000):
         pos = int(rng.integers(0, len(data) * 8))
+        mutated = bytearray(data)
+        mutated[pos // 8] ^= 1 << (pos % 8)
+        accepts += sa.verify(ap, pk, b"fuzz", bytes(mutated))
+    # and every bit of the zeroed aux block of the round that hides leaf N
+    lay = sa.layout(ap)
+    names = [name for name, _, _ in lay.fields]
+    lo = ch2.index(ap.n_parties) * sum(lay.widths) + sum(lay.widths[:names.index("aux_x")])
+    hi = lo + sum(lay.widths[names.index("aux_x"):])
+    assert lay.units_per_byte == 2 and hi - lo == ap.k + ap.r * ap.m + ap.m   # GF(16) nibbles
+    assert not lay.units(data[lay.head:])[lo:hi].any()
+    aux_flips = [8 * lay.head + 4 * unit + bit for unit in range(lo, hi) for bit in range(4)]
+    for pos in aux_flips:
         mutated = bytearray(data)
         mutated[pos // 8] ^= 1 << (pos % 8)
         accepts += sa.verify(ap, pk, b"fuzz", bytes(mutated))
@@ -407,14 +419,11 @@ def test_criterion_10_fuzz_rejection():
         scheme = sp.scheme
         pk, sk = keygen_optimized(ps.minrank(), b"acc10-%s" % variant.encode())
         data = scheme.sign(sp, pk, sk, b"fuzz", b"x")
-        if variant == params.ADDITIVE:
-            sig = scheme.decode(sp, data)
-            ch2 = derive_challenge2_additive(sp.suite, sig.h2, sp.n_parties, sp.tau)
-            assert sp.n_parties not in ch2
         for _ in range(25):
             pos = int(rng.integers(0, len(data) * 8))
             mutated = bytearray(data)
             mutated[pos // 8] ^= 1 << (pos % 8)
             accepts += scheme.verify(sp, pk, b"fuzz", bytes(mutated))
     assert accepts == 0
-    print("ACCEPTANCE 10: PASS - 2050 single-bit mutations rejected, zero accepts")
+    print("ACCEPTANCE 10: PASS - %d single-bit mutations rejected, zero accepts"
+          % (2050 + len(aux_flips)))

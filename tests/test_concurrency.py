@@ -57,7 +57,7 @@ def test_concurrent_verify_matches_single_threaded(variant):
 
     fresh = PublicKey.from_bytes(pk.to_bytes())
     ext = ps.ext
-    ext.__dict__.pop("_rank_maps", None)
+    ext._rank_maps.clear()
     barrier = threading.Barrier(THREADS)
     verdicts = [None] * THREADS
     maps = [None] * THREADS

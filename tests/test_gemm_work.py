@@ -42,18 +42,18 @@ PINNED = {
     },
     ("threshold", 1): {
         "keygen": {"matmul": (2, 6335)},
-        "sign": {"matmul": (9, 1614340), "matmul3": (8, 565056)},
-        "verify": {"matmul": (1, 180180), "matmul3": (9, 372624)},
+        "sign": {"matmul": (8, 1314040), "matmul3": (9, 865356)},
+        "verify": {"matmul3": (10, 552804)},
     },
     ("threshold", 3): {
         "keygen": {"matmul": (2, 15479)},
-        "sign": {"matmul": (12, 4170800), "matmul3": (8, 1827840)},
-        "verify": {"matmul": (1, 784800), "matmul3": (9, 1201280)},
+        "sign": {"matmul": (11, 2862800), "matmul3": (9, 3135840)},
+        "verify": {"matmul3": (10, 1986080)},
     },
     ("threshold", 5): {
         "keygen": {"matmul": (2, 19399)},
-        "sign": {"matmul": (16, 6534864), "matmul3": (8, 2970624)},
-        "verify": {"matmul": (1, 1245216), "matmul3": (9, 1958656)},
+        "sign": {"matmul": (15, 4459504), "matmul3": (9, 5045984)},
+        "verify": {"matmul3": (10, 3203872)},
     },
 }
 

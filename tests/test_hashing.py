@@ -112,14 +112,12 @@ def test_sampler_chi_square_uniformity():
 
 def test_challenge1_shape_and_stability():
     ext = ext_field(16, 16)
-    ch = derive_challenge1(SUITE, b"\x01" * 32, ext, n=16, tau=4)
-    ch2 = derive_challenge1(SUITE, b"\x01" * 32, ext, n=16, tau=4)
-    assert len(ch) == 4
-    for (g, e), (g2, e2) in zip(ch, ch2):
-        assert g.shape == (16, 16) and e.shape == (16,)
-        assert np.array_equal(g, g2) and np.array_equal(e, e2)
-    ch3 = derive_challenge1(SUITE, b"\x02" * 32, ext, n=16, tau=4)
-    assert not np.array_equal(ch[0][0], ch3[0][0])
+    gamma, eps = derive_challenge1(SUITE, b"\x01" * 32, ext, n=16, tau=4)
+    gamma2, eps2 = derive_challenge1(SUITE, b"\x01" * 32, ext, n=16, tau=4)
+    assert gamma.shape == (4, 16, 16) and eps.shape == (4, 16)
+    assert np.array_equal(gamma, gamma2) and np.array_equal(eps, eps2)
+    gamma3, _ = derive_challenge1(SUITE, b"\x02" * 32, ext, n=16, tau=4)
+    assert not np.array_equal(gamma[0], gamma3[0])
 
 
 def test_challenge2_additive():
@@ -227,11 +225,36 @@ def test_take_many_fallback_from_one_window_on(counts):
     assert one.unreads == 1
 
 
+@pytest.mark.parametrize("q, m, n, tau", [(16, 5, 3, 4), (251, 12, 13, 7), (131, 3, 3, 6)],
+                         ids=["gf16", "gf251", "gf131"])
+def test_challenge1_arrays_equal_per_round_takes(q, m, n, tau, monkeypatch):
+    # GF(16) rounds of an odd n*m start mid-byte; q = 131 accepts about half
+    # of the bytes, so a window runs short and the draws from it on are
+    # taken one by one
+    take, takes = FieldSampler.take, []
+    monkeypatch.setattr(FieldSampler, "take", lambda self, c: takes.append(c) or take(self, c))
+    ext = ext_field(q, m)
+    h1 = b"\x06" * 32
+    gamma, eps = derive_challenge1(SUITE, h1, ext, n, tau)
+    assert gamma.shape == (tau, n, m) and eps.shape == (tau, m)
+    monkeypatch.undo()
+    sampler = FieldSampler(ext.base, SUITE.xof(0x08, h1))
+    for e in range(tau):
+        assert np.array_equal(gamma[e], sampler.take(n * m).reshape(n, m))
+        assert np.array_equal(eps[e], sampler.take(m))
+    if q == 16:
+        assert takes == [tau * (n + 1) * m]          # a power of two: one take
+    elif q == 251:
+        assert takes == []                           # every window holds its draw
+    else:
+        assert 0 < len(takes) < 2 * tau              # a later window runs short
+
+
 def test_challenge1_one_read_per_stream():
     ext = ext_field(251, 12)
     h1 = b"\x05" * 32
     chals = derive_challenge1(SUITE, h1, ext, 13, 7)
     sampler = FieldSampler(ext.base, SUITE.xof(0x08, h1))
-    for gamma, eps in chals:
+    for gamma, eps in zip(*chals):
         assert np.array_equal(gamma, sampler.take(13 * 12).reshape(13, 12))
         assert np.array_equal(eps, sampler.take(12))

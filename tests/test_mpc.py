@@ -16,7 +16,7 @@ from mira.params import ParameterSet
 from mira.qpoly import annihilator
 from mira.sharing import ShareDims, hypercube_aggregate, plain_rows, shamir_share
 
-from helpers import full_sharing, shamir_reconstruct
+from helpers import full_sharing, shamir_reconstruct, stacked
 
 SUITE = HashSuite(128)
 SALT = b"\x31" * SUITE.salt_bytes
@@ -56,7 +56,7 @@ def test_honest_witness_always_accepts():
             gamma, eps = random_challenge(mr, rng)
             a = rng.integers(0, q, (r, m)).astype(np.uint8)
             c = ext.neg(ext.dot(a, beta, axis=0))
-            batch = ChallengeBatch(ext, r, [(gamma, eps)])
+            batch = ChallengeBatch(ext, r, gamma[None], eps[None])
             _, v = plain_run(batch, op, x, beta, a, c)
             assert not v.any()
 
@@ -70,7 +70,7 @@ def test_additive_sum_equals_plaintext():
     n_parties = 8
     seeds = [bytes([i]) * 16 for i in range(n_parties)]
     shares, a_plain, c_plain = full_sharing(SUITE, SALT, 1, seeds, dims, mr.base, ext, x, beta)
-    batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
+    batch = ChallengeBatch(ext, mr.r, *stacked([random_challenge(mr, rng)]))
     alpha_p, v_p = plain_run(batch, op, x, beta, a_plain, c_plain)
     offs = np.zeros(n_parties, bool)
     offs[0] = True
@@ -92,7 +92,7 @@ def test_shamir_parties_reconstruct_to_plaintext():
     coords = np.concatenate([x, beta.ravel(), a.ravel(), c])
     rand = rng.integers(0, 251, (ell, coords.size)).astype(np.uint8)
     sh = shamir_share(mr.base, coords, ell, n_parties, rand)
-    batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
+    batch = ChallengeBatch(ext, mr.r, *stacked([random_challenge(mr, rng)]))
     alpha_p, v_p = plain_run(batch, op, x, beta, a, c)
     sel = np.array([1, 4, 7], np.uint8)  # any ell+1 parties
     al, z = batch.broadcast_alpha(op, sh[None, sel - 1], np.ones(3, bool))
@@ -109,7 +109,7 @@ def test_share_linearity():
     mr, pk, x, beta = setup_instance(16, 6, 5, 8, 2)
     op = PkOperand.of(pk)
     ext = mr.ext
-    batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
+    batch = ChallengeBatch(ext, mr.r, *stacked([random_challenge(mr, rng)]))
     xu = rng.integers(0, 16, (2, mr.k)).astype(np.uint8)
     au = rng.integers(0, 16, (2, mr.r, mr.m)).astype(np.uint8)
     ru = plain_rows(xu, np.zeros_like(au), au, np.zeros((2, mr.m), np.uint8))
@@ -128,7 +128,7 @@ def test_hypercube_consistency_and_shortcut():
     op = PkOperand.of(pk)
     seeds = [bytes([i]) * 16 for i in range(16)]
     shares, a_plain, c_plain = full_sharing(SUITE, SALT, 1, seeds, dims, mr.base, ext, x, beta)
-    batch = ChallengeBatch(ext, mr.r, [random_challenge(mr, rng)])
+    batch = ChallengeBatch(ext, mr.r, *stacked([random_challenge(mr, rng)]))
     alpha_p, v_p = plain_run(batch, op, x, beta, a_plain, c_plain)
     depth = 4
     rows = hypercube_aggregate(mr.base, shares).reshape(1, 2 * depth, -1)
@@ -171,7 +171,7 @@ def test_exhaustive_false_positive_bound_toy():
         gamma = np.array([[b & 1, b >> 1 & 1, b >> 2 & 1] for b in bits[:n]], np.uint8)
         eps = np.array([bits[n] & 1, bits[n] >> 1 & 1, bits[n] >> 2 & 1], np.uint8)
         challenges.append((gamma, eps))
-    batch = ChallengeBatch(ext, r, challenges)
+    batch = ChallengeBatch(ext, r, *stacked(challenges))
     rows = np.tile(plain_rows(x, beta, a, c), (len(challenges), 1, 1))
     al, z = batch.broadcast_alpha(op, rows, np.ones(1, bool))
     v = batch.broadcast_v(z, rows, al)
@@ -191,7 +191,7 @@ def test_zero_epsilon_always_accepts():
     a = rng.integers(0, 16, (mr.r, mr.m)).astype(np.uint8)
     c = ext.neg(ext.dot(a, beta_bad, axis=0))
     gamma = rng.integers(0, 16, (mr.n, mr.m)).astype(np.uint8)
-    batch = ChallengeBatch(ext, mr.r, [(gamma, np.zeros(mr.m, np.uint8))])
+    batch = ChallengeBatch(ext, mr.r, gamma[None], np.zeros((1, mr.m), np.uint8))
     _, v = plain_run(batch, op, x, beta_bad, a, c)
     assert not v.any()
 
@@ -248,7 +248,7 @@ def test_batched_contraction_matches_per_party_reference(q, m, n, tau, b, k, dat
     challenges = [(rand(n, m), rand(m)) for _ in range(tau)]
     x, a, beta, c = rand(tau, b, k), rand(tau, b, r, m), rand(tau, b, r, m), rand(tau, b, m)
     offsets = rng.random((tau, b)) < 0.5
-    batch = ChallengeBatch(ext, r, challenges)
+    batch = ChallengeBatch(ext, r, *stacked(challenges))
     rows = plain_rows(x, beta, a, c)
     alpha, z = batch.broadcast_alpha(PkOperand(ext.base, l_rows, m0_flat), rows, offsets)
     v = batch.broadcast_v(z, rows, alpha)
@@ -273,7 +273,7 @@ def test_broadcast_v_with_one_opened_alpha_per_round(q, m, tau, b, r, seed):
     challenges = [(rand(2, m), rand(m)) for _ in range(tau)]
     z, beta, c, alpha = rand(tau, b, m), rand(tau, b, r, m), rand(tau, b, m), rand(tau, 1, r, m)
     rows = plain_rows(np.zeros((tau, b, 0), np.uint8), beta, np.zeros_like(beta), c)
-    v = ChallengeBatch(ext, r, challenges).broadcast_v(z, rows, alpha)
+    v = ChallengeBatch(ext, r, *stacked(challenges)).broadcast_v(z, rows, alpha)
     for e, (_, eps) in enumerate(challenges):
         for p in range(b):
             ip = ext.base.axis_sum(ext.mul(alpha[e, 0], beta[e, p]), axis=0)
@@ -287,6 +287,6 @@ def test_challenge_batches_share_the_cached_rank_map():
     def challenge():
         return rng.integers(0, 16, (4, 5)).astype(np.uint8), rng.integers(0, 16, 5).astype(np.uint8)
 
-    first = ChallengeBatch(ext, 2, [challenge()])
-    assert ChallengeBatch(ext, 2, [challenge(), challenge()])._map is first._map
-    assert ChallengeBatch(ext, 3, [challenge()])._map is not first._map
+    first = ChallengeBatch(ext, 2, *stacked([challenge()]))
+    assert ChallengeBatch(ext, 2, *stacked([challenge(), challenge()]))._map is first._map
+    assert ChallengeBatch(ext, 3, *stacked([challenge()]))._map is not first._map

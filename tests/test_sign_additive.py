@@ -13,7 +13,7 @@ from mira.params import ParameterSet
 from mira.qpoly import annihilator
 from mira.trees import SeedTree, leaves_from_path
 
-from helpers import full_sharing, sign_cheating
+from helpers import full_sharing, sign_cheating, stacked
 
 TABLE_SIZES = {1: 5640, 3: 11779, 5: 20762}
 
@@ -192,7 +192,7 @@ def test_opened_alpha_is_alpha_of_the_full_leaf_sum(ap, istars, monkeypatch):
         shares, _, _ = full_sharing(ap.suite, sig.salt, e, tree.leaves(), ap.share_dims,
                                     ap.base, ap.ext, x, beta)
         sums.append(ap.base.axis_sum(shares, axis=0))
-    batch = ChallengeBatch(ap.ext, ap.r, derive_challenge1(ap.suite, sig.h1, ap.ext, ap.n, ap.tau))
+    batch = ChallengeBatch(ap.ext, ap.r, *derive_challenge1(ap.suite, sig.h1, ap.ext, ap.n, ap.tau))
     alpha, _ = batch.broadcast_alpha(PkOperand.of(pk), np.stack(sums)[:, None], [True])
     [al_open] = opened                                        # (tau, 1, r, m)
     assert np.array_equal(al_open, alpha)
@@ -205,7 +205,7 @@ def test_challenge_injection_seams(monkeypatch):
     gamma = [(rng.integers(0, 16, (ap.n, ap.m)).astype(np.uint8),
               rng.integers(0, 16, ap.m).astype(np.uint8))
              for _ in range(ap.tau)]
-    monkeypatch.setattr(sa, "derive_challenge1", lambda *args: gamma)
+    monkeypatch.setattr(sa, "derive_challenge1", lambda *args: stacked(gamma))
     _force_hidden_leaves(monkeypatch, [3] * ap.tau)
     sig = sa._sign_core(ap, pk, x, beta, b"m", b"e")
     # responses answer the injected challenges: leaf 3 is the hidden one,

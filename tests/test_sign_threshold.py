@@ -146,7 +146,7 @@ def manual_protocol_run(tp, n_run, tag=b"run"):
     shares = shamir_share(mr.base, coords, tp.ell, n_run, rand)
     gamma = rng.integers(0, mr.q, (mr.n, mr.m)).astype(np.uint8)
     eps = rng.integers(0, mr.q, mr.m).astype(np.uint8)
-    batch = ChallengeBatch(ext, mr.r, [(gamma, eps)])
+    batch = ChallengeBatch(ext, mr.r, gamma[None], eps[None])
     op = PkOperand.of(pk)
     al_p, z_p = batch.broadcast_alpha(op, coords[None, None], [True])
     v_p = batch.broadcast_v(z_p, coords[None, None], al_p)
