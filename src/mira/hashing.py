@@ -171,19 +171,17 @@ def _pieces(flat, counts):
 @lru_cache(maxsize=64)
 def _windows(counts):
     """``FieldSampler.take_joined``'s rejection windows for a tuple of counts:
-    (draws, need, starts, total, within), the nonzero counts' indices and
-    values, each window's start in the ``total`` bytes read, and each kept
-    element's rank in its draw."""
+    (draws, need, starts, total), the nonzero counts' indices and values and
+    each window's start in the ``total`` bytes read."""
     counts = np.array(counts, np.intp)
     draws = np.flatnonzero(counts)
     need = counts[draws]
     wins = need + (need >> 3) + 8                  # ``take``'s first window
     ends = np.cumsum(wins)
     starts = ends - wins
-    within = np.arange(need.sum()) - np.repeat(np.cumsum(need) - need, need)
-    for arr in (draws, need, starts, within):
+    for arr in (draws, need, starts):
         arr.flags.writeable = False     # every caller of these counts shares them
-    return draws, need, starts, int(ends[-1]) if len(ends) else 0, within
+    return draws, need, starts, int(ends[-1]) if len(ends) else 0
 
 
 class FieldSampler:
@@ -237,15 +235,17 @@ class FieldSampler:
         q = self.field.q
         if q & (q - 1) == 0:
             return self.take(int(sum(counts)))
-        draws, need, starts, total, within = _windows(tuple(counts))
+        draws, need, starts, total = _windows(tuple(counts))
         if not total:
             return np.zeros(0, np.uint8)
         raw = np.frombuffer(self.stream.read(total), np.uint8)
         ok = raw < (256 // q) * q
-        got = np.add.reduceat(ok, starts, dtype=np.intp)      # accepted bytes per window
-        # the accepted bytes before each window, plus the rank in the window
-        kept = np.repeat(np.cumsum(got) - got, need) + within
-        short = np.flatnonzero(got < need)
+        # accepted bytes per window beyond its count; element j of a window
+        # is the j-th accepted byte from its start
+        surplus = np.add.reduceat(ok, starts, dtype=np.intp) - need
+        kept = np.repeat(np.cumsum(surplus) - surplus, need)
+        kept += np.arange(len(kept))
+        short = np.flatnonzero(surplus < 0)
         if not len(short):
             return raw[ok][kept] % q
         fast = int(short[0])

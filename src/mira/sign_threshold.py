@@ -34,7 +34,8 @@ class RoundResponse:
     """One round's response: the layout's fields after the auth count, in wire order.
 
     In a decoded or signed signature the element fields are views of rows
-    of the signature's ``blocks``, which verification reads.
+    of the signature's ``blocks``: ``encode`` reads the fields and
+    ``verify_decoded`` the blocks, so edit the fields in place.
     """
     auth: list                 # Merkle digests, bottom-up left-right
     opened: np.ndarray         # (ell, T) state rows, ascending party index
