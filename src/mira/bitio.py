@@ -8,7 +8,7 @@ first; an odd count ends in one zero padding nibble.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -26,9 +26,6 @@ class Signature:
     h1: bytes
     h2: bytes
     rounds: list
-    # element fields kept whole by a codec (threshold): one (tau, ...) array
-    # per field name, whose rows the rounds' fields view
-    blocks: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class Layout:
@@ -71,10 +68,10 @@ class Layout:
     def header_bytes(self, sig):
         return b"".join(getattr(sig, name) for name, _ in self.header)
 
-    def signature(self, data, rounds, blocks=None):
+    def signature(self, data, rounds):
         ends = accumulate(size for _, size in self.header)
         return Signature(*(data[end - size:end] for (_, size), end in zip(self.header, ends)),
-                         rounds, blocks or {})
+                         rounds)
 
 
 def unpack_nibbles(data):

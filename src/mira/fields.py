@@ -272,7 +272,7 @@ class Char2Field:
 
     def _mul_index(self, a, b):
         """Positions of the products a * b in the flat table, broadcast."""
-        return (np.asarray(a, np.uint8).astype(np.uint16) << self.d) | np.asarray(b, np.uint8)
+        return (np.asarray(a, np.uint8).astype(np.intp) << self.d) | np.asarray(b, np.uint8)
 
     def inv(self, a):
         a = np.asarray(a, np.uint8)

@@ -33,7 +33,6 @@ takes them.
 """
 
 import hashlib
-from functools import lru_cache
 
 import numpy as np
 
@@ -168,22 +167,6 @@ def _pieces(flat, counts):
     return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
-@lru_cache(maxsize=64)
-def _windows(counts):
-    """``FieldSampler.take_joined``'s rejection windows for a tuple of counts:
-    (draws, need, starts, total), the nonzero counts' indices and values and
-    each window's start in the ``total`` bytes read."""
-    counts = np.array(counts, np.intp)
-    draws = np.flatnonzero(counts)
-    need = counts[draws]
-    wins = need + (need >> 3) + 8                  # ``take``'s first window
-    ends = np.cumsum(wins)
-    starts = ends - wins
-    for arr in (draws, need, starts):
-        arr.flags.writeable = False     # every caller of these counts shares them
-    return draws, need, starts, int(ends[-1]) if len(ends) else 0
-
-
 class FieldSampler:
     """Uniform field elements from an XOF stream.
 
@@ -226,18 +209,23 @@ class FieldSampler:
 
         Power-of-two fields read the bytes those takes consume as one block.
         A prime field reads every take's first rejection window at once
-        (``take`` sizes it ``need + need // 8 + 8``; the windows of a tuple of
-        counts are planned once, ``_windows``), accepts bytes with one mask
-        and keeps the first ``count`` accepted bytes of each window.  If a
-        window holds too few, the stream steps back to its start and that
+        (``take`` sizes it ``need + need // 8 + 8``), accepts bytes with one
+        mask and keeps the first ``count`` accepted bytes of each window.  If
+        a window holds too few, the stream steps back to its start and that
         take and the ones after it run one by one.
         """
+        counts = np.asarray(counts, np.intp)
         q = self.field.q
         if q & (q - 1) == 0:
-            return self.take(int(sum(counts)))
-        draws, need, starts, total = _windows(tuple(counts))
-        if not total:
+            return self.take(int(counts.sum()))
+        draws = np.flatnonzero(counts)
+        if not len(draws):
             return np.zeros(0, np.uint8)
+        need = counts[draws]
+        wins = need + (need >> 3) + 8
+        ends = np.cumsum(wins)
+        starts = ends - wins
+        total = int(ends[-1])
         raw = np.frombuffer(self.stream.read(total), np.uint8)
         ok = raw < (256 // q) * q
         # accepted bytes per window beyond its count; element j of a window

@@ -81,9 +81,7 @@ class PkOperand:
         else:
             e_flat = self.base.matmul3(x_shares, self._l_prepared)
         offsets = np.asarray(offsets, bool)
-        if offsets.all():
-            e_flat[...] = self.base.add(e_flat, self.m0_flat)
-        elif offsets.any():
+        if offsets.any():
             e_flat[offsets] = self.base.add(e_flat[offsets], self.m0_flat)
         return e_flat
 

@@ -15,7 +15,6 @@ and signature length varies with the authentication paths (see ``layout``).
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -31,12 +30,7 @@ from .trees import (H_MERKLE, MerkleTree, merkle_auth, merkle_root,
 
 @dataclass
 class RoundResponse:
-    """One round's response: the layout's fields after the auth count, in wire order.
-
-    In a decoded or signed signature the element fields are views of rows
-    of the signature's ``blocks``: ``encode`` reads the fields and
-    ``verify_decoded`` the blocks, so edit the fields in place.
-    """
+    """One round's response: the layout's fields after the auth count, in wire order."""
     auth: list                 # Merkle digests, bottom-up left-right
     opened: np.ndarray         # (ell, T) state rows, ascending party index
     alpha_star: np.ndarray     # (r, m)
@@ -72,13 +66,12 @@ def encode(ps, sig):
 
 
 def decode(ps, data):
-    """The signature's rounds, and its element fields as (tau, ...) ``blocks``."""
     base, lay = ps.base, layout(ps)
     db = ps.suite.digest_bytes
     max_nodes, = lay.shape("auth")
-    names, shapes, widths = zip(*[(name, shape, width) for (name, unit, shape), width
-                                  in zip(lay.fields, lay.widths) if unit == ELEM])
-    block = sum(widths)
+    blocks = [(shape, width) for (_, unit, shape), width in zip(lay.fields, lay.widths)
+              if unit == ELEM]
+    block = sum(width for _, width in blocks)
     size = len(data)
 
     # one pass over the 2-byte auth counts locates every round's element
@@ -103,29 +96,23 @@ def decode(ps, data):
 
     rows = np.frombuffer(data, np.uint8).take(
         np.asarray(starts, np.intp)[:, None] + np.arange(block), mode="clip")
-    ends = list(accumulate(widths))
-    if len(starts) > len(counts):
-        # a truncated round's whole blocks are checked too; the rest of its
-        # row is zeroed, which every field accepts
-        rows[-1, max([0] + [end for end in ends if starts[-1] + end <= size]):] = 0
-    sizes = [math.prod(shape) for shape in shapes]
-    columns = list(zip([0] + ends, ends))
+    columns, at = [], 0
     try:
-        if list(widths) == sizes:       # a byte per element: one check covers every block
-            elems = base.unpack_rows(rows, block)
-            parts = [elems[:, lo:hi] for lo, hi in columns]
-        else:                           # GF(16): each block pads its own last nibble
-            parts = [base.unpack_rows(rows[:, lo:hi], n) for (lo, hi), n in zip(columns, sizes)]
+        for shape, width in blocks:
+            # a truncated round's whole blocks are checked too
+            fits = len(starts) if starts and starts[-1] + at + width <= size else len(counts)
+            elems = base.unpack_rows(rows[:fits, at:at + width], math.prod(shape))
+            columns.append(elems[:len(counts)].reshape((-1,) + shape))
+            at += width
     except ValueError as exc:
         raise SignatureFormatError(str(exc)) from None
     if fault is not None:
         raise SignatureFormatError(fault)
     if pos != size:
         raise SignatureFormatError("trailing data")
-    blocks = {name: part.reshape((-1,) + shape) for name, part, shape in zip(names, parts, shapes)}
     rounds = [RoundResponse([data[p:p + db] for p in range(start - count * db, start, db)], *vals)
-              for count, start, *vals in zip(counts, starts, *blocks.values())]
-    return lay.signature(data, rounds, blocks)
+              for count, start, *vals in zip(counts, starts, *columns)]
+    return lay.signature(data, rounds)
 
 
 def _extra_parties(s_set, subsets):
@@ -198,11 +185,11 @@ def _sign_core(ps, pk, x, beta, message, entropy):
 
     # the opened states and alpha* of all rounds, one gather each
     first = np.arange(tau)
-    blocks = {"opened": shares_all[first[:, None], np.asarray(ch2) - 1],
-              "alpha_star": alpha_s[first, _extra_parties(s_set, ch2)]}
+    opened = shares_all[first[:, None], np.asarray(ch2) - 1]
+    alpha_star = alpha_s[first, _extra_parties(s_set, ch2)]
     rounds = [RoundResponse(merkle_auth(suite, tree, subset), *vals)
-              for tree, subset, *vals in zip(trees, ch2, *blocks.values())]
-    return Signature(salt, h1, h2, rounds, blocks)
+              for tree, subset, *vals in zip(trees, ch2, opened, alpha_star)]
+    return Signature(salt, h1, h2, rounds)
 
 
 def verify(ps, pk, message, data):
@@ -215,8 +202,7 @@ def verify(ps, pk, message, data):
 
 
 def verify_decoded(ps, pk, message, sig):
-    """Accept/reject a decoded signature; its element fields are read from
-    ``sig.blocks``, its auth paths from the rounds."""
+    """Accept/reject a decoded signature."""
     base, ext = ps.base, ps.ext
     suite = ps.suite
     n_parties, ell, tau = ps.n_parties, ps.ell, ps.tau
@@ -226,7 +212,7 @@ def verify_decoded(ps, pk, message, sig):
     # every round's commitments, their leaf digests in one call, then all
     # Merkle roots level by level; h1 is checked before the rank check
     ch2 = derive_challenge2_threshold(suite, sig.h2, n_parties, ell, tau)
-    opened = sig.blocks["opened"]                            # (tau, ell, T)
+    opened = np.array([rr.opened for rr in sig.rounds])      # (tau, ell, T)
     states = base.pack_rows(opened.reshape(tau * ell, -1))
     cmts = []
     for e in range(1, tau + 1):
@@ -251,7 +237,7 @@ def verify_decoded(ps, pk, message, sig):
     points[:, :, :ell] = ch2
     points[0, :, ell] = targets[_extra_parties(s_set, ch2)]
     weights = lagrange_weights(base, points.reshape(2 * tau, ell + 1), targets)
-    alpha_star = sig.blocks["alpha_star"].reshape(tau, 1, r * m)
+    alpha_star = np.array([rr.alpha_star for rr in sig.rounds]).reshape(tau, 1, r * m)
     alpha_at = shamir_expand(
         base, np.concatenate([alpha_i.reshape(tau, ell, r * m), alpha_star], axis=1),
         weights[:tau])

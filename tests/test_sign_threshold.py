@@ -198,6 +198,25 @@ def test_alpha_star_replacement_rejects():
     assert rejects >= trials - 8
 
 
+def test_verify_decoded_reads_rebound_fields():
+    # the rounds' fields are what verify_decoded checks: rebinding one to an
+    # equal copy keeps the signature valid, to a changed array rejects it
+    # exactly as the re-encoded bytes do
+    tp = TOY
+    pk, sk = keygen_optimized(tp, b"rb")
+    data = st.sign(tp, pk, sk, b"m", b"e")
+    for name in ("alpha_star", "opened"):
+        sig = st.decode(tp, data)
+        rr = sig.rounds[1]
+        setattr(rr, name, getattr(rr, name).copy())
+        assert st.verify_decoded(tp, pk, b"m", sig)
+        new = getattr(rr, name).copy()
+        new.flat[0] = (int(new.flat[0]) + 1) % tp.base.q
+        setattr(rr, name, new)
+        assert not st.verify_decoded(tp, pk, b"m", sig)
+        assert not st.verify(tp, pk, b"m", st.encode(tp, sig))
+
+
 def two_witness_instance():
     """Public matrices with two known rank-r solutions (q = 7)."""
     base = base_field(7)
