@@ -36,8 +36,9 @@ def annihilator(ext, support, r):
     ``frob`` and two ``mul``, with no exponentiation.
 
     The basis is the support elements at the pivot columns of the (m, n)
-    matrix they form, from the same elimination as keygen's rank check
-    (``SupportDimensionError`` unless there are r of them).
+    matrix they form, from ``matrices.pivot_columns``, the one exact rank
+    path, which keygen's rank check also runs when its determinant
+    shortcut is zero (``SupportDimensionError`` unless there are r of them).
     """
     support = np.asarray(support, np.uint8)
     basis = support[pivot_columns(ext.base, support.T)]

@@ -11,7 +11,7 @@ from mira.bitio import Signature, SignatureFormatError
 from mira.hashing import (H_MERKLE, X_KEYSEC, X_TREE, FieldSampler, encode_u16, encode_u32,
                           party_suffixes)
 from mira.keys import _expand_l
-from mira.matrices import pivot_columns, rank, sample_rank_bounded
+from mira.matrices import pivot_columns, rank
 from mira.qpoly import QPolynomial
 from mira.mpc import ChallengeBatch
 from mira.params import PARAM_IDS, parameter_set
@@ -130,6 +130,15 @@ def evaluate_many(ext, qp, xs):
     return acc
 
 
+def sample_rank_bounded_by_elimination(field, m, n, r, sampler):
+    """Reference ``matrices.sample_rank_bounded``: each draw E = A @ B is
+    accepted or retried on the elimination's rank alone."""
+    while True:
+        e = field.matmul(sampler.matrix(m, r), sampler.matrix(r, n))
+        if rank(field, e) == r:
+            return e
+
+
 def derive_two_products(ps, seed_pk, seed_sk):
     """Reference key derivation through a blinding vector beta drawn after E:
     f = E - beta L, x = beta + f_head and M_0 = f - f_head L, two full-width
@@ -137,7 +146,7 @@ def derive_two_products(ps, seed_pk, seed_sk):
     base = ps.base
     l_rows = _expand_l(ps, seed_pk)
     sk_sampler = FieldSampler(base, ps.suite.xof(X_KEYSEC, seed_sk))
-    e_mat = sample_rank_bounded(base, ps.m, ps.n, ps.r, sk_sampler)
+    e_mat = sample_rank_bounded_by_elimination(base, ps.m, ps.n, ps.r, sk_sampler)
     beta = sk_sampler.take(ps.k)
     f_flat = base.sub(e_mat.reshape(-1), base.matmul(beta[None, :], l_rows)[0])
     f_head = f_flat[:ps.k]

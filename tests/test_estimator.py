@@ -58,6 +58,23 @@ def test_kz_cost_floor_all_sets():
         assert log2c >= ps.lam - 0.5  # design floor of 2^lambda (rounding slack)
 
 
+# log2 cost of the two-challenge attack with one repetition fewer than shipped
+KZ_ONE_ROUND_FEWER = {("additive", 1): 120.56, ("additive", 3): 184.00,
+                      ("additive", 5): 248.00, ("threshold", 1): 106.56,
+                      ("threshold", 3): 170.50, ("threshold", 5): 234.44}
+
+
+def test_tau_is_minimal_for_every_set():
+    # the shipped tau meets the 2^lambda floor (with its rounding slack) and
+    # tau - 1 does not
+    for ps in all_parameter_sets():
+        floor = ps.lam - 0.5
+        assert est.kz_cost(ps)[0] >= floor
+        fewer, _ = est.kz_cost(ps.with_overrides(tau=ps.tau - 1))
+        assert fewer < floor
+        assert fewer == pytest.approx(KZ_ONE_ROUND_FEWER[(ps.variant, ps.level)], abs=0.005)
+
+
 def test_kz_degenerate_false_positive():
     # tiny fields push the first-challenge pass probability to one; the
     # optimum then sits at split = tau with cost 1 + 1 = 2

@@ -47,6 +47,29 @@ def test_systematic_head_is_zero():
     assert np.array_equal(l_rows[:, :mr.k], np.eye(mr.k, dtype=np.uint8))
 
 
+# eliminations per keygen_optimized(ps, b"eliminations-%d" % i), i = 0..7: E's
+# rank is proven by its leading r x r determinant unless that is zero
+ELIMINATIONS = {("additive", 1): [0, 0, 0, 0, 0, 0, 0, 1],
+                ("additive", 3): [1, 0, 0, 0, 0, 1, 0, 0],
+                ("additive", 5): [0, 0, 0, 1, 0, 0, 0, 0],
+                ("threshold", 1): [0] * 8,
+                ("threshold", 3): [0] * 8,
+                ("threshold", 5): [0] * 8}
+
+
+@pytest.mark.parametrize("variant,level", list(ELIMINATIONS))
+def test_keygen_runs_the_elimination_only_on_a_zero_determinant(variant, level, eliminations):
+    ps = params.parameter_set(variant, level)
+    keygen_optimized(ps, b"warm-up")      # field set-up runs its own ranks
+    counts = []
+    for i in range(8):
+        eliminations.clear()
+        keygen_optimized(ps, b"eliminations-%d" % i)
+        counts.append(len(eliminations))
+        assert set(eliminations) <= {(ps.m, ps.n)}
+    assert counts == ELIMINATIONS[(variant, level)]
+
+
 @pytest.mark.parametrize("variant,level", list(TABLE_PK_BODY))
 def test_one_product_derivation_matches_two_product_reference(variant, level):
     ps = params.parameter_set(variant, level)

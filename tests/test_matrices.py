@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from mira import matrices
 from mira.fields import base_field
 from mira.hashing import HashSuite, FieldSampler, X_KEYSEC
-from mira.matrices import columns_to_ext, pivot_columns, rank, sample_rank_bounded
+from mira.matrices import (columns_to_ext, determinant, pivot_columns, rank,
+                           sample_rank_bounded)
 
-from helpers import ext_to_columns
+from helpers import ext_to_columns, sample_rank_bounded_by_elimination
 
 
 def span_size_oracle(rows):
@@ -124,3 +126,150 @@ def test_pivot_columns_raise_the_prefix_rank(q, rows, inner):
         pivots = pivot_columns(f, mat)
         assert pivots == prefix_rank_pivots_oracle(f, mat)
         assert len(pivots) == rank(f, mat)
+
+
+def determinant_by_elimination(field, block):
+    """Product of the pivots of a row reduction, negated per row swap."""
+    a = np.array(block, np.uint8)
+    det = np.uint8(1)
+    for c in range(len(a)):
+        nz = np.flatnonzero(a[c:, c])
+        if not len(nz):
+            return np.uint8(0)
+        if nz[0]:
+            a[[c, c + nz[0]]] = a[[c + nz[0], c]]
+            det = field.neg(det)
+        det = field.mul(det, a[c, c])
+        factors = field.mul(a[c + 1:, c], field.inv(a[c, c]))
+        a[c + 1:] = field.sub(a[c + 1:], field.mul(factors[:, None], a[c][None, :]))
+    return det
+
+
+def singular_blocks(field, rng, r):
+    """Blocks of rank < r by construction: a zero row, a repeated row and a
+    row that is the sum of two others (as far as r has the rows)."""
+    i, j, k = (list(rng.permutation(r)) + [None, None])[:3]
+    zero, repeat, total = rng.integers(0, field.q, (3, r, r)).astype(np.uint8)
+    zero[i] = 0
+    yield zero
+    if r >= 2:
+        repeat[i] = repeat[j]
+        yield repeat
+    if r >= 3:
+        total[i] = field.add(total[j], total[k])
+        yield total
+
+
+@pytest.mark.parametrize("q", [2, 16, 251])
+@pytest.mark.parametrize("r", range(1, 7))
+def test_determinant_matches_the_elimination(q, r):
+    f = base_field(q)
+    rng = np.random.default_rng(100 * q + r)
+    blocks = [rng.integers(0, q, (r, r)).astype(np.uint8) for _ in range(40)]
+    singular = list(singular_blocks(f, rng, r))
+    assert len(singular) == {1: 1, 2: 2}.get(r, 3)
+    for block in blocks + singular:
+        det = determinant(f, block)
+        assert det == determinant_by_elimination(f, block)
+        assert bool(det) == (rank(f, block) == r)
+    assert not any(determinant(f, block) for block in singular)
+    # over GF(2) random blocks give both outcomes
+    if q == 2:
+        assert {bool(determinant(f, block)) for block in blocks} == {False, True}
+
+
+def test_determinant_takes_up_to_six_rows():
+    f = base_field(16)
+    assert determinant(f, np.eye(6, dtype=np.uint8)) == 1
+    with pytest.raises(ValueError):
+        determinant(f, np.eye(7, dtype=np.uint8))
+
+
+class ScriptedSampler:
+    """Hands out the given matrices in order, each for its own shape."""
+
+    def __init__(self, mats):
+        self.mats = list(mats)
+
+    def matrix(self, rows, cols):
+        mat = self.mats.pop(0)
+        assert mat.shape == (rows, cols)
+        return mat.copy()
+
+
+def full_rank(field, rng, rows, cols):
+    while True:
+        mat = rng.integers(0, field.q, (rows, cols)).astype(np.uint8)
+        if rank(field, mat) == min(rows, cols):
+            return mat
+
+
+@pytest.mark.parametrize("q", [16, 251])
+def test_singular_leading_block_of_a_rank_r_draw_is_accepted(q, eliminations):
+    # A's first row is zero, so E's leading block is singular, yet A and B
+    # have rank r and so has E: the elimination accepts the first draw
+    f = base_field(q)
+    m, n, r = 6, 5, 3
+    rng = np.random.default_rng(q)
+    a = full_rank(f, rng, m, r)
+    a[0] = 0
+    assert rank(f, a) == r
+    b = full_rank(f, rng, r, n)
+    e = f.matmul(a, b)
+    assert not determinant(f, e[:r, :r]) and rank(f, e) == r
+    eliminations.clear()
+    script = [a, b]
+    sampler = ScriptedSampler(script)
+    got = sample_rank_bounded(f, m, n, r, sampler)
+    assert np.array_equal(got, e) and not sampler.mats
+    assert eliminations == [(m, n)]
+    assert np.array_equal(got, sample_rank_bounded_by_elimination(
+        f, m, n, r, ScriptedSampler(script)))
+
+
+@pytest.mark.parametrize("q", [16, 251])
+def test_rank_deficient_draw_is_retried(q, eliminations):
+    # the first A has a zero column, so rank(E) < r: its zero determinant
+    # sends it to the elimination, which retries; the second draw's leading
+    # block is nonsingular, so it is accepted without one
+    f = base_field(q)
+    m, n, r = 6, 5, 3
+    rng = np.random.default_rng(q + 1)
+    a1, b1 = full_rank(f, rng, m, r), full_rank(f, rng, r, n)
+    a1[:, 1] = 0
+    a2, b2 = full_rank(f, rng, m, r), full_rank(f, rng, r, n)
+    assert rank(f, f.matmul(a1, b1)) < r
+    e2 = f.matmul(a2, b2)
+    assert determinant(f, e2[:r, :r])
+    eliminations.clear()
+    script = [a1, b1, a2, b2]
+    sampler = ScriptedSampler(script)
+    got = sample_rank_bounded(f, m, n, r, sampler)
+    assert np.array_equal(got, e2) and not sampler.mats
+    assert eliminations == [(m, n)]
+    assert np.array_equal(got, sample_rank_bounded_by_elimination(
+        f, m, n, r, ScriptedSampler(script)))
+
+
+@pytest.mark.parametrize("q, m, n, r", [(2, 4, 4, 2), (2, 5, 4, 4), (16, 6, 6, 6),
+                                        (251, 3, 4, 3)])
+def test_sample_rank_bounded_matches_the_elimination_only_loop(q, m, n, r):
+    f = base_field(q)
+    for i in range(20):
+        tag = b"loop-%d" % i
+        got = sample_rank_bounded(f, m, n, r, sampler_for(q, tag))
+        assert np.array_equal(got, sample_rank_bounded_by_elimination(
+            f, m, n, r, sampler_for(q, tag)))
+
+
+def test_rank_above_six_goes_straight_to_the_elimination(monkeypatch, eliminations):
+    def no_determinant(field, block):
+        raise AssertionError("determinant called for r > 6")
+
+    monkeypatch.setattr(matrices, "determinant", no_determinant)
+    f = base_field(251)
+    got = sample_rank_bounded(f, 8, 9, 7, sampler_for(251, b"r7"))
+    assert rank(f, got) == 7
+    assert eliminations[0] == (8, 9)
+    assert np.array_equal(got, sample_rank_bounded_by_elimination(
+        f, 8, 9, 7, sampler_for(251, b"r7")))
