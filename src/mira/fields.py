@@ -6,12 +6,23 @@ so bulk protocol data never needs per-element Python objects.  An element of
 GF(q^m) is a length-m coefficient vector over GF(q) in ascending basis order
 (index t is the coefficient of X^t); batches are arrays of shape (..., m).
 
-Two base field flavours are provided:
+Two base field flavours are provided, both subclasses of ``ByteField``:
 
 * ``PrimeField(p)``  - integers mod p (p prime, p <= 251 shipped);
 * ``Char2Field(d)``  - GF(2^d) with elements encoded as d-bit polynomial
-  values over GF(2) and multiplication via a table read off the ring
+  values over GF(2), its multiplication table read off the ring
   ``ext_field(2, d)``.
+
+``ByteField`` holds what the two share, driven by the subclass's (q, q)
+multiplication table: ``mul`` as one gather from a flat (256, 256) table,
+``neg`` as one gather from a (256,) vector, ``inv`` from the inverse table,
+and the codec (one byte per element, two per byte at q = 16).  Each
+characteristic keeps only what differs: ``add``/``sub`` (gathers from
+(256, 256) tables for p, XOR for 2^d, where a gather is 10-25x slower),
+``axis_sum`` and the matrix products.  Every table has an entry for every
+byte pair: byte y stands for y mod q (the low d bits for q = 2^d), so sums
+of raw stream bytes (``sharing.leaf_elements``) are defined at q = 2, a
+prime field.
 
 ``ExtField`` derives all of its arithmetic from one table built with the
 field, X^k mod f for k < 2m - 1.  It gives the fixed (m, m*m) map whose one
@@ -91,14 +102,78 @@ def _is_prime(n):
     return True
 
 
-def _split_rows(data, rows):
-    """Cut ``data`` into ``rows`` equal consecutive pieces."""
-    width = len(data) // rows if rows else 0
-    return [data[i * width:(i + 1) * width] for i in range(rows)]
+class ByteField:
+    """The element-wise tables and the codec of a base field GF(q), q <= 256.
+
+    A subclass passes its (q, q) ``MUL`` table.  ``INV`` holds the b with
+    a * b = 1, and ``RESIDUE`` maps each byte y to the element y mod q.
+    ``mul`` reads a flat (256, 256) table at ``(a << 8) | b``, one intp
+    index per product; its entry is ``MUL[y mod q, z mod q]`` for every byte
+    pair, so no input byte reads another pair's entry.  ``neg`` reads the
+    (256,) vector sub(0, y), so ``sub`` must work when this constructor runs.
+    """
+
+    def __init__(self, q, mul):
+        self.q = q
+        self.MUL = mul
+        self.INV = np.argmax(mul == 1, axis=1).astype(np.uint8)
+        self.RESIDUE = (np.arange(256) % q).astype(np.uint8)
+        self._mul = mul.take(self.RESIDUE, 0).take(self.RESIDUE, 1).ravel()
+        byte = np.arange(256, dtype=np.uint8)
+        self._neg = self.sub(np.zeros_like(byte), byte)
+
+    def mul(self, a, b):
+        return self._mul.take((np.asarray(a, np.uint8).astype(np.intp) << 8)
+                               | np.asarray(b, np.uint8))
+
+    def neg(self, a):
+        return self._neg.take(np.asarray(a, np.uint8))
+
+    def inv(self, a):
+        a = np.asarray(a, np.uint8)
+        if np.any(a == 0):
+            raise ZeroDivisionError("inversion of zero")
+        return self.INV[a]
+
+    # -- byte encoding -----------------------------------------------------
+
+    def pack(self, arr):
+        arr = np.asarray(arr, np.uint8).ravel()
+        return pack_nibbles(arr) if self.q == 16 else arr.tobytes()
+
+    def pack_rows(self, arr):
+        """``[self.pack(row) for row in arr]`` from one pack of the 2-D block."""
+        arr = np.asarray(arr, np.uint8)
+        if self.q == 16 and arr.shape[1] & 1:
+            arr = np.pad(arr, ((0, 0), (0, 1)))   # each row pads its own nibble
+        data = self.pack(arr)
+        width = len(data) // len(arr) if len(arr) else 0
+        return [data[i * width:(i + 1) * width] for i in range(len(arr))]
+
+    def unpack(self, data, count):
+        raw = np.frombuffer(data, dtype=np.uint8, count=self.packed_size(count))
+        return self.unpack_rows(raw, count)
+
+    def unpack_rows(self, raw, count):
+        """(..., count) elements from (..., packed_size(count)) uint8 rows, each
+        checked as ``unpack`` checks one block."""
+        if self.q != 16:
+            if np.any(raw >= self.q):
+                raise ValueError("field element out of range")
+            return raw.copy()
+        if count & 1 and np.any(raw[..., -1] >> 4):
+            raise ValueError("nonzero padding nibble")
+        return unpack_nibbles(raw)[..., :count]
+
+    def packed_size(self, count):
+        return (count + 1) // 2 if self.q == 16 else count
 
 
-class PrimeField:
+class PrimeField(ByteField):
     """Integers modulo a prime p, elementwise over numpy arrays.
+
+    ``add`` and ``sub`` read flat (256, 256) tables as ``mul`` does, defined
+    on every byte pair: ``sharing`` sums raw stream bytes at q = 2.
 
     Products run in float32: prepared right operands are float32 arrays,
     and ``_gemm`` multiplies chunks of at most (2^24 - 1) // (p-1)^2 inner
@@ -112,30 +187,20 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         if p > 256:
             raise ValueError("prime fields larger than a byte are not supported")
-        self.q = p
         self.char = p
-        inv = np.zeros(p, dtype=np.uint8)
-        for a in range(1, p):
-            inv[a] = pow(a, p - 2, p)
-        self._inv = inv
+        # residues of all bytes; uint16 holds their sums and products
+        res = np.arange(256, dtype=np.uint16) % p
+        self._add = ((res[:, None] + res) % p).astype(np.uint8).ravel()
+        self._sub = ((res[:, None] + (p - res)) % p).astype(np.uint8).ravel()
+        super().__init__(p, (res[:p, None] * res[:p] % p).astype(np.uint8))
 
     def add(self, a, b):
-        return ((np.asarray(a, np.int64) + np.asarray(b, np.int64)) % self.q).astype(np.uint8)
+        return self._add.take((np.asarray(a, np.uint8).astype(np.intp) << 8)
+                               | np.asarray(b, np.uint8))
 
     def sub(self, a, b):
-        return ((np.asarray(a, np.int64) - np.asarray(b, np.int64)) % self.q).astype(np.uint8)
-
-    def neg(self, a):
-        return ((-np.asarray(a, np.int64)) % self.q).astype(np.uint8)
-
-    def mul(self, a, b):
-        return ((np.asarray(a, np.int64) * np.asarray(b, np.int64)) % self.q).astype(np.uint8)
-
-    def inv(self, a):
-        a = np.asarray(a, np.uint8)
-        if np.any(a == 0):
-            raise ZeroDivisionError("inversion of zero")
-        return self._inv[a]
+        return self._sub.take((np.asarray(a, np.uint8).astype(np.intp) << 8)
+                               | np.asarray(b, np.uint8))
 
     def axis_sum(self, a, axis=0):
         return (np.asarray(a, np.int64).sum(axis=axis) % self.q).astype(np.uint8)
@@ -171,31 +236,11 @@ class PrimeField:
         r += (r >> 15) & self.q
         return r.astype(np.uint8)
 
-    def pack(self, arr):
-        return np.ascontiguousarray(np.asarray(arr, np.uint8).ravel()).tobytes()
-
-    def pack_rows(self, arr):
-        """``[self.pack(row) for row in arr]`` from one pack of the 2-D block."""
-        return _split_rows(self.pack(arr), len(arr))
-
-    def unpack(self, data, count):
-        return self.unpack_rows(np.frombuffer(data, dtype=np.uint8, count=count), count)
-
-    def unpack_rows(self, raw, count):
-        """(..., count) elements from (..., packed_size(count)) uint8 rows, each
-        checked as ``unpack`` checks one block."""
-        if np.any(raw >= self.q):
-            raise ValueError("field element out of range")
-        return raw.copy()
-
-    def packed_size(self, count):
-        return count
-
     def __repr__(self):
         return f"PrimeField({self.q})"
 
 
-class Char2Field:
+class Char2Field(ByteField):
     """GF(2^d), d >= 2; addition is XOR, multiplication by a (q, q) table.
 
     The modulus is ``ext_field(2, d)``'s, the least irreducible y^d + tail
@@ -205,22 +250,19 @@ class Char2Field:
     def __init__(self, d):
         if not 2 <= d <= 8:
             raise ValueError("supported GF(2^d) range is d in [2, 8]")
-        self.q = 1 << d
+        q = 1 << d
         self.d = d
         self.char = 2
         ring = ext_field(2, d)
         self.modulus_bits = int(ring.modulus @ (1 << np.arange(d + 1)))
         # column s of v's multiplication matrix in the ring is y^s * v, so
         # u * v is the XOR of those columns at u's set bits, one bit at a time
-        bits = (np.arange(self.q)[:, None] >> np.arange(d)) & 1
+        bits = (np.arange(q)[:, None] >> np.arange(d)) & 1
         ysv = ring.mul_matrices(bits).transpose(0, 2, 1) @ (1 << np.arange(d))   # [v, s]
-        mul = np.zeros((self.q, self.q), np.uint8)
+        mul = np.zeros((q, q), np.uint8)
         for s in range(d):
             mul[1 << s:2 << s] = mul[:1 << s] ^ ysv[:, s].astype(np.uint8)
-        self.MUL = mul
-        # entry (a << d) | b is a * b: one flat gather, no 2-D fancy index
-        self._mul_flat = mul.ravel()
-        self.INV = np.argmax(mul == 1, axis=1).astype(np.uint8)
+        super().__init__(q, mul)
         # the GEMM's right-operand entries for every word count (see
         # ``_word_count``), gathered by ``matmul3_prepare``
         self._word_tables = {words: self._lane_words(words) for words in
@@ -264,22 +306,6 @@ class Char2Field:
 
     sub = add
 
-    def neg(self, a):
-        return np.asarray(a, np.uint8).copy()
-
-    def mul(self, a, b):
-        return np.take(self._mul_flat, self._mul_index(a, b))
-
-    def _mul_index(self, a, b):
-        """Positions of the products a * b in the flat table, broadcast."""
-        return (np.asarray(a, np.uint8).astype(np.intp) << self.d) | np.asarray(b, np.uint8)
-
-    def inv(self, a):
-        a = np.asarray(a, np.uint8)
-        if np.any(a == 0):
-            raise ZeroDivisionError("inversion of zero")
-        return self.INV[a]
-
     def axis_sum(self, a, axis=0):
         return np.bitwise_xor.reduce(np.asarray(a, np.uint8), axis=axis)
 
@@ -291,7 +317,7 @@ class Char2Field:
         b = np.asarray(b, np.uint8)
         if a.shape[0] * a.shape[1] * b.shape[1] <= (1 << 18):
             return np.bitwise_xor.reduce(
-                np.take(self._mul_flat, self._mul_index(a[:, :, None], b)), axis=1)
+                self._mul.take((a[:, :, None].astype(np.intp) << 8) | b), axis=1)
         return self._gemm(a, self.matmul3_prepare(b))
 
     def matmul3_prepare(self, b3):
@@ -341,39 +367,6 @@ class Char2Field:
         for j in range(1, words):
             out = out | (bits[..., j] << (j * lanes))
         return np.ascontiguousarray(out)
-
-    # -- byte encoding -----------------------------------------------------
-
-    def pack(self, arr):
-        arr = np.asarray(arr, np.uint8).ravel()
-        if self.q != 16:
-            return arr.tobytes()
-        return pack_nibbles(arr)
-
-    def pack_rows(self, arr):
-        """``[self.pack(row) for row in arr]`` from one pack of the 2-D block."""
-        arr = np.asarray(arr, np.uint8)
-        if self.q == 16 and arr.shape[1] & 1:
-            arr = np.pad(arr, ((0, 0), (0, 1)))   # each row pads its own nibble
-        return _split_rows(self.pack(arr), len(arr))
-
-    def unpack(self, data, count):
-        raw = np.frombuffer(data, dtype=np.uint8, count=self.packed_size(count))
-        return self.unpack_rows(raw, count)
-
-    def unpack_rows(self, raw, count):
-        """(..., count) elements from (..., packed_size(count)) uint8 rows, each
-        checked as ``unpack`` checks one block."""
-        if self.q != 16:
-            if np.any(raw >= self.q):
-                raise ValueError("field element out of range")
-            return raw.copy()
-        if count & 1 and np.any(raw[..., -1] >> 4):
-            raise ValueError("nonzero padding nibble")
-        return unpack_nibbles(raw)[..., :count]
-
-    def packed_size(self, count):
-        return (count + 1) // 2 if self.q == 16 else count
 
     def __repr__(self):
         return f"Char2Field(2^{self.d})"

@@ -172,8 +172,9 @@ class FieldSampler:
 
     GF(16) consumes two elements per byte (low nibble first); other powers
     of two mask the low bits of one byte; prime fields use per-byte
-    rejection (values >= floor(256/p)*p are discarded, then reduced).
-    For q = 251 that is exactly "reject bytes >= 251".
+    rejection (values >= floor(256/p)*p are discarded, then reduced through
+    the field's byte -> residue vector ``RESIDUE``).  For q = 251 that is
+    exactly "reject bytes >= 251".
     """
 
     def __init__(self, field, stream):
@@ -196,7 +197,7 @@ class FieldSampler:
             raw = np.frombuffer(self.stream.read(need + (need >> 3) + 8), np.uint8)
             ok = raw[raw < thresh]
             take = min(len(ok), need)
-            out[got:got + take] = ok[:take] % q
+            out[got:got + take] = np.take(self.field.RESIDUE, ok[:take])
             got += take
         return out
 
@@ -235,10 +236,10 @@ class FieldSampler:
         kept += np.arange(len(kept))
         short = np.flatnonzero(surplus < 0)
         if not len(short):
-            return raw[ok][kept] % q
+            return np.take(self.field.RESIDUE, raw[ok][kept])
         fast = int(short[0])
         self.stream.unread(total - int(starts[fast]))
-        head = raw[ok][kept[:int(need[:fast].sum())]] % q
+        head = np.take(self.field.RESIDUE, raw[ok][kept[:int(need[:fast].sum())]])
         return np.concatenate([head] + [self.take(int(c)) for c in counts[draws[fast]:]])
 
     def _take_nibbles(self, count):

@@ -82,9 +82,11 @@ def leaf_elements(field, rows, count):
 
     GF(16) rows are stream bytes of two elements each (low nibble first),
     other powers of two stream bytes whose low bits are the element, and
-    odd prime fields keep elements.  In characteristic 2 ``field.add`` on
-    raw bytes is XOR (mod 2 for q = 2: the same low bit), so sums run on raw
-    rows; the pad nibble of an odd-length GF(16) row is dropped here.
+    odd prime fields keep elements.  For every power of two sums run on raw
+    rows: in GF(2^d) ``field.add`` on raw bytes is XOR, and q = 2 is a prime
+    field whose add/sub tables are defined on all byte pairs (mod 2: the
+    same low bit as XOR); the pad nibble of an odd-length GF(16) row is
+    dropped here.
     """
     q = field.q
     if q == 16:

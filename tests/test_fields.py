@@ -257,6 +257,36 @@ def test_mul_matrices_match_shift_reduce(q, m, b, seed):
     assert np.array_equal(ext.mul(el, us), ref)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 11, 16, 32, 251, 256])
+def test_elementwise_ops_match_references(q):
+    # a prime field answers on all 256 x 256 byte pairs, byte y standing for
+    # y mod p: sharing sums raw stream bytes at q = 2.  GF(2^d) is checked on
+    # its elements against carry-less products, and ``mul`` on every byte
+    # pair through their low d bits (no pair reads another pair's product)
+    field = base_field(q)
+    a, b = (v.astype(np.uint8) for v in np.divmod(np.arange(1 << 16), 256))
+    x, y = a.astype(np.int64), b.astype(np.int64)
+    rows = np.random.default_rng(q).integers(0, 256, (37, 300)).astype(np.uint8)
+    assert np.array_equal(field.RESIDUE, np.arange(256) % q)
+    nonzero = np.arange(1, q)
+    if field.char == q:
+        assert np.array_equal(field.add(a, b), (x + y) % q)
+        assert np.array_equal(field.sub(a, b), (x - y) % q)
+        assert np.array_equal(field.mul(a, b), x * y % q)
+        assert np.array_equal(field.neg(b[:256]), -y[:256] % q)
+        assert np.array_equal(field.axis_sum(rows), rows.sum(axis=0, dtype=np.int64) % q)
+        assert np.array_equal(field.inv(nonzero), [pow(int(v), q - 2, q) for v in nonzero])
+        return
+    _, mul, inv = char2_reference(q.bit_length() - 1)
+    ea, eb, rows = a & (q - 1), b & (q - 1), rows & (q - 1)
+    assert np.array_equal(field.add(ea, eb), ea ^ eb)
+    assert np.array_equal(field.sub(ea, eb), ea ^ eb)
+    assert np.array_equal(field.mul(a, b), mul[ea, eb])
+    assert np.array_equal(field.neg(eb[:q]), eb[:q])
+    assert np.array_equal(field.axis_sum(rows), np.bitwise_xor.reduce(rows, axis=0))
+    assert np.array_equal(field.inv(nonzero), inv[1:])
+
+
 def test_gf16_wire_format_modulus():
     f = base_field(16)
     assert f.modulus_bits == 0b10011  # y^4 + y + 1
@@ -304,22 +334,25 @@ def test_ext_field_root_filter_keeps_first_irreducible(q):
         assert np.array_equal(ext_field(q, m).modulus, _monic(q, m, tail)), (q, m)
 
 
-def test_packing_conventions():
-    f16 = base_field(16)
-    arr = np.array([0xA, 0x3, 0xF], np.uint8)
-    packed = f16.pack(arr)
-    assert packed == bytes([0x3A, 0x0F])  # low nibble = lower index
-    assert np.array_equal(f16.unpack(packed, 3), arr)
-
-    f251 = base_field(251)
-    arr = np.array([0, 250, 17], np.uint8)
-    assert f251.pack(arr) == bytes([0, 250, 17])
-    assert np.array_equal(f251.unpack(bytes([0, 250, 17]), 3), arr)
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 16, 251, 256])
+def test_packing_conventions(q):
+    field = base_field(q)
+    arr = np.array([10 % q, 3 % q, q - 1], np.uint8)        # an odd count
+    packed = field.pack(arr)
+    if q == 16:
+        assert packed == bytes([0x3A, 0x0F])  # low nibble = lower index, pad 0
+    else:
+        assert packed == arr.tobytes()        # one byte per element
+    assert len(packed) == field.packed_size(len(arr))
+    assert np.array_equal(field.unpack(packed, 3), arr)
+    if q == 256:
+        return                                # every byte is an element
+    # a byte past q - 1, or at q = 16 a nonzero padding nibble, is rejected
     with pytest.raises(ValueError):
-        f251.unpack(bytes([251]), 1)
+        field.unpack(bytes([0x10 if q == 16 else q]), 1)
 
 
-@pytest.mark.parametrize("q", [2, 7, 16, 251])
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 16, 251, 256])
 @pytest.mark.parametrize("odd", [0, 1], ids=["even-T", "odd-T"])
 @settings(max_examples=40, deadline=None)
 @given(rows=hs.integers(0, 7), half=hs.integers(0, 12), flip=hs.booleans(),
