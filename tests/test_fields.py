@@ -334,8 +334,23 @@ def test_ext_field_root_filter_keeps_first_irreducible(q):
         assert np.array_equal(ext_field(q, m).modulus, _monic(q, m, tail)), (q, m)
 
 
+def test_packing_conventions():
+    f16 = base_field(16)
+    arr = np.array([0xA, 0x3, 0xF], np.uint8)
+    packed = f16.pack(arr)
+    assert packed == bytes([0x3A, 0x0F])  # low nibble = lower index
+    assert np.array_equal(f16.unpack(packed, 3), arr)
+
+    f251 = base_field(251)
+    arr = np.array([0, 250, 17], np.uint8)
+    assert f251.pack(arr) == bytes([0, 250, 17])
+    assert np.array_equal(f251.unpack(bytes([0, 250, 17]), 3), arr)
+    with pytest.raises(ValueError):
+        f251.unpack(bytes([251]), 1)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 16, 251, 256])
-def test_packing_conventions(q):
+def test_packing_round_trip_for_every_field(q):
     field = base_field(q)
     arr = np.array([10 % q, 3 % q, q - 1], np.uint8)        # an odd count
     packed = field.pack(arr)
