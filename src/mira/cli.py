@@ -70,15 +70,6 @@ def cmd_keygen(args):
     return EXIT_OK
 
 
-def _load_keypair_params(args, expect_ps):
-    if args.variant is not None or args.level is not None:
-        want = (args.variant or expect_ps.variant, args.level or expect_ps.level)
-        if want != (expect_ps.variant, expect_ps.level):
-            print("key file parameter id does not match --variant/--level",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-
-
 def cmd_sign(args):
     try:
         sk = keys.SecretKey.from_bytes(_read(args.key))
@@ -86,7 +77,6 @@ def cmd_sign(args):
         print(f"cannot load secret key: {exc}", file=sys.stderr)
         return EXIT_USAGE
     ps = sk.params
-    _load_keypair_params(args, ps)
     message = _read(args.infile)
     sig = ps.scheme.sign(ps, sk.public_key(), sk, message, _entropy_from(args))
     _write(args.out, sig)
@@ -101,7 +91,6 @@ def cmd_verify(args):
         print(f"cannot load public key: {exc}", file=sys.stderr)
         return EXIT_USAGE
     ps = pk.params
-    _load_keypair_params(args, ps)
     message = _read(args.infile)
     data = _read(args.sig)
     try:
@@ -222,14 +211,14 @@ def build_parser():
     p = argparse.ArgumentParser(prog="mira", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_level=True):
+    def common(sp):
         sp.add_argument("--variant", choices=[params.ADDITIVE, params.THRESHOLD],
-                        required=need_level)
-        sp.add_argument("--level", type=int, choices=[1, 3, 5], required=need_level)
-        sp.add_argument("--seed", help="hex entropy for deterministic output")
+                        required=True)
+        sp.add_argument("--level", type=int, choices=[1, 3, 5], required=True)
 
     kg = sub.add_parser("keygen", help="generate a key pair")
     common(kg)
+    kg.add_argument("--seed", help="hex entropy for deterministic output")
     kg.add_argument("--pk", default="pk.bin",
                     help="public key file; a new file gets mode 0o666 & ~umask")
     kg.add_argument("--sk", default="sk.bin",
@@ -238,8 +227,6 @@ def build_parser():
     kg.set_defaults(func=cmd_keygen)
 
     sg = sub.add_parser("sign", help="sign a message file")
-    sg.add_argument("--variant", choices=[params.ADDITIVE, params.THRESHOLD])
-    sg.add_argument("--level", type=int, choices=[1, 3, 5])
     sg.add_argument("--seed", help="hex entropy for deterministic signing")
     sg.add_argument("--key", required=True, help="secret key file")
     sg.add_argument("--in", dest="infile", required=True, help="message file")
@@ -247,8 +234,6 @@ def build_parser():
     sg.set_defaults(func=cmd_sign)
 
     vf = sub.add_parser("verify", help="verify a signature file")
-    vf.add_argument("--variant", choices=[params.ADDITIVE, params.THRESHOLD])
-    vf.add_argument("--level", type=int, choices=[1, 3, 5])
     vf.add_argument("--key", required=True, help="public key file")
     vf.add_argument("--in", dest="infile", required=True, help="message file")
     vf.add_argument("--sig", required=True, help="signature file")
@@ -263,6 +248,7 @@ def build_parser():
 
     ka = sub.add_parser("kat", help="generate or check known-answer records")
     common(ka)
+    ka.add_argument("--seed", help="hex master seed of the records (default 48 zero bytes)")
     ka.add_argument("--count", type=_positive_int, default=5)
     ka.add_argument("--out", default="kat.txt")
     ka.add_argument("--check", help="existing KAT file to re-derive and compare")

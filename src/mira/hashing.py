@@ -160,13 +160,6 @@ def commit(suite, salt, e, suffixes):
 # ---------------------------------------------------------------------------
 # field element sampling
 
-def _pieces(flat, counts):
-    """Consecutive views of ``flat`` with the given sizes: plain slices,
-    cheaper than ``np.split``, which walks its pieces in Python."""
-    ends = np.cumsum(counts).tolist()
-    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
-
-
 class FieldSampler:
     """Uniform field elements from an XOF stream.
 
@@ -200,10 +193,6 @@ class FieldSampler:
             out[got:got + take] = np.take(self.field.RESIDUE, ok[:take])
             got += take
         return out
-
-    def take_many(self, counts):
-        """``[self.take(c) for c in counts]``: ``take_joined`` cut into its draws."""
-        return _pieces(self.take_joined(counts), counts)
 
     def take_joined(self, counts):
         """``np.concatenate([self.take(c) for c in counts])`` with one stream read.

@@ -198,18 +198,15 @@ def shamir_points(field, n_parties):
 
 
 def shamir_share(field, secrets, ell, n_parties, rand):
-    """Share coordinate vectors; share i = P(i) with P(0) = secret.
+    """Share coordinate vectors of B rounds; share i = P(i) with P(0) = secret.
 
-    secrets (C,) with ``rand`` (ell, C), the ell higher coefficients per
-    coordinate, give (N, C).  With a leading round axis, secrets (B, C) and
-    rand (B, ell, C) give (B, N, C): the Vandermonde matrix is built once
+    secrets (B, C) with ``rand`` (B, ell, C), the ell higher coefficients
+    per coordinate, give (B, N, C).  The Vandermonde matrix is built once
     and each round takes its own (N, ell+1) @ (ell+1, C) product: at
     threshold level 5 that took 2.1 ms per signature, one (N, B*C)
     product 16 ms.
     """
     secrets = np.asarray(secrets, np.uint8)
-    single = secrets.ndim == 1
-    secrets = secrets.reshape(-1, secrets.shape[-1])
     rounds, cols = secrets.shape
     rand = np.asarray(rand, np.uint8).reshape(rounds, ell, cols)
     pts = shamir_points(field, n_parties)
@@ -222,7 +219,7 @@ def shamir_share(field, secrets, ell, n_parties, rand):
     out = np.empty((rounds, n_parties, cols), np.uint8)
     for b in range(rounds):
         out[b] = field.matmul(vand, coeffs[b])
-    return out[0] if single else out
+    return out
 
 
 def _products_but_one(field, diff):

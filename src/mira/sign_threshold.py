@@ -155,9 +155,9 @@ def _sign_core(ps, pk, x, beta, message, entropy):
 
     # draws in round order (a, then the Shamir coefficients) from one
     # read; c and the shares of all rounds follow in one batch each
-    draws = FieldSampler(base, rng).take_many([r * m, ell * dims.total] * tau)
-    a_plains = np.reshape(draws[0::2], (tau, r, m))
-    rands = np.reshape(draws[1::2], (tau, ell, dims.total))
+    draws = FieldSampler(base, rng).take_joined((r * m, ell * dims.total) * tau).reshape(tau, -1)
+    a_plains = draws[:, :r * m].reshape(tau, r, m)
+    rands = draws[:, r * m:].reshape(tau, ell, dims.total)
     c_plains = neg_inner(ext, a_plains, beta_map(ext, beta))
     secrets = plain_rows(x, beta, a_plains, c_plains)
     shares_all = shamir_share(base, secrets, ell, n_parties, rands)
@@ -167,7 +167,7 @@ def _sign_core(ps, pk, x, beta, message, entropy):
         tree = MerkleTree(suite, commit(suite, salt, e,
                                         party_suffixes(range(1, n_parties + 1), states)))
         trees.append(tree)
-        roots.append(merkle_root(suite, tree))
+        roots.append(merkle_root(tree))
 
     h1 = suite.hash(H1, message, pk_bytes, salt, *roots)
     batch = ChallengeBatch(ext, r, *derive_challenge1(suite, h1, ext, ps.n, tau))
@@ -187,7 +187,7 @@ def _sign_core(ps, pk, x, beta, message, entropy):
     first = np.arange(tau)
     opened = shares_all[first[:, None], np.asarray(ch2) - 1]
     alpha_star = alpha_s[first, _extra_parties(s_set, ch2)]
-    rounds = [RoundResponse(merkle_auth(suite, tree, subset), *vals)
+    rounds = [RoundResponse(merkle_auth(tree, subset), *vals)
               for tree, subset, *vals in zip(trees, ch2, opened, alpha_star)]
     return Signature(salt, h1, h2, rounds)
 

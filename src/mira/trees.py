@@ -88,10 +88,10 @@ def leaves_from_path(suite, path, hidden, salt, round_index, n_leaves):
 class MerkleTree:
     """Leaf values and, built on first use, every level of their tree.
 
-    ``merkle_root`` and ``merkle_auth`` accept a tree in place of the leaf
-    values, so a signer that needs both hashes the tree only once.  The
-    build happens inside the first of those calls, which keeps its cost
-    under the Merkle layer in perfbench's outside-in trace.
+    ``merkle_root`` and ``merkle_auth`` take the tree, so a signer that
+    needs both hashes it only once.  The build happens inside the first of
+    those calls, which keeps its cost under the Merkle layer in perfbench's
+    outside-in trace.
     """
 
     def __init__(self, suite, leaf_values):
@@ -116,23 +116,18 @@ class MerkleTree:
         return levels
 
 
-def _tree(suite, leaves):
-    return leaves if isinstance(leaves, MerkleTree) else MerkleTree(suite, leaves)
+def merkle_root(tree):
+    """Root digest of a ``MerkleTree``."""
+    return tree.levels[-1][0]
 
 
-def merkle_root(suite, leaves):
-    """Root digest of leaf values (or of a ``MerkleTree``)."""
-    return _tree(suite, leaves).levels[-1][0]
+def merkle_auth(tree, indices):
+    """Digests needed to recompute the root of ``tree`` from its leaves at
+    ``indices``.
 
-
-def merkle_auth(suite, leaves, indices):
-    """Digests needed to recompute the root from leaves at ``indices``.
-
-    ``leaves`` are the leaf values or a ``MerkleTree`` of them; 1-based
-    indices; output is ordered bottom-up, left to right within each level.
-    Size is at most |I| * log2(N/|I|) + |I| digests.
+    1-based indices; output is ordered bottom-up, left to right within each
+    level.  Size is at most |I| * log2(N/|I|) + |I| digests.
     """
-    tree = _tree(suite, leaves)
     indices = sorted(set(indices))
     if not indices or indices[0] < 1 or indices[-1] > len(tree.leaf_values):
         raise ValueError("bad auth indices")

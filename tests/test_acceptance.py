@@ -23,7 +23,7 @@ from mira.mpc import ChallengeBatch, PkOperand
 from mira.params import ParameterSet
 from mira.qpoly import annihilator
 from mira.sharing import ShareDims, hypercube_aggregate, plain_rows, shamir_share
-from mira.trees import SeedTree, leaves_from_path, merkle_auth, merkle_root
+from mira.trees import MerkleTree, SeedTree, leaves_from_path, merkle_auth, merkle_root
 from mira.trees import merkle_root_from_auth, H_MERKLE
 
 from helpers import (evaluate, evaluate_many, full_sharing, shamir_at, shamir_reconstruct,
@@ -229,7 +229,7 @@ def test_criterion_7_oracle_equivalence():
             c = ext.neg(ext.dot(a, beta, axis=0))
             coords = np.concatenate([x, beta.ravel(), a.ravel(), c])
             rand = rng.integers(0, 251, (ell, coords.size)).astype(np.uint8)
-            rows[e] = shamir_share(mr.base, coords, ell, n_parties, rand)
+            rows[e] = shamir_share(mr.base, coords[None], ell, n_parties, rand[None])[0]
             plains[e, 0] = coords
         al, z = batch.broadcast_alpha(op, rows, np.ones(n_parties, bool))
         al_p, z_p = batch.broadcast_alpha(op, plains, np.ones(1, bool))
@@ -315,10 +315,11 @@ def test_criterion_9_property_suites():
     while cases < 1000:
         n = int(rng.integers(2, 33))
         leaves = [bytes(rng.integers(0, 256, 32, dtype=np.uint8)) for _ in range(n)]
-        root = merkle_root(SUITE, leaves)
+        tree = MerkleTree(SUITE, leaves)
+        root = merkle_root(tree)
         k = int(rng.integers(1, min(n, 4) + 1))
         idx = sorted(int(i) + 1 for i in rng.choice(n, size=k, replace=False))
-        auth = merkle_auth(SUITE, leaves, idx)
+        auth = merkle_auth(tree, idx)
         hashes = [SUITE.hash(H_MERKLE, leaves[i - 1]) for i in idx]
         assert merkle_root_from_auth(SUITE, [hashes], [idx], [auth], n) == [root]
         bad = [bytes([h[0] ^ 1]) + h[1:] for h in hashes]
@@ -333,7 +334,7 @@ def test_criterion_9_property_suites():
         n = int(rng.integers(ell + 1, 10))
         secrets = rng.integers(0, 251, 4).astype(np.uint8)
         rand = rng.integers(0, 251, (ell, 4)).astype(np.uint8)
-        shares = shamir_share(f, secrets, ell, n, rand)
+        shares, = shamir_share(f, secrets[None], ell, n, rand[None])
         sel = rng.choice(n, size=ell + 1, replace=False)
         pts = shamir_points(f, n)
         assert np.array_equal(shamir_reconstruct(f, shares[sel], pts[sel]), secrets)

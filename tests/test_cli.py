@@ -1,12 +1,17 @@
+import argparse
 import gc
 import os
+import re
 import stat
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from mira import cli, params, sign_threshold
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -189,13 +194,42 @@ def test_failed_write_closes_its_descriptor(tmp_path, keypair, monkeypatch, caps
     assert "error:" in capsys.readouterr().err
 
 
-def test_variant_mismatch_is_usage_error(tmp_path, keypair):
+@pytest.mark.parametrize("command", ["sign", "verify"])
+def test_variant_mismatch_is_usage_error(tmp_path, keypair, command):
+    # sign and verify read the parameter set from the key file's id byte and
+    # take no --variant or --level, not even one that matches the key
     pk, sk = keypair
     msg = tmp_path / "m"
     msg.write_bytes(b"x")
-    with pytest.raises(SystemExit):
-        run(["sign", "--variant", "additive", "--level", "1", "--key", str(sk),
-             "--in", str(msg), "--out", str(tmp_path / "s")])
+    rest = {"sign": ["--key", str(sk), "--in", str(msg), "--out", str(tmp_path / "s")],
+            "verify": ["--key", str(pk), "--in", str(msg), "--sig", str(tmp_path / "s")]}
+    for variant, level in [("additive", "1"), ("threshold", "1")]:
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--variant", variant, "--level", level, *rest[command]])
+        assert exc.value.code == 2
+    assert not (tmp_path / "s").exists()
+
+
+def test_estimate_seed_is_usage_error(capsys):
+    # estimate draws nothing; a --seed once went unread, and exited 0 on "zz"
+    with pytest.raises(SystemExit) as exc:
+        run(["estimate", "--variant", "threshold", "--level", "1", "--seed", "zz"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_cli_lines_list_every_option():
+    # each ``mira <cmd>`` line of README's CLI block names exactly the
+    # options of that subcommand's parser, help aside
+    block = README.read_text().split("## CLI", 1)[1].split("```\n", 2)[1]
+    lines = [line.split() for line in block.splitlines() if line.startswith("mira ")]
+    documented = {words[1]: set(re.findall(r"--[\w-]+", " ".join(words))) for words in lines}
+    subparsers, = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    options = {cmd: {flag for action in sp._actions for flag in action.option_strings}
+               - {"-h", "--help"} for cmd, sp in subparsers.choices.items()}
+    assert documented == options
+    assert len(lines) == len(options)          # one line per subcommand
 
 
 def test_estimate_output(capsys):

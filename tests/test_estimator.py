@@ -151,14 +151,14 @@ def test_gaussian_binomial():
 
 def test_expected_auth_nodes_exhaustive_oracle():
     from mira.hashing import HashSuite
-    from mira.trees import merkle_auth
+    from mira.trees import MerkleTree, merkle_auth
     suite = HashSuite(128)
     for n, ell in [(4, 1), (4, 2), (8, 2), (8, 3), (6, 2)]:
         leaves = [bytes([i]) * 32 for i in range(n)]
         total = Fraction(0)
         count = 0
         for subset in itertools.combinations(range(1, n + 1), ell):
-            total += len(merkle_auth(suite, leaves, list(subset)))
+            total += len(merkle_auth(MerkleTree(suite, leaves), list(subset)))
             count += 1
         assert est.expected_merkle_auth_nodes(n, ell) == total / count
 

@@ -183,13 +183,15 @@ def _biased_bytes(seed, reject_rate, size=1 << 17):
 
 
 def _take_many_matches_takes(q, counts, make_stream):
+    # many draws taken as one ``take_joined`` block against one ``take`` each
     field = base_field(q)
     one, seq = make_stream(), make_stream()
-    got = FieldSampler(field, one).take_many(counts)
+    got = FieldSampler(field, one).take_joined(counts)
     sampler = FieldSampler(field, seq)
     want = [sampler.take(c) for c in counts]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+    assert got.dtype == np.uint8 and got.shape == (sum(counts),)
+    ends = np.cumsum(counts)
+    for g, w in zip(np.split(got, ends[:-1]), want):
         assert g.dtype == np.uint8 and np.array_equal(g, w)
     # both samplers leave their streams (and any pending nibble) at the same place
     assert np.array_equal(FieldSampler(field, one).take(3), FieldSampler(field, seq).take(3))

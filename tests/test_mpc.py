@@ -91,7 +91,7 @@ def test_shamir_parties_reconstruct_to_plaintext():
     c = ext.neg(ext.dot(a, beta, axis=0))
     coords = np.concatenate([x, beta.ravel(), a.ravel(), c])
     rand = rng.integers(0, 251, (ell, coords.size)).astype(np.uint8)
-    sh = shamir_share(mr.base, coords, ell, n_parties, rand)
+    sh, = shamir_share(mr.base, coords[None], ell, n_parties, rand[None])
     batch = ChallengeBatch(ext, mr.r, *stacked([random_challenge(mr, rng)]))
     alpha_p, v_p = plain_run(batch, op, x, beta, a, c)
     sel = np.array([1, 4, 7], np.uint8)  # any ell+1 parties

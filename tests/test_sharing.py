@@ -201,8 +201,8 @@ def test_raw_rows_and_their_sums_match_per_leaf_samplers(q, k, hidden):
 def test_shamir_worked_example():
     # P(X) = 5 + 2X over GF(251) at points 1, 2 -> (7, 9)
     f = base_field(251)
-    shares = shamir_share(f, np.array([5], np.uint8), 1, 2,
-                          np.array([[2]], np.uint8))
+    shares, = shamir_share(f, np.array([[5]], np.uint8), 1, 2,
+                           np.array([[[2]]], np.uint8))
     assert shares.ravel().tolist() == [7, 9]
     rec = shamir_reconstruct(f, shares, np.array([1, 2], np.uint8))
     assert rec.tolist() == [5]
@@ -210,8 +210,8 @@ def test_shamir_worked_example():
 
 def test_shamir_degree_zero():
     f = base_field(251)
-    shares = shamir_share(f, np.array([42, 7], np.uint8), 0, 5,
-                          np.zeros((0, 2), np.uint8))
+    shares, = shamir_share(f, np.array([[42, 7]], np.uint8), 0, 5,
+                           np.zeros((1, 0, 2), np.uint8))
     assert np.array_equal(shares, np.tile([42, 7], (5, 1)))
 
 
@@ -251,7 +251,7 @@ def test_shamir_expand_matches_polynomial_fit():
     rng = np.random.default_rng(5)
     secrets = rng.integers(0, q, 4).astype(np.uint8)
     rand = rng.integers(0, q, (2, 4)).astype(np.uint8)
-    shares = shamir_share(f, secrets, 2, 6, rand)
+    shares, = shamir_share(f, secrets[None], 2, 6, rand[None])
     pts = np.array([1, 3, 5], np.uint8)
     coeffs = _poly_fit_oracle(q, pts, shares[[0, 2, 4]].astype(np.int64))
     everywhere = shamir_at(f, shares[[0, 2, 4]], pts, shamir_points(f, 6))
@@ -267,7 +267,7 @@ def test_expand_reconstruct_consistency_all_subsets():
     f = base_field(q)
     rng = np.random.default_rng(6)
     secrets = rng.integers(0, q, 5).astype(np.uint8)
-    shares = shamir_share(f, secrets, 2, 6, rng.integers(0, q, (2, 5)).astype(np.uint8))
+    shares, = shamir_share(f, secrets[None], 2, 6, rng.integers(0, q, (1, 2, 5)).astype(np.uint8))
     pts = shamir_points(f, 6)
     for subset in itertools.combinations(range(6), 3):
         sel = np.array(subset)
@@ -283,8 +283,8 @@ def test_shamir_privacy_exhaustive_q7():
         n = 5
         counts = {}
         for rand_tuple in itertools.product(range(q), repeat=ell):
-            rand = np.array(rand_tuple, np.uint8).reshape(ell, 1)
-            shares = shamir_share(f, np.array([3], np.uint8), ell, n, rand)
+            rand = np.array(rand_tuple, np.uint8).reshape(1, ell, 1)
+            shares, = shamir_share(f, np.array([[3]], np.uint8), ell, n, rand)
             key = tuple(int(shares[i, 0]) for i in range(ell))
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == q ** ell
@@ -297,8 +297,8 @@ def test_shamir_privacy_chi_square_q251():
     rng = np.random.default_rng(7)
     vals = []
     for _ in range(5000):
-        rand = rng.integers(0, q, (1, 1)).astype(np.uint8)
-        shares = shamir_share(f, np.array([123], np.uint8), 1, 3, rand)
+        rand = rng.integers(0, q, (1, 1, 1)).astype(np.uint8)
+        shares, = shamir_share(f, np.array([[123]], np.uint8), 1, 3, rand)
         vals.append(int(shares[1, 0]))
     counts = np.bincount(vals, minlength=q).astype(float)
     expect = 5000 / q
@@ -355,7 +355,7 @@ def test_batched_expand_matches_known_evaluations(case):
     f = base_field(q)
     vals = []
     for e in range(len(points)):
-        shares = shamir_share(f, coeffs[e, 0], ell, n, coeffs[e, 1:])
+        shares, = shamir_share(f, coeffs[e:e + 1, 0], ell, n, coeffs[e:e + 1, 1:])
         at = np.concatenate([coeffs[e, :1], shares])      # row p = P(p)
         vals.append(at[points[e]])
     got = shamir_at(f, np.stack(vals), points, targets)
@@ -397,7 +397,8 @@ def test_round_batched_share_equals_per_round_calls(case):
     got = shamir_share(f, coeffs[:, 0], ell, n, coeffs[:, 1:])
     assert got.shape == (len(coeffs), n, coeffs.shape[2])
     for e in range(len(coeffs)):
-        assert np.array_equal(got[e], shamir_share(f, coeffs[e, 0], ell, n, coeffs[e, 1:]))
+        assert np.array_equal(got[e], shamir_share(f, coeffs[e:e + 1, 0], ell, n,
+                                                   coeffs[e:e + 1, 1:])[0])
         assert np.array_equal(got[e, 0], _evaluate(q, coeffs[e], 1))
 
 

@@ -48,7 +48,7 @@ def test_round_trip_and_size_bound(level):
 def test_auth_limit_bounds_every_subset(n, ell, tight):
     ps = params.parameter_set("threshold", 1).with_overrides(N=n, ell=ell)
     tree = MerkleTree(ps.suite, [bytes([i]) for i in range(n)])
-    most = max(len(merkle_auth(ps.suite, tree, subset))
+    most = max(len(merkle_auth(tree, subset))
                for subset in itertools.combinations(range(1, n + 1), ell))
     limit, = st.layout(ps).shape("auth")
     assert limit == most if tight else limit > most
@@ -111,8 +111,8 @@ def test_gf16_round_batched_share_equals_per_round_calls():
     rand = rng.integers(0, 16, (tp.tau + 1, tp.ell, t_cols)).astype(np.uint8)
     got = shamir_share(tp.base, secrets, tp.ell, tp.n_parties, rand)
     for e in range(tp.tau + 1):
-        assert np.array_equal(got[e], shamir_share(tp.base, secrets[e], tp.ell,
-                                                   tp.n_parties, rand[e]))
+        assert np.array_equal(got[e], shamir_share(tp.base, secrets[e:e + 1], tp.ell,
+                                                   tp.n_parties, rand[e:e + 1])[0])
     # every party row is a degree-ell sharing of its round's secrets
     rec = shamir_reconstruct(tp.base, got[:, :tp.ell + 1],
                              np.tile(np.arange(1, tp.ell + 2, dtype=np.uint8), (tp.tau + 1, 1)))
@@ -143,7 +143,7 @@ def manual_protocol_run(tp, n_run, tag=b"run"):
     c = ext.neg(ext.dot(a, beta, axis=0))
     coords = np.concatenate([x, beta.ravel(), a.ravel(), c])
     rand = rng.integers(0, mr.q, (tp.ell, coords.size)).astype(np.uint8)
-    shares = shamir_share(mr.base, coords, tp.ell, n_run, rand)
+    shares, = shamir_share(mr.base, coords[None], tp.ell, n_run, rand[None])
     gamma = rng.integers(0, mr.q, (mr.n, mr.m)).astype(np.uint8)
     eps = rng.integers(0, mr.q, mr.m).astype(np.uint8)
     batch = ChallengeBatch(ext, mr.r, gamma[None], eps[None])
@@ -250,8 +250,8 @@ def test_opened_share_marginals_independent_of_witness():
             for coord in range(3):
                 counts = np.zeros(7, int)
                 for rnd in range(7):
-                    shares = shamir_share(base, x, 1, 4,
-                                          np.full((1, 3), rnd, np.uint8))
+                    shares, = shamir_share(base, [x], 1, 4,
+                                           np.full((1, 1, 3), rnd, np.uint8))
                     counts[shares[party, coord]] += 1
                 assert set(counts.tolist()) == {1}
 

@@ -102,7 +102,7 @@ def test_tree_errors():
 
 def test_merkle_single_leaf():
     v = b"\xabcd leaf"
-    assert merkle_root(SUITE, [v]) == SUITE.hash(H_MERKLE, v)
+    assert merkle_root(MerkleTree(SUITE, [v])) == SUITE.hash(H_MERKLE, v)
 
 
 @pytest.mark.parametrize("lam", [128, 192, 256])
@@ -117,12 +117,13 @@ def test_merkle_levels_equal_per_node_reference(lam, n):
 def test_merkle_round_trip_and_tamper():
     rng = np.random.default_rng(1)
     leaves = [bytes(rng.integers(0, 256, 32, dtype=np.uint8)) for _ in range(16)]
-    root = merkle_root(SUITE, leaves)
+    tree = MerkleTree(SUITE, leaves)
+    root = merkle_root(tree)
     for trial in range(50):
         k = int(rng.integers(1, 5))
         idx = sorted(rng.choice(16, size=k, replace=False) + 1)
         idx = [int(i) for i in idx]
-        auth = merkle_auth(SUITE, leaves, idx)
+        auth = merkle_auth(tree, idx)
         hashes = [SUITE.hash(H_MERKLE, leaves[i - 1]) for i in idx]
         assert merkle_root_from_auth(SUITE, [hashes], [idx], [auth], 16) == [root]
         # flip one byte of an opened leaf -> different root
@@ -139,10 +140,11 @@ def test_merkle_property_suite():
     for trial in range(350):
         n = int(rng.integers(2, 40))
         leaves = [bytes(rng.integers(0, 256, 32, dtype=np.uint8)) for _ in range(n)]
-        root = merkle_root(SUITE, leaves)
+        tree = MerkleTree(SUITE, leaves)
+        root = merkle_root(tree)
         k = int(rng.integers(1, min(n, 5) + 1))
         idx = sorted(int(i) + 1 for i in rng.choice(n, size=k, replace=False))
-        auth = merkle_auth(SUITE, leaves, idx)
+        auth = merkle_auth(tree, idx)
         hashes = [SUITE.hash(H_MERKLE, leaves[i - 1]) for i in idx]
         assert merkle_root_from_auth(SUITE, [hashes], [idx], [auth], n) == [root]
         ok += 1
@@ -167,7 +169,7 @@ def test_merkle_auth_size_bound():
         for k in (1, 2, 3, 4):
             for _ in range(20):
                 idx = sorted(int(i) + 1 for i in rng.choice(n, size=k, replace=False))
-                auth = merkle_auth(SUITE, leaves, idx)
+                auth = merkle_auth(MerkleTree(SUITE, leaves), idx)
                 assert len(auth) <= k * math.log2(n / k) + 1e-9
 
 
@@ -206,7 +208,7 @@ def test_merkle_walk_matches_dict_reference(n, picks, edit):
     leaves = [bytes([i % 256, n]) * 16 for i in range(n)]
     picks = [p % (n + 2) for p in picks]              # 0 and n + 1 fall outside
     valid = sorted({p for p in picks if 1 <= p <= n})
-    auth = merkle_auth(SUITE, leaves, valid) if valid else []
+    auth = merkle_auth(MerkleTree(SUITE, leaves), valid) if valid else []
     if edit == "drop_last":
         auth = auth[:-1]
     elif edit == "drop_first":
@@ -223,7 +225,7 @@ def test_merkle_walk_matches_dict_reference(n, picks, edit):
     assert got == merkle_root_from_auth_by_dict(ref, hashes, picks, auth, n)
     assert new.calls == ref.calls
     if edit == "none" and picks and len(valid) == len(picks):
-        assert got == merkle_root(SUITE, leaves)
+        assert got == merkle_root(MerkleTree(SUITE, leaves))
 
 
 def _rounds(rng, n, count):
@@ -231,10 +233,11 @@ def _rounds(rng, n, count):
     out = []
     for _ in range(count):
         leaves = [bytes(rng.integers(0, 256, 8, dtype=np.uint8)) for _ in range(n)]
+        tree = MerkleTree(SUITE, leaves)
         k = int(rng.integers(1, min(n, 4) + 1))
         idx = [int(i) + 1 for i in rng.permutation(rng.choice(n, size=k, replace=False))]
         out.append(([SUITE.hash(H_MERKLE, leaves[i - 1]) for i in idx], idx,
-                    merkle_auth(SUITE, leaves, idx), merkle_root(SUITE, leaves)))
+                    merkle_auth(tree, idx), merkle_root(tree)))
     return out
 
 
