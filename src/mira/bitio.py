@@ -5,9 +5,14 @@ GF(16) elements travel as 4-bit values, two per byte with the low nibble
 first; an odd count ends in one zero padding nibble.
 
 ``SignatureFormatError`` is the one error both signature decoders raise.
+``Signature`` is what both signers return and both decoders give: the
+header byte strings and ``columns``, each layout field's value for all
+rounds at once, round axis first.  Its ``rounds`` property is a derived,
+read-only per-round view of those columns; the library never reads it.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -22,10 +27,26 @@ class SignatureFormatError(ValueError):
 
 @dataclass
 class Signature:
+    """A signature's header byte strings and its rounds' responses as columns.
+
+    ``columns`` maps each layout field name, in wire order, to its value for
+    all rounds, round axis first: an ELEM field is a (tau, *shape) uint8
+    array; a SEED or DIGEST field is a list of tau entries, each a byte
+    string, or a list of byte strings when the field has a shape (``path``,
+    ``auth``).  A U16 count field is left out, since its list's length
+    gives it.
+    """
     salt: bytes
     h1: bytes
     h2: bytes
-    rounds: list
+    columns: dict
+
+    @property
+    def rounds(self):
+        """Per-round records of ``columns``, built on each access; a record's
+        fields cannot be assigned, and its arrays are rows of the columns."""
+        record = namedtuple("Round", self.columns)
+        return [record(*row) for row in zip(*self.columns.values())]
 
 
 class Layout:
@@ -68,10 +89,13 @@ class Layout:
     def header_bytes(self, sig):
         return b"".join(getattr(sig, name) for name, _ in self.header)
 
-    def signature(self, data, rounds):
+    def signature(self, data, columns):
+        """``data``'s header fields with ``columns``, one per field but the
+        U16 counts, in wire order."""
         ends = accumulate(size for _, size in self.header)
+        names = [name for name, unit, _ in self.fields if unit != U16]
         return Signature(*(data[end - size:end] for (_, size), end in zip(self.header, ends)),
-                         rounds)
+                         dict(zip(names, columns)))
 
 
 def unpack_nibbles(data):

@@ -175,7 +175,7 @@ def _parse_kat(text):
 
 
 def cmd_kat(args):
-    master = bytes.fromhex(args.seed) if args.seed else b"\x00" * 48
+    master = b"\x00" * 48 if args.seed is None else _entropy_from(args)
     if args.check:
         records = _parse_kat(_read(args.check, "r"))
         if not records or any(rec.keys() != set(_KAT_FIELDS) for rec in records):

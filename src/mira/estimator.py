@@ -23,6 +23,8 @@ import math
 
 from .params import THRESHOLD
 
+SM_MAX_B = 10     # the largest support-minors degree b searched
+
 
 def flog2(x):
     if isinstance(x, Fraction):
@@ -134,14 +136,14 @@ def kernel_cost(ps):
     return guesses * math.log2(ps.q) + ps.omega * math.log2(ps.k)
 
 
-def support_minors_cost(ps, max_b=10):
+def support_minors_cost(ps):
     """Minimum log2 cost over the hybrid parameter a and system degree b.
 
     For the (n - a)-column instance with k - a*m unknowns, degree b is
     admissible when the equation count N_b reaches M_b - 1; the cost is
     q^(a*r) * N_b * M_b^(omega - 1).  Returns (log2 or inf, details).
 
-    b is searched only up to ``max_b`` = 10.  Two shipped minima sit on that
+    b is searched only up to ``SM_MAX_B`` = 10.  Two shipped minima sit on that
     cap: threshold level 1 (a = 0, b = 10) and level 3 (a = 1, b = 10);
     whether a larger b is admissible is open (ROADMAP item 8).
     """
@@ -152,7 +154,7 @@ def support_minors_cost(ps, max_b=10):
     while ps.k - a * m > 0 and ps.n - a > r:
         n_a = ps.n - a
         k_a = ps.k - a * m
-        for b in range(1, max_b + 1):
+        for b in range(1, SM_MAX_B + 1):
             nb = sum((-1) ** (i + 1) * math.comb(n_a, r + i)
                      * math.comb(k_a + b - 1 - i, b - i)
                      * math.comb(m + i - 1, i)
@@ -166,7 +168,7 @@ def support_minors_cost(ps, max_b=10):
         a += 1
     if best_ab is None:
         return math.inf, {"reason": "no admissible (a, b) in search range",
-                          "max_b": max_b}
+                          "max_b": SM_MAX_B}
     return best, {"a": best_ab[0], "b": best_ab[1]}
 
 

@@ -21,7 +21,6 @@ malleable.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,20 +34,11 @@ from .sharing import (additive_share, expand_leaf_shares, hypercube_aggregate, l
 from .trees import SeedTree, leaves_from_path
 
 
-@dataclass
-class RoundResponse:
-    """One round's response; its fields are the layout's, in wire order."""
-    path: list          # D sibling seeds, root side first
-    cmt_hidden: bytes
-    alpha_hidden: np.ndarray   # (r, m)
-    aux_x: np.ndarray          # (k,)
-    aux_beta: np.ndarray       # (r, m)
-    aux_c: np.ndarray          # (m,)
-
-
 @lru_cache(maxsize=None)
 def layout(ps):
-    """Per round the byte fields, then one state row's worth of elements."""
+    """Per round the byte fields, then one state row's worth of elements:
+    the D sibling seeds of ``path`` (root side first), the hidden leaf's
+    commitment and broadcast alpha share, and leaf N's aux corrections."""
     r, m = ps.r, ps.m
     return Layout(ps, (
         ("path", SEED, (ps.depth,)), ("cmt_hidden", DIGEST, ()), ("alpha_hidden", ELEM, (r, m)),
@@ -62,13 +52,12 @@ def encode(ps, sig):
     only the stream's last byte is padded.
     """
     base, lay = ps.base, layout(ps)
-    rounds = sig.rounds
     columns = []
     for name, unit, shape in lay.fields:
-        values = [getattr(rr, name) for rr in rounds]
+        values = sig.columns[name]
         if unit != ELEM:                    # byte strings, or lists of them
             values = lay.units(b"".join(b"".join(v) if shape else v for v in values))
-        columns.append(np.array(values).reshape(len(rounds), -1))
+        columns.append(values.reshape(ps.tau, -1))
     out = lay.header_bytes(sig) + base.pack(np.concatenate(columns, axis=1).ravel())
     assert len(out) == lay.max_bytes
     return out
@@ -97,7 +86,7 @@ def decode(ps, data):
         size = step // math.prod(shape)                 # one seed or digest
         columns.append([[raw[p:p + size] for p in range(e, e + step, size)] if shape
                         else raw[e:e + step] for e in range(0, tau * step, step)])
-    return lay.signature(data, [RoundResponse(*vals) for vals in zip(*columns)])
+    return lay.signature(data, columns)
 
 
 def _aux_bytes(base, x_n, beta_n, c_n):
@@ -207,16 +196,10 @@ def _sign_core(ps, pk, x, beta, message, entropy):
     # leaf N's aux corrections; zeros where leaf N is the hidden one
     aux_x, aux_beta, _, aux_c = dims.split(np.where(last, 0, leaf_n))
 
-    rounds = []
-    for e in range(1, tau + 1):
-        istar = ch2[e - 1]
-        rounds.append(RoundResponse(
-            path=trees[e - 1].sibling_path(istar),
-            cmt_hidden=cmts_all[e - 1][istar - 1],
-            alpha_hidden=al_hidden[e - 1, 0], aux_x=aux_x[e - 1],
-            aux_beta=aux_beta[e - 1], aux_c=aux_c[e - 1]))
-
-    return Signature(salt, h1, h2, rounds)
+    return Signature(salt, h1, h2, {
+        "path": [tree.sibling_path(istar) for tree, istar in zip(trees, ch2)],
+        "cmt_hidden": [cmts[istar - 1] for cmts, istar in zip(cmts_all, ch2)],
+        "alpha_hidden": al_hidden[:, 0], "aux_x": aux_x, "aux_beta": aux_beta, "aux_c": aux_c})
 
 
 def verify(ps, pk, message, data):
@@ -238,10 +221,8 @@ def verify_decoded(ps, pk, message, sig):
 
     ch2 = derive_challenge2_additive(suite, sig.h2, n_parties, tau)
     istars = np.asarray(ch2)
-    rounds = sig.rounds
-    aux_x = np.stack([rr.aux_x for rr in rounds])
-    aux_beta = np.stack([rr.aux_beta for rr in rounds])
-    aux_c = np.stack([rr.aux_c for rr in rounds])
+    cols = sig.columns
+    aux_x, aux_beta, aux_c = cols["aux_x"], cols["aux_beta"], cols["aux_c"]
     last = istars == n_parties
     if aux_x[last].any() or aux_beta[last].any() or aux_c[last].any():
         return False
@@ -251,11 +232,10 @@ def verify_decoded(ps, pk, message, sig):
     side1 = np.empty((tau, depth, t), np.uint8)
     heads = np.empty((tau, t), np.uint8)
     a_n = np.zeros((tau, ps.r, ps.m), np.uint8)       # zero where leaf N is hidden
-    for e in range(1, tau + 1):
-        rr = rounds[e - 1]
+    for e, (path, cmt_hidden) in enumerate(zip(cols["path"], cols["cmt_hidden"]), 1):
         istar = ch2[e - 1]
         try:
-            leaves = leaves_from_path(suite, rr.path, istar, sig.salt, e, n_parties)
+            leaves = leaves_from_path(suite, path, istar, sig.salt, e, n_parties)
         except ValueError:
             return False
         suffixes = party_suffixes(range(1, n_parties + 1), leaves)
@@ -267,7 +247,7 @@ def verify_decoded(ps, pk, message, sig):
         side1[e - 1], heads[e - 1] = _aggregate_rounds(base, rows, t)
         del suffixes[istar - 1]
         cmts = commit(suite, sig.salt, e, suffixes)
-        cmts.insert(istar - 1, rr.cmt_hidden)
+        cmts.insert(istar - 1, cmt_hidden)
         h0s.append(suite.hash(H1, sig.salt, encode_u16(e), *cmts))
     # h1 depends on the round digests alone: check it before the rank check
     h1bar = suite.hash(H2, sig.salt, message, *h0s)
@@ -289,8 +269,7 @@ def verify_decoded(ps, pk, message, sig):
     offsets = np.concatenate([bits == 1, istars[:, None] != 1], axis=1)
     alphas, zs = batch.broadcast_alpha(PkOperand.of(pk), rows, offsets)
     al_full = alphas[:, :depth]
-    alpha_hid = np.stack([rr.alpha_hidden for rr in rounds])
-    al_open = ext.add(alphas[:, depth:], alpha_hid[:, None])   # (tau, 1, r, m)
+    al_open = ext.add(alphas[:, depth:], cols["alpha_hidden"][:, None])   # (tau, 1, r, m)
     al_hidden_side = ext.sub(al_open, al_full)
     v_full = batch.broadcast_v(zs[:, :depth], rows[:, :depth], al_open)
     v_hidden_side = ext.neg(v_full)

@@ -13,7 +13,6 @@ and signature length varies with the authentication paths (see ``layout``).
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,17 +27,11 @@ from .trees import (H_MERKLE, MerkleTree, merkle_auth, merkle_root,
                     merkle_root_from_auth)
 
 
-@dataclass
-class RoundResponse:
-    """One round's response: the layout's fields after the auth count, in wire order."""
-    auth: list                 # Merkle digests, bottom-up left-right
-    opened: np.ndarray         # (ell, T) state rows, ascending party index
-    alpha_star: np.ndarray     # (r, m)
-
-
 @lru_cache(maxsize=None)
 def layout(ps):
-    """Per round the auth count and digests, then two element blocks.
+    """Per round the auth count and digests (bottom-up, left to right), then
+    two element blocks: the opened states in ascending party order, and the
+    alpha share of i*.
 
     Level l of the padded Merkle tree gives 2 k_(l-1) - k_l digests, k_l <=
     min(ell, 2^l) being its nodes on the opened leaves' paths (``merkle_auth``).
@@ -55,13 +48,12 @@ def layout(ps):
 
 def encode(ps, sig):
     base, lay = ps.base, layout(ps)
-    blocks = [name for name, unit, _ in lay.fields if unit == ELEM]
+    cols = sig.columns
+    blocks = [base.pack_rows(cols[name].reshape(ps.tau, -1))
+              for name, unit, _ in lay.fields if unit == ELEM]
     out = [lay.header_bytes(sig)]
-    for rr in sig.rounds:
-        out.append(len(rr.auth).to_bytes(2, "little"))
-        out += rr.auth
-        for name in blocks:
-            out.append(base.pack(getattr(rr, name)))
+    for auth, *packed in zip(cols["auth"], *blocks):
+        out += [len(auth).to_bytes(2, "little"), *auth, *packed]
     return b"".join(out)
 
 
@@ -110,9 +102,9 @@ def decode(ps, data):
         raise SignatureFormatError(fault)
     if pos != size:
         raise SignatureFormatError("trailing data")
-    rounds = [RoundResponse([data[p:p + db] for p in range(start - count * db, start, db)], *vals)
-              for count, start, *vals in zip(counts, starts, *columns)]
-    return lay.signature(data, rounds)
+    auth = [[data[p:p + db] for p in range(start - count * db, start, db)]
+            for count, start in zip(counts, starts)]
+    return lay.signature(data, [auth, *columns])
 
 
 def _extra_parties(s_set, subsets):
@@ -187,9 +179,9 @@ def _sign_core(ps, pk, x, beta, message, entropy):
     first = np.arange(tau)
     opened = shares_all[first[:, None], np.asarray(ch2) - 1]
     alpha_star = alpha_s[first, _extra_parties(s_set, ch2)]
-    rounds = [RoundResponse(merkle_auth(tree, subset), *vals)
-              for tree, subset, *vals in zip(trees, ch2, opened, alpha_star)]
-    return Signature(salt, h1, h2, rounds)
+    return Signature(salt, h1, h2, {
+        "auth": [merkle_auth(tree, subset) for tree, subset in zip(trees, ch2)],
+        "opened": opened, "alpha_star": alpha_star})
 
 
 def verify(ps, pk, message, data):
@@ -212,7 +204,8 @@ def verify_decoded(ps, pk, message, sig):
     # every round's commitments, their leaf digests in one call, then all
     # Merkle roots level by level; h1 is checked before the rank check
     ch2 = derive_challenge2_threshold(suite, sig.h2, n_parties, ell, tau)
-    opened = np.array([rr.opened for rr in sig.rounds])      # (tau, ell, T)
+    cols = sig.columns
+    opened = cols["opened"]                                  # (tau, ell, T)
     states = base.pack_rows(opened.reshape(tau * ell, -1))
     cmts = []
     for e in range(1, tau + 1):
@@ -220,7 +213,7 @@ def verify_decoded(ps, pk, message, sig):
                        party_suffixes(ch2[e - 1], states[(e - 1) * ell:e * ell]))
     leaves = suite.hash_many(H_MERKLE, b"", cmts)
     roots = merkle_root_from_auth(suite, [leaves[i:i + ell] for i in range(0, tau * ell, ell)],
-                                  ch2, [rr.auth for rr in sig.rounds], n_parties)
+                                  ch2, cols["auth"], n_parties)
     if None in roots:
         return False
     h1bar = suite.hash(H1, message, pk.body_bytes(), sig.salt, *roots)
@@ -237,7 +230,7 @@ def verify_decoded(ps, pk, message, sig):
     points[:, :, :ell] = ch2
     points[0, :, ell] = targets[_extra_parties(s_set, ch2)]
     weights = lagrange_weights(base, points.reshape(2 * tau, ell + 1), targets)
-    alpha_star = np.array([rr.alpha_star for rr in sig.rounds]).reshape(tau, 1, r * m)
+    alpha_star = cols["alpha_star"].reshape(tau, 1, r * m)
     alpha_at = shamir_expand(
         base, np.concatenate([alpha_i.reshape(tau, ell, r * m), alpha_star], axis=1),
         weights[:tau])

@@ -17,7 +17,7 @@ from mira.mpc import ChallengeBatch
 from mira.params import PARAM_IDS, parameter_set
 from mira.sharing import (additive_share, expand_leaf_shares, lagrange_weights, leaf_elements,
                           shamir_expand)
-from mira.sign_threshold import RoundResponse, layout
+from mira.sign_threshold import layout
 
 
 def all_parameter_sets():
@@ -246,8 +246,9 @@ def gaussian_binomial(m, r, q):
 def threshold_decode_by_round(ps, data):
     """Reference threshold decoder: one round at a time, each block on its own.
 
-    ``mira.sign_threshold.decode`` must parse the same signatures and reject
-    the rest with the same ``SignatureFormatError`` message.
+    ``mira.sign_threshold.decode`` must parse the same signatures into the
+    same columns and reject the rest with the same ``SignatureFormatError``
+    message.
     """
     suite = ps.suite
     base = ps.base
@@ -271,7 +272,7 @@ def threshold_decode_by_round(ps, data):
         salt = take(suite.salt_bytes)
         h1 = take(db)
         h2 = take(db)
-        rounds = []
+        auths, openeds, alpha_stars = [], [], []
         for _ in range(ps.tau):
             count = int.from_bytes(take(2), "little")
             if count > layout(ps).shape("auth")[0]:
@@ -279,14 +280,15 @@ def threshold_decode_by_round(ps, data):
             auth = [take(db) for _ in range(count)]
             opened = base.unpack(take(opened_bytes), opened_count)
             alpha_star = base.unpack(take(alpha_bytes), r * m).reshape(r, m)
-            rounds.append(RoundResponse(auth=auth,
-                                        opened=opened.reshape(ps.ell, dims.total),
-                                        alpha_star=alpha_star))
+            auths.append(auth)
+            openeds.append(opened.reshape(ps.ell, dims.total))
+            alpha_stars.append(alpha_star)
     except ValueError as exc:
         raise SignatureFormatError(str(exc)) from None
     if pos != len(data):
         raise SignatureFormatError("trailing data")
-    return Signature(salt=salt, h1=h1, h2=h2, rounds=rounds)
+    return Signature(salt=salt, h1=h1, h2=h2, columns={
+        "auth": auths, "opened": np.stack(openeds), "alpha_star": np.stack(alpha_stars)})
 
 
 def merkle_root_from_auth_by_dict(suite, leaf_hashes, indices, auth, n_leaves):

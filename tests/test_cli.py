@@ -92,7 +92,7 @@ def test_verify_auth_path_past_the_layout_limit_exits_2(tmp_path, keypair, capsy
     run(["sign", "--key", str(sk), "--in", str(msg), "--out", str(sig), "--seed", "04"])
     ps = params.parameter_set("threshold", 1)
     decoded = sign_threshold.decode(ps, sig.read_bytes())
-    auth = decoded.rounds[0].auth
+    auth = decoded.columns["auth"][0]
     auth += [bytes(ps.suite.digest_bytes)] * (20 - len(auth))
     sig.write_bytes(sign_threshold.encode(ps, decoded))
     assert run(["verify", "--key", str(pk), "--in", str(msg), "--sig", str(sig)]) == 2
@@ -345,6 +345,17 @@ def test_sign_bad_seed_exits_2(tmp_path, keypair, capsys):
                 "--out", str(tmp_path / "s"), "--seed", "xyz"]) == 2
     assert "--seed must be a hex string" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_kat_seed_is_parsed_as_hex(tmp_path, capsys):
+    kat = ["kat", "--variant", "threshold", "--level", "1", "--count", "1", "--out"]
+    assert run(kat + [str(tmp_path / "bad"), "--seed", "zz"]) == 2
+    assert "--seed must be a hex string" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    # an empty seed is an empty master seed, not the default's 48 zero bytes
+    assert run(kat + [str(tmp_path / "default")]) == 0
+    assert run(kat + [str(tmp_path / "empty"), "--seed", ""]) == 0
+    assert (tmp_path / "empty").read_text() != (tmp_path / "default").read_text()
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mira import params, sign_additive as sa, sign_threshold as st
-from mira.bitio import SignatureFormatError
+from mira.bitio import ELEM, U16, SignatureFormatError
 from mira.keys import keygen_optimized
 
 from helpers import threshold_decode_by_round
@@ -75,6 +75,52 @@ def test_verify_decoded_returns_a_bool(variant):
     sig = ps.scheme.decode(ps, ps.scheme.sign(ps, pk, sk, b"m", b"e"))
     assert ps.scheme.verify_decoded(ps, pk, b"m", sig) is True
     assert ps.scheme.verify_decoded(ps, pk, b"other message", sig) is False
+
+
+# a toy set of each variant: GF(16) with an odd state width, so the additive
+# stream's rounds start mid-byte and every threshold block ends in a padding
+# nibble
+COLUMN_SETS = {
+    "a1": params.parameter_set("additive", 1).sign_params(),
+    "t1": params.parameter_set("threshold", 1).sign_params(),
+    "additive-toy": params.ParameterSet("additive", 0, q=16, m=4, n=4, k=5, r=2, N=8, tau=3,
+                                        eta=1, lam=128).sign_params(),
+    "threshold-toy": params.ParameterSet("threshold", 0, q=16, m=3, n=3, k=4, r=1, N=15,
+                                         tau=2, eta=1, lam=128, ell=2).sign_params(),
+}
+
+
+@pytest.mark.parametrize("name", list(COLUMN_SETS))
+def test_decoded_columns_are_the_signers_columns(name):
+    # a signature is its layout's fields as all-round columns, round axis
+    # first, from the signer and from the decoder alike; ``rounds`` is a
+    # read-only per-round view of them
+    ps = COLUMN_SETS[name]
+    pk, sk = keygen_optimized(ps, b"columns " + name.encode())
+    x, beta = sk.sign_inputs()
+    signed = ps.scheme._sign_core(ps, pk, x, beta, b"columns", b"columns entropy")
+    sig = ps.scheme.decode(ps, ps.scheme.encode(ps, signed))
+    fields = [(field, unit, shape) for field, unit, shape in ps.scheme.layout(ps).fields
+              if unit != U16]
+    assert list(sig.columns) == list(signed.columns) == [field for field, _, _ in fields]
+    for field, unit, shape in fields:
+        got, want = sig.columns[field], signed.columns[field]
+        if unit == ELEM:
+            assert got.dtype == want.dtype == np.uint8
+            assert got.shape == want.shape == (ps.tau,) + shape
+            assert np.array_equal(got, want)
+        else:
+            assert len(got) == ps.tau and got == want
+            assert all(isinstance(v, bytes) for entry in got
+                       for v in (entry if shape else [entry]))
+    records = sig.rounds
+    assert len(records) == ps.tau
+    for e, record in enumerate(records):
+        for field, unit, _ in fields:
+            value, row = getattr(record, field), sig.columns[field][e]
+            assert np.array_equal(value, row) if unit == ELEM else value == row
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0][0], None)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -170,8 +216,8 @@ def _layout(ps, data):
     alpha_bytes = ps.base.packed_size(ps.r * ps.m)
     pos = ps.suite.salt_bytes + 2 * db
     out = []
-    for rr in threshold_decode_by_round(ps, data).rounds:
-        opened = pos + 2 + len(rr.auth) * db
+    for auth in threshold_decode_by_round(ps, data).columns["auth"]:
+        opened = pos + 2 + len(auth) * db
         out.append((pos, opened, opened + opened_bytes, opened + opened_bytes + alpha_bytes))
         pos = out[-1][-1]
     return out
@@ -203,9 +249,10 @@ def _decoded(decoder, ps, data):
         sig = decoder(ps, data)
     except SignatureFormatError as exc:
         return str(exc)
-    return (sig.salt, sig.h1, sig.h2,
-            [(rr.auth, rr.opened.shape, rr.opened.tolist(),
-              rr.alpha_star.shape, rr.alpha_star.tolist()) for rr in sig.rounds])
+    cols = sig.columns
+    return (sig.salt, sig.h1, sig.h2, list(cols), cols["auth"],
+            cols["opened"].shape, cols["opened"].tolist(),
+            cols["alpha_star"].shape, cols["alpha_star"].tolist())
 
 
 @pytest.mark.parametrize("name", list(EQUIV_SETS))

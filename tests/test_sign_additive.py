@@ -116,7 +116,7 @@ def test_hidden_leaf_stays_hidden():
         istar = ch2[e - 1]
         seeds = tree.leaves()
         assert seeds[istar - 1] not in data
-        got = leaves_from_path(ap.suite, sig.rounds[e - 1].path, istar,
+        got = leaves_from_path(ap.suite, sig.columns["path"][e - 1], istar,
                                sig.salt, e, ap.n_parties)
         assert got[istar - 1] is None
         for i in range(1, ap.n_parties + 1):
@@ -133,12 +133,14 @@ def test_aux_zeroed_when_hidden_leaf_is_last(monkeypatch):
     pk, sk, x, beta = toy_keys(ap)
     _force_hidden_leaves(monkeypatch, [ap.n_parties] * ap.tau)
     sig = sa._sign_core(ap, pk, x, beta, b"m", b"e")
-    for rr in sig.rounds:
-        assert not rr.aux_x.any() and not rr.aux_beta.any() and not rr.aux_c.any()
+    aux_x, aux_beta, aux_c = (sig.columns[name] for name in ("aux_x", "aux_beta", "aux_c"))
+    for e in range(ap.tau):
+        assert not aux_x[e].any() and not aux_beta[e].any() and not aux_c[e].any()
     # and with a different hidden leaf the aux holds the real corrections
     _force_hidden_leaves(monkeypatch, [1] * ap.tau)
     sig = sa._sign_core(ap, pk, x, beta, b"m", b"e")
-    assert any(rr.aux_x.any() or rr.aux_beta.any() for rr in sig.rounds)
+    aux_x, aux_beta = sig.columns["aux_x"], sig.columns["aux_beta"]
+    assert any(aux_x[e].any() or aux_beta[e].any() for e in range(ap.tau))
 
 
 def test_aux_block_must_be_zero_when_hidden_leaf_is_last():
@@ -160,7 +162,7 @@ def test_aux_block_must_be_zero_when_hidden_leaf_is_last():
     assert sa.verify(ap, pk, b"m", data)
     for name in ("aux_x", "aux_beta", "aux_c"):
         sig = sa.decode(ap, data)
-        aux = getattr(sig.rounds[ridx], name)
+        aux = sig.columns[name][ridx]
         assert not aux.any()
         aux.reshape(-1)[-1] ^= 1
         assert not sa.verify(ap, pk, b"m", sa.encode(ap, sig)), name
@@ -212,7 +214,7 @@ def test_challenge_injection_seams(monkeypatch):
     # and verify, deriving the same ones, accepts
     assert sa.verify_decoded(ap, pk, b"m", sig)
     for e in range(1, ap.tau + 1):
-        got = leaves_from_path(ap.suite, sig.rounds[e - 1].path, 3,
+        got = leaves_from_path(ap.suite, sig.columns["path"][e - 1], 3,
                                sig.salt, e, ap.n_parties)
         assert got[2] is None
 

@@ -188,31 +188,30 @@ def test_alpha_star_replacement_rejects():
     for t in range(trials):
         data = st.sign(tp, pk, sk, b"m", b"e%d" % t)
         sig = st.decode(tp, data)
-        rr = sig.rounds[0]
-        new = rr.alpha_star.copy()
-        while np.array_equal(new, rr.alpha_star):
+        alpha_star = sig.columns["alpha_star"]
+        new = alpha_star[0].copy()
+        while np.array_equal(new, alpha_star[0]):
             new = rng.integers(0, 7, new.shape).astype(np.uint8)
-        rr.alpha_star = new
+        alpha_star[0] = new
         rejects += not st.verify(tp, pk, b"m", st.encode(tp, sig))
     # false positive rate is 2/49 per round; with tau = 1 almost all reject
     assert rejects >= trials - 8
 
 
 def test_verify_decoded_reads_rebound_fields():
-    # the rounds' fields are what verify_decoded checks: rebinding one to an
-    # equal copy keeps the signature valid, to a changed array rejects it
+    # the columns are what verify_decoded checks: rebinding one to an equal
+    # copy keeps the signature valid, to one changed in round 1 rejects it
     # exactly as the re-encoded bytes do
     tp = TOY
     pk, sk = keygen_optimized(tp, b"rb")
     data = st.sign(tp, pk, sk, b"m", b"e")
     for name in ("alpha_star", "opened"):
         sig = st.decode(tp, data)
-        rr = sig.rounds[1]
-        setattr(rr, name, getattr(rr, name).copy())
+        sig.columns[name] = sig.columns[name].copy()
         assert st.verify_decoded(tp, pk, b"m", sig)
-        new = getattr(rr, name).copy()
-        new.flat[0] = (int(new.flat[0]) + 1) % tp.base.q
-        setattr(rr, name, new)
+        new = sig.columns[name].copy()
+        new[1].flat[0] = (int(new[1].flat[0]) + 1) % tp.base.q
+        sig.columns[name] = new
         assert not st.verify_decoded(tp, pk, b"m", sig)
         assert not st.verify(tp, pk, b"m", st.encode(tp, sig))
 
@@ -281,7 +280,7 @@ def test_decode_errors():
     blob = bytearray(data)
     # first opened state begins after salt/h1/h2, count header and auth
     off = tp.suite.salt_bytes + 2 * tp.suite.digest_bytes + 2
-    off += len(sig.rounds[0].auth) * tp.suite.digest_bytes
+    off += len(sig.columns["auth"][0]) * tp.suite.digest_bytes
     blob[off] = 255
     with pytest.raises(st.SignatureFormatError):
         st.decode(tp, bytes(blob))
@@ -317,8 +316,8 @@ def test_bad_auth_shape_in_one_round_rejects(t1_signed, edit, where, monkeypatch
     ps, pk, data = t1_signed
     sig = st.decode(ps, data)
     bad = {"first": 0, "middle": ps.tau // 2, "last": ps.tau - 1}[where]
-    auth = sig.rounds[bad].auth
-    sig.rounds[bad].auth = auth[:-1] if edit == "short" else auth + auth[-1:]
+    auth = sig.columns["auth"][bad]
+    sig.columns["auth"][bad] = auth[:-1] if edit == "short" else auth + auth[-1:]
     results = []
 
     def spy(*args):
