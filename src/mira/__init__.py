@@ -5,7 +5,7 @@ Library entry points:
     params.parameter_set(variant, level)   registry lookup
     keys.keygen_optimized(ps, entropy)     key pair generation
     ps.scheme.sign / .verify / .decode     the set's variant: sign_additive or sign_threshold
-    estimator.report(ps)                   sizes and attack costs
+    estimator.report(ps)                   the (key, value) rows `mira estimate` prints
 
 The ``mira`` console script wraps these; see README.
 """

@@ -14,11 +14,16 @@ read-only per-round view of those columns; the library never reads it.
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate
 
 import numpy as np
 
 SEED, DIGEST, ELEM, U16 = "seed", "digest", "element", "u16"
+
+
+# ``Signature.rounds``'s record class, made once per tuple of field names
+_round_record = cache(partial(namedtuple, "Round"))
 
 
 class SignatureFormatError(ValueError):
@@ -45,7 +50,7 @@ class Signature:
     def rounds(self):
         """Per-round records of ``columns``, built on each access; a record's
         fields cannot be assigned, and its arrays are rows of the columns."""
-        record = namedtuple("Round", self.columns)
+        record = _round_record(tuple(self.columns))
         return [record(*row) for row in zip(*self.columns.values())]
 
 

@@ -113,8 +113,7 @@ def cmd_estimate(args):
         raise ValueError("q must be at least 2")
     if not 2 <= ps.omega <= 3:
         raise ValueError(f"--omega must be a number in [2, 3], not {ps.omega}")
-    rep = estimator.report(ps)
-    rows = rep.lines()
+    rows = estimator.report(ps)
     width = max(len(k) for k, _ in rows)
     for key, val in rows:
         print(f"{key:<{width}}  {val}")

@@ -17,7 +17,6 @@ and the support-minors system solver N_b*M_b^(w-1) combined with the
 column-guessing hybrid q^(a*r) over shrunken instances.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 
@@ -172,65 +171,26 @@ def support_minors_cost(ps):
     return best, {"a": best_ab[0], "b": best_ab[1]}
 
 
-@dataclass
-class CostReport:
-    variant: str
-    level: int
-    sig_bits: float
-    sig_bytes: int
-    sig_bound_bits: float
-    pk_bits: float
-    pk_bytes: int
-    sk_bits: int
-    sk_bytes: int
-    false_positive_log2: float
-    soundness_log2: float
-    kz_log2: float
-    kz_split: int
-    kernel_log2: float
-    support_minors_log2: float
-    support_minors_detail: dict
-
-    def lines(self):
-        """(key, value) pairs for machine-readable output."""
-        sm = (f"{self.support_minors_log2:.2f}"
-              if math.isfinite(self.support_minors_log2) else "inf")
-        return [
-            ("variant", self.variant),
-            ("level", str(self.level)),
-            ("sig_bits", f"{self.sig_bits:.1f}"),
-            ("sig_bytes", str(self.sig_bytes)),
-            ("sig_bound_bits", f"{self.sig_bound_bits:.1f}"),
-            ("pk_bytes", str(self.pk_bytes)),
-            ("sk_bytes", str(self.sk_bytes)),
-            ("log2_false_positive", f"{self.false_positive_log2:.2f}"),
-            ("log2_soundness", f"{self.soundness_log2:.2f}"),
-            ("log2_forgery_cost", f"{self.kz_log2:.2f}"),
-            ("forgery_split", str(self.kz_split)),
-            ("log2_kernel_attack", f"{self.kernel_log2:.2f}"),
-            ("log2_support_minors", sm),
-        ]
-
-
 def report(ps):
-    kz, split = kz_cost(ps)
-    sm, sm_detail = support_minors_cost(ps)
+    """The 13 (key, value) rows ``mira estimate`` prints, both strings.
+
+    Bit sizes carry one decimal and log2 figures two; the support-minors
+    cost reads ``inf`` when no (a, b) in its search is admissible.
+    """
     bits = sig_size_bits(ps)
-    return CostReport(
-        variant=ps.variant,
-        level=ps.level,
-        sig_bits=bits,
-        sig_bytes=round(bits / 8),
-        sig_bound_bits=sig_size_bound_bits(ps),
-        pk_bits=pk_size_bits(ps),
-        pk_bytes=pk_size_bytes(ps),
-        sk_bits=sk_size_bits(ps),
-        sk_bytes=sk_size_bits(ps) // 8,
-        false_positive_log2=flog2(false_positive(ps)),
-        soundness_log2=flog2(soundness_epsilon(ps)),
-        kz_log2=kz,
-        kz_split=split,
-        kernel_log2=kernel_cost(ps),
-        support_minors_log2=sm,
-        support_minors_detail=sm_detail,
-    )
+    kz, split = kz_cost(ps)
+    return [
+        ("variant", ps.variant),
+        ("level", str(ps.level)),
+        ("sig_bits", f"{bits:.1f}"),
+        ("sig_bytes", str(round(bits / 8))),
+        ("sig_bound_bits", f"{sig_size_bound_bits(ps):.1f}"),
+        ("pk_bytes", str(pk_size_bytes(ps))),
+        ("sk_bytes", str(sk_size_bits(ps) // 8)),
+        ("log2_false_positive", f"{flog2(false_positive(ps)):.2f}"),
+        ("log2_soundness", f"{flog2(soundness_epsilon(ps)):.2f}"),
+        ("log2_forgery_cost", f"{kz:.2f}"),
+        ("forgery_split", str(split)),
+        ("log2_kernel_attack", f"{kernel_cost(ps):.2f}"),
+        ("log2_support_minors", f"{support_minors_cost(ps)[0]:.2f}"),
+    ]

@@ -497,8 +497,6 @@ class ExtField:
                 stack[i] = base.matmul(stack[1], stack[i - 1])
         stack.flags.writeable = False
         self._frob_stack = stack
-        # ``mpc._rank_map``'s prepared maps, by r
-        self._rank_maps = {}
 
     # -- element helpers ----------------------------------------------------
 

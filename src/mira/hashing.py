@@ -21,11 +21,11 @@ and ``xof_many`` digest ``role || prefix || suffix`` for every suffix of a
 list in one comprehension, with the same bytes and in the same order as one
 ``hash`` or ``xof_digest`` call per suffix.  Seed-tree levels, leaf
 payloads, ``commit``, Merkle levels and the additive H3 digests go through
-them.  ``hash``, ``xof_digest`` and ``xof`` stay the units of hash work:
-while ``HashSuite.hash`` or ``xof_digest`` is replaced on the class (a
-tracer or a test that counts digests), a batch runs through the
-replacement one call per suffix, so wrapping those methods still sees
-every digest.
+them.  While ``HashSuite.hash`` or ``xof_digest`` is replaced on the class,
+a batch runs through the replacement one call per suffix, so wrapping those
+methods still sees every digest.  Outside the tests only perfbench's
+tracer relies on that fallback; the pinned hash-work counts are taken at
+``_hash_ctor`` and ``_xof_ctor``, where every hash object is made.
 
 ``derive_challenge1`` draws all rounds' gamma and eps with one stream read
 and returns them as (tau, n, m) and (tau, m) arrays, as ``mpc.ChallengeBatch``

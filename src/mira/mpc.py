@@ -86,20 +86,23 @@ class PkOperand:
         return e_flat
 
 
+_RANK_MAPS = {}     # ``_rank_map``'s prepared maps, by (ext, r)
+
+
 def _rank_map(ext, r):
-    """The fixed (m^2, (r+1)m) map P -> (w_0..w_r), GEMM-prepared, cached per r.
+    """The fixed (m^2, (r+1)m) map P -> (w_0..w_r), GEMM-prepared, cached per (ext, r).
 
     Row (v, u), column (i, t) holds coefficient t of X^u * (X^v)^(q^i).
     """
     # threads racing here may each build the map; setdefault keeps one
-    cache = ext._rank_maps
-    if r not in cache:
+    key = (ext, r)
+    if key not in _RANK_MAPS:
         m = ext.m
         frobs = np.concatenate([ext.frob_matrix(i).T for i in range(r + 1)])
         mm = ext.mul_matrices(frobs).reshape(r + 1, m, m, m)    # [i, v, t, u]
         cmap = np.ascontiguousarray(mm.transpose(1, 3, 0, 2)).reshape(m * m, (r + 1) * m)
-        cache.setdefault(r, ext.base.matmul3_prepare(cmap))
-    return cache[r]
+        _RANK_MAPS.setdefault(key, ext.base.matmul3_prepare(cmap))
+    return _RANK_MAPS[key]
 
 
 class ChallengeBatch:

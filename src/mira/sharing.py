@@ -73,10 +73,6 @@ def plain_rows(x, beta, a, c):
     return np.concatenate([np.broadcast_to(v, lead + v.shape[-1:]) for v in parts], axis=-1)
 
 
-def leaf_stream(suite, salt, e, i, seed):
-    return suite.xof(X_LEAF, salt, encode_u16(e), encode_u16(i), seed)
-
-
 def leaf_elements(field, rows, count):
     """The first ``count`` elements of each raw leaf row, or raw row sum.
 
@@ -110,9 +106,9 @@ def expand_leaf_shares(suite, salt, e, suffixes, dims, field):
     r, m = dims.r, dims.m
     width = field.packed_size(t)
     last = suffixes[-1]
+    prefix = salt + encode_u16(e)
     a_n = None
     if field.q & (field.q - 1) == 0:
-        prefix = salt + encode_u16(e)
         zero = bytes(width)
         drawn = suffixes[:-1]
         live = iter(suite.xof_many(X_LEAF, prefix, [s for s in drawn if s is not None], width))
@@ -123,11 +119,11 @@ def expand_leaf_shares(suite, salt, e, suffixes, dims, field):
             a_n = leaf_elements(field, np.frombuffer(raw, np.uint8), r * m)
     else:
         rows = np.zeros((n, width), np.uint8)
-        for i, s in enumerate(suffixes[:-1], start=1):
+        for i, s in enumerate(suffixes[:-1]):
             if s is not None:
-                rows[i - 1] = FieldSampler(field, leaf_stream(suite, salt, e, i, s[2:])).take(t)
+                rows[i] = FieldSampler(field, suite.xof(X_LEAF, prefix, s)).take(t)
         if last is not None:
-            a_n = FieldSampler(field, leaf_stream(suite, salt, e, n, last[2:])).take(r * m)
+            a_n = FieldSampler(field, suite.xof(X_LEAF, prefix, last)).take(r * m)
     return rows, None if a_n is None else a_n.reshape(r, m)
 
 

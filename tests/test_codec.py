@@ -123,6 +123,20 @@ def test_decoded_columns_are_the_signers_columns(name):
             setattr(record, fields[0][0], None)
 
 
+@pytest.mark.parametrize("variant", ["a1", "t1"])
+def test_rounds_records_keep_one_class(variant):
+    # the record class was once made anew on every access of ``rounds``
+    ps = COLUMN_SETS[variant]
+    pk, sk = keygen_optimized(ps, b"records")
+    sig = ps.scheme.decode(ps, ps.scheme.sign(ps, pk, sk, b"records", b"records entropy"))
+    first, second = sig.rounds[0], sig.rounds[1]
+    assert type(first) is type(second) is type(sig.rounds[0])
+    with pytest.raises(AttributeError):
+        first.salt = None
+    with pytest.raises(AttributeError):
+        setattr(second, next(iter(sig.columns)), None)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_valid_signature_round_trips(variant):
     _, sig = valid_signature(variant)

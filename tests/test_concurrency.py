@@ -57,7 +57,7 @@ def test_concurrent_verify_matches_single_threaded(variant):
 
     fresh = PublicKey.from_bytes(pk.to_bytes())
     ext = ps.ext
-    ext._rank_maps.clear()
+    mpc._RANK_MAPS.clear()
     barrier = threading.Barrier(THREADS)
     verdicts = [None] * THREADS
     maps = [None] * THREADS

@@ -22,7 +22,7 @@ def test_additive_sizes_exact(level):
     ps = params.parameter_set("additive", level)
     bits = est.sig_size_bits(ps)
     assert bits == ADD_TABLE[level] * 8
-    assert est.report(ps).sig_bytes == ADD_TABLE[level]
+    assert dict(est.report(ps))["sig_bytes"] == str(ADD_TABLE[level])
 
 
 @pytest.mark.parametrize("level", [1, 3, 5])
@@ -120,6 +120,7 @@ def test_support_minors_infeasible_reports_diagnostic():
     cost, detail = est.support_minors_cost(ps)
     assert cost == math.inf
     assert "reason" in detail
+    assert est.report(ps)[-1] == ("log2_support_minors", "inf")
 
 
 def test_soundness_examples():
@@ -180,12 +181,38 @@ def test_report_runtime_under_a_second():
 
 
 def test_report_lines_machine_readable():
-    rep = est.report(params.parameter_set("additive", 1))
-    keys = [k for k, _ in rep.lines()]
+    rows = est.report(params.parameter_set("additive", 1))
+    keys = [k for k, _ in rows]
     assert "sig_bytes" in keys and "log2_forgery_cost" in keys
-    as_dict = dict(rep.lines())
+    as_dict = dict(rows)
     assert as_dict["sig_bytes"] == "5640"
     assert as_dict["pk_bytes"] == "84"
+
+
+REPORT_KEYS = ("variant", "level", "sig_bits", "sig_bytes", "sig_bound_bits", "pk_bytes",
+               "sk_bytes", "log2_false_positive", "log2_soundness", "log2_forgery_cost",
+               "forgery_split", "log2_kernel_attack", "log2_support_minors")
+# every row ``mira estimate`` prints for the shipped sets, in REPORT_KEYS order
+REPORT_ROWS = {
+    ("additive", 1): ("additive", "1", "45120.0", "5640", "45120.0", "84", "16",
+                      "-63.00", "-8.00", "128.00", "2", "179.41", "168.45"),
+    ("additive", 3): ("additive", "3", "94232.0", "11779", "94232.0", "121", "24",
+                      "-75.00", "-8.00", "192.00", "2", "236.77", "236.92"),
+    ("additive", 5): ("additive", "5", "166096.0", "20762", "166096.0", "150", "32",
+                      "-91.00", "-8.00", "256.00", "2", "310.71", "309.92"),
+    ("threshold", 1): ("threshold", "1", "66629.4", "8329", "69754.6", "117", "16",
+                       "-94.66", "-21.31", "127.87", "1", "215.53", "133.40"),
+    ("threshold", 3): ("threshold", "3", "142562.5", "17820", "149259.3", "155", "24",
+                       "-126.54", "-21.31", "191.81", "1", "298.02", "195.09"),
+    ("threshold", 5): ("threshold", "5", "243219.2", "30402", "255719.9", "195", "32",
+                       "-126.54", "-21.31", "255.75", "2", "353.82", "276.33"),
+}
+
+
+@pytest.mark.parametrize("variant, level", list(REPORT_ROWS))
+def test_report_rows_of_shipped_sets(variant, level):
+    rows = est.report(params.parameter_set(variant, level))
+    assert rows == list(zip(REPORT_KEYS, REPORT_ROWS[(variant, level)]))
 
 
 def test_omega_override():

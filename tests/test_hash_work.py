@@ -2,16 +2,20 @@
 
 Hash and XOF calls are most of a signature's cost and are fixed by the wire
 format, so a change that adds, drops or batches one shows here, without
-wall-clock noise.  ``HashSuite.hash``, ``xof`` and ``xof_digest`` are counted
-by role byte (see ``mira.hashing``) together with the bytes they absorb.
-While they are wrapped, ``hash_many`` and ``xof_many`` run through the
-wrappers one digest at a time, so a batched digest counts as the single call
-it replaces.
+wall-clock noise.  The counts are taken where the hash objects are made:
+the parameter set's ``HashSuite`` builds every hash and XOF object through
+its ``_hash_ctor`` and ``_xof_ctor``, so counting there sees the batched
+``hash_many`` and ``xof_many`` paths as they run, one object per digest.
+Each object counts as one call of its role, the first byte it absorbs (see
+``mira.hashing``), together with the bytes it absorbs.  A hash object counts
+as ``hash``; an XOF object counts as ``xof`` for the stream roles X_CH1,
+X_CH2 and X_SIGN, read through ``HashSuite.xof``, and as ``xof_digest`` for
+the one-shot roles.
 
-The bytes each XOF role squeezes are pinned too.  A stream (``xof``)
-squeezes again from byte 0 whenever its buffer grows, so a read pattern
-that grows it in steps squeezes more than it uses; a one-shot
-``xof_digest`` squeezes exactly what it returns.
+The bytes each XOF role squeezes are pinned too: the sum of its objects'
+``digest(n)`` calls.  A stream (``xof``) squeezes again from byte 0 whenever
+its buffer grows, so a read pattern that grows it in steps squeezes more
+than it uses; a one-shot ``xof_digest`` squeezes exactly what it returns.
 """
 
 import collections
@@ -24,7 +28,7 @@ import pytest
 import mira
 from mira import params
 from mira.hashing import (H0_COMMIT, H1, H2, H3, H4, H_MERKLE, X_CH1, X_CH2, X_LEAF,
-                          X_SIGN, X_TREE, HashSuite)
+                          X_SIGN, X_TREE)
 from mira.keys import keygen_optimized
 
 
@@ -215,78 +219,58 @@ def _operations(variant, level):
             "verify": lambda: scheme.verify(ps, pk, b"pinned message", data)}
 
 
-def _per_operation(variant, level, tally, value):
-    """Run the sign and the verify, reading ``tally`` after each."""
+STREAM_ROLES = (X_CH1, X_CH2, X_SIGN)
+
+
+class _Counted:
+    """A hash or XOF object that adds every ``digest(n)`` to its tally entry."""
+
+    def __init__(self, obj, entry):
+        self._obj = obj
+        self._entry = entry
+
+    def digest(self, *n):
+        self._entry[2] += sum(n)
+        return self._obj.digest(*n)
+
+
+def _per_operation(variant, level, monkeypatch):
+    """Run the sign and the verify, each with fresh tallies of the hash and
+    XOF objects made: (method, role) -> [calls, bytes absorbed, bytes squeezed]."""
+    tally = collections.defaultdict(lambda: [0, 0, 0])
+    suite = params.parameter_set(variant, level).suite
+
+    def counting(ctor, name_of):
+        def make(data):
+            entry = tally[(name_of(data[0]), data[0])]
+            entry[0] += 1
+            entry[1] += len(data)
+            return _Counted(ctor(data), entry)
+        return make
+
+    monkeypatch.setattr(suite, "_hash_ctor", counting(suite._hash_ctor, lambda role: "hash"))
+    monkeypatch.setattr(suite, "_xof_ctor", counting(
+        suite._xof_ctor, lambda role: "xof" if role in STREAM_ROLES else "xof_digest"))
     out = {}
     for op, run in _operations(variant, level).items():
         tally.clear()
         assert run()
-        out[op] = {key: value(val) for key, val in sorted(tally.items())}
+        out[op] = dict(tally)
     return out
-
-
-def _counting(monkeypatch):
-    tally = collections.defaultdict(lambda: [0, 0])
-
-    def wrap(name, absorbed):
-        orig = getattr(HashSuite, name)
-
-        def counted(self, role, *args):
-            entry = tally[(name, role)]
-            entry[0] += 1
-            entry[1] += 1 + absorbed(args)
-            return orig(self, role, *args)
-
-        monkeypatch.setattr(HashSuite, name, counted)
-
-    wrap("hash", lambda parts: sum(len(p) for p in parts))
-    wrap("xof", lambda parts: sum(len(p) for p in parts))
-    wrap("xof_digest", lambda args: len(args[0]))
-    return tally
 
 
 @pytest.mark.parametrize("variant, level", list(PINNED))
 def test_hash_calls_and_bytes_by_role(variant, level, monkeypatch):
-    tally = _counting(monkeypatch)
-    got = _per_operation(variant, level, tally, tuple)
-    assert got == PINNED[(variant, level)]
-
-
-class _CountingShake:
-    """A SHAKE object that adds every ``digest(n)`` to a tally entry."""
-
-    def __init__(self, xof, entry):
-        self._xof = xof
-        self._entry = entry
-
-    def digest(self, n):
-        self._entry[0] += n
-        return self._xof.digest(n)
-
-
-def _counting_squeezed(monkeypatch):
-    tally = collections.defaultdict(lambda: [0])
-    xof, xof_digest = HashSuite.xof, HashSuite.xof_digest
-
-    def counted_xof(self, role, *parts):
-        stream = xof(self, role, *parts)
-        stream._xof = _CountingShake(stream._xof, tally[("xof", role)])
-        return stream
-
-    def counted_digest(self, role, payload, n):
-        tally[("xof_digest", role)][0] += n
-        return xof_digest(self, role, payload, n)
-
-    monkeypatch.setattr(HashSuite, "xof", counted_xof)
-    monkeypatch.setattr(HashSuite, "xof_digest", counted_digest)
-    return tally
+    got = _per_operation(variant, level, monkeypatch)
+    assert {op: {key: (calls, absorbed) for key, (calls, absorbed, _) in tally.items()}
+            for op, tally in got.items()} == PINNED[(variant, level)]
 
 
 @pytest.mark.parametrize("variant, level", list(PINNED_SQUEEZED))
 def test_xof_bytes_squeezed_by_role(variant, level, monkeypatch):
-    tally = _counting_squeezed(monkeypatch)
-    got = _per_operation(variant, level, tally, lambda val: val[0])
-    assert got == PINNED_SQUEEZED[(variant, level)]
+    got = _per_operation(variant, level, monkeypatch)
+    assert {op: {key: squeezed for key, (_, _, squeezed) in tally.items() if key[0] != "hash"}
+            for op, tally in got.items()} == PINNED_SQUEEZED[(variant, level)]
 
 
 def _mira_frames(run):

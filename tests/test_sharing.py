@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mira.fields import base_field, ext_field
-from mira.hashing import FieldSampler, HashSuite, party_suffixes
+from mira.hashing import X_LEAF, FieldSampler, HashSuite, party_suffixes
 from mira.sharing import (ShareDims, beta_map, expand_leaf_shares, hypercube_aggregate,
-                          lagrange_weights, leaf_elements, leaf_stream, neg_inner,
+                          lagrange_weights, leaf_elements, neg_inner,
                           shamir_expand, shamir_points, shamir_share)
 
 from helpers import full_sharing, leaf_side, shamir_at, shamir_reconstruct
@@ -138,6 +138,11 @@ def _leaf_rows(e, seeds, field):
     return leaf_elements(field, rows, DIMS.total), a_n
 
 
+def leaf_stream(e, i, seed):
+    """Leaf i's stream in round e: X_LEAF || salt || u16(e) || u16(i) || seed."""
+    return SUITE.xof(X_LEAF, SALT, e.to_bytes(2, "little"), i.to_bytes(2, "little"), seed)
+
+
 def test_leaf_n_stream_only_samples_a():
     field = base_field(16)
     seeds = [bytes([i]) * 16 for i in range(4)]
@@ -157,9 +162,9 @@ def test_bulk_and_stream_paths_agree():
     seeds = [bytes([7, i]) * 8 for i in range(5)]
     shares, a_n = _leaf_rows(3, seeds, field)
     for i in range(1, 5):
-        sampler = FieldSampler(field, leaf_stream(SUITE, SALT, 3, i, seeds[i - 1]))
+        sampler = FieldSampler(field, leaf_stream(3, i, seeds[i - 1]))
         assert np.array_equal(shares[i - 1], sampler.take(DIMS.total))
-    sampler = FieldSampler(field, leaf_stream(SUITE, SALT, 3, 5, seeds[4]))
+    sampler = FieldSampler(field, leaf_stream(3, 5, seeds[4]))
     assert np.array_equal(a_n.ravel(), sampler.take(DIMS.r * DIMS.m))
 
 
@@ -181,12 +186,12 @@ def test_raw_rows_and_their_sums_match_per_leaf_samplers(q, k, hidden):
     ref = np.zeros((8, dims.total), np.uint8)
     for i, seed in enumerate(seeds[:-1], start=1):
         if seed is not None:
-            ref[i - 1] = FieldSampler(field, leaf_stream(SUITE, SALT, 4, i, seed)).take(dims.total)
+            ref[i - 1] = FieldSampler(field, leaf_stream(4, i, seed)).take(dims.total)
     assert np.array_equal(leaf_elements(field, rows, dims.total), ref)
     if hidden == 8:
         assert a_n is None
     else:
-        sampler = FieldSampler(field, leaf_stream(SUITE, SALT, 4, 8, seeds[-1]))
+        sampler = FieldSampler(field, leaf_stream(4, 8, seeds[-1]))
         assert np.array_equal(a_n, sampler.take(dims.r * dims.m).reshape(dims.r, dims.m))
     for pick in ([0, 1, 2, 3, 4, 5, 6], [0, 4], [2]):
         assert np.array_equal(leaf_elements(field, field.axis_sum(rows[pick], 0), dims.total),
