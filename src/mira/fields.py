@@ -56,24 +56,17 @@ x86-64 host, OpenBLAS).
 
 Characteristic-2 fields pick a path by input:
 
-* table gather - a product of at most 2^18 multiply-adds is one gather
+* table gather - a ``matmul`` of at most 2^18 multiply-adds is one gather
   from the full multiplication table and an XOR reduction;
-* bit-sliced GEMM - larger products lay the left operand's d bit planes
+* bit-sliced GEMM - larger ``matmul`` products and every ``matmul3``
+  (the public key's x @ L' among them) lay the left operand's d bit planes
   side by side along K and multiply them, in one float32 BLAS call, by a
   (d*K, W*C) right operand holding y^s * b in row block s, already reduced
   by the modulus.  Each output bit has a lane of bit_length(d*K) bits in
   one of W float32 words, so at d = 4 two lanes share a word while
   d*K <= 4095 (half the bytes and multiply-adds of a word per bit), and
   W = d from 4096 on; the parity of each lane's count is an output bit.
-  ``matmul`` runs the ``matmul3`` body without the stack axis (T = 1);
-* ``Gf2Table`` - the public-key operand x @ L, a fixed GF(2) map applied
-  to every party's share, is a nibble-indexed XOR table built once per key,
-  1.10 MB at additive level 5 where a byte-indexed one holds 8.8 MB.  Inside
-  level-5 signs and verifies, the 306-row share-of-E product took 1.6-1.7
-  ms against 2.4-2.5 ms with the byte-indexed table, which leaves the cache
-  between calls; back to back the byte-indexed table is faster (0.9
-  against 1.4 ms) and the bit-sliced GEMM takes 2.9-3.1 ms (one thread of
-  a 2-vCPU x86-64 host, OpenBLAS, medians of 21-42 calls).
+  ``matmul`` runs the ``matmul3`` body without the stack axis (T = 1).
 """
 
 from functools import lru_cache
@@ -374,43 +367,6 @@ class Char2Field(ByteField):
         return f"Char2Field(2^{self.d})"
 
 
-class Gf2Table:
-    """Right-multiplication by a fixed GF(2) matrix via nibble-indexed XOR tables.
-
-    Builds, for every 4-bit chunk of the input vector, a 16-entry table of
-    partial output rows; applying the map is one table gather and XOR per
-    chunk.  Used for the large fixed operands (public key matrices), where
-    the table is 8x smaller than a byte-indexed one (16 rows per 4 input
-    bits against 256 per 8).
-    """
-
-    def __init__(self, mbits):
-        rows, cols = mbits.shape
-        self.chunks = (rows + 7) // 8
-        self.out_bytes = (cols + 7) // 8
-        padded = np.zeros((self.chunks * 8, cols), np.uint8)
-        padded[:rows] = mbits
-        packed = np.packbits(padded, axis=1)          # (chunks*8, out_bytes)
-        packed = packed.reshape(2 * self.chunks, 4, self.out_bytes)
-        table = np.zeros((2 * self.chunks, 16, self.out_bytes), np.uint8)
-        for i in range(4):
-            step = 1 << i
-            # numeric bit i of a nibble selects packed row 3-i of its chunk
-            # (packbits is big-endian within a byte: high nibble first)
-            table[:, step:2 * step] = table[:, :step] ^ packed[:, 3 - i, None, :]
-        self.table = table
-
-    def apply_packed(self, xbytes):
-        """(R, chunks) packed input bits -> (R, out_bytes) packed output."""
-        nibbles = np.empty((2 * self.chunks, xbytes.shape[0]), np.uint8)
-        np.right_shift(xbytes.T, 4, out=nibbles[0::2])
-        np.bitwise_and(xbytes.T, 15, out=nibbles[1::2])
-        out = np.zeros((xbytes.shape[0], self.out_bytes), np.uint8)
-        for t, idx in zip(self.table, nibbles):
-            out ^= t[idx]
-        return out
-
-
 @lru_cache(maxsize=None)
 def base_field(q):
     if q == 16:
@@ -583,7 +539,8 @@ class ExtField:
         m = self.m
         idx = np.asarray(i, np.int64) % m
         cols = self._frob_stack[idx.ravel()].transpose(2, 0, 1).reshape(m, -1)
-        out = self.base.matmul(a.reshape(-1, m), cols).reshape(-1, idx.size, m)
+        rows = a.size // m
+        out = self.base.matmul(a.reshape(rows, m), cols).reshape(rows, idx.size, m)
         return out.swapaxes(0, 1).reshape(idx.shape + a.shape)
 
     def mul_matrices(self, us):

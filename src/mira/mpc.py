@@ -10,10 +10,13 @@ of ``sharing.ShareDims``, and, given the public matrices and a challenge
     alpha = eps * w + a                (opened)
     v     = eps * z - <alpha, beta> - c
 
-Everything from E to (w, z) is GF(q)-linear in the share and splits into
-two GF(q) products: P = E @ G with the challenge's coefficient matrix G
-(a per-signature left-hand factor), then P against one fixed map of the
-field that applies X^u * (X^v)^(q^i) for every coefficient pair.  Parties
+The stacked matrix L (row i is M_i, row-major) is systematic, [I_k | L'],
+so a share of E is the x share followed by one product x @ L', the same
+prepared GEMM in every base field (``PkOperand``).  Everything from E to
+(w, z) is GF(q)-linear in the share and splits into two GF(q) products:
+P = E @ G with the challenge's coefficient matrix G (a per-signature
+left-hand factor), then P against one fixed map of the field that applies
+X^u * (X^v)^(q^i) for every coefficient pair.  Parties
 differ only in their state rows, and rows of any origin (plaintext runs,
 additive leaves, hypercube main parties, Shamir parties) take the same
 products.  ``ChallengeBatch`` stacks all rounds so a whole signature's
@@ -25,22 +28,22 @@ parties' state rows as (tau, B, T) arrays.
 
 import numpy as np
 
-from .fields import Char2Field, Gf2Table
 from .sharing import ShareDims
 
 
 class PkOperand:
-    """Public matrices prepared for fast share-of-E computation."""
+    """M_0 and the L' of a systematic public key L = [I_k | L'], prepared once per key.
+
+    L' is the base field's ``matmul3_prepare`` operand: bit-sliced lane
+    words over GF(2^d), float32 over GF(p).  L's first k columns are taken
+    as the identity, as ``keys._expand_l`` builds them, and are not read.
+    """
 
     def __init__(self, base, l_rows, m0_flat):
         self.base = base
-        self.l_rows = l_rows
+        self.k = l_rows.shape[0]
         self.m0_flat = m0_flat
-        self._gf2 = None
-        # a prime field's L as a GEMM operand; GF(2^d) builds ``_gf2_table``
-        # on first use instead
-        self._l_prepared = (None if isinstance(base, Char2Field)
-                            else base.matmul3_prepare(l_rows))
+        self._l_prime = base.matmul3_prepare(l_rows[:, self.k:])
 
     @classmethod
     def of(cls, pk):
@@ -49,37 +52,12 @@ class PkOperand:
             pk._operand = cls(pk.params.base, *pk.matrices())
         return pk._operand
 
-    def _gf2_table(self):
-        # x @ L over GF(2^d) as a GF(2) map on bit planes: input bit (s, i)
-        # contributes y^s * L[i, :], whose planes fill the matching rows; the
-        # nibble-indexed table holds 16 output rows per 4 input bits
-        if self._gf2 is None:
-            base = self.base
-            d = base.d
-            k, mn = self.l_rows.shape
-            mbits = np.empty((d * k, d * mn), np.uint8)
-            for s in range(d):
-                scaled = base.mul(np.uint8(1 << s), self.l_rows)
-                for t in range(d):
-                    mbits[s * k:(s + 1) * k, t * mn:(t + 1) * mn] = (scaled >> t) & 1
-            self._gf2 = Gf2Table(mbits)
-        return self._gf2
-
     def e_shares(self, x_shares, offsets):
         """(B, k) share rows -> (B, mn) shares of E, flattened row-major."""
         x_shares = np.atleast_2d(np.asarray(x_shares, np.uint8))
-        if isinstance(self.base, Char2Field):
-            d = self.base.d
-            mn = self.l_rows.shape[1]
-            op = self._gf2_table()
-            xbits = np.concatenate([(x_shares >> s) & 1 for s in range(d)], axis=1)
-            xbytes = np.packbits(xbits, axis=1)
-            ybits = np.unpackbits(op.apply_packed(xbytes), axis=1)[:, :d * mn]
-            e_flat = np.zeros((x_shares.shape[0], mn), np.uint8)
-            for t in range(d):
-                e_flat |= ybits[:, t * mn:(t + 1) * mn] << t
-        else:
-            e_flat = self.base.matmul3(x_shares, self._l_prepared)
+        e_flat = np.empty((len(x_shares), len(self.m0_flat)), np.uint8)
+        e_flat[:, :self.k] = x_shares
+        e_flat[:, self.k:] = self.base.matmul3(x_shares, self._l_prime)
         offsets = np.asarray(offsets, bool)
         if offsets.any():
             e_flat[offsets] = self.base.add(e_flat[offsets], self.m0_flat)

@@ -31,9 +31,11 @@ def annihilator(ext, support, r):
     step doubles the root space by b_{i+1}, giving the same roots as the
     product over all q^r span elements without enumerating them.  M_i is a
     nonzero multiple of the monic annihilator of b_1..b_i, so one division
-    by the leading coefficient at the end gives the result.  The
-    coefficients stay one (i+1, m) stack: a step is one evaluation, two
-    ``frob`` and two ``mul``, with no exponentiation.
+    by the leading coefficient at the end gives the result.  The powers
+    b_j^(q^t), t < r, come from one ``frob`` up front, and the coefficients
+    stay one (i+1, m) stack: a step is one ``dot`` for w, one ``frob`` of
+    the stacked [M_i; w] and one ``mul`` of the stacked pair, with no
+    exponentiation.
 
     The basis is the support elements at the pivot columns of the (m, n)
     matrix they form, from ``matrices.pivot_columns``, the one exact rank
@@ -44,19 +46,17 @@ def annihilator(ext, support, r):
     basis = support[pivot_columns(ext.base, support.T)]
     if len(basis) != r:
         raise SupportDimensionError(f"span has dimension {len(basis)}, expected {r}")
+    powers = ext.frob(basis, range(r))    # [t, j] = b_j^(q^t)
     coeffs = ext.one(1)  # M_0(X) = X
-    for b in basis:
-        w = evaluate_coeffs(ext, coeffs, b)
+    for j in range(r):
+        w = ext.dot(coeffs, powers[:len(coeffs), j], axis=0)
         if ext.is_zero(w):  # pragma: no cover - basis rows are independent
             raise SupportDimensionError("basis element already a root")
+        conj = ext.frob(np.concatenate([coeffs, w[None]]), 1)    # [M_i^q; w^q]
+        # [w M_i^q; w^q M_i] from one product
+        prods = ext.mul(np.stack([conj[:-1], coeffs]), np.stack([w, conj[-1]])[:, None])
         nxt = ext.zero(len(coeffs) + 1)
-        nxt[1:] = ext.mul(ext.frob(coeffs, 1), w)
-        nxt[:-1] = ext.sub(nxt[:-1], ext.mul(coeffs, ext.frob(w, 1)))
+        nxt[1:] = prods[0]
+        nxt[:-1] = ext.sub(nxt[:-1], prods[1])
         coeffs = nxt
     return QPolynomial(r=r, beta=ext.mul(coeffs[:-1], ext.inv(coeffs[-1])))
-
-
-def evaluate_coeffs(ext, coeffs, x):
-    """Evaluate sum_t coeffs[t] * x^(q^t) for a (k, m) coefficient stack;
-    the k powers of x come from one ``frob``."""
-    return ext.dot(coeffs, ext.frob(x, range(len(coeffs))), axis=0)

@@ -10,7 +10,13 @@ generation is the rank-bounded E = A B and the derivation's one product
 with L', and uses no cache.  One sign and verify run before the pinned
 ones, so per-process and per-key caches (rank map, Frobenius matrices,
 public-key operand, beta) are built and the sign and verify counts hold
-per-signature work only, whatever ran before.
+per-signature work only, whatever ran before.  The public key's x @ L' is
+one counted ``matmul3`` in both fields.
+
+``FIRST_SIGN`` pins the first signature of a key read back from its bytes,
+as ``mira sign`` runs it: the derivation replay, the annihilator beta and
+the operand's first products come on top of the per-signature work, so a
+change that adds per-key products shows here.
 """
 
 import collections
@@ -20,41 +26,51 @@ import pytest
 
 from mira import params
 from mira.fields import Char2Field, PrimeField
-from mira.keys import keygen_optimized
+from mira.keys import PublicKey, SecretKey, keygen_optimized
 
 
 # method -> (calls, multiply-accumulates)
 PINNED = {
     ("additive", 1): {
         "keygen": {"matmul": (2, 17600)},
-        "sign": {"matmul": (1, 23040), "matmul3": (11, 6103040)},
-        "verify": {"matmul3": (7, 5515776)},
+        "sign": {"matmul": (1, 23040), "matmul3": (13, 9040640)},
+        "verify": {"matmul3": (8, 8159616)},
     },
     ("additive", 3): {
         "keygen": {"matmul": (2, 34590)},
-        "sign": {"matmul": (1, 56316), "matmul3": (11, 16710690)},
-        "verify": {"matmul3": (7, 15120846)},
+        "sign": {"matmul": (1, 56316), "matmul3": (13, 25140930)},
+        "verify": {"matmul3": (8, 22708062)},
     },
     ("additive", 5): {
         "keygen": {"matmul": (2, 66721)},
-        "sign": {"matmul": (1, 107916), "matmul3": (11, 38095406)},
-        "verify": {"matmul3": (7, 34497148)},
+        "sign": {"matmul": (1, 107916), "matmul3": (13, 59748306)},
+        "verify": {"matmul3": (8, 53984758)},
     },
     ("threshold", 1): {
         "keygen": {"matmul": (2, 6335)},
-        "sign": {"matmul": (8, 1314040), "matmul3": (9, 865356)},
-        "verify": {"matmul3": (10, 552804)},
+        "sign": {"matmul": (8, 1314040), "matmul3": (9, 759481)},
+        "verify": {"matmul3": (10, 489279)},
     },
     ("threshold", 3): {
         "keygen": {"matmul": (2, 15479)},
-        "sign": {"matmul": (11, 2862800), "matmul3": (9, 3135840)},
-        "verify": {"matmul3": (10, 1986080)},
+        "sign": {"matmul": (11, 2862800), "matmul3": (9, 2541790)},
+        "verify": {"matmul3": (10, 1629650)},
     },
     ("threshold", 5): {
         "keygen": {"matmul": (2, 19399)},
-        "sign": {"matmul": (15, 4459504), "matmul3": (9, 5045984)},
-        "verify": {"matmul3": (10, 3203872)},
+        "sign": {"matmul": (15, 4459504), "matmul3": (9, 4214314)},
+        "verify": {"matmul3": (10, 2704870)},
     },
+}
+
+# a fresh key's first sign: method -> (calls, multiply-accumulates)
+FIRST_SIGN = {
+    ("additive", 1): {"matmul": (10, 56000), "matmul3": (29, 9208576)},
+    ("additive", 3): {"matmul": (11, 120147), "matmul3": (32, 25497598)},
+    ("additive", 5): {"matmul": (11, 219602), "matmul3": (32, 60429658)},
+    ("threshold", 1): {"matmul": (17, 1328439), "matmul3": (25, 823417)},
+    ("threshold", 3): {"matmul": (20, 2893639), "matmul3": (25, 2709726)},
+    ("threshold", 5): {"matmul": (25, 4498871), "matmul3": (27, 4415018)},
 }
 
 
@@ -101,6 +117,27 @@ def test_gemm_calls_and_macs(variant, level, monkeypatch):
     assert scheme.verify(ps, pk, b"pinned message", data)
     verified = taken()
     assert {"keygen": generated, "sign": signed, "verify": verified} == PINNED[(variant, level)]
+
+
+@pytest.mark.parametrize("variant, level", list(FIRST_SIGN))
+def test_first_sign_of_a_fresh_key(variant, level, monkeypatch):
+    ps = params.parameter_set(variant, level).sign_params()
+    scheme = ps.scheme
+    pk, sk = keygen_optimized(ps, b"warm key")
+    scheme.sign(ps, pk, sk, b"warm-up", b"w")        # per-process caches only
+    pk, sk = keygen_optimized(ps, b"fresh key")
+    pk, sk = PublicKey.from_bytes(pk.to_bytes()), SecretKey.from_bytes(sk.to_bytes())
+    tally = _counting(monkeypatch)
+
+    def taken():
+        counts = {key: tuple(val) for key, val in sorted(tally.items())}
+        tally.clear()
+        return counts
+
+    scheme.sign(ps, pk, sk, b"first message", b"e")
+    assert taken() == FIRST_SIGN[(variant, level)]
+    scheme.sign(ps, pk, sk, b"second message", b"e")
+    assert taken() == PINNED[(variant, level)]["sign"]
 
 
 @pytest.mark.parametrize("variant", ["additive", "threshold"])

@@ -147,16 +147,15 @@ def test_keys_compare_by_params_and_bytes():
 
 
 def test_keygen_leaves_the_operand_unbuilt():
-    # the GF(2) table of x @ L is the operand's largest part: keygen does not
-    # pay for it, and the operand builds it only for its first E shares
+    # the prepared L' of x @ L' is the operand's largest part: keygen does
+    # not pay for it, and the key keeps the one operand its first use builds
     ps = params.parameter_set("additive", 1)
     pk, _ = keygen_optimized(ps, b"operand")
     assert pk._operand is None
     op = PkOperand.of(pk)
     assert op is PkOperand.of(pk) is pk._operand
-    assert op._gf2 is None
     op.e_shares(np.zeros((1, ps.k), np.uint8), [False])
-    assert op._gf2 is not None and PkOperand.of(pk) is op
+    assert PkOperand.of(pk) is op
 
 
 def test_public_keys_share_the_secret_keys_l():

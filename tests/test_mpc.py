@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -30,6 +31,11 @@ def setup_instance(q, m, n, k, r, tag=b"i"):
     x, e_mat = sk.witness()
     beta = annihilator(mr.ext, columns_to_ext(e_mat), r).beta
     return mr, pk, x, beta
+
+
+def systematic(l_prime):
+    """L = [I_k | L'], as key generation builds it."""
+    return np.hstack([np.eye(len(l_prime), dtype=np.uint8), l_prime])
 
 
 def random_challenge(mr, rng):
@@ -162,8 +168,9 @@ def test_exhaustive_false_positive_bound_toy():
     a = rng.integers(0, q, (r, m)).astype(np.uint8)
     c = ext.neg(ext.dot(a, beta, axis=0))
 
-    # fake public key with x = 0: M_0 = E, and L does not enter
-    op = PkOperand(base, np.zeros((2, m * n), np.uint8), e_mat.reshape(-1))
+    # fake public key with x = 0: M_0 = E, and the systematic L does not enter
+    l_prime = rng.integers(0, q, (2, m * n - 2)).astype(np.uint8)
+    op = PkOperand(base, systematic(l_prime), e_mat.reshape(-1))
     x = np.zeros(2, np.uint8)
 
     challenges = []
@@ -234,17 +241,19 @@ def reference_run(ext, r, challenges, l_rows, m0_flat, x, a, beta, c, offsets):
 
 @settings(max_examples=30, deadline=None)
 @given(q=hs.sampled_from([2, 16, 251]), m=hs.integers(1, 5), n=hs.integers(1, 5),
-       tau=hs.integers(2, 3), b=hs.integers(1, 4), k=hs.integers(1, 4),
-       data=hs.data())
-def test_batched_contraction_matches_per_party_reference(q, m, n, tau, b, k, data):
+       tau=hs.integers(2, 3), b=hs.integers(1, 4), data=hs.data())
+def test_batched_contraction_matches_per_party_reference(q, m, n, tau, b, data):
+    # the operand takes the key's own L, systematic by construction; the
+    # reference reads all of it
     r = data.draw(hs.integers(1, min(m, n)), label="r")
+    k = data.draw(hs.integers(1, min(4, m * n)), label="k")
     rng = np.random.default_rng(data.draw(hs.integers(0, 2 ** 32 - 1), label="seed"))
     ext = ext_field(q, m)
 
     def rand(*shape):
         return rng.integers(0, q, shape).astype(np.uint8)
 
-    l_rows, m0_flat = rand(k, m * n), rand(m * n)
+    l_rows, m0_flat = systematic(rand(k, m * n - k)), rand(m * n)
     challenges = [(rand(n, m), rand(m)) for _ in range(tau)]
     x, a, beta, c = rand(tau, b, k), rand(tau, b, r, m), rand(tau, b, r, m), rand(tau, b, m)
     offsets = rng.random((tau, b)) < 0.5
@@ -256,6 +265,34 @@ def test_batched_contraction_matches_per_party_reference(q, m, n, tau, b, k, dat
     assert np.array_equal(alpha, ref[0])
     assert np.array_equal(z, ref[1])
     assert np.array_equal(v, ref[2])
+
+
+def shipped_row_counts(ps):
+    """Share-of-E row counts the schemes pass: 1, tau and tau (D + 1) for
+    additive, tau ell and tau (ell + 2) for threshold."""
+    if ps.variant == "additive":
+        return [1, ps.tau, ps.tau * (ps.depth + 1)]
+    return [ps.tau * ps.ell, ps.tau * (ps.ell + 2)]
+
+
+@pytest.mark.parametrize("variant", ["additive", "threshold"])
+@pytest.mark.parametrize("level", [1, 3, 5])
+def test_e_shares_match_the_full_l_on_shipped_keys(variant, level):
+    ps = params.parameter_set(variant, level).sign_params()
+    base = ps.base
+    pk, _ = keygen_optimized(ps, b"e shares")
+    l_rows, m0_flat = pk.matrices()
+    op = PkOperand.of(pk)
+    rng = np.random.default_rng(level)
+    for rows in shipped_row_counts(ps):
+        x = rng.integers(0, ps.q, (rows, ps.k)).astype(np.uint8)
+        offsets = rng.random(rows) < 0.5
+        offsets[-1] = not offsets[0]        # both kinds when rows > 1
+        # E = M_0 + sum_i x_i M_i, row by row of L
+        ref = np.where(offsets[:, None], m0_flat, 0).astype(np.uint8)
+        for i in range(ps.k):
+            ref = base.add(ref, base.mul(x[:, i, None], l_rows[i]))
+        assert np.array_equal(op.e_shares(x, offsets), ref)
 
 
 @settings(max_examples=30, deadline=None)

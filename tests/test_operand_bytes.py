@@ -1,9 +1,9 @@
-"""Pin the bytes of the fixed GF(16) operands an additive signer keeps.
+"""Pin the bytes of the fixed operands a signer keeps, for every set.
 
 Each process keeps one prepared rank map per (field, r), and each public key
-one ``Gf2Table`` for x @ L.  Their size sets how much of a signature's field
-work runs from cache, so a layout that grows them shows here without
-wall-clock noise.
+one prepared L' for x @ L' (bit-sliced lane words over GF(16), float32 over
+GF(251)).  Their size sets how much of a signature's field work runs from
+cache, so a layout that grows them shows here without wall-clock noise.
 """
 
 import pytest
@@ -11,19 +11,33 @@ import pytest
 from mira import mpc, params
 from mira.keys import keygen_optimized
 
-# level -> (rank map bytes, x @ L table bytes)
+# level -> (rank map bytes, prepared L' bytes)
 PINNED = {
-    1: (786432, 245760),
-    3: (1536416, 486528),
-    5: (2725408, 1101056),
+    "additive": {1: (786432, 522240), 3: (1536416, 1037568), 5: (2725408, 2037920)},
+    "threshold": {1: (41472, 22220), 3: (98304, 57116), 5: (114688, 71068)},
 }
 
 
-@pytest.mark.parametrize("level", sorted(PINNED))
-def test_additive_operand_bytes(level):
-    ps = params.parameter_set("additive", level).sign_params()
-    rank_map, cols = mpc._rank_map(ps.ext, ps.r)
+def _prepared(op):
+    """(array, columns) of a prepared right operand of either base field."""
+    return op if isinstance(op, tuple) else (op, op.shape[-1])
+
+
+def _operand_bytes(variant, level):
+    ps = params.parameter_set(variant, level).sign_params()
+    rank_map, cols = _prepared(mpc._rank_map(ps.ext, ps.r))
     assert cols == (ps.r + 1) * ps.m
     pk, _ = keygen_optimized(ps, b"operand bytes")
-    table = mpc.PkOperand.of(pk)._gf2_table().table
-    assert (rank_map.nbytes, table.nbytes) == PINNED[level]
+    l_prime, cols = _prepared(mpc.PkOperand.of(pk)._l_prime)
+    assert cols == ps.m * ps.n - ps.k
+    return rank_map.nbytes, l_prime.nbytes
+
+
+@pytest.mark.parametrize("level", sorted(PINNED["additive"]))
+def test_additive_operand_bytes(level):
+    assert _operand_bytes("additive", level) == PINNED["additive"][level]
+
+
+@pytest.mark.parametrize("level", sorted(PINNED["threshold"]))
+def test_threshold_operand_bytes(level):
+    assert _operand_bytes("threshold", level) == PINNED["threshold"][level]

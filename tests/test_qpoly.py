@@ -195,6 +195,14 @@ def test_wrong_dimension_raises():
         annihilator(ext, np.eye(3, 4, dtype=np.uint8), 2)   # dimension r + 1
 
 
+def test_zero_space_annihilator_is_x():
+    # r = 0: no basis, no Frobenius powers, M_0(X) = X with no beta
+    for q, m in [(2, 4), (16, 5), (251, 3)]:
+        ext = ext_field(q, m)
+        for support in (ext.zero(0), ext.zero(3)):
+            assert annihilator(ext, support, 0).beta.shape == (0, m)
+
+
 def test_beta_serialization():
     ext = ext_field(251, 3)
     beta = np.array([[1, 2, 3], [4, 5, 6]], np.uint8)
