@@ -28,6 +28,7 @@ parties' state rows as (tau, B, T) arrays.
 
 import numpy as np
 
+from .fields import Gf2Table
 from .sharing import ShareDims
 
 
@@ -51,6 +52,24 @@ class PkOperand:
         if pk._operand is None:
             pk._operand = cls(pk.params.base, *pk.matrices())
         return pk._operand
+
+    @staticmethod
+    def _gf2_table(base, mat):
+        """x @ mat over GF(2^d) as a ``Gf2Table`` on bit planes.
+
+        Not on the signing path, where x @ L' is a ``matmul3``; perfbench's
+        tracer still wraps this method by name, and it goes when that
+        target table drops it.  Input bit (s, i) contributes y^s * mat[i, :],
+        whose planes fill the matching rows.
+        """
+        d = base.d
+        k, cols = mat.shape
+        mbits = np.empty((d * k, d * cols), np.uint8)
+        for s in range(d):
+            scaled = base.mul(np.uint8(1 << s), mat)
+            for t in range(d):
+                mbits[s * k:(s + 1) * k, t * cols:(t + 1) * cols] = (scaled >> t) & 1
+        return Gf2Table(mbits)
 
     def e_shares(self, x_shares, offsets):
         """(B, k) share rows -> (B, mn) shares of E, flattened row-major."""

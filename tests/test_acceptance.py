@@ -105,8 +105,10 @@ def test_criterion_4_false_positive_exhaustive():
     rng = np.random.default_rng(4)
     a = rng.integers(0, q, (r, m)).astype(np.uint8)
     c = ext.neg(ext.dot(a, beta, axis=0))
-    # fake public key with x = 0: M_0 = E, and L does not enter
-    op = PkOperand(base, np.zeros((2, m * n), np.uint8), e_mat.reshape(-1))
+    # fake public key with x = 0: M_0 = E, and the systematic L = [I_2 | 0]
+    # does not enter
+    l_rows = np.hstack([np.eye(2, dtype=np.uint8), np.zeros((2, m * n - 2), np.uint8)])
+    op = PkOperand(base, l_rows, e_mat.reshape(-1))
     x = np.zeros(2, np.uint8)
     challenges = []
     for bits in itertools.product(range(8), repeat=n + 1):

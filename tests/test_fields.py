@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from mira.fields import (Char2Field, PrimeField, base_field, ext_field, _KNOWN_TAILS,
-                         _ext_irreducible)
+from mira.fields import (Char2Field, Gf2Table, PrimeField, base_field,
+                         ext_field, _KNOWN_TAILS, _ext_irreducible)
 
 from helpers import char2_reference, mul_matrices_by_shifts
 
@@ -558,50 +558,28 @@ def test_gf16_padding_nibble_must_be_zero():
     assert np.array_equal(f16.unpack(bytes([0x3A, 0x1F]), 4), [0xA, 0x3, 0xF, 0x1])
 
 
-def _bit_plane_map(f, b):
-    """x @ b over GF(2^d) as a GF(2) matrix on bit planes: input bit (s, i)
-    contributes y^s * b[i, :], whose planes fill row s*K + i."""
-    d = f.d
-    inner, cols = b.shape
-    mbits = np.empty((d * inner, d * cols), np.uint8)
-    for s in range(d):
-        scaled = f.mul(np.uint8(1 << s), b)
-        for t in range(d):
-            mbits[s * inner:(s + 1) * inner, t * cols:(t + 1) * cols] = (scaled >> t) & 1
-    return mbits
-
-
-def _bit_planes(a, d):
-    return np.concatenate([(a >> s) & 1 for s in range(d)], axis=-1)
-
-
 def test_gf2_table_matches_bit_matmul():
-    # the public-key operand once held x @ L as a nibble-indexed table of
-    # this GF(2) map; the bit-sliced GEMM that computes x @ L' now gives
-    # the same bits as the plain GF(2) product with it
     rng = np.random.default_rng(8)
-    f = base_field(16)
-    b = rng.integers(0, 16, (45, 70)).astype(np.uint8)
-    x = rng.integers(0, 16, (23, 45)).astype(np.uint8)
-    got = f.matmul3(x, f.matmul3_prepare(b))
-    assert np.array_equal(_bit_planes(got, 4), (_bit_planes(x, 4) @ _bit_plane_map(f, b)) & 1)
+    mbits = rng.integers(0, 2, (45, 70)).astype(np.uint8)
+    table = Gf2Table(mbits)
+    x = rng.integers(0, 2, (23, 45)).astype(np.uint8)
+    ref = (x @ mbits) & 1
+    xb = np.packbits(x, axis=1)
+    got = np.unpackbits(table.apply_packed(xb), axis=1)[:, :70]
+    assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("in_bits", [1, 3, 4, 5, 8, 45, 61])
 @pytest.mark.parametrize("out_bits", [1, 9, 71])
 def test_gf2_table_partial_chunks(in_bits, out_bits):
-    # the same GF(2) map for inner sizes K = in_bits and widths C = out_bits
-    # of one element, odd and past a word's lanes, at d = 2, 4 and 8; the
-    # all-(q-1) row makes every lane's count its largest
+    # inputs that end inside a nibble or a byte, outputs inside a byte
     rng = np.random.default_rng(in_bits * 100 + out_bits)
-    for d in (2, 4, 8):
-        f = Char2Field(d)
-        b = rng.integers(0, f.q, (in_bits, out_bits)).astype(np.uint8)
-        x = rng.integers(0, f.q, (17, in_bits)).astype(np.uint8)
-        x[0] = f.q - 1
-        got = f.matmul3(x, f.matmul3_prepare(b))
-        assert got.shape == (17, out_bits)
-        assert np.array_equal(_bit_planes(got, d), (_bit_planes(x, d) @ _bit_plane_map(f, b)) & 1)
+    mbits = rng.integers(0, 2, (in_bits, out_bits)).astype(np.uint8)
+    x = rng.integers(0, 2, (17, in_bits)).astype(np.uint8)
+    x[0] = 1
+    got = Gf2Table(mbits).apply_packed(np.packbits(x, axis=1))
+    assert got.shape == (17, (out_bits + 7) // 8)
+    assert np.array_equal(np.unpackbits(got, axis=1)[:, :out_bits], (x @ mbits) & 1)
 
 
 def test_base_field_flags():

@@ -293,6 +293,14 @@ def test_e_shares_match_the_full_l_on_shipped_keys(variant, level):
         for i in range(ps.k):
             ref = base.add(ref, base.mul(x[:, i, None], l_rows[i]))
         assert np.array_equal(op.e_shares(x, offsets), ref)
+    if variant == "additive":
+        # the GF(2) table that perfbench's tracer still names maps x to x @ L'
+        d, cols = base.d, ps.m * ps.n - ps.k
+        table = PkOperand._gf2_table(base, l_rows[:, ps.k:])
+        xbits = np.concatenate([(x >> s) & 1 for s in range(d)], axis=1)
+        ybits = np.unpackbits(table.apply_packed(np.packbits(xbits, axis=1)), axis=1)
+        tail = sum(ybits[:, t * cols:(t + 1) * cols] << t for t in range(d))
+        assert np.array_equal(tail, op.e_shares(x, np.zeros(len(x), bool))[:, ps.k:])
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,9 +3,6 @@
 The tracer skips a target it cannot resolve, so a rename would silently
 zero that layer's per-layer metrics.  This reads the target table from
 ``perfbench/tracer.py`` (standard library only) and changes nothing there.
-
-``REMOVED`` names the targets whose code is gone, not renamed: each is
-checked to be absent, and every other target must resolve.
 """
 
 import functools
@@ -14,16 +11,6 @@ import importlib.util
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-# target -> why it is gone; the work it timed and the layer that now times it
-REMOVED = {
-    "mira.mpc.PkOperand._gf2_table":
-        "x @ L' is a matmul3 prepared in PkOperand.__init__ (mpc.pk_operand)",
-    "mira.fields.Gf2Table.__init__":
-        "no nibble table is built; PkOperand.__init__ prepares L' (mpc.pk_operand)",
-    "mira.fields.Gf2Table.apply_packed":
-        "x @ L' runs in Char2Field.matmul3 (fields.gemm)",
-}
 
 
 def _tracer_targets():
@@ -42,4 +29,4 @@ def test_every_trace_target_resolves():
             functools.reduce(getattr, attr.split("."), importlib.import_module(module))
         except AttributeError:
             missing.append(f"{module}.{attr}")
-    assert missing == list(REMOVED)
+    assert missing == []
