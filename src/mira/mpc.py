@@ -11,17 +11,21 @@ of ``sharing.ShareDims``, and, given the public matrices and a challenge
     v     = eps * z - <alpha, beta> - c
 
 The stacked matrix L (row i is M_i, row-major) is systematic, [I_k | L'],
-so a share of E is the x share followed by one product x @ L', the same
-prepared GEMM in every base field (``PkOperand``).  Everything from E to
-(w, z) is GF(q)-linear in the share and splits into two GF(q) products:
-P = E @ G with the challenge's coefficient matrix G (a per-signature
-left-hand factor), then P against one fixed map of the field that applies
-X^u * (X^v)^(q^i) for every coefficient pair.  Parties
-differ only in their state rows, and rows of any origin (plaintext runs,
-additive leaves, hypercube main parties, Shamir parties) take the same
-products.  ``ChallengeBatch`` stacks all rounds so a whole signature's
-party computations run as a handful of batched GEMMs: it takes the
-challenges as ``hashing.derive_challenge1`` draws them, gamma of every
+and M_0's first k entries are zero, so a share of E is the x share followed
+by one product [x | o] @ [L'; M_0'], o the party's 0/1 offset and M_0' the
+tail of M_0 as one more row: the same prepared GEMM in every base field
+(``PkOperand``).  eps enters through gamma: eps * w_i = sum_j (eps gamma_j)
+e_j^(q^i), so the challenge is prepared once as eps * gamma and the rank
+check yields eps * w and eps * z without a product of their own.
+Everything from E to (eps w, eps z) is GF(q)-linear in the share and splits
+into two GF(q) products: P = E @ G with the coefficient matrix G of
+eps * gamma (a per-signature left-hand factor), then P against one fixed
+map of the field that applies X^u * (X^v)^(q^i) for every coefficient
+pair.  Parties differ only in their state rows, and rows of any origin
+(plaintext runs, additive leaves, hypercube main parties, Shamir parties)
+take the same products.  ``ChallengeBatch`` stacks all rounds so a whole
+signature's party computations run as a handful of batched GEMMs: it takes
+the challenges as ``hashing.derive_challenge1`` draws them, gamma of every
 round as one (tau, n, m) array and eps as one (tau, m) array, and the
 parties' state rows as (tau, B, T) arrays.
 """
@@ -33,18 +37,19 @@ from .sharing import ShareDims
 
 
 class PkOperand:
-    """M_0 and the L' of a systematic public key L = [I_k | L'], prepared once per key.
+    """[L'; M_0'] of a systematic public key L = [I_k | L'], prepared once per key.
 
-    L' is the base field's ``matmul3_prepare`` operand: bit-sliced lane
+    M_0' is the (mn - k)-entry tail of M_0, one more row under L'.  The
+    stack is the base field's ``matmul3_prepare`` operand: bit-sliced lane
     words over GF(2^d), float32 over GF(p).  L's first k columns are taken
-    as the identity, as ``keys._expand_l`` builds them, and are not read.
+    as the identity, as ``keys._expand_l`` builds them, and M_0's first k
+    entries as zero, as ``keys._derive`` makes them; neither is read.
     """
 
     def __init__(self, base, l_rows, m0_flat):
         self.base = base
-        self.k = l_rows.shape[0]
-        self.m0_flat = m0_flat
-        self._l_prime = base.matmul3_prepare(l_rows[:, self.k:])
+        self.k = k = l_rows.shape[0]
+        self._l_m0 = base.matmul3_prepare(np.vstack([l_rows[:, k:], m0_flat[None, k:]]))
 
     @classmethod
     def of(cls, pk):
@@ -72,15 +77,15 @@ class PkOperand:
         return Gf2Table(mbits)
 
     def e_shares(self, x_shares, offsets):
-        """(B, k) share rows -> (B, mn) shares of E, flattened row-major."""
+        """(B, k) share rows and (B,) offsets -> (B, mn) shares of E, flattened row-major.
+
+        E is x followed by [x | o] @ [L'; M_0'], the offsets o as a 0/1 column.
+        """
         x_shares = np.atleast_2d(np.asarray(x_shares, np.uint8))
-        e_flat = np.empty((len(x_shares), len(self.m0_flat)), np.uint8)
-        e_flat[:, :self.k] = x_shares
-        e_flat[:, self.k:] = self.base.matmul3(x_shares, self._l_prime)
-        offsets = np.asarray(offsets, bool)
-        if offsets.any():
-            e_flat[offsets] = self.base.add(e_flat[offsets], self.m0_flat)
-        return e_flat
+        xo = np.empty((len(x_shares), self.k + 1), np.uint8)
+        xo[:, :self.k] = x_shares
+        xo[:, self.k] = np.asarray(offsets, bool)
+        return np.concatenate([x_shares, self.base.matmul3(xo, self._l_m0)], axis=1)
 
 
 _RANK_MAPS = {}     # ``_rank_map``'s prepared maps, by (ext, r)
@@ -105,13 +110,14 @@ def _rank_map(ext, r):
 class ChallengeBatch:
     """All-round challenges, applied as a few stacked GEMMs.
 
-    With gamma_j = sum_u G[j, u] X^u and e_j = sum_v E[v, j] X^v, Frobenius
-    fixes GF(q), so w_i = sum_{v,u} P[v, u] X^u (X^v)^(q^i) with P = E @ G
-    over GF(q).  Per signature only G (n, m per round) and the eps
-    multiplication matrices are prepared; every party's P takes one stacked
-    GEMM, and one product with the fixed map of ``_rank_map`` gives all of
-    (w_0..w_{r-1}, -z).  ``gamma`` (tau, n, m) and ``eps`` (tau, m) hold
-    every round's challenge, as ``derive_challenge1`` returns them.
+    With eps * gamma_j = sum_u G[j, u] X^u and e_j = sum_v E[v, j] X^v,
+    Frobenius fixes GF(q), so eps * w_i = sum_{v,u} P[v, u] X^u (X^v)^(q^i)
+    with P = E @ G over GF(q).  Per signature only G (n, m per round) is
+    prepared, from one stacked product of gamma with the eps multiplication
+    matrices; every party's P takes one stacked GEMM, and one product with
+    the fixed map of ``_rank_map`` gives all of eps * (w_0..w_{r-1}, -z).
+    ``gamma`` (tau, n, m) and ``eps`` (tau, m) hold every round's challenge,
+    as ``derive_challenge1`` returns them.
     """
 
     def __init__(self, ext, r, gamma, eps):
@@ -119,9 +125,9 @@ class ChallengeBatch:
         self.r = r
         self.tau = len(eps)
         base = ext.base
-        self._gamma = base.matmul3_prepare(gamma)
-        meps = ext.mul_matrices(eps)                           # (tau, m, m)
-        self._meps_t = base.matmul3_prepare(np.ascontiguousarray(meps.transpose(0, 2, 1)))
+        # row j of gamma times M(eps)^T is eps * gamma_j
+        meps_t = np.ascontiguousarray(ext.mul_matrices(eps).transpose(0, 2, 1))
+        self._gamma = base.matmul3_prepare(base.matmul3(gamma, base.matmul3_prepare(meps_t)))
         self._map = _rank_map(ext, r)
 
     def _split(self, rows):
@@ -130,10 +136,10 @@ class ChallengeBatch:
         return ShareDims(rows.shape[-1] - (2 * self.r + 1) * m, self.r, m).split(rows)
 
     def broadcast_alpha(self, pk_op, rows, offsets):
-        """Phase 1 for all rounds: (tau, B, T) state rows -> alpha, z shares.
+        """Phase 1 for all rounds: (tau, B, T) state rows -> alpha, eps * z shares.
 
         offsets is (tau, B) or (B,) broadcast over rounds.  Returns
-        (alpha (tau, B, r, m), z (tau, B, m)).
+        (alpha (tau, B, r, m), eps * z (tau, B, m)).
         """
         ext = self.ext
         base = ext.base
@@ -144,14 +150,11 @@ class ChallengeBatch:
         offsets = np.broadcast_to(np.asarray(offsets, bool), (tau, b))
         e_flat = pk_op.e_shares(x_shares.reshape(tau * b, -1), offsets.reshape(-1))
         p = base.matmul3(e_flat.reshape(tau, b * m, -1), self._gamma)
-        wz = base.matmul3(p.reshape(tau * b, m * m), self._map).reshape(tau, b, r + 1, m)
-        z = ext.neg(wz[:, :, r])
-        ew = base.matmul3(wz[:, :, :r].reshape(tau, b * r, m), self._meps_t)
-        alpha = ext.add(ew.reshape(tau, b, r, m), a_shares)
-        return alpha, z
+        ewz = base.matmul3(p.reshape(tau * b, m * m), self._map).reshape(tau, b, r + 1, m)
+        return ext.add(ewz[:, :, :r], a_shares), ext.neg(ewz[:, :, r])
 
-    def broadcast_v(self, z_shares, rows, alphas):
-        """Phase 2 for all rounds: z shares, (tau, B, T) state rows and opened alphas.
+    def broadcast_v(self, ez_shares, rows, alphas):
+        """Phase 2 for all rounds: eps * z shares, (tau, B, T) state rows and opened alphas.
 
         alphas is (tau, B, r, m) or (tau, 1, r, m) when every party of a
         round uses the same opened value.  <alpha, beta> is one stacked GEMM
@@ -160,9 +163,8 @@ class ChallengeBatch:
         """
         ext = self.ext
         base = ext.base
-        tau, b, m = np.asarray(z_shares).shape
+        tau, b, m = np.asarray(ez_shares).shape
         _, beta_shares, _, c_shares = self._split(np.asarray(rows, np.uint8))
-        ez = base.matmul3(np.asarray(z_shares, np.uint8), self._meps_t)
         alphas = np.asarray(alphas, np.uint8)
         ba, r = alphas.shape[1:3]
         # row v, column (i, t): coefficient v of alpha_i * X^t
@@ -171,4 +173,4 @@ class ChallengeBatch:
         beta_cols = beta_shares.reshape(tau * ba, -1, r * m)
         ip = base.matmul3(left, base.matmul3_prepare(beta_cols.transpose(0, 2, 1)))
         ip = ip.transpose(0, 2, 1).reshape(tau, b, m)
-        return ext.sub(ext.sub(ez, ip), c_shares)
+        return ext.sub(ext.sub(ez_shares, ip), c_shares)

@@ -221,17 +221,27 @@ def shamir_share(field, secrets, ell, n_parties, rand):
 def _products_but_one(field, diff):
     """(..., t) -> (..., t): entry j is the product of every diff[..., k], k != j.
 
-    Prefix times suffix products: 3(t - 1) ``field.mul`` calls for any t.
+    Prefix times suffix products, 3(t - 1) of them for any t.  Over GF(p)
+    they run on int64 residues, reduced mod p after every product, so no
+    value passes (p - 1)^2; other fields take ``field.mul``.
     """
+    if field.char == field.q:
+        q = field.q
+        diff = diff.astype(np.int64)
+
+        def mul(u, v):
+            return u * v % q
+    else:
+        mul = field.mul
     t = diff.shape[-1]
-    out = np.ones(diff.shape, np.uint8)
+    out = np.ones(diff.shape, diff.dtype)
     for j in range(1, t):
-        out[..., j] = field.mul(out[..., j - 1], diff[..., j - 1])
-    suffix = np.ones(diff.shape[:-1], np.uint8)
+        out[..., j] = mul(out[..., j - 1], diff[..., j - 1])
+    suffix = np.ones(diff.shape[:-1], diff.dtype)
     for j in range(t - 2, -1, -1):
-        suffix = field.mul(suffix, diff[..., j + 1])
-        out[..., j] = field.mul(out[..., j], suffix)
-    return out
+        suffix = mul(suffix, diff[..., j + 1])
+        out[..., j] = mul(out[..., j], suffix)
+    return out.astype(np.uint8)
 
 
 def lagrange_weights(field, points, targets):

@@ -119,7 +119,11 @@ def _exec_hashes(suite, base, salt, al1, v1, al2, v2):
 def sign(ps, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs.
 
-    Raises ``keys.KeyMismatchError`` if ``ps`` or ``pk`` is not ``sk``'s own.
+    The salt and every round's seeds derive from ``entropy`` alone, so one
+    ``entropy`` must never sign two different messages: two such signatures
+    that hide different leaves of a round open every leaf seed of it, and
+    so the witness.  Raises ``keys.KeyMismatchError`` if ``ps`` or ``pk``
+    is not ``sk``'s own.
     """
     sk.check_pair(ps, pk)
     x, beta = sk.sign_inputs()
@@ -173,10 +177,10 @@ def _sign_core(ps, pk, x, beta, message, entropy):
 
     # one batched run: row 0 = plaintext, rows 1..D = side-1 main parties
     rows = np.concatenate([plains[:, None], side1], axis=1)
-    alphas, zs = batch.broadcast_alpha(pk_op, rows, np.ones(depth + 1, bool))
+    alphas, ezs = batch.broadcast_alpha(pk_op, rows, np.ones(depth + 1, bool))
     alpha_plain = alphas[:, 0]
     al1 = alphas[:, 1:]
-    vs = batch.broadcast_v(zs, rows, alphas[:, :1])
+    vs = batch.broadcast_v(ezs, rows, alphas[:, :1])
     v_plain = vs[:, 0]
     v1 = vs[:, 1:]
     assert not v_plain.any(), "witness does not satisfy the rank bound"
@@ -267,11 +271,11 @@ def verify_decoded(ps, pk, message, sig):
     # opened leaves, whose hidden row is zero) plus the hidden leaf's share
     rows = np.concatenate([full_rows, totals[:, None]], axis=1)    # (tau, D + 1, T)
     offsets = np.concatenate([bits == 1, istars[:, None] != 1], axis=1)
-    alphas, zs = batch.broadcast_alpha(PkOperand.of(pk), rows, offsets)
+    alphas, ezs = batch.broadcast_alpha(PkOperand.of(pk), rows, offsets)
     al_full = alphas[:, :depth]
     al_open = ext.add(alphas[:, depth:], cols["alpha_hidden"][:, None])   # (tau, 1, r, m)
     al_hidden_side = ext.sub(al_open, al_full)
-    v_full = batch.broadcast_v(zs[:, :depth], rows[:, :depth], al_open)
+    v_full = batch.broadcast_v(ezs[:, :depth], rows[:, :depth], al_open)
     v_hidden_side = ext.neg(v_full)
     # the hidden leaf sits on side 2 of dimension k when its bit k is set
     exec_hashes = _exec_hashes(

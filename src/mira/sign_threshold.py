@@ -124,7 +124,12 @@ def _h2(suite, base, message, pk_bytes, salt, h1, alphas, vs):
 def sign(ps, pk, sk, message, entropy):
     """Serialized signature of ``message``; deterministic in all inputs.
 
-    Raises ``keys.KeyMismatchError`` if ``ps`` or ``pk`` is not ``sk``'s own.
+    The salt, a and the Shamir coefficients derive from ``entropy`` alone,
+    so one ``entropy`` must never sign two different messages: the two
+    signatures open more than l parties of one sharing, and Lagrange
+    interpolation at 0 of l + 1 of them gives the witness x (two level-1
+    signatures do).  Raises ``keys.KeyMismatchError`` if ``ps`` or ``pk``
+    is not ``sk``'s own.
     """
     sk.check_pair(ps, pk)
     x, beta = sk.sign_inputs()
@@ -167,8 +172,8 @@ def _sign_core(ps, pk, x, beta, message, entropy):
     # batch: row 0 = plaintext, rows 1..l+1 = the public parties of S
     s_idx = np.asarray(s_set) - 1
     rows = np.concatenate([secrets[:, None], shares_all[:, s_idx]], axis=1)
-    alphas, zs = batch.broadcast_alpha(pk_op, rows, np.ones(ell + 2, bool))
-    vs = batch.broadcast_v(zs, rows, alphas[:, :1])
+    alphas, ezs = batch.broadcast_alpha(pk_op, rows, np.ones(ell + 2, bool))
+    vs = batch.broadcast_v(ezs, rows, alphas[:, :1])
     assert not vs[:, 0].any(), "witness does not satisfy the rank bound"
     alpha_s = alphas[:, 1:]
 
@@ -216,12 +221,13 @@ def verify_decoded(ps, pk, message, sig):
                                   ch2, cols["auth"], n_parties)
     if None in roots:
         return False
-    h1bar = suite.hash(H1, message, pk.body_bytes(), sig.salt, *roots)
+    pk_bytes = pk.body_bytes()
+    h1bar = suite.hash(H1, message, pk_bytes, sig.salt, *roots)
     if h1bar != sig.h1:
         return False
 
     batch = ChallengeBatch(ext, r, *derive_challenge1(suite, sig.h1, ext, ps.n, tau))
-    alpha_i, zs = batch.broadcast_alpha(PkOperand.of(pk), opened, np.ones(ell, bool))
+    alpha_i, ezs = batch.broadcast_alpha(PkOperand.of(pk), opened, np.ones(ell, bool))
 
     # all rounds at once: alpha through I + {i*} at S + {0}; v through
     # I + {0}, where v(0) = 0, at S; one weight computation for both
@@ -236,11 +242,11 @@ def verify_decoded(ps, pk, message, sig):
         weights[:tau])
     alpha_sharings = alpha_at[:, :ell + 1]
     alpha_opens = alpha_at[:, ell + 1].reshape(tau, r, m)
-    v_i_all = batch.broadcast_v(zs, opened, alpha_opens[:, None])
+    v_i_all = batch.broadcast_v(ezs, opened, alpha_opens[:, None])
     v_sharings = shamir_expand(
         base, np.concatenate([v_i_all, np.zeros((tau, 1, m), np.uint8)], axis=1),
         weights[tau:, :ell + 1])
 
-    h2bar = _h2(suite, base, message, pk.body_bytes(), sig.salt, h1bar,
+    h2bar = _h2(suite, base, message, pk_bytes, sig.salt, h1bar,
                 alpha_sharings, v_sharings)
     return h2bar == sig.h2

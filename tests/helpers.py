@@ -111,6 +111,23 @@ def shamir_at(field, shares, points, targets):
     return out[0] if single else out
 
 
+def lagrange_weights_by_mul(field, points, targets):
+    """Reference ``lagrange_weights``: every weight
+    prod_(k != j) (x_a - p_k) / (p_j - p_k) from one ``field.mul`` per factor."""
+    points = np.asarray(points, np.uint8)
+    out = np.empty((len(points), len(targets), points.shape[1]), np.uint8)
+    for b, row in enumerate(points):
+        for a, tgt in enumerate(targets):
+            for j, pj in enumerate(row):
+                num = den = np.uint8(1)
+                for k, pk in enumerate(row):
+                    if k != j:
+                        num = field.mul(num, field.sub(tgt, pk))
+                        den = field.mul(den, field.sub(pj, pk))
+                out[b, a, j] = field.mul(num, field.inv(den))
+    return out
+
+
 def shamir_reconstruct(field, shares, points):
     """Interpolate at zero: shares (..., t, C), points (..., t) -> (..., C)."""
     return shamir_at(field, shares, points, np.zeros(1, np.uint8))[..., 0, :]

@@ -105,11 +105,13 @@ def test_criterion_4_false_positive_exhaustive():
     rng = np.random.default_rng(4)
     a = rng.integers(0, q, (r, m)).astype(np.uint8)
     c = ext.neg(ext.dot(a, beta, axis=0))
-    # fake public key with x = 0: M_0 = E, and the systematic L = [I_2 | 0]
-    # does not enter
+    # a systematic key around the rank-2 E: with L = [I_2 | 0], x is E's first
+    # two entries and M_0 = E - x L is E with those two entries zero
     l_rows = np.hstack([np.eye(2, dtype=np.uint8), np.zeros((2, m * n - 2), np.uint8)])
-    op = PkOperand(base, l_rows, e_mat.reshape(-1))
-    x = np.zeros(2, np.uint8)
+    x = e_mat.reshape(-1)[:2].copy()
+    m0_flat = e_mat.reshape(-1).copy()
+    m0_flat[:2] = 0
+    op = PkOperand(base, l_rows, m0_flat)
     challenges = []
     for bits in itertools.product(range(8), repeat=n + 1):
         gam = np.array([[b >> t & 1 for t in range(3)] for b in bits[:n]], np.uint8)

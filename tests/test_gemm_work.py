@@ -10,8 +10,9 @@ generation is the rank-bounded E = A B and the derivation's one product
 with L', and uses no cache.  One sign and verify run before the pinned
 ones, so per-process and per-key caches (rank map, Frobenius matrices,
 public-key operand, beta) are built and the sign and verify counts hold
-per-signature work only, whatever ran before.  The public key's x @ L' is
-one counted ``matmul3`` in both fields.
+per-signature work only, whatever ran before.  A party's share of E takes
+one counted ``matmul3`` in both fields, [x | o] @ [L'; M_0'], and eps
+enters the rank check through one product with gamma per signature.
 
 ``FIRST_SIGN`` pins the first signature of a key read back from its bytes,
 as ``mira sign`` runs it: the derivation replay, the annihilator beta and
@@ -33,44 +34,44 @@ from mira.keys import PublicKey, SecretKey, keygen_optimized
 PINNED = {
     ("additive", 1): {
         "keygen": {"matmul": (2, 17600)},
-        "sign": {"matmul": (1, 23040), "matmul3": (13, 9040640)},
-        "verify": {"matmul3": (8, 8159616)},
+        "sign": {"matmul": (1, 23040), "matmul3": (11, 8866976)},
+        "verify": {"matmul3": (7, 8011152)},
     },
     ("additive", 3): {
         "keygen": {"matmul": (2, 34590)},
-        "sign": {"matmul": (1, 56316), "matmul3": (13, 25140930)},
-        "verify": {"matmul3": (8, 22708062)},
+        "sign": {"matmul": (1, 56316), "matmul3": (11, 24721810)},
+        "verify": {"matmul3": (7, 22349626)},
     },
     ("additive", 5): {
         "keygen": {"matmul": (2, 66721)},
-        "sign": {"matmul": (1, 107916), "matmul3": (13, 59748306)},
-        "verify": {"matmul3": (8, 53984758)},
+        "sign": {"matmul": (1, 107916), "matmul3": (11, 58982864)},
+        "verify": {"matmul3": (7, 53337228)},
     },
     ("threshold", 1): {
         "keygen": {"matmul": (2, 6335)},
-        "sign": {"matmul": (8, 1314040), "matmul3": (9, 759481)},
-        "verify": {"matmul3": (10, 489279)},
+        "sign": {"matmul": (8, 1314040), "matmul3": (8, 745880)},
+        "verify": {"matmul3": (9, 486360)},
     },
     ("threshold", 3): {
         "keygen": {"matmul": (2, 15479)},
-        "sign": {"matmul": (11, 2862800), "matmul3": (9, 2541790)},
-        "verify": {"matmul3": (10, 1629650)},
+        "sign": {"matmul": (11, 2862800), "matmul3": (8, 2509940)},
+        "verify": {"matmul3": (9, 1625900)},
     },
     ("threshold", 5): {
         "keygen": {"matmul": (2, 19399)},
-        "sign": {"matmul": (15, 4459504), "matmul3": (9, 4214314)},
-        "verify": {"matmul3": (10, 2704870)},
+        "sign": {"matmul": (15, 4459504), "matmul3": (8, 4161212)},
+        "verify": {"matmul3": (9, 2697380)},
     },
 }
 
 # a fresh key's first sign: method -> (calls, multiply-accumulates)
 FIRST_SIGN = {
-    ("additive", 1): {"matmul": (10, 56000), "matmul3": (29, 9208576)},
-    ("additive", 3): {"matmul": (11, 120147), "matmul3": (32, 25497598)},
-    ("additive", 5): {"matmul": (11, 219602), "matmul3": (32, 60429658)},
-    ("threshold", 1): {"matmul": (17, 1328439), "matmul3": (25, 823417)},
-    ("threshold", 3): {"matmul": (20, 2893639), "matmul3": (25, 2709726)},
-    ("threshold", 5): {"matmul": (25, 4498871), "matmul3": (27, 4415018)},
+    ("additive", 1): {"matmul": (10, 56000), "matmul3": (27, 9034912)},
+    ("additive", 3): {"matmul": (11, 120147), "matmul3": (30, 25078478)},
+    ("additive", 5): {"matmul": (11, 219602), "matmul3": (30, 59664216)},
+    ("threshold", 1): {"matmul": (17, 1328439), "matmul3": (24, 809816)},
+    ("threshold", 3): {"matmul": (20, 2893639), "matmul3": (24, 2677876)},
+    ("threshold", 5): {"matmul": (25, 4498871), "matmul3": (26, 4361916)},
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as hs
 
 from mira import params
 from mira.estimator import false_positive, flog2
-from mira.fields import ext_field
+from mira.fields import base_field, ext_field
 from mira.hashing import HashSuite
 from mira.keys import keygen_optimized
 from mira.matrices import columns_to_ext, rank, sample_rank_bounded
@@ -168,10 +168,11 @@ def test_exhaustive_false_positive_bound_toy():
     a = rng.integers(0, q, (r, m)).astype(np.uint8)
     c = ext.neg(ext.dot(a, beta, axis=0))
 
-    # fake public key with x = 0: M_0 = E, and the systematic L does not enter
-    l_prime = rng.integers(0, q, (2, m * n - 2)).astype(np.uint8)
-    op = PkOperand(base, systematic(l_prime), e_mat.reshape(-1))
-    x = np.zeros(2, np.uint8)
+    # a systematic key around the rank-2 E, as key generation builds one: x is
+    # E's first two entries and M_0 = E - x L, whose first two entries are zero
+    l_rows = systematic(rng.integers(0, q, (2, m * n - 2)).astype(np.uint8))
+    x = e_mat.reshape(-1)[:2].copy()
+    op = PkOperand(base, l_rows, base.sub(e_mat.reshape(-1), base.matmul(x[None, :], l_rows)[0]))
 
     challenges = []
     for bits in itertools.product(range(8), repeat=n + 1):
@@ -215,7 +216,10 @@ def test_false_positive_rate_values():
 
 
 def reference_run(ext, r, challenges, l_rows, m0_flat, x, a, beta, c, offsets):
-    """(alpha, z, v) party by party, straight from w_i = sum_j gamma_j e_j^(q^i)."""
+    """(alpha, z, v) party by party, straight from w_i = sum_j gamma_j e_j^(q^i).
+
+    Reads all of L and M_0, identity block and zero head included.
+    """
     base, m = ext.base, ext.m
     tau, b, k = x.shape
     alpha = np.empty((tau, b, r, m), np.uint8)
@@ -243,8 +247,8 @@ def reference_run(ext, r, challenges, l_rows, m0_flat, x, a, beta, c, offsets):
 @given(q=hs.sampled_from([2, 16, 251]), m=hs.integers(1, 5), n=hs.integers(1, 5),
        tau=hs.integers(2, 3), b=hs.integers(1, 4), data=hs.data())
 def test_batched_contraction_matches_per_party_reference(q, m, n, tau, b, data):
-    # the operand takes the key's own L, systematic by construction; the
-    # reference reads all of it
+    # the operand takes a key's L and M_0, systematic and with a zero head
+    # by construction; the reference reads all of both
     r = data.draw(hs.integers(1, min(m, n)), label="r")
     k = data.draw(hs.integers(1, min(4, m * n)), label="k")
     rng = np.random.default_rng(data.draw(hs.integers(0, 2 ** 32 - 1), label="seed"))
@@ -253,17 +257,19 @@ def test_batched_contraction_matches_per_party_reference(q, m, n, tau, b, data):
     def rand(*shape):
         return rng.integers(0, q, shape).astype(np.uint8)
 
-    l_rows, m0_flat = systematic(rand(k, m * n - k)), rand(m * n)
+    l_rows = systematic(rand(k, m * n - k))
+    m0_flat = np.concatenate([np.zeros(k, np.uint8), rand(m * n - k)])
     challenges = [(rand(n, m), rand(m)) for _ in range(tau)]
     x, a, beta, c = rand(tau, b, k), rand(tau, b, r, m), rand(tau, b, r, m), rand(tau, b, m)
     offsets = rng.random((tau, b)) < 0.5
     batch = ChallengeBatch(ext, r, *stacked(challenges))
     rows = plain_rows(x, beta, a, c)
-    alpha, z = batch.broadcast_alpha(PkOperand(ext.base, l_rows, m0_flat), rows, offsets)
-    v = batch.broadcast_v(z, rows, alpha)
+    alpha, ez = batch.broadcast_alpha(PkOperand(ext.base, l_rows, m0_flat), rows, offsets)
+    v = batch.broadcast_v(ez, rows, alpha)
     ref = reference_run(ext, r, challenges, l_rows, m0_flat, x, a, beta, c, offsets)
+    eps = np.stack([e for _, e in challenges])[:, None]
     assert np.array_equal(alpha, ref[0])
-    assert np.array_equal(z, ref[1])
+    assert np.array_equal(ez, ext.mul(eps, ref[1]))
     assert np.array_equal(v, ref[2])
 
 
@@ -303,6 +309,24 @@ def test_e_shares_match_the_full_l_on_shipped_keys(variant, level):
         assert np.array_equal(tail, op.e_shares(x, np.zeros(len(x), bool))[:, ps.k:])
 
 
+@pytest.mark.parametrize("offsets", ["none", "all", "mixed"])
+@pytest.mark.parametrize("q", [16, 251])
+def test_e_shares_are_x_then_x_l_prime_plus_offset_m0(q, offsets):
+    # E = [x | x L'] + o M_0 with M_0's first k entries zero, against the
+    # operand's one product [x | o] @ [L'; M_0']
+    base = base_field(q)
+    rng = np.random.default_rng(q)
+    rows, k, tail = 6, 7, 23
+    x = rng.integers(0, q, (rows, k)).astype(np.uint8)
+    l_prime = rng.integers(0, q, (k, tail)).astype(np.uint8)
+    m0_flat = np.concatenate([np.zeros(k, np.uint8), rng.integers(1, q, tail).astype(np.uint8)])
+    o = {"none": np.zeros(rows, bool), "all": np.ones(rows, bool),
+         "mixed": np.arange(rows) % 2 == 1}[offsets]
+    ref = np.concatenate([x, base.matmul(x, l_prime)], axis=1)
+    ref = np.where(o[:, None], base.add(ref, m0_flat), ref)
+    assert np.array_equal(PkOperand(base, systematic(l_prime), m0_flat).e_shares(x, o), ref)
+
+
 @settings(max_examples=30, deadline=None)
 @given(q=hs.sampled_from([2, 16, 251]), m=hs.integers(1, 5), tau=hs.integers(1, 3),
        b=hs.integers(1, 4), r=hs.integers(1, 3), seed=hs.integers(0, 2 ** 32 - 1))
@@ -318,7 +342,8 @@ def test_broadcast_v_with_one_opened_alpha_per_round(q, m, tau, b, r, seed):
     challenges = [(rand(2, m), rand(m)) for _ in range(tau)]
     z, beta, c, alpha = rand(tau, b, m), rand(tau, b, r, m), rand(tau, b, m), rand(tau, 1, r, m)
     rows = plain_rows(np.zeros((tau, b, 0), np.uint8), beta, np.zeros_like(beta), c)
-    v = ChallengeBatch(ext, r, *stacked(challenges)).broadcast_v(z, rows, alpha)
+    ez = ext.mul(np.stack([e for _, e in challenges])[:, None], z)
+    v = ChallengeBatch(ext, r, *stacked(challenges)).broadcast_v(ez, rows, alpha)
     for e, (_, eps) in enumerate(challenges):
         for p in range(b):
             ip = ext.base.axis_sum(ext.mul(alpha[e, 0], beta[e, p]), axis=0)

@@ -1,7 +1,8 @@
 """Pin the bytes of the fixed operands a signer keeps, for every set.
 
 Each process keeps one prepared rank map per (field, r), and each public key
-one prepared L' for x @ L' (bit-sliced lane words over GF(16), float32 over
+one prepared [L'; M_0'], L' with M_0's tail as one more row, for
+[x | o] @ [L'; M_0'] (bit-sliced lane words over GF(16), float32 over
 GF(251)).  Their size sets how much of a signature's field work runs from
 cache, so a layout that grows them shows here without wall-clock noise.
 """
@@ -11,10 +12,10 @@ import pytest
 from mira import mpc, params
 from mira.keys import keygen_optimized
 
-# level -> (rank map bytes, prepared L' bytes)
+# level -> (rank map bytes, prepared [L'; M_0'] bytes)
 PINNED = {
-    "additive": {1: (786432, 522240), 3: (1536416, 1037568), 5: (2725408, 2037920)},
-    "threshold": {1: (41472, 22220), 3: (98304, 57116), 5: (114688, 71068)},
+    "additive": {1: (786432, 526592), 3: (1536416, 1043744), 5: (2725408, 2045440)},
+    "threshold": {1: (41472, 22624), 3: (98304, 57640), 5: (114688, 71720)},
 }
 
 
@@ -28,9 +29,9 @@ def _operand_bytes(variant, level):
     rank_map, cols = _prepared(mpc._rank_map(ps.ext, ps.r))
     assert cols == (ps.r + 1) * ps.m
     pk, _ = keygen_optimized(ps, b"operand bytes")
-    l_prime, cols = _prepared(mpc.PkOperand.of(pk)._l_prime)
+    l_m0, cols = _prepared(mpc.PkOperand.of(pk)._l_m0)
     assert cols == ps.m * ps.n - ps.k
-    return rank_map.nbytes, l_prime.nbytes
+    return rank_map.nbytes, l_m0.nbytes
 
 
 @pytest.mark.parametrize("level", sorted(PINNED["additive"]))

@@ -11,7 +11,8 @@ from mira.sharing import (ShareDims, beta_map, expand_leaf_shares, hypercube_agg
                           lagrange_weights, leaf_elements, neg_inner,
                           shamir_expand, shamir_points, shamir_share)
 
-from helpers import full_sharing, leaf_side, shamir_at, shamir_reconstruct
+from helpers import (full_sharing, lagrange_weights_by_mul, leaf_side, shamir_at,
+                     shamir_reconstruct)
 
 SUITE = HashSuite(128)
 SALT = b"\x21" * SUITE.salt_bytes
@@ -392,6 +393,32 @@ def test_batched_expand_rejects_duplicate_points_in_any_row(case, data):
     shares = np.zeros((len(points), ell + 1, coeffs.shape[2]), np.uint8)
     with pytest.raises(ValueError):
         shamir_at(f, shares, points, targets)
+
+
+@pytest.mark.parametrize("q, t", [(q, t) for q in (7, 11, 251) for t in range(1, 10) if t <= q])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_lagrange_weights_match_per_weight_products(q, t, data):
+    # up to t = 9 points: at q = 251 one int64 product of the t - 1 = 8
+    # factors of a weight could reach 250^8 > 2^63
+    f = base_field(q)
+    rounds = data.draw(st.integers(1, 3), label="rounds")
+    points = np.array([data.draw(st.lists(st.integers(0, q - 1), min_size=t, max_size=t,
+                                          unique=True), label="points")
+                       for _ in range(rounds)], np.uint8)
+    # targets inside and, where one is left, outside the first row's points
+    targets = data.draw(st.lists(st.integers(0, q - 1), max_size=4), label="targets")
+    targets.append(int(points[0, -1]))
+    if t < q:
+        targets.append(data.draw(st.sampled_from(sorted(set(range(q)) - set(points[0].tolist()))),
+                                 label="outside"))
+    targets = np.array(targets, np.uint8)
+    assert np.array_equal(lagrange_weights(f, points, targets),
+                          lagrange_weights_by_mul(f, points, targets))
+    if t > 1:
+        points[-1, 0] = points[-1, 1]
+        with pytest.raises(ValueError):
+            lagrange_weights(f, points, targets)
 
 
 @settings(max_examples=40, deadline=None)
