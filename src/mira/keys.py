@@ -3,8 +3,9 @@
 The systematic ("optimized") generator samples the stacked matrix
 L = [I_k | L'] row by row from the public seed and the rank-r matrix E from
 the secret seed.  The witness x is E's first k row-order entries, so
-M_0 = E - x L has those entries zero and its (mn - k)-entry tail is one
-product, E's tail minus x L'; only that tail is stored next to the seed.
+M_0 = E - x L has those entries zero.  Keys hold the tails alone, L'
+(k, mn - k) and M_0' (mn - k,), E's tail minus x L' from one product, so
+E = [x | x L' + M_0']; only M_0' is stored next to the seed.
 The secret key is two seeds: replaying the derivation from
 (seed_sk, seed_pk) recovers the witness x and the low-rank E, so nothing
 else needs to be stored; a ``SecretKey`` replays it once and keeps the
@@ -40,8 +41,8 @@ class KeyMismatchError(ValueError):
 class PublicKey:
     params: ParameterSet
     seed_pk: bytes
-    m0_entries: np.ndarray          # tail (mn - k); the first k entries are zero
-    _mats: tuple = dc_field(default=None, repr=False)
+    m0_entries: np.ndarray          # M_0', the (mn - k)-entry tail of M_0
+    _l_prime: np.ndarray = dc_field(default=None, repr=False)
     _operand: object = dc_field(default=None, repr=False)    # mpc.PkOperand.of fills it
 
     def __eq__(self, other):
@@ -50,16 +51,13 @@ class PublicKey:
             (self.params, self.body_bytes()) == (other.params, other.body_bytes()))
 
     def matrices(self):
-        """(l_rows, m0_flat): L as (k, mn) with M_i = row i row-major reshaped."""
-        if self._mats is None:
-            ps = self.params
-            m0 = np.zeros(ps.m * ps.n, np.uint8)
-            m0[ps.k:] = self.m0_entries
-            self._mats = (_expand_l(ps, self.seed_pk), m0)
-        return self._mats
+        """(L', M_0'): the (k, mn - k) and (mn - k,) tails of L and M_0."""
+        if self._l_prime is None:
+            self._l_prime = _expand_l(self.params, self.seed_pk)
+        return self._l_prime, self.m0_entries
 
     def body_bytes(self):
-        """seed || packed M_0 entries (the size the tables report)."""
+        """seed || packed M_0' (the size the tables report)."""
         return self.seed_pk + self.params.base.pack(self.m0_entries)
 
     def to_bytes(self):
@@ -89,7 +87,7 @@ class SecretKey:
     _beta: np.ndarray = dc_field(default=None, repr=False, compare=False)
 
     def _derivation(self):
-        # (L, m0_flat, x, E) from one replay of the key derivation, kept read-only
+        # (L', M_0', x, E) from one replay of the key derivation, kept read-only
         if self._derived is None:
             derived = _derive(self.params, self.seed_pk, self.seed_sk)
             for arr in derived:
@@ -100,13 +98,12 @@ class SecretKey:
     def public_key(self):
         """The matching public key, from the replayed key derivation.
 
-        Its ``matrices()`` are the derivation's own read-only L and M_0, so
-        the key does not expand L from the seed a second time.
+        Its ``matrices()`` are the derivation's own read-only L' and M_0',
+        so the key does not expand L' from the seed a second time.
         """
-        ps = self.params
-        l_rows, m0_flat = self._derivation()[:2]
-        return PublicKey(params=ps, seed_pk=self.seed_pk, m0_entries=m0_flat[ps.k:].copy(),
-                         _mats=(l_rows, m0_flat))
+        l_prime, m0_tail = self._derivation()[:2]
+        return PublicKey(params=self.params, seed_pk=self.seed_pk, m0_entries=m0_tail,
+                         _l_prime=l_prime)
 
     def check_pair(self, ps, pk):
         """Raise ``KeyMismatchError`` unless ``ps`` and ``pk`` are this key's own.
@@ -118,7 +115,7 @@ class SecretKey:
         that fails the rank check.
         """
         if ps != self.params or pk.params != ps or pk.seed_pk != self.seed_pk or not (
-                np.array_equal(pk.m0_entries, self._derivation()[1][ps.k:])):
+                np.array_equal(pk.m0_entries, self._derivation()[1])):
             raise KeyMismatchError("parameter set or public key is not the secret key's own")
 
     def witness(self):
@@ -134,7 +131,7 @@ class SecretKey:
         x, e_mat = self.witness()
         if self._beta is None:
             ps = self.params
-            beta = annihilator(ps.ext, columns_to_ext(e_mat), ps.r).beta
+            beta = annihilator(ps.ext, columns_to_ext(e_mat), ps.r)
             beta.flags.writeable = False
             self._beta = beta
         return x, self._beta
@@ -166,27 +163,22 @@ def _split_id(data):
 
 
 def _expand_l(ps, seed_pk):
-    """Systematic L = [I_k | L'] with L' sampled from the public seed."""
-    mn = ps.m * ps.n
+    """L', the (k, mn - k) tail of the systematic L = [I_k | L'], from the public seed."""
     sampler = FieldSampler(ps.base, ps.suite.xof(X_KEYPUB, seed_pk))
-    l_rows = np.zeros((ps.k, mn), np.uint8)
-    l_rows[:, :ps.k] = np.eye(ps.k, dtype=np.uint8)
-    l_rows[:, ps.k:] = sampler.matrix(ps.k, mn - ps.k)
-    return l_rows
+    return sampler.matrix(ps.k, ps.m * ps.n - ps.k)
 
 
 def _derive(ps, seed_pk, seed_sk):
-    """Systematic derivation: returns (L, m0_flat, x, E), with x the first k
-    entries of E and M_0 = E - x L from one (1, k) @ (k, mn - k) product."""
+    """Systematic derivation: returns (L', M_0', x, E), with x the first k
+    entries of E and M_0' = E's tail - x L' from one (1, k) @ (k, mn - k) product."""
     base = ps.base
-    l_rows = _expand_l(ps, seed_pk)
+    l_prime = _expand_l(ps, seed_pk)
     sk_sampler = FieldSampler(base, ps.suite.xof(X_KEYSEC, seed_sk))
     e_mat = sample_rank_bounded(base, ps.m, ps.n, ps.r, sk_sampler)
     e_flat = e_mat.reshape(-1)
     x = e_flat[:ps.k].copy()
-    m0_flat = np.zeros_like(e_flat)
-    m0_flat[ps.k:] = base.sub(e_flat[ps.k:], base.matmul(x[None, :], l_rows[:, ps.k:])[0])
-    return l_rows, m0_flat, x, e_mat
+    m0_tail = base.sub(e_flat[ps.k:], base.matmul(x[None, :], l_prime)[0])
+    return l_prime, m0_tail, x, e_mat
 
 
 def keygen_optimized(ps, entropy):

@@ -10,13 +10,14 @@ of ``sharing.ShareDims``, and, given the public matrices and a challenge
     alpha = eps * w + a                (opened)
     v     = eps * z - <alpha, beta> - c
 
-The stacked matrix L (row i is M_i, row-major) is systematic, [I_k | L'],
-and M_0's first k entries are zero, so a share of E is the x share followed
-by one product [x | o] @ [L'; M_0'], o the party's 0/1 offset and M_0' the
-tail of M_0 as one more row: the same prepared GEMM in every base field
-(``PkOperand``).  eps enters through gamma: eps * w_i = sum_j (eps gamma_j)
-e_j^(q^i), so the challenge is prepared once as eps * gamma and the rank
-check yields eps * w and eps * z without a product of their own.
+The public key is systematic and gives its matrices as (L', M_0'), the
+tails of L (row i is M_i, row-major) and of M_0 (``keys``), so a share of E
+is the x share followed by one product [x | o] @ [L'; M_0'], o the party's
+0/1 offset and M_0' one more row: the same prepared GEMM in every base
+field (``PkOperand``).  eps enters through gamma:
+eps * w_i = sum_j (eps gamma_j) e_j^(q^i), so the challenge is prepared
+once as eps * gamma and the rank check yields eps * w and eps * z without
+a product of their own.
 Everything from E to (eps w, eps z) is GF(q)-linear in the share and splits
 into two GF(q) products: P = E @ G with the coefficient matrix G of
 eps * gamma (a per-signature left-hand factor), then P against one fixed
@@ -37,19 +38,17 @@ from .sharing import ShareDims
 
 
 class PkOperand:
-    """[L'; M_0'] of a systematic public key L = [I_k | L'], prepared once per key.
+    """[L'; M_0'] of a public key's ``matrices()``, prepared once per key.
 
-    M_0' is the (mn - k)-entry tail of M_0, one more row under L'.  The
+    The (mn - k)-entry M_0' is one more row under the (k, mn - k) L'.  The
     stack is the base field's ``matmul3_prepare`` operand: bit-sliced lane
-    words over GF(2^d), float32 over GF(p).  L's first k columns are taken
-    as the identity, as ``keys._expand_l`` builds them, and M_0's first k
-    entries as zero, as ``keys._derive`` makes them; neither is read.
+    words over GF(2^d), float32 over GF(p).
     """
 
-    def __init__(self, base, l_rows, m0_flat):
+    def __init__(self, base, l_prime, m0_tail):
         self.base = base
-        self.k = k = l_rows.shape[0]
-        self._l_m0 = base.matmul3_prepare(np.vstack([l_rows[:, k:], m0_flat[None, k:]]))
+        self.k = len(l_prime)
+        self._l_m0 = base.matmul3_prepare(np.vstack([l_prime, m0_tail]))
 
     @classmethod
     def of(cls, pk):

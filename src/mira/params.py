@@ -9,7 +9,8 @@ price any override.  Validation happens where a row is used:
 ``minrank()`` checks the instance shape (1 <= r <= min(m, n),
 1 <= k < mn) and ``sign_params()`` additionally checks what the signing
 protocols need (eta = 1, additive N a power of two, threshold
-ell + 1 <= n_parties).  Both return the set itself.
+ell + 1 <= n_parties, a supported field order q and security level lam).
+Both return the set itself.
 
 ``n_parties`` is the operational party count.  For the threshold variant
 the tabulated N equals q; Shamir sharing over GF(q) only admits q - 1
@@ -112,6 +113,8 @@ class ParameterSet:
                 raise ValueError("additive variant needs N a power of two")
         elif self.ell + 1 > self.n_parties:
             raise ValueError("threshold needs ell + 1 <= N")
+        base_field(self.q)      # ValueError for an unsupported field order
+        hash_suite(self.lam)    # ValueError for an unsupported security parameter
         return self
 
     def with_overrides(self, **kw):

@@ -1,12 +1,10 @@
-"""Linearized polynomials: annihilator construction and evaluation.
+"""Linearized polynomials: annihilator construction.
 
 A monic q-polynomial of q-degree r is L(X) = X^(q^r) + sum_i beta_i X^(q^i),
-stored as the coefficient stack ``beta`` of shape (r, m) over GF(q^m) (the
-leading term is implicit).  The annihilator of an r-dimensional GF(q)-sub-
-space U is the unique such L vanishing exactly on U.
+held as the coefficient stack beta of shape (r, m) over GF(q^m): the
+leading term is implicit and r is len(beta).  The annihilator of an
+r-dimensional GF(q)-subspace U is the unique such L vanishing exactly on U.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +15,8 @@ class SupportDimensionError(ValueError):
     """Raised when the span of the given elements is not of the stated dimension."""
 
 
-@dataclass
-class QPolynomial:
-    r: int
-    beta: np.ndarray  # (r, m) coefficients beta_0..beta_{r-1}
-
-
 def annihilator(ext, support, r):
-    """Monic q-polynomial of q-degree r vanishing on the span of ``support``.
+    """beta (r, m) of the monic q-polynomial of q-degree r vanishing on ``support``'s span.
 
     Built iteratively over a basis (b_1..b_r): starting from M_0(X) = X,
     M_{i+1}(X) = w M_i(X)^q - w^q M_i(X) with w = M_i(b_{i+1}) != 0.  Each
@@ -59,4 +51,4 @@ def annihilator(ext, support, r):
         nxt[1:] = prods[0]
         nxt[:-1] = ext.sub(nxt[:-1], prods[1])
         coeffs = nxt
-    return QPolynomial(r=r, beta=ext.mul(coeffs[:-1], ext.inv(coeffs[-1])))
+    return ext.mul(coeffs[:-1], ext.inv(coeffs[-1]))

@@ -12,7 +12,6 @@ from mira.hashing import (H_MERKLE, X_KEYSEC, X_TREE, FieldSampler, encode_u16, 
                           party_suffixes)
 from mira.keys import _expand_l
 from mira.matrices import pivot_columns, rank
-from mira.qpoly import QPolynomial
 from mira.mpc import ChallengeBatch
 from mira.params import PARAM_IDS, parameter_set
 from mira.sharing import (additive_share, expand_leaf_shares, lagrange_weights, leaf_elements,
@@ -34,11 +33,21 @@ def validate_witness(pk, x):
 
 
 def witness_matrix(pk, x):
-    """E = M_0 + sum x_i M_i as an (m, n) matrix."""
+    """E = M_0 + sum x_i M_i as an (m, n) matrix: [x | x L' + M_0'] of a
+    systematic key's (L', M_0')."""
     ps = pk.params
-    l_rows, m0_flat = pk.matrices()
-    e_flat = ps.base.add(m0_flat, ps.base.matmul(np.asarray(x, np.uint8)[None, :], l_rows)[0])
-    return e_flat.reshape(ps.m, ps.n)
+    l_prime, m0_tail = pk.matrices()
+    x = np.asarray(x, np.uint8)
+    tail = ps.base.add(ps.base.matmul(x[None, :], l_prime)[0], m0_tail)
+    return np.concatenate([x, tail]).reshape(ps.m, ps.n)
+
+
+def systematic(l_prime, m0_tail):
+    """The full (L, M_0) of a systematic key's tails: L = [I_k | L'], and M_0
+    is M_0' after k zero entries."""
+    k = len(l_prime)
+    l_rows = np.hstack([np.eye(k, dtype=np.uint8), l_prime])
+    return l_rows, np.concatenate([np.zeros(k, np.uint8), m0_tail])
 
 
 def leaf_side(leaf, dim):
@@ -133,17 +142,18 @@ def shamir_reconstruct(field, shares, points):
     return shamir_at(field, shares, points, np.zeros(1, np.uint8))[..., 0, :]
 
 
-def evaluate(ext, qp, x):
-    """L(x) for a single element x of shape (m,)."""
-    return evaluate_many(ext, qp, np.asarray(x, np.uint8)[None, :])[0]
+def evaluate(ext, beta, x):
+    """L(x) for a single element x of shape (m,), L the monic q-polynomial
+    of coefficients ``beta`` (r, m)."""
+    return evaluate_many(ext, beta, np.asarray(x, np.uint8)[None, :])[0]
 
 
-def evaluate_many(ext, qp, xs):
-    """L applied to a batch (B, m) of elements."""
+def evaluate_many(ext, beta, xs):
+    """L applied to a batch (B, m) of elements, r = len(beta)."""
     xs = np.asarray(xs, np.uint8)
-    acc = ext.frob(xs, qp.r)  # leading monic term
-    for t in range(qp.r):
-        acc = ext.add(acc, ext.mul(qp.beta[t], ext.frob(xs, t)))
+    acc = ext.frob(xs, len(beta))  # leading monic term
+    for t, coef in enumerate(beta):
+        acc = ext.add(acc, ext.mul(coef, ext.frob(xs, t)))
     return acc
 
 
@@ -159,9 +169,11 @@ def sample_rank_bounded_by_elimination(field, m, n, r, sampler):
 def derive_two_products(ps, seed_pk, seed_sk):
     """Reference key derivation through a blinding vector beta drawn after E:
     f = E - beta L, x = beta + f_head and M_0 = f - f_head L, two full-width
-    products.  Returns (L, m0_flat, x, E) like ``keys._derive``."""
+    products over the whole L = [I_k | L'].  Returns (L, M_0, x, E) in full,
+    where ``keys._derive`` returns (L', M_0', x, E)."""
     base = ps.base
-    l_rows = _expand_l(ps, seed_pk)
+    l_prime = _expand_l(ps, seed_pk)
+    l_rows = np.hstack([np.eye(ps.k, dtype=np.uint8), l_prime])
     sk_sampler = FieldSampler(base, ps.suite.xof(X_KEYSEC, seed_sk))
     e_mat = sample_rank_bounded_by_elimination(base, ps.m, ps.n, ps.r, sk_sampler)
     beta = sk_sampler.take(ps.k)
@@ -172,7 +184,7 @@ def derive_two_products(ps, seed_pk, seed_sk):
 
 
 def annihilator_by_pow(ext, support, r):
-    """Reference annihilator through the monic recurrence
+    """Reference annihilator beta (r, m) through the monic recurrence
     L_{i+1}(X) = L_i(X)^q - L_i(b)^(q-1) L_i(X), one ``pow`` per basis element."""
     support = np.asarray(support, np.uint8)
     basis = support[pivot_columns(ext.base, support.T)]
@@ -186,7 +198,7 @@ def annihilator_by_pow(ext, support, r):
         nxt[:-1] = ext.sub(nxt[:-1], ext.mul(ext.pow(lb, ext.q - 1), coeffs))
         coeffs = nxt
     assert np.array_equal(coeffs[-1], ext.one())
-    return QPolynomial(r=r, beta=coeffs[:-1])
+    return coeffs[:-1]
 
 
 def clmul(a, b):

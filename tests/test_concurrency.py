@@ -1,6 +1,6 @@
 """Signing and verification from several threads while lazy caches fill up.
 
-The public key's matrices and operand (``PublicKey._mats``, ``_operand``),
+The public key's L' and operand (``PublicKey._l_prime``, ``_operand``),
 the Frobenius matrices of the extension field, the fixed rank-check map and
 a secret key's derivation and annihilator are all built on first use and
 stored without a lock; each is stored by one assignment of its finished

@@ -225,3 +225,15 @@ def test_sign_params_reject_eta_other_than_one():
     assert est.sig_size_bits(ps) > est.sig_size_bits(params.parameter_set("additive", 1))
     with pytest.raises(NotImplementedError):
         ps.sign_params()
+
+
+@pytest.mark.parametrize("variant", ["additive", "threshold"])
+@pytest.mark.parametrize("override,reason", [
+    ({"q": 9}, "unsupported field order 9"),
+    ({"q": 512}, r"supported GF\(2\^d\) range"),
+    ({"lam": 100}, "unsupported security parameter 100")])
+def test_sign_params_reject_an_unsupported_field_or_security_level(variant, override, reason):
+    # every other check passes: the set must fail here, not at key generation
+    ps = params.parameter_set(variant, 1).with_overrides(**override)
+    with pytest.raises(ValueError, match=reason):
+        ps.sign_params()

@@ -14,7 +14,7 @@ from mira.matrices import columns_to_ext, rank
 from mira.mpc import PkOperand
 from mira.qpoly import annihilator
 
-from helpers import derive_two_products, validate_witness, witness_matrix
+from helpers import derive_two_products, systematic, validate_witness, witness_matrix
 
 TABLE_PK_BODY = {("additive", 1): 84, ("additive", 3): 121, ("additive", 5): 150,
                  ("threshold", 1): 117, ("threshold", 3): 155, ("threshold", 5): 195}
@@ -40,11 +40,26 @@ def test_witness_is_valid_and_rank_exact(variant, level):
 
 
 def test_systematic_head_is_zero():
+    # the key holds only the tails (L', M_0'): E is x followed by x L' + M_0',
+    # so E's head is x and M_0's head is zero
     mr = params.parameter_set("additive", 1).minrank()
     pk, sk = keygen_optimized(mr, b"sys")
-    l_rows, m0 = pk.matrices()
-    assert not m0[:mr.k].any()
-    assert np.array_equal(l_rows[:, :mr.k], np.eye(mr.k, dtype=np.uint8))
+    l_prime, m0_tail = pk.matrices()
+    x, e_mat = sk.witness()
+    e_flat = e_mat.reshape(-1)
+    assert np.array_equal(e_flat[:mr.k], x)
+    assert np.array_equal(e_flat[mr.k:], mr.base.add(mr.base.matmul(x[None, :], l_prime)[0],
+                                                     m0_tail))
+
+
+@pytest.mark.parametrize("variant,level", list(TABLE_PK_BODY))
+def test_key_matrices_are_the_systematic_tails(variant, level):
+    ps = params.parameter_set(variant, level)
+    tail = ps.m * ps.n - ps.k
+    pk, sk = keygen_optimized(ps, b"tails")
+    for l_prime, m0_tail in (pk.matrices(), sk._derivation()[:2],
+                             PublicKey.from_bytes(pk.to_bytes()).matrices()):
+        assert l_prime.shape == (ps.k, tail) and m0_tail.shape == (tail,)
 
 
 # eliminations per keygen_optimized(ps, b"eliminations-%d" % i), i = 0..7: E's
@@ -76,13 +91,13 @@ def test_one_product_derivation_matches_two_product_reference(variant, level):
     base, k = ps.base, ps.k
     for entropy in (b"derive-0", b"derive-1", b"derive-2"):
         pk, sk = keygen_optimized(ps, entropy)
-        l_rows, m0, x, e_mat = keys._derive(ps, sk.seed_pk, sk.seed_sk)
+        l_prime, m0_tail, x, e_mat = keys._derive(ps, sk.seed_pk, sk.seed_sk)
         e_flat = e_mat.reshape(-1)
         assert np.array_equal(x, e_flat[:k])
-        assert not m0[:k].any()
-        assert np.array_equal(m0, base.sub(e_flat, base.matmul(x[None, :], l_rows)[0]))
+        assert np.array_equal(m0_tail, base.sub(e_flat[k:], base.matmul(x[None, :], l_prime)[0]))
+        # the reference's full L and M_0 are [I_k | L'] and M_0' after a zero head
         ref = derive_two_products(ps, sk.seed_pk, sk.seed_sk)
-        for have, want in zip((l_rows, m0, x, e_mat), ref):
+        for have, want in zip(systematic(l_prime, m0_tail) + (x, e_mat), ref):
             assert np.array_equal(have, want)
         ref_pk = PublicKey(params=ps, seed_pk=sk.seed_pk, m0_entries=ref[1][k:])
         assert pk.to_bytes() == ref_pk.to_bytes()
@@ -110,7 +125,7 @@ def test_zero_witness_rejected_when_m0_full_rank():
     mr = params.parameter_set("threshold", 1).minrank()
     for tag in range(10):
         pk, _ = keygen_optimized(mr, b"full%d" % tag)
-        _, m0 = pk.matrices()
+        m0 = systematic(*pk.matrices())[1]
         if rank(mr.base, m0.reshape(mr.m, mr.n)) > mr.r:
             assert not validate_witness(pk, np.zeros(mr.k, np.uint8))
             break
@@ -161,8 +176,9 @@ def test_keygen_leaves_the_operand_unbuilt():
 def test_public_keys_share_the_secret_keys_l():
     ps = params.parameter_set("threshold", 1)
     _, sk = keygen_optimized(ps, b"shared l")
-    l_rows = sk.public_key().matrices()[0]
-    assert sk.public_key().matrices()[0] is l_rows is sk._derivation()[0]
+    l_prime, m0_tail = sk.public_key().matrices()
+    assert sk.public_key().matrices()[0] is l_prime is sk._derivation()[0]
+    assert m0_tail is sk._derivation()[1]
 
 
 def test_key_format_errors():
@@ -231,7 +247,7 @@ def test_kept_beta_is_read_only_and_fresh(annihilator_calls):
     with pytest.raises(ValueError):
         beta[0, 0] ^= 1
     _, e_mat = sk.witness()
-    assert np.array_equal(beta, annihilator(ps.ext, columns_to_ext(e_mat), ps.r).beta)
+    assert np.array_equal(beta, annihilator(ps.ext, columns_to_ext(e_mat), ps.r))
     # equality and repr ignore the kept beta, as they ignore the derivation
     fresh = SecretKey.from_bytes(sk.to_bytes())
     assert fresh == sk and repr(fresh) == repr(sk)

@@ -17,7 +17,7 @@ from mira.params import ParameterSet
 from mira.qpoly import annihilator
 from mira.sharing import ShareDims, hypercube_aggregate, plain_rows, shamir_share
 
-from helpers import full_sharing, shamir_reconstruct, stacked
+from helpers import full_sharing, shamir_reconstruct, stacked, systematic
 
 SUITE = HashSuite(128)
 SALT = b"\x31" * SUITE.salt_bytes
@@ -29,13 +29,8 @@ def setup_instance(q, m, n, k, r, tag=b"i"):
                       lam=128).minrank()
     pk, sk = keygen_optimized(mr, tag)
     x, e_mat = sk.witness()
-    beta = annihilator(mr.ext, columns_to_ext(e_mat), r).beta
+    beta = annihilator(mr.ext, columns_to_ext(e_mat), r)
     return mr, pk, x, beta
-
-
-def systematic(l_prime):
-    """L = [I_k | L'], as key generation builds it."""
-    return np.hstack([np.eye(len(l_prime), dtype=np.uint8), l_prime])
 
 
 def random_challenge(mr, rng):
@@ -164,15 +159,16 @@ def test_exhaustive_false_positive_bound_toy():
     cols = columns_to_ext(e_mat)
     # best cheating annihilator: vanish on a one-dimensional subspace
     u = cols[0] if cols[0].any() else cols[1]
-    beta = annihilator(ext, u[None, :], r).beta
+    beta = annihilator(ext, u[None, :], r)
     a = rng.integers(0, q, (r, m)).astype(np.uint8)
     c = ext.neg(ext.dot(a, beta, axis=0))
 
     # a systematic key around the rank-2 E, as key generation builds one: x is
-    # E's first two entries and M_0 = E - x L, whose first two entries are zero
-    l_rows = systematic(rng.integers(0, q, (2, m * n - 2)).astype(np.uint8))
-    x = e_mat.reshape(-1)[:2].copy()
-    op = PkOperand(base, l_rows, base.sub(e_mat.reshape(-1), base.matmul(x[None, :], l_rows)[0]))
+    # E's first two entries and M_0' = E's tail - x L'
+    l_prime = rng.integers(0, q, (2, m * n - 2)).astype(np.uint8)
+    e_flat = e_mat.reshape(-1)
+    x = e_flat[:2].copy()
+    op = PkOperand(base, l_prime, base.sub(e_flat[2:], base.matmul(x[None, :], l_prime)[0]))
 
     challenges = []
     for bits in itertools.product(range(8), repeat=n + 1):
@@ -218,7 +214,8 @@ def test_false_positive_rate_values():
 def reference_run(ext, r, challenges, l_rows, m0_flat, x, a, beta, c, offsets):
     """(alpha, z, v) party by party, straight from w_i = sum_j gamma_j e_j^(q^i).
 
-    Reads all of L and M_0, identity block and zero head included.
+    Reads all of L and M_0, as ``helpers.systematic`` builds them from a
+    key's (L', M_0'): identity block and zero head included.
     """
     base, m = ext.base, ext.m
     tau, b, k = x.shape
@@ -247,8 +244,8 @@ def reference_run(ext, r, challenges, l_rows, m0_flat, x, a, beta, c, offsets):
 @given(q=hs.sampled_from([2, 16, 251]), m=hs.integers(1, 5), n=hs.integers(1, 5),
        tau=hs.integers(2, 3), b=hs.integers(1, 4), data=hs.data())
 def test_batched_contraction_matches_per_party_reference(q, m, n, tau, b, data):
-    # the operand takes a key's L and M_0, systematic and with a zero head
-    # by construction; the reference reads all of both
+    # the operand takes a key's (L', M_0'); the reference reads the full
+    # L = [I_k | L'] and M_0 with its zero head
     r = data.draw(hs.integers(1, min(m, n)), label="r")
     k = data.draw(hs.integers(1, min(4, m * n)), label="k")
     rng = np.random.default_rng(data.draw(hs.integers(0, 2 ** 32 - 1), label="seed"))
@@ -257,14 +254,14 @@ def test_batched_contraction_matches_per_party_reference(q, m, n, tau, b, data):
     def rand(*shape):
         return rng.integers(0, q, shape).astype(np.uint8)
 
-    l_rows = systematic(rand(k, m * n - k))
-    m0_flat = np.concatenate([np.zeros(k, np.uint8), rand(m * n - k)])
+    l_prime, m0_tail = rand(k, m * n - k), rand(m * n - k)
+    l_rows, m0_flat = systematic(l_prime, m0_tail)
     challenges = [(rand(n, m), rand(m)) for _ in range(tau)]
     x, a, beta, c = rand(tau, b, k), rand(tau, b, r, m), rand(tau, b, r, m), rand(tau, b, m)
     offsets = rng.random((tau, b)) < 0.5
     batch = ChallengeBatch(ext, r, *stacked(challenges))
     rows = plain_rows(x, beta, a, c)
-    alpha, ez = batch.broadcast_alpha(PkOperand(ext.base, l_rows, m0_flat), rows, offsets)
+    alpha, ez = batch.broadcast_alpha(PkOperand(ext.base, l_prime, m0_tail), rows, offsets)
     v = batch.broadcast_v(ez, rows, alpha)
     ref = reference_run(ext, r, challenges, l_rows, m0_flat, x, a, beta, c, offsets)
     eps = np.stack([e for _, e in challenges])[:, None]
@@ -287,7 +284,8 @@ def test_e_shares_match_the_full_l_on_shipped_keys(variant, level):
     ps = params.parameter_set(variant, level).sign_params()
     base = ps.base
     pk, _ = keygen_optimized(ps, b"e shares")
-    l_rows, m0_flat = pk.matrices()
+    l_prime = pk.matrices()[0]
+    l_rows, m0_flat = systematic(*pk.matrices())
     op = PkOperand.of(pk)
     rng = np.random.default_rng(level)
     for rows in shipped_row_counts(ps):
@@ -302,7 +300,7 @@ def test_e_shares_match_the_full_l_on_shipped_keys(variant, level):
     if variant == "additive":
         # the GF(2) table that perfbench's tracer still names maps x to x @ L'
         d, cols = base.d, ps.m * ps.n - ps.k
-        table = PkOperand._gf2_table(base, l_rows[:, ps.k:])
+        table = PkOperand._gf2_table(base, l_prime)
         xbits = np.concatenate([(x >> s) & 1 for s in range(d)], axis=1)
         ybits = np.unpackbits(table.apply_packed(np.packbits(xbits, axis=1)), axis=1)
         tail = sum(ybits[:, t * cols:(t + 1) * cols] << t for t in range(d))
@@ -312,19 +310,20 @@ def test_e_shares_match_the_full_l_on_shipped_keys(variant, level):
 @pytest.mark.parametrize("offsets", ["none", "all", "mixed"])
 @pytest.mark.parametrize("q", [16, 251])
 def test_e_shares_are_x_then_x_l_prime_plus_offset_m0(q, offsets):
-    # E = [x | x L'] + o M_0 with M_0's first k entries zero, against the
-    # operand's one product [x | o] @ [L'; M_0']
+    # E = [x | x L'] + o M_0 with M_0 = [0 | M_0'], against the operand's
+    # one product [x | o] @ [L'; M_0']
     base = base_field(q)
     rng = np.random.default_rng(q)
     rows, k, tail = 6, 7, 23
     x = rng.integers(0, q, (rows, k)).astype(np.uint8)
     l_prime = rng.integers(0, q, (k, tail)).astype(np.uint8)
-    m0_flat = np.concatenate([np.zeros(k, np.uint8), rng.integers(1, q, tail).astype(np.uint8)])
+    m0_tail = rng.integers(1, q, tail).astype(np.uint8)
+    m0_flat = systematic(l_prime, m0_tail)[1]
     o = {"none": np.zeros(rows, bool), "all": np.ones(rows, bool),
          "mixed": np.arange(rows) % 2 == 1}[offsets]
     ref = np.concatenate([x, base.matmul(x, l_prime)], axis=1)
     ref = np.where(o[:, None], base.add(ref, m0_flat), ref)
-    assert np.array_equal(PkOperand(base, systematic(l_prime), m0_flat).e_shares(x, o), ref)
+    assert np.array_equal(PkOperand(base, l_prime, m0_tail).e_shares(x, o), ref)
 
 
 @settings(max_examples=30, deadline=None)

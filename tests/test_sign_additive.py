@@ -44,7 +44,7 @@ TOY_FIELD_DIGESTS = {
 def toy_keys(ap, tag=b"toy"):
     pk, sk = keygen_optimized(ap, tag)
     x, e_mat = sk.witness()
-    beta = annihilator(ap.ext, columns_to_ext(e_mat), ap.r).beta
+    beta = annihilator(ap.ext, columns_to_ext(e_mat), ap.r)
     return pk, sk, x, beta
 
 

@@ -138,7 +138,7 @@ def manual_protocol_run(tp, n_run, tag=b"run"):
     ext = mr.ext
     pk, sk = keygen_optimized(mr, tag)
     x, e_mat = sk.witness()
-    beta = annihilator(ext, columns_to_ext(e_mat), mr.r).beta
+    beta = annihilator(ext, columns_to_ext(e_mat), mr.r)
     a = rng.integers(0, mr.q, (mr.r, mr.m)).astype(np.uint8)
     c = ext.neg(ext.dot(a, beta, axis=0))
     coords = np.concatenate([x, beta.ravel(), a.ravel(), c])
